@@ -12,6 +12,7 @@ import (
 
 	"opdelta"
 	"opdelta/internal/bench"
+	iopdelta "opdelta/internal/opdelta"
 	"opdelta/internal/workload"
 )
 
@@ -209,6 +210,44 @@ func BenchmarkEngineInsertWithOpCapture(b *testing.B) {
 		if _, err := capture.Exec(nil, workload.SingleInsertStmt(int64(10_000+i))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTableLogTailRead measures what the shipper pays per poll: a
+// Read from a cursor 64 ops behind the head. It is served from the
+// log's committed-op tail, so a log of 100 k ops must cost the same per
+// call — and allocate as little, nothing — as one of 1 k.
+func BenchmarkTableLogTailRead(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
+			db := newBenchSource(b, 0)
+			log, err := opdelta.NewTableLog(db)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for done := 0; done < n; {
+				tx := db.Begin()
+				for i := 0; i < 1000; i, done = i+1, done+1 {
+					op := &opdelta.Op{Txn: uint64(tx.ID()), Kind: iopdelta.OpUpdate, Table: "parts",
+						Stmt: fmt.Sprintf("UPDATE parts SET qty = %d WHERE part_id = %d", done, done%1000)}
+					if err := log.Append(tx, op); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			from := log.Seq() - 64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ops, err := log.Read(from)
+				if err != nil || len(ops) != 64 {
+					b.Fatalf("Read(%d) = %d ops, %v", from, len(ops), err)
+				}
+			}
+		})
 	}
 }
 

@@ -95,7 +95,8 @@ func captureSourceTxn(cfg *Config, name string, kind txnKind, k int) (*capturedW
 	if err != nil {
 		return nil, err
 	}
-	return &capturedWork{deltas: sink.Deltas, ops: ops}, nil
+	// Private copies: traceOps stamps Op.Trace, and Read's ops are shared.
+	return &capturedWork{deltas: sink.Deltas, ops: opdelta.CloneOps(ops)}, nil
 }
 
 // newReplicaWarehouse builds a warehouse holding a populated parts
@@ -285,6 +286,7 @@ func RunConcurrent(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ops = opdelta.CloneOps(ops) // traceOps stamps Op.Trace; Read's ops are shared
 
 	type outcome struct {
 		window     time.Duration

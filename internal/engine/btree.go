@@ -33,6 +33,9 @@ type node interface {
 	// scan visits entries with key in [lo, hi] (nil bounds = open) in
 	// order; returns false to stop.
 	scan(lo, hi *catalog.Value, fn func(catalog.Value, storage.RID) bool) bool
+	// scanDesc visits every entry in descending key order; returns false
+	// to stop.
+	scanDesc(fn func(catalog.Value, storage.RID) bool) bool
 }
 
 type leaf struct {
@@ -109,6 +112,12 @@ func (t *btree) Range(lo, hi *catalog.Value, fn func(catalog.Value, storage.RID)
 	t.root.scan(lo, hi, fn)
 }
 
+// Descend visits every entry in descending key order until fn returns
+// false.
+func (t *btree) Descend(fn func(catalog.Value, storage.RID) bool) {
+	t.root.scanDesc(fn)
+}
+
 var errDuplicateKey = fmt.Errorf("engine: duplicate key in unique index")
 
 func (l *leaf) insert(key catalog.Value, rid storage.RID) (catalog.Value, node, bool, error) {
@@ -162,6 +171,15 @@ func (l *leaf) scan(lo, hi *catalog.Value, fn func(catalog.Value, storage.RID) b
 		if hi != nil && mustCompare(l.keys[i], *hi) > 0 {
 			return false
 		}
+		if !fn(l.keys[i], l.rids[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func (l *leaf) scanDesc(fn func(catalog.Value, storage.RID) bool) bool {
+	for i := len(l.keys) - 1; i >= 0; i-- {
 		if !fn(l.keys[i], l.rids[i]) {
 			return false
 		}
@@ -223,6 +241,15 @@ func (n *inner) scan(lo, hi *catalog.Value, fn func(catalog.Value, storage.RID) 
 			return true
 		}
 		if !n.children[i].scan(lo, hi, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+func (n *inner) scanDesc(fn func(catalog.Value, storage.RID) bool) bool {
+	for i := len(n.children) - 1; i >= 0; i-- {
+		if !n.children[i].scanDesc(fn) {
 			return false
 		}
 	}

@@ -649,3 +649,28 @@ func TestScanTable(t *testing.T) {
 		t.Fatalf("sum = %d", sum)
 	}
 }
+
+// TestFailedCommitRunsAbortHooks: a Commit that cannot append its
+// commit record rolls the transaction back, and must tell the abort
+// hooks so — the op logs resolve their in-flight seqs there, and an
+// unresolved seq would hold the shipping horizon back forever.
+func TestFailedCommitRunsAbortHooks(t *testing.T) {
+	db := openTestDB(t, Options{})
+	createParts(t, db)
+	tx := db.Begin()
+	if _, err := db.Exec(tx, `INSERT INTO parts (part_id, qty) VALUES (1, 1)`); err != nil {
+		t.Fatal(err)
+	}
+	committed, aborted := false, false
+	tx.OnCommit(func() error { committed = true; return nil })
+	tx.OnAbort(func() { aborted = true })
+	if err := db.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err == nil {
+		t.Fatal("commit succeeded against a closed WAL")
+	}
+	if committed || !aborted {
+		t.Fatalf("after a failed commit: commit hook ran = %v, abort hook ran = %v", committed, aborted)
+	}
+}

@@ -172,3 +172,51 @@ func (t *Table) rangeSecondary(si *secIndex, kr *keyRange) ([]storage.RID, error
 	})
 	return out, nil
 }
+
+// IndexEdge returns up to n rows from the low end (or, with desc, the
+// high end) of the secondary index on column, in index order from that
+// end, under a shared table lock. A nil tx uses an internal
+// transaction. It answers MIN/MAX-style questions — "what is the
+// highest sequence number in this log table" — in O(log rows + n)
+// instead of a scan.
+func (db *DB) IndexEdge(tx *Tx, table, column string, desc bool, n int) ([]catalog.Tuple, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	if tx == nil {
+		tx = db.Begin()
+		defer tx.Commit()
+	}
+	t, err := db.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	si := t.secIndexFor(column)
+	if si == nil {
+		return nil, fmt.Errorf("engine: no index on %s.%s", table, column)
+	}
+	if err := tx.lockShared(t.Name); err != nil {
+		return nil, err
+	}
+	rids := make([]storage.RID, 0, n)
+	visit := func(k catalog.Value, _ storage.RID) bool {
+		rids = append(rids, decodeEntryRID(k))
+		return len(rids) < n
+	}
+	t.idxMu.RLock()
+	if desc {
+		si.tree.Descend(visit)
+	} else {
+		si.tree.Range(nil, nil, visit)
+	}
+	t.idxMu.RUnlock()
+	targets, err := db.targetsFromRIDs(t, rids)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]catalog.Tuple, len(targets))
+	for i, tg := range targets {
+		rows[i] = tg.tup
+	}
+	return rows, nil
+}

@@ -315,3 +315,63 @@ func TestIndexEntryKeyRIDRoundtrip(t *testing.T) {
 		t.Fatalf("rid roundtrip: %v vs %v", got, rid)
 	}
 }
+
+// TestIndexEdge: the low and high ends of a secondary index come back in
+// index order from that end — including after deletes have emptied the
+// edge leaves, which the tree never rebalances.
+func TestIndexEdge(t *testing.T) {
+	db := openTestDB(t, Options{})
+	createParts(t, db)
+	if err := db.CreateSecondaryIndex("parts", "qty"); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := db.IndexEdge(nil, "parts", "qty", true, 3); err != nil || len(rows) != 0 {
+		t.Fatalf("empty index: %d rows, %v", len(rows), err)
+	}
+	tx := db.Begin()
+	for i := 0; i < 1000; i++ {
+		if _, err := db.Exec(tx, fmt.Sprintf(`INSERT INTO parts (part_id, qty) VALUES (%d, %d)`, i, i/2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	qtys := func(desc bool, n int) []int64 {
+		t.Helper()
+		rows, err := db.IndexEdge(nil, "parts", "qty", desc, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int64, len(rows))
+		for i, r := range rows {
+			out[i] = r[2].Int()
+		}
+		return out
+	}
+	if got := qtys(false, 3); fmt.Sprint(got) != "[0 0 1]" {
+		t.Fatalf("low edge = %v", got)
+	}
+	if got := qtys(true, 3); fmt.Sprint(got) != "[499 499 498]" {
+		t.Fatalf("high edge = %v", got)
+	}
+	// Empty more than a leaf's worth of entries at both ends.
+	if _, err := db.Exec(nil, `DELETE FROM parts WHERE qty < 100`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(nil, `DELETE FROM parts WHERE qty > 400`); err != nil {
+		t.Fatal(err)
+	}
+	if got := qtys(false, 2); fmt.Sprint(got) != "[100 100]" {
+		t.Fatalf("low edge after delete = %v", got)
+	}
+	if got := qtys(true, 2); fmt.Sprint(got) != "[400 400]" {
+		t.Fatalf("high edge after delete = %v", got)
+	}
+	if got := qtys(true, 5000); len(got) != 602 {
+		t.Fatalf("n past the end returned %d rows, want all 602", len(got))
+	}
+	if _, err := db.IndexEdge(nil, "parts", "status", false, 1); err == nil {
+		t.Fatal("IndexEdge on an unindexed column must fail")
+	}
+}

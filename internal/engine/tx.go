@@ -94,7 +94,8 @@ func (tx *Tx) CommitLSN() uint64 { return tx.commitLSN }
 // OnCommit registers fn to run after this transaction commits durably.
 func (tx *Tx) OnCommit(fn func() error) { tx.onCommit = append(tx.onCommit, fn) }
 
-// OnAbort registers fn to run if this transaction rolls back.
+// OnAbort registers fn to run if this transaction rolls back — by Abort,
+// or by a Commit that could not append its commit record.
 func (tx *Tx) OnAbort(fn func()) { tx.onAbort = append(tx.onAbort, fn) }
 
 func (tx *Tx) ensureBegun() error {
@@ -143,9 +144,15 @@ func (tx *Tx) Commit() error {
 		// readable until mvccEndCommit marks its version stamps resolved.
 		lsn, err := tx.db.mvccBeginCommit(&wal.Record{Type: wal.RecCommit, Txn: uint64(tx.id)})
 		if err != nil {
+			// The commit record never reached the log: this is a rollback,
+			// and whoever registered abort hooks (the op logs resolve their
+			// in-flight seqs there) must hear about it.
 			tx.rollback()
 			tx.dropStaged()
 			tx.finish()
+			for _, fn := range tx.onAbort {
+				fn()
+			}
 			return err
 		}
 		tx.commitLSN = uint64(lsn)

@@ -12,6 +12,7 @@ import (
 	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
 	"opdelta/internal/fault"
+	"opdelta/internal/sqlmini"
 )
 
 // Log stores captured ops. Two implementations mirror the paper's §4.2
@@ -24,7 +25,15 @@ type Log interface {
 	// Append records op as part of tx (or autonomously when tx is nil).
 	// The log assigns op.Seq.
 	Append(tx *engine.Tx, op *Op) error
-	// Read returns all ops with Seq > fromSeq in sequence order.
+	// Read returns all committed ops with Seq > fromSeq in sequence
+	// order, never passing the resolved horizon: an op is returned only
+	// once every lower seq has committed or aborted, so a cursor moved
+	// to the last returned seq loses nothing to a late commit.
+	//
+	// The returned ops (and the slice's backing array) are shared with
+	// the log's in-memory tail and with every other reader: treat them
+	// as read-only. A caller that needs to set a field — Op.Trace, say —
+	// works on its own copy (CloneOps).
 	Read(fromSeq uint64) ([]*Op, error)
 	// Close releases resources.
 	Close() error
@@ -32,53 +41,6 @@ type Log interface {
 
 // TableLogName is the capture table used by TableLog.
 const TableLogName = "opdelta__log"
-
-// seqTracker follows the resolution state of assigned op sequence
-// numbers: an op's seq is assigned at Append time, inside the capturing
-// transaction, so the highest assigned seq alone says nothing about
-// what has committed. The tracker lets the snapshot reader compute a
-// sound low watermark — the resolved horizon, below which every op has
-// either committed or aborted — and the highest committed seq, which
-// upper-bounds the ops a chunk read could have observed.
-type seqTracker struct {
-	mu           sync.Mutex
-	unresolved   map[uint64]struct{}
-	maxCommitted uint64
-}
-
-func (t *seqTracker) assigned(seq uint64) {
-	t.mu.Lock()
-	if t.unresolved == nil {
-		t.unresolved = make(map[uint64]struct{})
-	}
-	t.unresolved[seq] = struct{}{}
-	t.mu.Unlock()
-}
-
-func (t *seqTracker) resolve(committed bool, seqs ...uint64) {
-	t.mu.Lock()
-	for _, seq := range seqs {
-		delete(t.unresolved, seq)
-		if committed && seq > t.maxCommitted {
-			t.maxCommitted = seq
-		}
-	}
-	t.mu.Unlock()
-}
-
-// horizon returns the resolved horizon given the last assigned seq:
-// the largest seq such that no op at or below it is still in flight.
-func (t *seqTracker) horizon(maxAssigned uint64) (resolved, maxCommitted uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	resolved = maxAssigned
-	for seq := range t.unresolved {
-		if seq-1 < resolved {
-			resolved = seq - 1
-		}
-	}
-	return resolved, t.maxCommitted
-}
 
 // tableLogSchema stores one op per row.
 func tableLogSchema() *catalog.Schema {
@@ -97,47 +59,83 @@ func tableLogSchema() *catalog.Schema {
 
 // TableLog stores ops in a table of the source database, inside the
 // capturing transaction — an op of an aborted transaction rolls back
-// with it.
+// with it. The table is the durable record; reads at the head are
+// served from the in-memory committed-op tail (see opTail) and only a
+// reader below the tail's floor — after a restart, or one that fell
+// behind the eviction budget — goes back to the table, through the
+// secondary index on o_seq. One TableLog owns its table: ops appended
+// through another instance are invisible to this one's tail.
 type TableLog struct {
-	DB *engine.DB
-	// SchemaOf resolves a table's schema for before-image encoding.
-	seq  atomic.Uint64
+	DB   *engine.DB
 	base atomic.Uint64
-	trk  seqTracker
+	tail opTail
 
 	pmu     sync.Mutex
-	pending map[*engine.Tx][]uint64
+	pending map[*engine.Tx][]*Op
 }
 
-// NewTableLog creates (if needed) the op-log table and returns the log.
+// seqColumn is the op-log column carrying the sequence number, and the
+// one NewTableLog indexes.
+const seqColumn = "o_seq"
+
+// NewTableLog creates (if needed) the op-log table and its o_seq index
+// and returns the log.
 func NewTableLog(db *engine.DB) (*TableLog, error) {
-	if _, err := db.Table(TableLogName); err != nil {
-		if _, err := db.CreateTable(engine.TableDef{Name: TableLogName, Schema: tableLogSchema()}); err != nil {
+	t, err := db.Table(TableLogName)
+	if err != nil {
+		if t, err = db.CreateTable(engine.TableDef{Name: TableLogName, Schema: tableLogSchema()}); err != nil {
 			return nil, err
 		}
 	}
-	l := &TableLog{DB: db, pending: make(map[*engine.Tx][]uint64)}
-	var maxSeq, base int64
-	if err := db.ScanTable(nil, TableLogName, func(row catalog.Tuple) error {
-		if row[0].Int() > maxSeq {
-			maxSeq = row[0].Int()
+	indexed := false
+	for _, col := range t.SecondaryIndexes() {
+		indexed = indexed || col == seqColumn
+	}
+	if !indexed {
+		if err := db.CreateSecondaryIndex(TableLogName, seqColumn); err != nil {
+			return nil, err
 		}
-		// BASE markers survive truncation and pin both the sequence floor
-		// and the truncation boundary across a reopen.
-		if row[2].Str() == "BASE" && row[0].Int() > base {
-			base = row[0].Int()
-		}
-		return nil
-	}); err != nil {
+	}
+	l := &TableLog{DB: db, pending: make(map[*engine.Tx][]*Op)}
+	maxSeq, base, err := l.recoverSeqs()
+	if err != nil {
 		return nil, err
 	}
-	l.seq.Store(uint64(maxSeq))
-	l.base.Store(uint64(base))
+	l.base.Store(base)
+	l.tail.open(maxSeq, nil)
 	return l, nil
 }
 
+// recoverSeqs finds the highest seq in the table and the highest BASE
+// marker from the two ends of the o_seq index, without a scan. BASE
+// markers survive truncation and pin both the sequence floor and the
+// truncation boundary across a reopen; Truncate deletes every row at or
+// below the marker it writes and never writes one past the head, so
+// markers sit below every op.
+func (l *TableLog) recoverSeqs() (maxSeq, base uint64, err error) {
+	top, err := l.DB.IndexEdge(nil, TableLogName, seqColumn, true, 1)
+	if err != nil || len(top) == 0 {
+		return 0, 0, err
+	}
+	maxSeq = uint64(top[0][0].Int())
+	for n := 2; ; n *= 2 {
+		rows, err := l.DB.IndexEdge(nil, TableLogName, seqColumn, false, n)
+		if err != nil {
+			return 0, 0, err
+		}
+		markers := 0
+		for markers < len(rows) && rows[markers][2].Str() == "BASE" {
+			base = max(base, uint64(rows[markers][0].Int()))
+			markers++
+		}
+		if markers < n {
+			return maxSeq, base, nil // reached an op row, or the end of the index
+		}
+	}
+}
+
 // Seq returns the last sequence number assigned (0 before any append).
-func (l *TableLog) Seq() uint64 { return l.seq.Load() }
+func (l *TableLog) Seq() uint64 { return l.tail.seq.Load() }
 
 // Base returns the truncation boundary: ops with Seq at or below it
 // have been deleted from the log and can no longer be replayed.
@@ -147,15 +145,15 @@ func (l *TableLog) Base() uint64 { return l.base.Load() }
 // it has either committed or aborted — and the highest committed seq.
 // The snapshot reader brackets chunk reads with these watermarks.
 func (l *TableLog) Horizon() (resolved, maxCommitted uint64) {
-	return l.trk.horizon(l.seq.Load())
+	return l.tail.horizon()
 }
 
 func (l *TableLog) resolveTx(tx *engine.Tx, committed bool) {
 	l.pmu.Lock()
-	seqs := l.pending[tx]
+	ops := l.pending[tx]
 	delete(l.pending, tx)
 	l.pmu.Unlock()
-	l.trk.resolve(committed, seqs...)
+	l.tail.resolve(committed, ops...)
 }
 
 // beforeChunk bounds the per-row before-image payload so op rows stay
@@ -164,22 +162,23 @@ func (l *TableLog) resolveTx(tx *engine.Tx, committed bool) {
 const beforeChunk = 6 << 10
 
 // Append writes the op row (plus continuation rows for large hybrid
-// payloads) within tx.
+// payloads) within tx. The op reaches readers from tx's commit hook —
+// after the commit record is durable — and is shared with them from
+// then on: the caller must not modify it after Append.
 func (l *TableLog) Append(tx *engine.Tx, op *Op) error {
-	op.Seq = l.seq.Add(1)
-	l.trk.assigned(op.Seq)
+	op.Seq = l.tail.assign()
 	if err := l.appendRows(tx, op); err != nil {
-		l.trk.resolve(false, op.Seq)
+		l.tail.resolve(false, op)
 		return err
 	}
 	if tx == nil {
-		l.trk.resolve(true, op.Seq)
+		l.tail.resolve(true, op)
 		return nil
 	}
 	l.pmu.Lock()
-	seqs := l.pending[tx]
-	first := seqs == nil
-	l.pending[tx] = append(seqs, op.Seq)
+	ops := l.pending[tx]
+	first := ops == nil
+	l.pending[tx] = append(ops, op)
 	l.pmu.Unlock()
 	if first {
 		tx.OnCommit(func() error { l.resolveTx(tx, true); return nil })
@@ -242,96 +241,145 @@ func (l *TableLog) appendRows(tx *engine.Tx, op *Op) error {
 	return nil
 }
 
-// Read returns committed ops with Seq > fromSeq in order, reassembling
-// chunked hybrid payloads.
+// Read returns committed ops with Seq > fromSeq in order. At or above
+// the tail's floor that is a binary search and a sub-slice of the tail;
+// below it the ops in (fromSeq, floor] are read back from the table
+// through the o_seq index and the tail is appended to them.
 func (l *TableLog) Read(fromSeq uint64) ([]*Op, error) {
-	type partial struct {
-		op     *Op
-		chunks map[int][]byte
+	ops, floor := l.tail.read(fromSeq)
+	if fromSeq >= floor {
+		return ops, nil
 	}
-	partials := map[uint64]*partial{}
-	err := l.DB.ScanTable(nil, TableLogName, func(row catalog.Tuple) error {
-		seq := uint64(row[0].Int())
-		if seq <= fromSeq || row[2].Str() == "BASE" {
+	cold, err := l.readRows(fromSeq, floor)
+	if err != nil {
+		return nil, err
+	}
+	return append(cold, ops...), nil
+}
+
+// readRows decodes the ops with from < Seq <= upto from the table,
+// reassembling chunked hybrid payloads. The o_seq index delivers rows
+// in seq order, an op's continuation rows next to its head row, so one
+// op is assembled at a time. upto never exceeds the tail's floor, which
+// never exceeds the resolved horizon: every row in range is committed.
+func (l *TableLog) readRows(from, upto uint64) ([]*Op, error) {
+	seqCol := &sqlmini.ColRef{Name: seqColumn}
+	where := &sqlmini.Binary{Op: sqlmini.OpAnd,
+		L: &sqlmini.Binary{Op: sqlmini.OpGt, L: seqCol, R: &sqlmini.Literal{Val: catalog.NewInt(int64(from))}},
+		R: &sqlmini.Binary{Op: sqlmini.OpLe, L: seqCol, R: &sqlmini.Literal{Val: catalog.NewInt(int64(upto))}},
+	}
+	var (
+		out    []*Op
+		cur    *Op            // op being assembled; nil before the first row
+		chunks map[int][]byte // cur's before-image payload by part
+	)
+	finish := func() error {
+		if cur == nil {
 			return nil
 		}
-		p := partials[seq]
-		if p == nil {
-			p = &partial{op: &Op{Seq: seq}, chunks: map[int][]byte{}}
-			partials[seq] = p
+		if cur.Kind == OpInvalid {
+			return fmt.Errorf("opdelta: op %d has continuation rows but no head row", cur.Seq)
 		}
-		part := int(row[7].Int())
+		if err := l.decodeBefore(cur, chunks); err != nil {
+			return err
+		}
+		out = append(out, cur)
+		return nil
+	}
+	_, err := l.DB.IterateSelect(nil, &sqlmini.Select{Table: TableLogName, Where: where}, func(row catalog.Tuple) error {
+		kind := row[2].Str()
+		if kind == "BASE" {
+			return nil
+		}
+		if seq := uint64(row[0].Int()); cur == nil || cur.Seq != seq {
+			if err := finish(); err != nil {
+				return err
+			}
+			cur, chunks = &Op{Seq: seq}, nil
+		}
 		if !row[8].IsNull() {
-			p.chunks[part] = append([]byte(nil), row[8].BytesVal()...)
+			if chunks == nil {
+				chunks = make(map[int][]byte)
+			}
+			chunks[int(row[7].Int())] = row[8].BytesVal()
 		}
-		if row[2].Str() == "CONT" {
+		if kind == "CONT" {
 			return nil // continuation rows carry only payload
 		}
-		p.op.Txn = uint64(row[1].Int())
-		p.op.Table = row[3].Str()
-		p.op.Stmt = row[4].Str()
-		p.op.Time = row[5].Time()
-		p.op.Hybrid = row[6].Bool()
-		switch row[2].Str() {
+		cur.Txn = uint64(row[1].Int())
+		cur.Table = row[3].Str()
+		cur.Stmt = row[4].Str()
+		cur.Time = row[5].Time()
+		cur.Hybrid = row[6].Bool()
+		switch kind {
 		case "INSERT":
-			p.op.Kind = OpInsert
+			cur.Kind = OpInsert
 		case "UPDATE":
-			p.op.Kind = OpUpdate
+			cur.Kind = OpUpdate
 		case "DELETE":
-			p.op.Kind = OpDelete
+			cur.Kind = OpDelete
 		default:
-			return fmt.Errorf("opdelta: bad op kind %q", row[2].Str())
+			return fmt.Errorf("opdelta: bad op kind %q", kind)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []*Op
-	for seq, p := range partials {
-		var data []byte
-		for part := 0; ; part++ {
-			chunk, ok := p.chunks[part]
-			if !ok {
-				break
-			}
-			data = append(data, chunk...)
-		}
-		if len(data) > 0 {
-			t, err := l.DB.Table(p.op.Table)
-			if err != nil {
-				return nil, err
-			}
-			pos := 0
-			for pos < len(data) {
-				sz, k := binary.Uvarint(data[pos:])
-				if k <= 0 || uint64(len(data)-pos-k) < sz {
-					return nil, fmt.Errorf("opdelta: corrupt before images for seq %d", seq)
-				}
-				pos += k
-				img, err := catalog.DecodeTuple(t.Schema, data[pos:pos+int(sz)])
-				if err != nil {
-					return nil, err
-				}
-				p.op.Before = append(p.op.Before, img)
-				pos += int(sz)
-			}
-		}
-		out = append(out, p.op)
+	if err := finish(); err != nil {
+		return nil, err
 	}
-	sortOps(out)
 	return out, nil
+}
+
+// decodeBefore reassembles op's chunked before-image payload and
+// decodes the images against the op's table schema.
+func (l *TableLog) decodeBefore(op *Op, chunks map[int][]byte) error {
+	if len(chunks) == 0 {
+		return nil
+	}
+	var data []byte
+	for part := 0; ; part++ {
+		chunk, ok := chunks[part]
+		if !ok {
+			break
+		}
+		data = append(data, chunk...)
+	}
+	t, err := l.DB.Table(op.Table)
+	if err != nil {
+		return err
+	}
+	for pos := 0; pos < len(data); {
+		sz, k := binary.Uvarint(data[pos:])
+		if k <= 0 || uint64(len(data)-pos-k) < sz {
+			return fmt.Errorf("opdelta: corrupt before images for seq %d", op.Seq)
+		}
+		pos += k
+		img, err := catalog.DecodeTuple(t.Schema, data[pos:pos+int(sz)])
+		if err != nil {
+			return err
+		}
+		op.Before = append(op.Before, img)
+		pos += int(sz)
+	}
+	return nil
 }
 
 // Truncate removes shipped ops (Seq <= upto) and records the new
 // truncation boundary durably: a BASE marker row at seq upto keeps the
 // sequence counter and Base() correct across a reopen, so a truncated
-// log never re-issues sequence numbers a replica may already hold.
+// log never re-issues sequence numbers a replica may already hold. The
+// DELETE finds its rows through the o_seq index; the tail drops the
+// same ops and raises its floor. An upto past the head clears the log
+// and is recorded as the head: a boundary above seqs that are yet to be
+// assigned would declare ops lost before they exist.
 func (l *TableLog) Truncate(upto uint64) error {
+	upto = min(upto, l.Seq())
 	if upto == 0 {
 		return nil
 	}
-	if _, err := l.DB.Exec(nil, fmt.Sprintf("DELETE FROM %s WHERE o_seq <= %d", TableLogName, upto)); err != nil {
+	if _, err := l.DB.Exec(nil, fmt.Sprintf("DELETE FROM %s WHERE %s <= %d", TableLogName, seqColumn, upto)); err != nil {
 		return err
 	}
 	marker := catalog.Tuple{
@@ -348,6 +396,7 @@ func (l *TableLog) Truncate(upto uint64) error {
 	if err := l.DB.InsertTuple(nil, TableLogName, marker); err != nil {
 		return err
 	}
+	l.tail.truncate(upto)
 	for {
 		cur := l.base.Load()
 		if upto <= cur || l.base.CompareAndSwap(cur, upto) {
@@ -371,28 +420,29 @@ func sortOps(ops []*Op) {
 // are buffered and written when it commits (dropped on abort), so the
 // log never ships an aborted op while keeping capture off the
 // transactional write path — the variant the paper found significantly
-// faster.
+// faster. Reads are served from the same committed-op tail as
+// TableLog's; the file is decoded once at open and again only for a
+// reader below the tail's floor.
 type FileLog struct {
 	mu   sync.Mutex
 	fs   fault.FS
 	path string
 	f    fault.File
 	bw   *bufio.Writer
-	seq  atomic.Uint64
 	// SchemaOf resolves the schema used to encode hybrid before images;
 	// required only when captures carry them.
 	SchemaOf func(table string) (*catalog.Schema, error)
 	// Sync forces an fsync per commit batch when true.
 	Sync bool
 
-	trk     seqTracker
+	tail    opTail
 	pending map[*engine.Tx][]*Op
 }
 
 // Horizon reports the resolved watermark horizon and the largest
 // committed seq; see TableLog.Horizon.
 func (l *FileLog) Horizon() (resolved, maxCommitted uint64) {
-	return l.trk.horizon(l.seq.Load())
+	return l.tail.horizon()
 }
 
 // Base reports the truncation boundary. FileLog does not support
@@ -413,15 +463,13 @@ func NewFileLogFS(fsys fault.FS, path string, schemaOf func(table string) (*cata
 	}
 	l := &FileLog{fs: fsys, path: path, f: f, bw: bufio.NewWriterSize(f, 1<<16),
 		SchemaOf: schemaOf, pending: make(map[*engine.Tx][]*Op)}
-	// Resume the sequence after existing ops.
-	ops, err := l.Read(0)
+	// Resume the sequence after existing ops, which seed the tail.
+	ops, err := l.readFile(0, ^uint64(0))
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if n := len(ops); n > 0 {
-		l.seq.Store(ops[n-1].Seq)
-	}
+	l.tail.open(0, ops)
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, err
@@ -430,13 +478,15 @@ func NewFileLogFS(fsys fault.FS, path string, schemaOf func(table string) (*cata
 }
 
 // Append assigns op.Seq and schedules the op to be written when tx
-// commits. With a nil tx the op is written immediately.
+// commits. With a nil tx the op is written immediately. Either way it
+// reaches readers only after the write (and the fsync, with Sync), and
+// is shared with them from then on: the caller must not modify it
+// after Append.
 func (l *FileLog) Append(tx *engine.Tx, op *Op) error {
-	op.Seq = l.seq.Add(1)
-	l.trk.assigned(op.Seq)
+	op.Seq = l.tail.assign()
 	if tx == nil {
 		err := l.writeOps([]*Op{op})
-		l.trk.resolve(err == nil, op.Seq)
+		l.tail.resolve(err == nil, op)
 		return err
 	}
 	l.mu.Lock()
@@ -446,31 +496,22 @@ func (l *FileLog) Append(tx *engine.Tx, op *Op) error {
 	l.mu.Unlock()
 	if first {
 		tx.OnCommit(func() error {
-			l.mu.Lock()
-			ops := l.pending[tx]
-			delete(l.pending, tx)
-			l.mu.Unlock()
+			ops := l.takePending(tx)
 			err := l.writeOps(ops)
-			l.trk.resolve(err == nil, opSeqs(ops)...)
+			l.tail.resolve(err == nil, ops...)
 			return err
 		})
-		tx.OnAbort(func() {
-			l.mu.Lock()
-			ops := l.pending[tx]
-			delete(l.pending, tx)
-			l.mu.Unlock()
-			l.trk.resolve(false, opSeqs(ops)...)
-		})
+		tx.OnAbort(func() { l.tail.resolve(false, l.takePending(tx)...) })
 	}
 	return nil
 }
 
-func opSeqs(ops []*Op) []uint64 {
-	out := make([]uint64, len(ops))
-	for i, op := range ops {
-		out[i] = op.Seq
-	}
-	return out
+func (l *FileLog) takePending(tx *engine.Tx) []*Op {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ops := l.pending[tx]
+	delete(l.pending, tx)
+	return ops
 }
 
 func (l *FileLog) writeOps(ops []*Op) error {
@@ -509,16 +550,26 @@ func (l *FileLog) writeOps(ops []*Op) error {
 	return nil
 }
 
-// Read returns ops with Seq > fromSeq in order.
+// Read returns committed ops with Seq > fromSeq in order: from the
+// tail, plus — only for a reader below the tail's floor — the ops in
+// (fromSeq, floor] decoded from the file.
 func (l *FileLog) Read(fromSeq uint64) ([]*Op, error) {
-	l.mu.Lock()
-	if l.bw != nil {
-		if err := l.bw.Flush(); err != nil {
-			l.mu.Unlock()
-			return nil, err
-		}
+	ops, floor := l.tail.read(fromSeq)
+	if fromSeq >= floor {
+		return ops, nil
 	}
-	l.mu.Unlock()
+	cold, err := l.readFile(fromSeq, floor)
+	if err != nil {
+		return nil, err
+	}
+	return append(cold, ops...), nil
+}
+
+// readFile decodes the ops with from < Seq <= upto from the file, in
+// seq order. Everything at or below the tail's floor was flushed before
+// it was published, so no flush is needed here; a frame torn by a crash
+// or still being written ends the read.
+func (l *FileLog) readFile(from, upto uint64) ([]*Op, error) {
 	data, err := l.fs.ReadFile(l.path)
 	if err != nil {
 		return nil, err
@@ -532,16 +583,15 @@ func (l *FileLog) Read(fromSeq uint64) ([]*Op, error) {
 		}
 		frame := data[pos+4 : pos+4+sz]
 		pos += 4 + sz
-		// Peek the table to resolve a schema if images are present.
 		op, _, err := l.decodeFrame(frame)
 		if err != nil {
 			return nil, err
 		}
-		if op.Seq > fromSeq {
+		if op.Seq > from && op.Seq <= upto {
 			out = append(out, op)
 		}
 	}
-	sortOps(out)
+	sortOps(out) // file order is commit order
 	return out, nil
 }
 
@@ -581,7 +631,7 @@ func DecodeOpResolve(frame []byte, schemaOf func(table string) (*catalog.Schema,
 }
 
 // Seq returns the last sequence number assigned (0 before any append).
-func (l *FileLog) Seq() uint64 { return l.seq.Load() }
+func (l *FileLog) Seq() uint64 { return l.tail.seq.Load() }
 
 // Close flushes and closes the file.
 func (l *FileLog) Close() error {

@@ -75,6 +75,19 @@ type Op struct {
 	Trace *obs.Trace
 }
 
+// CloneOps returns private copies of ops for a caller that needs to set
+// Op fields (Trace, typically) on ops a Log.Read returned: those are
+// shared with the log and every other reader. The copies share the
+// immutable statement text and before images.
+func CloneOps(ops []*Op) []*Op {
+	out := make([]*Op, len(ops))
+	for i, op := range ops {
+		c := *op
+		out[i] = &c
+	}
+	return out
+}
+
 // EncodedSize returns the op's transport size in bytes: statement text,
 // header, and any hybrid before images. Volume comparisons (E10) use
 // this; note it does not grow with rows affected unless before images

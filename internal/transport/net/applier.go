@@ -46,8 +46,9 @@ type Applier struct {
 	PollEvery time.Duration
 }
 
-// Run applies until stop closes. The final partial batch is applied
-// and acked before returning, so a graceful shutdown loses nothing.
+// Run applies until stop closes, then drains: it returns once the
+// queue has come up empty after stop was seen, so everything enqueued
+// before a graceful shutdown is applied and acked by it.
 func (a *Applier) Run(stop <-chan struct{}) error {
 	reg := a.Obs
 	if reg == nil {
@@ -76,6 +77,7 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	lagRaw := reg.Histogram("netrepl_replication_lag_raw_seconds", obs.DurationBuckets, l)
 	lagCorrected := reg.Histogram("netrepl_replication_lag_seconds", obs.DurationBuckets, l)
 	lagGauge := reg.Gauge("netrepl_replication_lag_ns", l)
+	stopping := false
 	for {
 		var batch []*opdelta.Op
 		for len(batch) < batchOps {
@@ -103,9 +105,15 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 			if err := a.Bootstrap.Poll(); err != nil {
 				return err
 			}
+			if stopping {
+				return nil
+			}
 			select {
 			case <-stop:
-				return nil
+				// Look at the queue once more before leaving: ops enqueued
+				// (and acked to their shipper) since the last poll came up
+				// empty belong to this run.
+				stopping = true
 			case <-time.After(poll):
 			}
 			continue

@@ -168,29 +168,84 @@ func WriteFrame(w io.Writer, typ, flags byte, payload []byte) error {
 
 // ReadFrame reads and verifies one frame. A short read surfaces the
 // transport error (io.EOF / io.ErrUnexpectedEOF on a torn frame); a
-// CRC or header violation returns ErrBadFrame.
+// CRC or header violation returns ErrBadFrame. It is a one-shot
+// FrameReader: bytes consumed before an error are gone, so a caller
+// that polls under short read deadlines keeps a FrameReader instead.
 func ReadFrame(r io.Reader) (typ, flags byte, payload []byte, err error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
+	fr := FrameReader{r: r}
+	return fr.ReadFrame()
+}
+
+// FrameReader reads frames off one stream and is resumable: when a read
+// fails partway through a frame — a read deadline expiring between the
+// header and the payload, or between any two bytes — the bytes already
+// received stay buffered, and the next ReadFrame call continues the
+// same frame where the last one stopped. A deadline can therefore never
+// desynchronize the stream; the caller just calls again.
+//
+// The reader is a two-state machine. In the header state it fills
+// hdr[:headerSize]; once complete it validates the length, allocates
+// the payload and moves to the payload state, filling payload[:len].
+// A completed payload is CRC-checked and handed to the caller, and the
+// reader returns to an empty header state. Errors leave the state as it
+// is; only a completed (or corrupt) frame resets it.
+type FrameReader struct {
+	r       io.Reader
+	hdr     [headerSize]byte
+	hdrN    int    // header bytes received
+	payload []byte // non-nil once the header is complete
+	payN    int    // payload bytes received
+}
+
+// NewFrameReader returns a resumable frame reader over r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// ReadFrame returns the next frame, resuming a partially received one.
+// A timeout (or any other error) mid-frame is returned as is and keeps
+// the partial frame; a stream that ends mid-frame is
+// io.ErrUnexpectedEOF, between frames io.EOF.
+func (fr *FrameReader) ReadFrame() (typ, flags byte, payload []byte, err error) {
+	if fr.payload == nil {
+		if err := fr.fill(fr.hdr[:], &fr.hdrN); err != nil {
+			if errors.Is(err, io.EOF) && fr.hdrN > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, nil, err
+		}
+		n := binary.LittleEndian.Uint32(fr.hdr[2:6])
+		if n > MaxPayload {
+			fr.hdrN = 0
+			return 0, 0, nil, fmt.Errorf("%w: length %d exceeds max %d", ErrBadFrame, n, MaxPayload)
+		}
+		fr.payload = make([]byte, n)
 	}
-	n := binary.LittleEndian.Uint32(hdr[2:6])
-	if n > MaxPayload {
-		return 0, 0, nil, fmt.Errorf("%w: length %d exceeds max %d", ErrBadFrame, n, MaxPayload)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if err := fr.fill(fr.payload, &fr.payN); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, 0, nil, err
 	}
-	want := binary.LittleEndian.Uint32(hdr[6:10])
-	crc := crc32.Update(crc32.Checksum(hdr[0:6], frameCRC), frameCRC, payload)
+	typ, flags, payload = fr.hdr[0], fr.hdr[1], fr.payload
+	fr.hdrN, fr.payload, fr.payN = 0, nil, 0
+	want := binary.LittleEndian.Uint32(fr.hdr[6:10])
+	crc := crc32.Update(crc32.Checksum(fr.hdr[0:6], frameCRC), frameCRC, payload)
 	if crc != want {
-		return 0, 0, nil, fmt.Errorf("%w: %s crc %08x, want %08x", ErrBadFrame, frameName(hdr[0]), crc, want)
+		return 0, 0, nil, fmt.Errorf("%w: %s crc %08x, want %08x", ErrBadFrame, frameName(typ), crc, want)
 	}
-	return hdr[0], hdr[1], payload, nil
+	return typ, flags, payload, nil
+}
+
+// fill reads into buf[*got:] until buf is full, advancing *got past
+// every byte received — including those that arrive with an error.
+func (fr *FrameReader) fill(buf []byte, got *int) error {
+	for *got < len(buf) {
+		n, err := fr.r.Read(buf[*got:])
+		*got += n
+		if err != nil && *got < len(buf) {
+			return err
+		}
+	}
+	return nil
 }
 
 // Bootstrap modes negotiated in WELCOME.

@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
+	"os"
 	"testing"
+	"time"
+
+	"opdelta/internal/fault"
+	"opdelta/internal/obs"
 )
 
 // TestFrameRoundTrip: every type and assorted payload sizes survive
@@ -161,4 +167,160 @@ func (o iotest) Read(p []byte) (int, error) {
 		p = p[:1]
 	}
 	return o.r.Read(p)
+}
+
+// deadlineReader delivers one byte per Read and fails every other Read
+// with a timeout, as a connection does whose read deadline expires
+// between every two bytes of a frame.
+type deadlineReader struct {
+	r        io.Reader
+	timeouts int
+	expire   bool
+}
+
+func (d *deadlineReader) Read(p []byte) (int, error) {
+	d.expire = !d.expire
+	if d.expire {
+		d.timeouts++
+		return 0, os.ErrDeadlineExceeded
+	}
+	if len(p) > 1 {
+		p = p[:1]
+	}
+	return d.r.Read(p)
+}
+
+// TestFrameReaderResumesAcrossDeadlines: frames delivered one byte at a
+// time with the deadline expiring before every byte — inside the
+// header, between header and payload, inside the payload — come out
+// intact and in order. The one-shot ReadFrame loses the stream on the
+// first such deadline, which is why the shipper keeps a FrameReader.
+func TestFrameReaderResumesAcrossDeadlines(t *testing.T) {
+	var stream bytes.Buffer
+	want := [][]byte{seqPayload(42), nil, bytes.Repeat([]byte{0x5A}, 300)}
+	for _, p := range want {
+		if err := WriteFrame(&stream, FrameAck, FlagReply, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := append([]byte(nil), stream.Bytes()...)
+
+	src := &deadlineReader{r: bytes.NewReader(raw)}
+	fr := NewFrameReader(src)
+	for i, p := range want {
+		for {
+			typ, flags, payload, err := fr.ReadFrame()
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if typ != FrameAck || flags != FlagReply || !bytes.Equal(payload, p) {
+				t.Fatalf("frame %d: got %s flags %d, %d payload bytes", i, frameName(typ), flags, len(payload))
+			}
+			break
+		}
+	}
+	if src.timeouts < len(raw) {
+		t.Fatalf("only %d deadlines expired over %d bytes", src.timeouts, len(raw))
+	}
+	// The stream ends cleanly between frames...
+	for {
+		_, _, _, err := fr.ReadFrame()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			continue
+		}
+		if err != io.EOF {
+			t.Fatalf("end of stream: %v, want io.EOF", err)
+		}
+		break
+	}
+	// ...while a close in the middle of a frame stays an error, wherever
+	// the cut falls and however many deadlines preceded it.
+	for _, cut := range []int{1, headerSize - 1, headerSize, headerSize + 3} {
+		fr := NewFrameReader(&deadlineReader{r: bytes.NewReader(raw[:cut])})
+		for {
+			_, _, _, err := fr.ReadFrame()
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				continue
+			}
+			if err != io.ErrUnexpectedEOF {
+				t.Fatalf("stream closed after %d bytes: %v, want io.ErrUnexpectedEOF", cut, err)
+			}
+			break
+		}
+	}
+	// The pre-change behaviour, for contrast: a one-shot read that hits a
+	// deadline mid-frame has consumed bytes it cannot give back.
+	oneShot := &deadlineReader{r: bytes.NewReader(raw)}
+	if _, _, _, err := ReadFrame(oneShot); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("one-shot read: %v", err)
+	}
+}
+
+// slowConn makes every Read of a connection deliver at most one byte
+// and fail with a timeout before each of them, from the first polling
+// read on: the handshake runs under SetDeadline and is left alone, the
+// shipper's reap loop announces itself with SetReadDeadline.
+type slowConn struct {
+	net.Conn
+	d       *deadlineReader
+	polling bool
+}
+
+func (c *slowConn) SetReadDeadline(t time.Time) error {
+	c.polling = true
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *slowConn) Read(p []byte) (int, error) {
+	if !c.polling {
+		return c.Conn.Read(p)
+	}
+	return c.d.Read(p)
+}
+
+// TestShipperSurvivesDeadlineInsideEveryFrame: with the server's frames
+// (ACKs, heartbeat echoes) arriving one byte per poll and a
+// deadline expiring before each byte, the shipper still ships the whole
+// log over its first and only connection.
+func TestShipperSurvivesDeadlineInsideEveryFrame(t *testing.T) {
+	src := newReplSource(t)
+	src.workload(t, 40, 0)
+	want := src.maxSeq(t)
+
+	nw := fault.NewNet(fault.NetProfile{Seed: 11})
+	reg := obs.NewRegistry()
+	startServer(t, nw, ServerConfig{Dir: t.TempDir(), Obs: reg})
+	sh := NewShipper(ShipperConfig{
+		Source: "src-d",
+		Dial: func() (net.Conn, error) {
+			c, err := nw.Dial()
+			if err != nil {
+				return nil, err
+			}
+			return &slowConn{Conn: c, d: &deadlineReader{r: c}}, nil
+		},
+		Fetch: src.log.Read, SchemaOf: src.schemaOf, Obs: reg,
+		BatchOps: 4, Retry: fastPolicy, PollEvery: time.Millisecond,
+	})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- sh.Run(stop) }()
+	waitFor(t, 20*time.Second, "full ack", func() bool { return sh.Acked() == want })
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	l := obs.L("source", "src-d")
+	if n := reg.Counter("netrepl_shipper_reconnects_total", l).Value(); n != 1 {
+		t.Fatalf("shipper connected %d times, want only the initial connection", n)
+	}
+	if n := reg.Counter("netrepl_shipper_retries_total", l).Value(); n != 0 {
+		t.Fatalf("shipper retried %d times", n)
+	}
+	if n := reg.Counter("netrepl_server_bad_frames_total").Value(); n != 0 {
+		t.Fatalf("server saw %d bad frames", n)
+	}
 }

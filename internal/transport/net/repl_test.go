@@ -344,10 +344,12 @@ func TestShipperResumesAfterServerRestart(t *testing.T) {
 
 	// Let a prefix land, then hard-stop the first server.
 	waitFor(t, 10*time.Second, "prefix delivery", func() bool { return topic1.LastSeq() >= want/3 })
-	atRestart := topic1.LastSeq()
 	srv1.Shutdown()
 	nw.Close()
 	<-done1
+	// Sampled after the handlers have drained: a DELTA in flight while
+	// the server was going down may still have landed.
+	atRestart := topic1.LastSeq()
 
 	// Restart over the same directory: the topic's lastSeq must be
 	// recovered from the queue file, and WELCOME resumes the shipper

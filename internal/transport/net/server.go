@@ -479,7 +479,7 @@ func (s *Server) handle(conn net.Conn) {
 // tc/recvNs carry the batch's trace context: for a traced batch with
 // fresh ops a span handoff is registered under the batch's last seq
 // BEFORE the append — the applier polls the queue concurrently and
-// could dequeue the op the instant Append returns, so registering
+// could dequeue the op the instant the write lands, so registering
 // after would race the claim and orphan the span.
 func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recvNs int64) (uint64, error) {
 	prevSeq, encOps, err := parseDelta(payload)
@@ -499,62 +499,59 @@ func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recv
 		s.outOfOrder.Inc()
 		return topic.lastSeq, nil
 	}
-	// Register the handoff only when the batch will land fresh ops: a
-	// pure redelivery was traced on its first arrival (or predates this
-	// process) and must not park a handoff no dequeue will ever claim.
-	var handoff *SpanHandoff
-	var handoffSeq uint64
-	if !tc.Zero() && len(encOps) > 0 {
-		last, err := opSeq(encOps[len(encOps)-1])
-		if err != nil {
-			return 0, err
-		}
-		if last > topic.lastSeq {
-			handoff = &SpanHandoff{TC: tc, RecvNs: recvNs}
-			handoffSeq = last
-			if dropped := topic.putSpanHandoff(last, handoff); dropped > 0 {
-				s.handoffDropped.Add(uint64(dropped))
-			}
-		}
-	}
-	fresh := 0
+	// Filter replays before touching the queue: the surviving ops go to
+	// the topic as one batch — one write, one fsync per DELTA — and the
+	// watermark is published only after that append is durable.
+	fresh := encOps[:0]
+	last := topic.lastSeq
 	for _, enc := range encOps {
 		seq, err := opSeq(enc)
 		if err != nil {
-			if handoff != nil {
-				topic.dropSpanHandoff(handoffSeq)
-			}
 			return 0, err
 		}
-		if seq <= topic.lastSeq {
+		if seq <= last {
 			s.redelivered.Inc()
 			continue
 		}
-		// Append is durable on return (group-synced fsync), so acking
-		// lastSeq after this loop acks only durable ops.
-		if err := topic.Q.Append(enc); err != nil {
-			if handoff != nil {
-				topic.dropSpanHandoff(handoffSeq)
-			}
-			return 0, err
-		}
-		topic.lastSeq = seq
-		fresh++
+		fresh = append(fresh, enc)
+		last = seq
 	}
+	if len(fresh) == 0 {
+		// A pure redelivery was traced on its first arrival (or predates
+		// this process): nothing to persist, no handoff to park.
+		return topic.lastSeq, nil
+	}
+	var handoff *SpanHandoff
+	if !tc.Zero() {
+		handoff = &SpanHandoff{TC: tc, RecvNs: recvNs}
+		if dropped := topic.putSpanHandoff(last, handoff); dropped > 0 {
+			s.handoffDropped.Add(uint64(dropped))
+		}
+	}
+	// Durable on return (group-synced fsync), so acking last acks only
+	// durable ops. On failure nothing is published and the queue has cut
+	// the write back: the shipper resends from the old watermark.
+	if err := topic.Q.AppendBatch(fresh); err != nil {
+		if handoff != nil {
+			topic.dropSpanHandoff(last)
+		}
+		return 0, err
+	}
+	topic.lastSeq = last
 	if handoff != nil {
 		end := time.Now().UnixNano()
 		handoff.persistEnd.Store(end)
 		s.cfg.Spans.Record(obs.SpanRecord{
 			TraceID: tc.TraceID, SpanID: obs.SpanIDFor(tc.TraceID, "persist"), ParentID: tc.SpanID,
-			Name: "persist", Source: topic.Source, Seq: handoffSeq,
+			Name: "persist", Source: topic.Source, Seq: last,
 			StartUnixNs: recvNs, EndUnixNs: end,
 		})
 	}
-	s.enqueuedOps.Add(uint64(fresh))
-	if fresh > 0 && s.cfg.OnEnqueue != nil {
-		s.cfg.OnEnqueue(topic.Source, fresh)
+	s.enqueuedOps.Add(uint64(len(fresh)))
+	if s.cfg.OnEnqueue != nil {
+		s.cfg.OnEnqueue(topic.Source, len(fresh))
 	}
-	return topic.lastSeq, nil
+	return last, nil
 }
 
 // Shutdown stops accepting, announces SHUTDOWN on every active

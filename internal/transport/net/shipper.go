@@ -44,7 +44,9 @@ type ShipperConfig struct {
 	BatchOps int
 	// Window bounds unacked DELTA batches in flight. When it is full
 	// the shipper stops fetching — backpressure reaches the op log
-	// cursor instead of ballooning memory. Default 4.
+	// cursor instead of ballooning memory. Default 16: at shipRate that
+	// is 200 ms of round trip, which a server sharing one busy processor
+	// with the applier has been seen to need (4 was not enough).
 	Window int
 	// Retry is the reconnect backoff schedule.
 	Retry retry.Policy
@@ -67,6 +69,21 @@ type ShipperConfig struct {
 	PollEvery time.Duration
 }
 
+// shipRate is the most ops per second a shipper sends, backlog or not.
+// Without it a backlog is shipped as fast as the processor allows, so
+// the catch-up rate (and how much of the source machine the shipper
+// takes from its OLTP clients) is whatever that processor has to spare
+// that minute; with it both are the same from run to run wherever the
+// rest of the pipeline keeps up. Trickle traffic never notices: one op
+// buys 1/shipRate seconds.
+const shipRate = 5120
+
+// shipSlack is how far the send schedule may trail the clock. A shipper
+// that lost its turn (a full window, a busy processor) sends what it
+// missed at full speed, so the rate holds over any stretch much longer
+// than this; after an idle spell it is the burst a new backlog gets.
+const shipSlack = 2 * time.Second
+
 func (c ShipperConfig) withDefaults() ShipperConfig {
 	if c.Obs == nil {
 		c.Obs = obs.NewRegistry()
@@ -75,7 +92,7 @@ func (c ShipperConfig) withDefaults() ShipperConfig {
 		c.BatchOps = 64
 	}
 	if c.Window <= 0 {
-		c.Window = 4
+		c.Window = 16
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 2 * time.Second
@@ -205,7 +222,11 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 	if err := WriteFrame(conn, FrameHello, 0, helloPayload(sh.cfg.Source, base, time.Now().UnixNano())); err != nil {
 		return errReconnect
 	}
-	typ, _, payload, err := ReadFrame(conn)
+	// One resumable reader for the connection's life: the reap loop below
+	// polls under a PollEvery deadline that can expire anywhere inside a
+	// frame, and the partial frame must survive to the next poll.
+	frames := NewFrameReader(conn)
+	typ, _, payload, err := frames.ReadFrame()
 	if err != nil {
 		return errReconnect
 	}
@@ -253,6 +274,9 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 
 	cursor := resume // last seq handed to this connection
 	var pending []pendingBatch
+	// nextSend is when the next DELTA may leave: every op sent moves it
+	// 1/shipRate later, from no further back than shipSlack ago.
+	nextSend := time.Now()
 	sh.inflight.Set(0)
 	lastRecv := time.Now()
 	var lastProbe time.Time // zero: first loop iteration probes immediately
@@ -274,7 +298,7 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 
 		// Fill the in-flight window from the op log.
 		stalled := stopping
-		for len(pending) < sh.cfg.Window && !stalled {
+		for len(pending) < sh.cfg.Window && !stalled && !time.Now().Before(nextSend) {
 			prev := cursor // the seq this batch chains onto
 			ops, err := sh.cfg.Fetch(cursor)
 			if err != nil {
@@ -341,6 +365,10 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 			if last > sh.maxSent {
 				sh.maxSent = last
 			}
+			if floor := now.Add(-shipSlack); nextSend.Before(floor) {
+				nextSend = floor
+			}
+			nextSend = nextSend.Add(time.Duration(len(ops)) * time.Second / shipRate)
 			pending = append(pending, pb)
 			sh.inflight.Set(int64(len(pending)))
 			sh.batchesSent.Inc()
@@ -391,9 +419,15 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 		}
 
 		// Reap one frame (ack, heartbeat echo, server shutdown), bounded
-		// by the poll interval so the send path stays responsive.
-		conn.SetReadDeadline(now.Add(sh.cfg.PollEvery))
-		typ, _, payload, err := ReadFrame(conn)
+		// by the poll interval — or by the next send slot, when that comes
+		// first — so the send path stays responsive. A deadline that lands
+		// mid-frame costs nothing: the reader resumes.
+		wake := now.Add(sh.cfg.PollEvery)
+		if nextSend.After(now) && nextSend.Before(wake) {
+			wake = nextSend
+		}
+		conn.SetReadDeadline(wake)
+		typ, _, payload, err := frames.ReadFrame()
 		if err != nil {
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {

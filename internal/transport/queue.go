@@ -42,10 +42,11 @@ type Queue struct {
 	appendSeconds *obs.Histogram
 	ackSeconds    *obs.Histogram
 
-	// Group-sync state for Append: the data mutex is never held across
-	// an fsync. writeSeq counts appended frames, syncedSeq the durable
-	// prefix; a leader fsyncs for every appender that queued behind it
-	// on syncCond, so shippers and consumers overlap with durability.
+	// Group-sync state for AppendBatch: the data mutex is never held
+	// across an fsync. writeSeq counts batch writes, syncedSeq the
+	// durable prefix; a leader fsyncs for every appender that queued
+	// behind it on syncCond, so shippers and consumers overlap with
+	// durability.
 	writeSeq  uint64
 	syncedSeq uint64
 	syncing   bool
@@ -139,35 +140,60 @@ func (q *Queue) truncateTornTail() error {
 
 var queueCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Append enqueues one message durably. The frame write happens under
-// the queue mutex, but the fsync does not: concurrent appenders form a
-// cohort behind one leader's fsync (group sync), and readers proceed
-// during it.
+// Append enqueues one message durably; see AppendBatch.
 func (q *Queue) Append(msg []byte) error {
+	return q.AppendBatch([][]byte{msg})
+}
+
+// AppendBatch enqueues msgs, in order, as one durable unit of work: all
+// frames are built into one buffer, written with one Write and covered
+// by one fsync, so a batch of n messages costs what one message does.
+// It is not atomic — a crash mid-write leaves a prefix of the batch's
+// frames (plus a torn one that the next open trims), which is the same
+// state n single appends interrupted by the crash would leave. Every
+// message is durable when AppendBatch returns nil; on a write error the
+// file is cut back to its previous length so that no later append lands
+// behind torn bytes.
+//
+// The write happens under the queue mutex, but the fsync does not:
+// concurrent appenders form a cohort behind one leader's fsync (group
+// sync), and readers proceed during it.
+func (q *Queue) AppendBatch(msgs [][]byte) error {
+	if len(msgs) == 0 {
+		return nil
+	}
 	start := time.Now()
-	frame := make([]byte, 8+len(msg))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(msg)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(msg, queueCRC))
-	copy(frame[8:], msg)
+	size := 0
+	for _, msg := range msgs {
+		size += 8 + len(msg)
+	}
+	buf := make([]byte, 0, size)
+	for _, msg := range msgs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(msg)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(msg, queueCRC))
+		buf = append(buf, msg...)
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if _, err := q.data.Seek(0, io.SeekEnd); err != nil {
 		return err
 	}
-	if _, err := q.data.Write(frame); err != nil {
+	if _, err := q.data.Write(buf); err != nil {
+		// Best effort: if the cut fails too, the next open trims the tail.
+		_ = q.data.Truncate(q.endPos.Load())
 		return err
 	}
-	q.endPos.Add(int64(len(frame)))
+	q.endPos.Add(int64(len(buf)))
 	q.writeSeq++
 	err := q.syncToLocked(q.writeSeq)
 	if err == nil {
-		q.appends.Inc()
+		q.appends.Add(uint64(len(msgs)))
 		q.appendSeconds.ObserveDuration(time.Since(start))
 	}
 	return err
 }
 
-// syncToLocked returns once frame seq is durable. Caller holds q.mu;
+// syncToLocked returns once write seq is durable. Caller holds q.mu;
 // the fsync itself runs with q.mu released so appends and reads keep
 // flowing, and every appender queued meanwhile is covered by the next
 // leader's fsync.

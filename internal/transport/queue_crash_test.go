@@ -188,3 +188,138 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendBatchTornAtEveryByte cuts the single write of an AppendBatch
+// at every byte — power loss with the write partly on disk — and checks
+// that what survives is a prefix of the batch's complete frames on which
+// everything that reads the file agrees: the reopen trims the torn frame
+// and resumes appends at the frame boundary, Next delivers exactly the
+// surviving messages, and ForEach (the replication server's dedup
+// recovery) sees the same ones.
+func TestAppendBatchTornAtEveryByte(t *testing.T) {
+	prior := [][]byte{[]byte("prior-0"), []byte("prior-1")}
+	batch := [][]byte{[]byte("batch-0"), []byte("x"), []byte("batch-2-" + string(make([]byte, 300))), []byte("b"), []byte("batch-4")}
+
+	full := fault.NewSimFS(1)
+	q, err := OpenQueueFS(full, "/q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range prior {
+		if err := q.Append(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := int(q.endPos.Load())
+	if err := q.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.appends.Value(); got != uint64(len(prior)+len(batch)) {
+		t.Fatalf("appends counter = %d, want %d messages", got, len(prior)+len(batch))
+	}
+	image, err := full.ReadFile("/q/" + queueDataFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for cut := base; cut <= len(image); cut++ {
+		// The frames of the batch wholly inside the cut, and where they end.
+		survivors, boundary := 0, base
+		for _, m := range batch {
+			if boundary+8+len(m) > cut {
+				break
+			}
+			boundary += 8 + len(m)
+			survivors++
+		}
+		want := append(append([][]byte(nil), prior...), batch[:survivors]...)
+
+		fs := fault.NewSimFS(int64(cut))
+		if err := fs.MkdirAll("/q", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile("/q/"+queueDataFile, image[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		q, err := OpenQueueFS(fs, "/q")
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if got := int(q.endPos.Load()); got != boundary {
+			t.Fatalf("cut %d: reopen resumes appends at %d, want frame boundary %d", cut, got, boundary)
+		}
+		var seen [][]byte
+		if err := q.ForEach(func(msg []byte) error {
+			seen = append(seen, append([]byte(nil), msg...))
+			return nil
+		}); err != nil {
+			t.Fatalf("cut %d: ForEach: %v", cut, err)
+		}
+		sentinel := [][]byte{[]byte("after-0"), []byte("after-1")}
+		if err := q.AppendBatch(sentinel); err != nil {
+			t.Fatalf("cut %d: post-crash append: %v", cut, err)
+		}
+		for i, w := range append(want, sentinel...) {
+			msg, err := q.Next()
+			if err != nil {
+				t.Fatalf("cut %d: Next %d: %v", cut, i, err)
+			}
+			if string(msg) != string(w) {
+				t.Fatalf("cut %d: Next %d = %q, want %q", cut, i, msg, w)
+			}
+			if i < len(want) && string(seen[i]) != string(w) {
+				t.Fatalf("cut %d: ForEach %d = %q, want %q", cut, i, seen[i], w)
+			}
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("cut %d: ForEach saw %d messages, Next %d", cut, len(seen), len(want))
+		}
+		if _, err := q.Next(); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("cut %d: expected empty, got %v", cut, err)
+		}
+	}
+}
+
+// failingWriteFile fails its next Write after landing half the bytes.
+type failingWriteFile struct {
+	fault.File
+	fail bool
+}
+
+func (f *failingWriteFile) Write(b []byte) (int, error) {
+	if !f.fail {
+		return f.File.Write(b)
+	}
+	f.fail = false
+	n, _ := f.File.Write(b[:len(b)/2])
+	return n, errors.New("injected short write")
+}
+
+// TestAppendBatchFailedWriteLeavesNoTornBytes: a write that fails
+// partway is cut back, so the next append does not land behind garbage.
+func TestAppendBatchFailedWriteLeavesNoTornBytes(t *testing.T) {
+	q, err := OpenQueueFS(fault.NewSimFS(1), "/q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	fw := &failingWriteFile{File: q.data, fail: true}
+	q.data = fw
+	if err := q.AppendBatch([][]byte{[]byte("lost-0"), []byte("lost-1")}); err == nil {
+		t.Fatal("short write went unreported")
+	}
+	if err := q.AppendBatch([][]byte{[]byte("second"), []byte("third")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"first", "second", "third"} {
+		msg, err := q.Next()
+		if err != nil || string(msg) != want {
+			t.Fatalf("Next = %q, %v; want %q", msg, err, want)
+		}
+	}
+	if _, err := q.Next(); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("expected empty, got %v", err)
+	}
+}

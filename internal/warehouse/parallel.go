@@ -77,18 +77,6 @@ type txnGroup struct {
 	ranged    map[string][]keyset.KeyRange
 }
 
-func (g *txnGroup) conflictsWith(o *txnGroup) bool {
-	if g.universal || o.universal {
-		return true
-	}
-	for t, fg := range g.foot {
-		if fo, ok := o.foot[t]; ok && fg.Overlaps(fo) {
-			return true
-		}
-	}
-	return false
-}
-
 // conflictKey resolves the schema and primary-key column used for
 // footprint analysis of ops on a source table: the replica's PK when
 // one exists, else any registered view's declared SourcePK.
@@ -240,16 +228,7 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 	}
 
 	// Dependency DAG: group j waits for every earlier conflicting group.
-	indeg := make([]int, n)
-	rdeps := make([][]int, n)
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			if groups[i].conflictsWith(groups[j]) {
-				indeg[j]++
-				rdeps[i] = append(rdeps[i], j)
-			}
-		}
-	}
+	indeg, rdeps := dependencyDAG(groups)
 
 	workers := in.Workers
 	if workers < 1 {
