@@ -13,6 +13,7 @@ import (
 	"opdelta"
 	"opdelta/internal/bench"
 	iopdelta "opdelta/internal/opdelta"
+	"opdelta/internal/wal"
 	"opdelta/internal/workload"
 )
 
@@ -261,6 +262,86 @@ func BenchmarkRangeUpdate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRangeUpdateWithViews measures one replayed 200-row UPDATE on
+// a warehouse replica that maintains the three views of the range-views
+// benchmark workload: the projection slim_parts, the aggregate
+// parts_by_status and the join parts_priced (with the secondary index on
+// its part_id the benchmark creates). view-wal-appends/op is the number
+// of WAL records the statement writes for the view tables, a count that
+// repeats exactly: 200 + 200 in-place rewrites plus at most one record
+// per status group the statement touches.
+func BenchmarkRangeUpdateWithViews(b *testing.B) {
+	const rows, dims = 20_000, 1_000
+	clock := workload.NewClock()
+	db, err := opdelta.Open(b.TempDir(), opdelta.Options{Now: clock.Now})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	wh := opdelta.NewWarehouse(db)
+	schema := workload.PartsSchema()
+	dimSchema := opdelta.NewSchema(
+		opdelta.Column{Name: "qty_key", Type: opdelta.TypeInt64, NotNull: true},
+		opdelta.Column{Name: "price_band", Type: opdelta.TypeString},
+	)
+	must := func(err error) {
+		b.Helper()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	must(wh.RegisterReplica("parts", schema, "part_id", "last_modified"))
+	must(wh.RegisterReplica("qty_dim", dimSchema, "qty_key", ""))
+	for k := 0; k < dims; k++ {
+		_, err := db.Exec(nil, fmt.Sprintf("INSERT INTO qty_dim VALUES (%d, 'band-%02d')", k, k/50))
+		must(err)
+	}
+	_, err = wh.RegisterView(opdelta.ViewDef{
+		Name: "slim_parts", Source: "parts", Project: []string{"part_id", "status"},
+		SourcePK: "part_id", SourceTS: "last_modified",
+	}, schema, nil)
+	must(err)
+	_, err = wh.RegisterView(opdelta.ViewDef{
+		Name: "parts_priced", Source: "parts",
+		Project:  []string{"part_id", "status", "qty", "qty_key", "price_band"},
+		Join:     &iopdelta.JoinSpec{Table: "qty_dim", LeftCol: "qty", RightCol: "qty_key"},
+		SourcePK: "part_id", SourceTS: "last_modified",
+	}, schema, dimSchema)
+	must(err)
+	_, err = wh.RegisterAggView(opdelta.AggViewDef{
+		Name: "parts_by_status", Source: "parts", GroupBy: "status",
+		Aggregates: []opdelta.AggSpec{{Fn: opdelta.AggCount}, {Fn: opdelta.AggSum, Col: "qty"}},
+	}, schema)
+	must(err)
+	must(opdelta.CreateSecondaryIndex(db, "parts_priced", "part_id"))
+	// The views fill through their own maintenance.
+	for first := 0; first < rows; first += 50 {
+		_, err := db.Exec(nil, workload.InsertStmt(int64(first), 50))
+		must(err)
+	}
+	must(db.WAL().Flush())
+	startLSN := db.WAL().NextLSN()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first := int64((i * 200) % (rows - 200))
+		if _, err := db.Exec(nil, workload.UpdateStmt(first, 200, fmt.Sprintf("m%d", i%7))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	must(db.WAL().Flush())
+	recs, err := wal.ReadAll(db.WALDir())
+	must(err)
+	views := 0
+	for _, r := range recs {
+		if r.LSN >= startLSN && (r.Table == "slim_parts" || r.Table == "parts_priced" || r.Table == "parts_by_status") {
+			views++
+		}
+	}
+	b.ReportMetric(float64(views)/float64(b.N), "view-wal-appends/op")
 }
 
 // BenchmarkScanQuery measures a full-scan predicate query over 20k rows.

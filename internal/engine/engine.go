@@ -3,10 +3,10 @@
 // buffer pools, a write-ahead log with optional archive mode, strict
 // hierarchical two-phase locking (table intention modes over
 // primary-key-range locks, with table locks as the fallback for
-// unanalyzable statements), row-level triggers, an
-// engine-maintained last-modified timestamp column, and a primary-key
-// hash index. Every delta-extraction method in the paper is built
-// against this engine.
+// unanalyzable statements), row-level triggers and statement-level
+// hooks with transition tables, an engine-maintained last-modified
+// timestamp column, and a primary-key hash index. Every
+// delta-extraction method in the paper is built against this engine.
 package engine
 
 import (
@@ -123,6 +123,7 @@ type Table struct {
 
 	trigMu   sync.RWMutex
 	triggers []*Trigger
+	hooks    []*StatementHook
 }
 
 // tableMeta is the persisted form of a table definition.

@@ -134,6 +134,7 @@ func (db *DB) execInsert(tx *Tx, s *sqlmini.Insert) (Result, error) {
 			positions[i] = idx
 		}
 	}
+	delta := t.newDelta(TrigInsert, len(s.Rows))
 	var n int64
 	for _, row := range s.Rows {
 		tup := make(catalog.Tuple, t.Schema.NumColumns())
@@ -174,7 +175,11 @@ func (db *DB) execInsert(tx *Tx, s *sqlmini.Insert) (Result, error) {
 		if err := db.insertRow(tx, t, tup); err != nil {
 			return Result{}, err
 		}
+		delta.add(nil, tup)
 		n++
+	}
+	if err := tx.fireStatementHooks(t, delta); err != nil {
+		return Result{}, err
 	}
 	return Result{RowsAffected: n}, nil
 }
@@ -233,17 +238,22 @@ func (db *DB) insertRow(tx *Tx, t *Table, tup catalog.Tuple) error {
 	return tx.fireTriggers(t, TriggerEvent{Op: TrigInsert, Table: t.Name, Txn: tx.id, After: tup})
 }
 
-// target is one row selected for mutation.
-type target struct {
-	rid storage.RID
-	tup catalog.Tuple
+// Row is one stored row selected for mutation: its decoded image, where
+// it lives, and the record bytes the image was decoded from (a private
+// copy), which become the write's before image without re-encoding.
+// Rows come from the executor's own plans and from the keyed lookups in
+// keyed.go; only the image is visible outside the engine.
+type Row struct {
+	Tuple catalog.Tuple
+	rid   storage.RID
+	rec   []byte
 }
 
 // collectTargets returns the rows matching where, via the ordered PK
 // index when the predicate is an equality or range over the primary
 // key, otherwise via a full scan — the plan split the paper describes
 // ("table scans unless an index is defined").
-func (db *DB) collectTargets(t *Table, where sqlmini.Expr) ([]target, error) {
+func (db *DB) collectTargets(t *Table, where sqlmini.Expr) ([]Row, error) {
 	if kr, ok := pkRangePlan(t, where); ok {
 		return db.targetsFromRIDs(t, kr.rangeRIDs(t))
 	}
@@ -254,7 +264,7 @@ func (db *DB) collectTargets(t *Table, where sqlmini.Expr) ([]target, error) {
 		}
 		return db.targetsFromRIDs(t, rids)
 	}
-	var out []target
+	var out []Row
 	err := t.heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
 		tup, err := catalog.DecodeTuple(t.Schema, rec)
 		if err != nil {
@@ -265,7 +275,8 @@ func (db *DB) collectTargets(t *Table, where sqlmini.Expr) ([]target, error) {
 			return false, err
 		}
 		if ok {
-			out = append(out, target{rid: rid, tup: tup.Clone()})
+			// rec aliases the page buffer: keep a copy.
+			out = append(out, Row{Tuple: tup, rid: rid, rec: append([]byte(nil), rec...)})
 		}
 		return true, nil
 	})
@@ -301,9 +312,10 @@ func (db *DB) execUpdate(tx *Tx, s *sqlmini.Update) (Result, error) {
 		}
 		assigns[i] = assign{pos: pos, expr: a.Value}
 	}
+	delta := t.newDelta(TrigUpdate, len(targets))
 	var n int64
 	for _, tg := range targets {
-		before := tg.tup
+		before := tg.Tuple
 		after := before.Clone()
 		for _, a := range assigns {
 			v, err := sqlmini.Eval(a.expr, t.Schema, before)
@@ -317,22 +329,37 @@ func (db *DB) execUpdate(tx *Tx, s *sqlmini.Update) (Result, error) {
 		if t.TSCol >= 0 && !tsAssigned {
 			after[t.TSCol] = catalog.NewTime(db.opts.Now())
 		}
-		if err := db.updateRow(tx, t, tg.rid, before, after); err != nil {
+		if err := db.updateRow(tx, t, tg, after); err != nil {
 			return Result{}, err
 		}
+		delta.add(before, after)
 		n++
+	}
+	if err := tx.fireStatementHooks(t, delta); err != nil {
+		return Result{}, err
 	}
 	return Result{RowsAffected: n}, nil
 }
 
-func (db *DB) updateRow(tx *Tx, t *Table, rid storage.RID, before, after catalog.Tuple) error {
-	beforeEnc, err := catalog.EncodeTuple(nil, t.Schema, before)
-	if err != nil {
-		return err
-	}
+// updateRow replaces one stored row with after: version chain, heap,
+// WAL, indexes, undo, row triggers. The caller holds an exclusive lock
+// covering both images' keys.
+func (db *DB) updateRow(tx *Tx, t *Table, old Row, after catalog.Tuple) error {
+	rid, before, beforeEnc := old.rid, old.Tuple, old.rec
 	afterEnc, err := catalog.EncodeTuple(nil, t.Schema, after)
 	if err != nil {
 		return err
+	}
+	// A key collision must be refused before anything is written: past
+	// this point the heap and the log already hold the new image, and a
+	// failure would leave them without an undo record.
+	if t.PKCol >= 0 && !catalog.Equal(before[t.PKCol], after[t.PKCol]) {
+		if after[t.PKCol].IsNull() {
+			return fmt.Errorf("engine: NULL primary key in %s", t.Name)
+		}
+		if _, dup := t.LookupPK(after[t.PKCol]); dup {
+			return fmt.Errorf("engine: duplicate primary key %s in %s", after[t.PKCol], t.Name)
+		}
 	}
 	if err := tx.ensureBegun(); err != nil {
 		return err
@@ -391,21 +418,24 @@ func (db *DB) execDelete(tx *Tx, s *sqlmini.Delete) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	delta := t.newDelta(TrigDelete, len(targets))
 	var n int64
 	for _, tg := range targets {
-		if err := db.deleteRow(tx, t, tg.rid, tg.tup); err != nil {
+		if err := db.deleteRow(tx, t, tg); err != nil {
 			return Result{}, err
 		}
+		delta.add(tg.Tuple, nil)
 		n++
+	}
+	if err := tx.fireStatementHooks(t, delta); err != nil {
+		return Result{}, err
 	}
 	return Result{RowsAffected: n}, nil
 }
 
-func (db *DB) deleteRow(tx *Tx, t *Table, rid storage.RID, before catalog.Tuple) error {
-	beforeEnc, err := catalog.EncodeTuple(nil, t.Schema, before)
-	if err != nil {
-		return err
-	}
+// deleteRow removes one stored row; see updateRow.
+func (db *DB) deleteRow(tx *Tx, t *Table, old Row) error {
+	rid, before, beforeEnc := old.rid, old.Tuple, old.rec
 	if err := tx.ensureBegun(); err != nil {
 		return err
 	}
@@ -645,8 +675,8 @@ func (db *DB) ScanTable(tx *Tx, name string, fn func(catalog.Tuple) error) error
 }
 
 // targetsFromRIDs fetches and decodes the rows behind an index plan.
-func (db *DB) targetsFromRIDs(t *Table, rids []storage.RID) ([]target, error) {
-	var out []target
+func (db *DB) targetsFromRIDs(t *Table, rids []storage.RID) ([]Row, error) {
+	out := make([]Row, 0, len(rids))
 	for _, rid := range rids {
 		rec, err := t.heap.Get(rid)
 		if err != nil {
@@ -656,7 +686,7 @@ func (db *DB) targetsFromRIDs(t *Table, rids []storage.RID) ([]target, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, target{rid: rid, tup: tup})
+		out = append(out, Row{Tuple: tup, rid: rid, rec: rec})
 	}
 	return out, nil
 }

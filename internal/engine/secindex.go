@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/storage"
@@ -146,10 +145,19 @@ func (t *Table) secDeleteLocked(tup catalog.Tuple, rid storage.RID) error {
 
 // secIndexFor returns the index over the named column, if any.
 func (t *Table) secIndexFor(name string) *secIndex {
+	col, ok := t.Schema.ColIndex(name)
+	if !ok {
+		return nil
+	}
+	return t.secIndexOn(col)
+}
+
+// secIndexOn returns the index over the column at position col, if any.
+func (t *Table) secIndexOn(col int) *secIndex {
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
 	for _, si := range t.sec {
-		if strings.EqualFold(t.Schema.Column(si.col).Name, name) {
+		if si.col == col {
 			return si
 		}
 	}
@@ -216,7 +224,7 @@ func (db *DB) IndexEdge(tx *Tx, table, column string, desc bool, n int) ([]catal
 	}
 	rows := make([]catalog.Tuple, len(targets))
 	for i, tg := range targets {
-		rows[i] = tg.tup
+		rows[i] = tg.Tuple
 	}
 	return rows, nil
 }

@@ -1,17 +1,12 @@
 package engine
 
-import (
-	"fmt"
-
-	"opdelta/internal/catalog"
-	"opdelta/internal/keyset"
-	"opdelta/internal/txn"
-)
+import "opdelta/internal/catalog"
 
 // InsertTuple inserts one pre-built tuple through the full engine write
-// path (locking, WAL, index, triggers). Utilities such as Import use it
-// to avoid SQL round-trips while still paying full insert-path cost. A
-// nil tx autocommits.
+// path (locking, WAL, index, triggers; statement hooks see it as a
+// batch of one). Utilities such as Import use it to avoid SQL
+// round-trips while still paying full insert-path cost. A nil tx
+// autocommits.
 func (db *DB) InsertTuple(tx *Tx, table string, tup catalog.Tuple) error {
 	if tx == nil {
 		tx = db.Begin()
@@ -25,22 +20,7 @@ func (db *DB) InsertTuple(tx *Tx, table string, tup catalog.Tuple) error {
 	if err != nil {
 		return err
 	}
-	if err := t.Schema.Validate(tup); err != nil {
-		return fmt.Errorf("engine: %s: %w", table, err)
-	}
-	// A keyed insert locks just its key, like the SQL insert path does,
-	// so key-disjoint bulk loads and view maintenance can interleave.
-	if t.PKCol >= 0 && !tup[t.PKCol].IsNull() {
-		err = tx.db.locks.AcquireRanges(tx.id, t.Name, txn.Exclusive,
-			[]keyset.KeyRange{keyset.Point(tup[t.PKCol])})
-	} else {
-		tx.db.locks.NoteTableFallback(t.Name)
-		err = tx.lockExclusive(t.Name)
-	}
-	if err != nil {
-		return err
-	}
-	return db.insertRow(tx, t, tup)
+	return tx.InsertRow(t, tup)
 }
 
 // RebuildIndex rescans the heap and rebuilds the primary-key index.

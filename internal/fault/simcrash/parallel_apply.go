@@ -116,6 +116,9 @@ func RunParallelApply(cfg ParallelConfig) (*ParallelReport, error) {
 		if workErr != nil {
 			return nil, fmt.Errorf("simcrash: parallel crash pass failed without crashing: %w", workErr)
 		}
+		// The workload outran its crash point; the verification's own
+		// reopen and close must not trip it.
+		crashFS.SetScript(nil)
 		if err := verifyParallel(crashFS, cfg.Txns, rep, true); err != nil {
 			return nil, fmt.Errorf("simcrash: parallel crash pass (completed): %w", err)
 		}

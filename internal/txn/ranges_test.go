@@ -296,3 +296,53 @@ func TestDisjointWriterBypassesBlockedWaiter(t *testing.T) {
 	lm.ReleaseAll(2)
 	lm.ReleaseAll(3)
 }
+
+// TestRangesUnderCoveringTableModeAreFree: a range request the held
+// table mode already implies returns before any bookkeeping — no grant,
+// no per-table acquire, no range state — for S under S/SIX/X and X
+// under X, and for an unsorted multi-range request as for a point. A
+// table mode that does not cover (IX for an X range) still goes through
+// the tree.
+func TestRangesUnderCoveringTableModeAreFree(t *testing.T) {
+	lm := NewLockManager(100 * time.Millisecond)
+	if err := lm.Acquire(1, "t", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(2, "u", Shared); err != nil {
+		t.Fatal(err)
+	}
+	stats, tables := lm.Stats(), lm.TableStats()
+	for i := 0; i < 100; i++ {
+		if err := xRanges(lm, 1, kr(int64(i), int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lm.AcquireRanges(1, "t", Shared, []keyset.KeyRange{kr(50, 60), kr(1, 2), kr(20, 30)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.AcquireRanges(2, "u", Shared, []keyset.KeyRange{kr(7, 7)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.Stats(); got != stats {
+		t.Fatalf("covered range requests moved lock stats: %+v -> %+v", stats, got)
+	}
+	for name, before := range tables {
+		if got := lm.TableStats()[name]; got != before {
+			t.Fatalf("covered range requests moved %s stats: %+v -> %+v", name, before, got)
+		}
+	}
+	if lm.HoldingRange(1, "t", kr(5, 5)) != Exclusive || lm.HoldingRange(2, "u", kr(7, 7)) != Shared {
+		t.Fatal("covering table modes should answer for their ranges")
+	}
+	// IX does not cover an X range: that one is granted and counted.
+	if err := xRanges(lm, 3, kr(1, 1)); err == nil {
+		t.Fatal("tx3 must wait out tx1's table X")
+	}
+	lm.ReleaseAll(1)
+	if err := xRanges(lm, 3, kr(1, 1), kr(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.TableStats()["t"].RangeAcquires; got != 2 {
+		t.Fatalf("range acquires = %d, want 2", got)
+	}
+}

@@ -542,8 +542,20 @@ func (lm *LockManager) AcquireRanges(tx ID, table string, mode LockMode, ranges 
 	if len(ranges) == 0 {
 		return nil
 	}
-	sorted := append([]keyset.KeyRange(nil), ranges...)
-	keyset.SortRanges(sorted)
+	// A covering table mode makes every range a no-op: notice it before
+	// paying for the copy, the sort and the clock read. View maintenance
+	// under a pre-declared whole-table X lock asks this per row.
+	lm.mu.Lock()
+	if tl := lm.tables[table]; tl != nil && tableModeCoversRange(tl.holders[tx], mode) {
+		lm.mu.Unlock()
+		return nil
+	}
+	lm.mu.Unlock()
+	sorted := ranges
+	if len(ranges) > 1 {
+		sorted = append([]keyset.KeyRange(nil), ranges...)
+		keyset.SortRanges(sorted)
+	}
 	deadline := time.Now().Add(lm.timeout)
 	lm.mu.Lock()
 	defer lm.mu.Unlock()

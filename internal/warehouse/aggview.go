@@ -118,27 +118,14 @@ func (w *Warehouse) RegisterAggView(def AggViewDef, srcSchema *catalog.Schema) (
 	if groupIdx >= 0 {
 		pk = srcSchema.Column(groupIdx).Name
 	}
-	if _, err := w.DB.CreateTable(engine.TableDef{Name: def.Name, Schema: schema, PrimaryKey: pk}); err != nil {
+	table, err := w.DB.CreateTable(engine.TableDef{Name: def.Name, Schema: schema, PrimaryKey: pk})
+	if err != nil {
 		return nil, err
 	}
-	trig := engine.Trigger{
-		Name: "aggview_" + def.Name, OnInsert: true, OnDelete: true, OnUpdate: true,
-		Fn: func(tx *engine.Tx, ev engine.TriggerEvent) error {
-			switch ev.Op {
-			case engine.TrigInsert:
-				return w.aggFold(tx, v, ev.After, +1)
-			case engine.TrigDelete:
-				return w.aggFold(tx, v, ev.Before, -1)
-			case engine.TrigUpdate:
-				if err := w.aggFold(tx, v, ev.Before, -1); err != nil {
-					return err
-				}
-				return w.aggFold(tx, v, ev.After, +1)
-			}
-			return nil
-		},
-	}
-	if err := w.DB.CreateTrigger(def.Source, trig); err != nil {
+	plan := &aggPlan{v: v, view: table, base: v.base()}
+	if err := w.DB.CreateStatementHook(def.Source, engine.StatementHook{
+		Name: "aggview_" + def.Name, Fn: plan.Apply,
+	}); err != nil {
 		return nil, err
 	}
 	w.mu.Lock()
@@ -147,82 +134,17 @@ func (w *Warehouse) RegisterAggView(def AggViewDef, srcSchema *catalog.Schema) (
 	return v, nil
 }
 
-// aggFold applies one source row to the view with the given sign.
-func (w *Warehouse) aggFold(tx *engine.Tx, v *AggView, row catalog.Tuple, sign int64) error {
-	if v.Def.Where != nil {
-		ok, err := sqlmini.EvalPredicate(v.Def.Where, v.SrcSchema, row)
-		if err != nil || !ok {
-			return err
-		}
-	}
-	// Locate the group row.
-	var keyVal catalog.Value
-	var where sqlmini.Expr
+// base is the view column holding n_rows; the aggregates follow it.
+func (v *AggView) base() int {
 	if v.groupIdx >= 0 {
-		keyVal = row[v.groupIdx]
-		keyName := v.Schema.Column(0).Name
-		if keyVal.IsNull() {
-			where = &sqlmini.IsNull{Expr: &sqlmini.ColRef{Name: keyName}}
-		} else {
-			where = &sqlmini.Binary{Op: sqlmini.OpEq,
-				L: &sqlmini.ColRef{Name: keyName}, R: &sqlmini.Literal{Val: keyVal}}
-		}
+		return 1
 	}
-	var current catalog.Tuple
-	if _, err := w.DB.IterateSelect(tx, &sqlmini.Select{Table: v.Def.Name, Where: where},
-		func(t catalog.Tuple) error {
-			current = t
-			return nil
-		}); err != nil {
-		return err
-	}
-	base := 0
-	if v.groupIdx >= 0 {
-		base = 1
-	}
-	if current == nil {
-		if sign < 0 {
-			return fmt.Errorf("warehouse: aggregate view %s: delete for missing group (view registered after data load?)", v.Def.Name)
-		}
-		current = make(catalog.Tuple, v.Schema.NumColumns())
-		if v.groupIdx >= 0 {
-			current[0] = keyVal
-		}
-		current[base] = catalog.NewInt(0)
-		for i := range v.aggCols {
-			typ := v.Schema.Column(base + 1 + i).Type
-			if typ == catalog.TypeInt64 {
-				current[base+1+i] = catalog.NewInt(0)
-			} else {
-				current[base+1+i] = catalog.NewFloat(0)
-			}
-		}
-		// Fall through to fold then insert.
-		next, err := v.foldInto(current, row, sign, base)
-		if err != nil {
-			return err
-		}
-		return w.DB.InsertTuple(tx, v.Def.Name, next)
-	}
-	next, err := v.foldInto(current.Clone(), row, sign, base)
-	if err != nil {
-		return err
-	}
-	if next[base].Int() == 0 {
-		// Group emptied: remove its row.
-		_, err := w.DB.ExecStmt(tx, &sqlmini.Delete{Table: v.Def.Name, Where: where})
-		return err
-	}
-	// Rewrite the group row: delete + insert keeps this simple and
-	// correct under the table's PK.
-	if _, err := w.DB.ExecStmt(tx, &sqlmini.Delete{Table: v.Def.Name, Where: where}); err != nil {
-		return err
-	}
-	return w.DB.InsertTuple(tx, v.Def.Name, next)
+	return 0
 }
 
-// foldInto applies one signed row to the materialized accumulators.
-func (v *AggView) foldInto(acc catalog.Tuple, row catalog.Tuple, sign int64, base int) (catalog.Tuple, error) {
+// foldInto applies one signed row to the materialized accumulators in
+// acc, whose n_rows sits at column base.
+func (v *AggView) foldInto(acc catalog.Tuple, row catalog.Tuple, sign int64, base int) {
 	acc[base] = catalog.NewInt(acc[base].Int() + sign)
 	for i, spec := range v.Def.Aggregates {
 		pos := base + 1 + i
@@ -250,22 +172,15 @@ func (v *AggView) foldInto(acc catalog.Tuple, row catalog.Tuple, sign int64, bas
 			}
 		}
 	}
-	return acc, nil
 }
 
-// AvgOf computes the average for an AVG aggregate from a view row (the
-// stored value is the running sum; n_rows... no: AVG divides by the
-// aggregate's own non-NULL count, which for simplicity this view tracks
-// as COUNT of the same column when present, else n_rows).
-//
-// For exact NULL-aware averages, define the view with an explicit
-// COUNT(col) next to AVG(col) and divide; AvgOf uses n_rows, which is
-// exact when the column has no NULLs.
+// AvgOf computes an AVG aggregate from a view row: the column stores
+// the running sum, and AvgOf divides it by n_rows, the group's live row
+// count. That is exact when the averaged column has no NULLs; for a
+// NULL-aware average define the view with COUNT(col) next to AVG(col)
+// and divide the two.
 func (v *AggView) AvgOf(row catalog.Tuple, aggIndex int) float64 {
-	base := 0
-	if v.groupIdx >= 0 {
-		base = 1
-	}
+	base := v.base()
 	n := row[base].Int()
 	if n == 0 {
 		return 0

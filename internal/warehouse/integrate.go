@@ -129,24 +129,21 @@ func (in *ValueDeltaIntegrator) applyOne(tx *engine.Tx, d extract.Delta) (int, e
 		if v.Def.Join != nil {
 			return stmts, fmt.Errorf("warehouse: join view %s requires replicas", v.Def.Name)
 		}
+		// Each record is a statement delta of one row for the view's plan.
 		var err error
 		switch d.Kind {
 		case extract.KindInsert:
-			err = in.W.viewInsert(tx, v, d.After)
+			err = v.sp.Apply(tx, &engine.StatementDelta{Op: engine.TrigInsert, Table: d.Table,
+				After: []catalog.Tuple{d.After}})
 		case extract.KindDelete:
-			err = in.W.viewDelete(tx, v, d.Before)
+			err = v.sp.Apply(tx, &engine.StatementDelta{Op: engine.TrigDelete, Table: d.Table,
+				Before: []catalog.Tuple{d.Before}})
 		case extract.KindUpdate:
-			err = in.W.viewUpdate(tx, v, d.Before, d.After)
+			err = v.sp.Apply(tx, &engine.StatementDelta{Op: engine.TrigUpdate, Table: d.Table,
+				Before: []catalog.Tuple{d.Before}, After: []catalog.Tuple{d.After}})
 		case extract.KindUpsert:
-			// Timestamp-method deltas have no before image: delete any
-			// existing view row by PK, then insert.
-			if v.pkInView >= 0 {
-				if err = in.W.deleteViewRow(tx, v, v.project(d.After)); err != nil {
-					break
-				}
-				stmts++
-			}
-			err = in.W.viewInsert(tx, v, d.After)
+			// Timestamp-method deltas have no before image.
+			err = v.sp.upsert(tx, d.After)
 		default:
 			err = fmt.Errorf("warehouse: cannot apply delta kind %v", d.Kind)
 		}
@@ -159,7 +156,8 @@ func (in *ValueDeltaIntegrator) applyOne(tx *engine.Tx, d extract.Delta) (int, e
 }
 
 // applyToReplica translates one value delta into SQL statements against
-// the replica table. Dependent views follow via the replica triggers.
+// the replica table. Dependent views follow via the replica's statement
+// hooks.
 func (in *ValueDeltaIntegrator) applyToReplica(tx *engine.Tx, d extract.Delta) (int, error) {
 	t, err := in.W.DB.Table(d.Table)
 	if err != nil {
@@ -306,7 +304,7 @@ func (in *OpDeltaIntegrator) applyOne(tx *engine.Tx, op *opdelta.Op) (int, error
 	}
 	if in.W.HasReplica(op.Table) {
 		// The replica shares the source schema and name: the op applies
-		// verbatim; dependent views follow via triggers.
+		// verbatim; dependent views follow via statement hooks.
 		if _, err := in.W.DB.ExecStmt(tx, stmt); err != nil {
 			return stmts, err
 		}
@@ -353,14 +351,8 @@ func (in *OpDeltaIntegrator) applySelfMaintainable(tx *engine.Tx, v *View, op *o
 		if err != nil {
 			return 0, err
 		}
-		n := 0
-		for _, row := range rows {
-			if err := in.W.viewInsert(tx, v, row); err != nil {
-				return n, err
-			}
-			n++
-		}
-		return n, nil
+		err = v.sp.Apply(tx, &engine.StatementDelta{Op: engine.TrigInsert, Table: op.Table, After: rows})
+		return len(rows), err
 	case *sqlmini.Delete:
 		// The predicate references only retained columns: run it
 		// directly against the view (rows in the view already satisfy
@@ -393,32 +385,27 @@ func (in *OpDeltaIntegrator) applySelfMaintainable(tx *engine.Tx, v *View, op *o
 	}
 }
 
+// applyWithBeforeImages rebuilds the statement's transition tables from
+// the before images the op carries and hands them to the view's plan.
 func (in *OpDeltaIntegrator) applyWithBeforeImages(tx *engine.Tx, v *View, op *opdelta.Op, stmt sqlmini.Statement) (int, error) {
-	n := 0
+	delta := &engine.StatementDelta{Table: op.Table, Before: op.Before}
 	switch s := stmt.(type) {
 	case *sqlmini.Delete:
-		for _, before := range op.Before {
-			if err := in.W.viewDelete(tx, v, before); err != nil {
-				return n, err
-			}
-			n++
-		}
-		return n, nil
+		delta.Op = engine.TrigDelete
 	case *sqlmini.Update:
-		for _, before := range op.Before {
+		delta.Op = engine.TrigUpdate
+		delta.After = make([]catalog.Tuple, len(op.Before))
+		for i, before := range op.Before {
 			after, err := applyAssigns(s.Assigns, v.SrcSchema, before)
 			if err != nil {
-				return n, err
+				return 0, err
 			}
-			if err := in.W.viewUpdate(tx, v, before, after); err != nil {
-				return n, err
-			}
-			n++
+			delta.After[i] = after
 		}
-		return n, nil
 	default:
 		return 0, fmt.Errorf("warehouse: before-image application undefined for %T", stmt)
 	}
+	return len(op.Before), v.sp.Apply(tx, delta)
 }
 
 // rowsFromInsert evaluates an INSERT statement's literal rows into full

@@ -7,13 +7,13 @@ import (
 	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
 	"opdelta/internal/opdelta"
-	"opdelta/internal/sqlmini"
 )
 
 // registerJoinView materializes an equi-join view over two replica
-// tables. Maintenance is incremental: a row change on either side is
-// joined against the other side's replica and the affected view rows
-// are patched — the NeedsAux classification from the analyzer.
+// tables. Maintenance is incremental: a statement's changes on either
+// side are joined against the other side's replica and the affected
+// view rows are patched (joinPlan) — the NeedsAux classification from
+// the analyzer.
 //
 // Join views require both sides' replicas (the auxiliary state) and
 // project both sides' primary keys, so view rows are addressable.
@@ -25,7 +25,9 @@ func (w *Warehouse) registerJoinView(def opdelta.ViewDef, srcSchema, joinSchema 
 		return nil, fmt.Errorf("warehouse: join view %s requires replicas of %s and %s",
 			def.Name, def.Source, def.Join.Table)
 	}
-	v := &View{Def: def, SrcSchema: srcSchema, JoinSchema: joinSchema, pkInView: -1}
+	v := &View{Def: def, SrcSchema: srcSchema, JoinSchema: joinSchema}
+	schemas := [2]*catalog.Schema{srcSchema, joinSchema}
+	plan := &joinPlan{where: def.Where, leftSchema: srcSchema}
 	// Resolve projections: names may appear in either schema; left wins
 	// on collision (names must be unique across sides to avoid
 	// ambiguity, which CreateTable enforces anyway).
@@ -39,175 +41,67 @@ func (w *Warehouse) registerJoinView(def opdelta.ViewDef, srcSchema, joinSchema 
 		}
 	}
 	var cols []catalog.Column
+names:
 	for _, name := range projNames {
-		if i, ok := srcSchema.ColIndex(name); ok {
-			v.projL = append(v.projL, i)
-			cols = append(cols, srcSchema.Column(i))
-			continue
-		}
-		if i, ok := joinSchema.ColIndex(name); ok {
-			v.projR = append(v.projR, i)
-			cols = append(cols, joinSchema.Column(i))
-			continue
+		for side, schema := range schemas {
+			if i, ok := schema.ColIndex(name); ok {
+				plan.cols = append(plan.cols, joinCol{side: side, col: i})
+				plan.own[side] = append(plan.own[side], i)
+				cols = append(cols, schema.Column(i))
+				continue names
+			}
 		}
 		return nil, fmt.Errorf("warehouse: join view %s projects unknown column %q", def.Name, name)
 	}
 	v.Schema = catalog.NewSchema(cols...)
-	// Both sides' PKs must be retained.
-	lpk, err := w.sourcePKName(def.Source)
-	if err != nil || lpk == "" {
-		return nil, fmt.Errorf("warehouse: join view %s: source %s needs a primary key", def.Name, def.Source)
+	joinNames := [2]string{def.Join.LeftCol, def.Join.RightCol}
+	for side, source := range [2]string{def.Source, def.Join.Table} {
+		t, err := w.DB.Table(source)
+		if err != nil {
+			return nil, err
+		}
+		// Both sides' PKs must be retained: they address the view's rows.
+		if t.PKCol < 0 {
+			return nil, fmt.Errorf("warehouse: join view %s: source %s needs a primary key", def.Name, source)
+		}
+		pk := t.Schema.Column(t.PKCol).Name
+		pkInView, ok := v.Schema.ColIndex(pk)
+		if !ok {
+			return nil, fmt.Errorf("warehouse: join view %s must project %s.%s", def.Name, source, pk)
+		}
+		pkCol, ok := schemas[side].ColIndex(pk)
+		if !ok {
+			return nil, fmt.Errorf("warehouse: join view %s: key %q of %s missing in its schema", def.Name, pk, source)
+		}
+		joinCol, ok := schemas[side].ColIndex(joinNames[side])
+		if !ok {
+			return nil, fmt.Errorf("warehouse: join column %q missing in %s", joinNames[side], source)
+		}
+		plan.tables[side], plan.pkCol[side], plan.pkInView[side], plan.joinCol[side] = t, pkCol, pkInView, joinCol
 	}
-	rpk, err := w.sourcePKName(def.Join.Table)
-	if err != nil || rpk == "" {
-		return nil, fmt.Errorf("warehouse: join view %s: source %s needs a primary key", def.Name, def.Join.Table)
-	}
-	if _, ok := v.Schema.ColIndex(lpk); !ok {
-		return nil, fmt.Errorf("warehouse: join view %s must project %s.%s", def.Name, def.Source, lpk)
-	}
-	if _, ok := v.Schema.ColIndex(rpk); !ok {
-		return nil, fmt.Errorf("warehouse: join view %s must project %s.%s", def.Name, def.Join.Table, rpk)
-	}
-	if _, err := w.DB.CreateTable(engine.TableDef{Name: def.Name, Schema: v.Schema}); err != nil {
+	var err error
+	if plan.view, err = w.DB.CreateTable(engine.TableDef{Name: def.Name, Schema: v.Schema}); err != nil {
 		return nil, err
 	}
+	v.join = plan
 	w.mu.Lock()
 	w.views[strings.ToLower(def.Source)] = append(w.views[strings.ToLower(def.Source)], v)
 	w.views[strings.ToLower(def.Join.Table)] = append(w.views[strings.ToLower(def.Join.Table)], v)
 	w.all = append(w.all, v)
 	w.mu.Unlock()
-	if err := w.installJoinTriggers(v, lpk, rpk); err != nil {
-		return nil, err
+	// One hook per side. The view's rows are found by either side's key
+	// through RowsByKey, which reads a secondary index on that view
+	// column when the deployment created one and scans the view otherwise.
+	for side, source := range [2]string{def.Source, def.Join.Table} {
+		side := side
+		if err := w.DB.CreateStatementHook(source, engine.StatementHook{
+			Name: "join_" + def.Name + [2]string{"_l", "_r"}[side],
+			Fn: func(tx *engine.Tx, d *engine.StatementDelta) error {
+				return plan.applySide(tx, side, d)
+			},
+		}); err != nil {
+			return nil, err
+		}
 	}
 	return v, nil
-}
-
-// combineRow builds a view row from one row of each side.
-func (v *View) combineRow(left, right catalog.Tuple) catalog.Tuple {
-	out := make(catalog.Tuple, 0, len(v.projL)+len(v.projR))
-	for _, i := range v.projL {
-		out = append(out, left[i])
-	}
-	for _, i := range v.projR {
-		out = append(out, right[i])
-	}
-	return out
-}
-
-func (w *Warehouse) installJoinTriggers(v *View, lpk, rpk string) error {
-	leftCol, ok := v.SrcSchema.ColIndex(v.Def.Join.LeftCol)
-	if !ok {
-		return fmt.Errorf("warehouse: join column %q missing in %s", v.Def.Join.LeftCol, v.Def.Source)
-	}
-	rightCol, ok := v.JoinSchema.ColIndex(v.Def.Join.RightCol)
-	if !ok {
-		return fmt.Errorf("warehouse: join column %q missing in %s", v.Def.Join.RightCol, v.Def.Join.Table)
-	}
-	lpkIdx, _ := v.SrcSchema.ColIndex(lpk)
-	rpkIdx, _ := v.JoinSchema.ColIndex(rpk)
-	lpkView, _ := v.Schema.ColIndex(lpk)
-	rpkView, _ := v.Schema.ColIndex(rpk)
-
-	// probe returns the partner rows matching a join key.
-	probe := func(tx *engine.Tx, table string, col string, key catalog.Value) ([]catalog.Tuple, error) {
-		if key.IsNull() {
-			return nil, nil // NULL join keys never match
-		}
-		sel := &sqlmini.Select{Table: table, Where: &sqlmini.Binary{
-			Op: sqlmini.OpEq, L: &sqlmini.ColRef{Name: col}, R: &sqlmini.Literal{Val: key},
-		}}
-		var rows []catalog.Tuple
-		_, err := w.DB.IterateSelect(tx, sel, func(t catalog.Tuple) error {
-			rows = append(rows, t)
-			return nil
-		})
-		return rows, err
-	}
-	// deleteByPK removes all view rows whose side-PK column equals key.
-	deleteByPK := func(tx *engine.Tx, viewCol int, key catalog.Value) error {
-		del := &sqlmini.Delete{Table: v.Def.Name, Where: &sqlmini.Binary{
-			Op: sqlmini.OpEq, L: &sqlmini.ColRef{Name: v.Schema.Column(viewCol).Name},
-			R: &sqlmini.Literal{Val: key},
-		}}
-		_, err := w.DB.ExecStmt(tx, del)
-		return err
-	}
-	matchesSel := func(left catalog.Tuple) (bool, error) {
-		if v.Def.Where == nil {
-			return true, nil
-		}
-		return sqlmini.EvalPredicate(v.Def.Where, v.SrcSchema, left)
-	}
-
-	insertLeft := func(tx *engine.Tx, left catalog.Tuple) error {
-		if ok, err := matchesSel(left); err != nil || !ok {
-			return err
-		}
-		partners, err := probe(tx, v.Def.Join.Table, v.Def.Join.RightCol, left[leftCol])
-		if err != nil {
-			return err
-		}
-		for _, right := range partners {
-			if err := w.DB.InsertTuple(tx, v.Def.Name, v.combineRow(left, right)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	insertRight := func(tx *engine.Tx, right catalog.Tuple) error {
-		partners, err := probe(tx, v.Def.Source, v.Def.Join.LeftCol, right[rightCol])
-		if err != nil {
-			return err
-		}
-		for _, left := range partners {
-			if ok, err := matchesSel(left); err != nil {
-				return err
-			} else if !ok {
-				continue
-			}
-			if err := w.DB.InsertTuple(tx, v.Def.Name, v.combineRow(left, right)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	leftTrig := engine.Trigger{
-		Name: "join_" + v.Def.Name + "_l", OnInsert: true, OnDelete: true, OnUpdate: true,
-		Fn: func(tx *engine.Tx, ev engine.TriggerEvent) error {
-			switch ev.Op {
-			case engine.TrigInsert:
-				return insertLeft(tx, ev.After)
-			case engine.TrigDelete:
-				return deleteByPK(tx, lpkView, ev.Before[lpkIdx])
-			case engine.TrigUpdate:
-				if err := deleteByPK(tx, lpkView, ev.Before[lpkIdx]); err != nil {
-					return err
-				}
-				return insertLeft(tx, ev.After)
-			}
-			return nil
-		},
-	}
-	rightTrig := engine.Trigger{
-		Name: "join_" + v.Def.Name + "_r", OnInsert: true, OnDelete: true, OnUpdate: true,
-		Fn: func(tx *engine.Tx, ev engine.TriggerEvent) error {
-			switch ev.Op {
-			case engine.TrigInsert:
-				return insertRight(tx, ev.After)
-			case engine.TrigDelete:
-				return deleteByPK(tx, rpkView, ev.Before[rpkIdx])
-			case engine.TrigUpdate:
-				if err := deleteByPK(tx, rpkView, ev.Before[rpkIdx]); err != nil {
-					return err
-				}
-				return insertRight(tx, ev.After)
-			}
-			return nil
-		},
-	}
-	if err := w.DB.CreateTrigger(v.Def.Source, leftTrig); err != nil {
-		return err
-	}
-	return w.DB.CreateTrigger(v.Def.Join.Table, rightTrig)
 }

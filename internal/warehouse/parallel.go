@@ -142,12 +142,15 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 				addFoot(partner, opdelta.WholeTable())
 				lockSet[partner] = true
 				mustWhole[partner] = true
-			case v.pkInView < 0:
-				// A view that drops the source PK is maintained by
-				// full-row-match deletes, which remove every duplicate —
-				// rows other keys contributed. That is order-sensitive
-				// across key-disjoint transactions, so widen to
-				// whole-table and let the DAG serialize them.
+			case v.sp.pkInView < 0:
+				// A view that drops the source PK has no key to lock
+				// ranges of: its plan deletes one stored occurrence per
+				// before image, found by scanning under the view's
+				// whole-table lock. Key-disjoint transactions commute on
+				// the view's content (a multiset), but they would queue
+				// on that lock anyway, so widen to whole-table and let
+				// the DAG run them in source order, one worker at a time,
+				// instead of parking workers on the lock.
 				fp = opdelta.WholeTable()
 				mustWhole[v.Def.Name] = true
 			default:

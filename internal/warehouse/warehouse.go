@@ -12,8 +12,10 @@
 //     small transaction, preserving source transaction boundaries so
 //     maintenance interleaves with OLAP queries.
 //
-// Views are kept consistent through internal row-level triggers on the
-// replica tables, so both integrators maintain them identically.
+// Views are kept consistent by delta plans compiled at registration
+// (viewplan.go) and installed as statement-level hooks on the replica
+// tables, so both integrators maintain them identically, one set-oriented
+// pass per replayed statement.
 package warehouse
 
 import (
@@ -24,7 +26,6 @@ import (
 	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
 	"opdelta/internal/opdelta"
-	"opdelta/internal/sqlmini"
 )
 
 // Warehouse wraps the destination engine with view bookkeeping.
@@ -43,13 +44,11 @@ type View struct {
 	Def       opdelta.ViewDef
 	SrcSchema *catalog.Schema
 	Schema    *catalog.Schema // view table schema
-	proj      []int           // source column indices retained (SP views)
-	pkInView  int             // position of the source PK inside the view schema, -1 if dropped
+	sp        *spPlan         // compiled maintenance plan (SP views)
 
 	// join views
 	JoinSchema *catalog.Schema
-	projL      []int // retained columns of Def.Source
-	projR      []int // retained columns of Def.Join.Table
+	join       *joinPlan
 }
 
 // New creates a warehouse over db.
@@ -65,7 +64,7 @@ func New(db *engine.DB) *Warehouse {
 // RegisterReplica creates a base-table replica with the same name and
 // schema as the source table. Every op and value delta for that table
 // is then applied to the replica, and dependent views follow via
-// triggers.
+// statement hooks.
 func (w *Warehouse) RegisterReplica(source string, schema *catalog.Schema, primaryKey, tsCol string) error {
 	key := strings.ToLower(source)
 	w.mu.Lock()
@@ -123,7 +122,7 @@ func (w *Warehouse) RegisterView(def opdelta.ViewDef, srcSchema, joinSchema *cat
 	if def.Join != nil {
 		return w.registerJoinView(def, srcSchema, joinSchema)
 	}
-	v := &View{Def: def, SrcSchema: srcSchema, pkInView: -1}
+	v := &View{Def: def, SrcSchema: srcSchema}
 	projNames := def.Project
 	if len(projNames) == 0 {
 		projNames = nil
@@ -132,19 +131,20 @@ func (w *Warehouse) RegisterView(def opdelta.ViewDef, srcSchema, joinSchema *cat
 		}
 	}
 	cols := make([]catalog.Column, 0, len(projNames))
+	var proj []int // source column per view column
 	for _, name := range projNames {
 		i, ok := srcSchema.ColIndex(name)
 		if !ok {
 			return nil, fmt.Errorf("warehouse: view %s projects unknown column %q", def.Name, name)
 		}
-		v.proj = append(v.proj, i)
+		proj = append(proj, i)
 		col := srcSchema.Column(i)
 		col.Name = def.RenameOf(col.Name) // transformation rule: rename
 		cols = append(cols, col)
 	}
 	v.Schema = catalog.NewSchema(cols...)
-	// Identify the source PK inside the view, if retained: per-row
-	// maintenance addresses view rows by it. The definition may name it
+	// Identify the source PK inside the view, if retained: maintenance
+	// addresses view rows by it. The definition may name it
 	// explicitly; otherwise it is inferred from the replica table.
 	pkName := def.SourcePK
 	if pkName == "" {
@@ -152,23 +152,28 @@ func (w *Warehouse) RegisterView(def opdelta.ViewDef, srcSchema, joinSchema *cat
 			pkName = inferred
 		}
 	}
-	viewPK := ""
+	viewPK, pkInView := "", -1
 	if pkName != "" {
 		if i, ok := v.Schema.ColIndex(def.RenameOf(pkName)); ok {
-			v.pkInView = i
-			viewPK = def.RenameOf(pkName)
+			viewPK, pkInView = def.RenameOf(pkName), i
 		}
 	}
-	if _, err := w.DB.CreateTable(engine.TableDef{Name: def.Name, Schema: v.Schema, PrimaryKey: viewPK}); err != nil {
+	table, err := w.DB.CreateTable(engine.TableDef{Name: def.Name, Schema: v.Schema, PrimaryKey: viewPK})
+	if err != nil {
 		return nil, err
 	}
+	v.sp = &spPlan{view: table, src: srcSchema, where: def.Where, proj: proj, pkInView: pkInView}
 	w.mu.Lock()
 	w.views[strings.ToLower(def.Source)] = append(w.views[strings.ToLower(def.Source)], v)
 	w.all = append(w.all, v)
 	hasReplica := w.replicas[strings.ToLower(def.Source)]
 	w.mu.Unlock()
 	if hasReplica {
-		if err := w.installSPTrigger(v); err != nil {
+		// The replica's statements drive the view; without one the
+		// integrators feed the plan themselves (integrate.go).
+		if err := w.DB.CreateStatementHook(def.Source, engine.StatementHook{
+			Name: "view_" + def.Name, Fn: v.sp.Apply,
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -186,113 +191,4 @@ func (w *Warehouse) sourcePKName(source string) (string, error) {
 		return "", nil
 	}
 	return t.Schema.Column(t.PKCol).Name, nil
-}
-
-// installSPTrigger keeps an SP view synchronized with its replica.
-func (w *Warehouse) installSPTrigger(v *View) error {
-	trig := engine.Trigger{
-		Name: "view_" + v.Def.Name, OnInsert: true, OnDelete: true, OnUpdate: true,
-		Fn: func(tx *engine.Tx, ev engine.TriggerEvent) error {
-			switch ev.Op {
-			case engine.TrigInsert:
-				return w.viewInsert(tx, v, ev.After)
-			case engine.TrigDelete:
-				return w.viewDelete(tx, v, ev.Before)
-			case engine.TrigUpdate:
-				return w.viewUpdate(tx, v, ev.Before, ev.After)
-			}
-			return nil
-		},
-	}
-	return w.DB.CreateTrigger(v.Def.Source, trig)
-}
-
-// matches evaluates the view's selection predicate on a full source row.
-func (v *View) matches(row catalog.Tuple) (bool, error) {
-	if v.Def.Where == nil {
-		return true, nil
-	}
-	return sqlmini.EvalPredicate(v.Def.Where, v.SrcSchema, row)
-}
-
-// project maps a full source row to a view row.
-func (v *View) project(row catalog.Tuple) catalog.Tuple {
-	out := make(catalog.Tuple, len(v.proj))
-	for i, p := range v.proj {
-		out[i] = row[p]
-	}
-	return out
-}
-
-func (w *Warehouse) viewInsert(tx *engine.Tx, v *View, after catalog.Tuple) error {
-	ok, err := v.matches(after)
-	if err != nil || !ok {
-		return err
-	}
-	return w.DB.InsertTuple(tx, v.Def.Name, v.project(after))
-}
-
-func (w *Warehouse) viewDelete(tx *engine.Tx, v *View, before catalog.Tuple) error {
-	ok, err := v.matches(before)
-	if err != nil || !ok {
-		return err
-	}
-	return w.deleteViewRow(tx, v, v.project(before))
-}
-
-func (w *Warehouse) viewUpdate(tx *engine.Tx, v *View, before, after catalog.Tuple) error {
-	inBefore, err := v.matches(before)
-	if err != nil {
-		return err
-	}
-	inAfter, err := v.matches(after)
-	if err != nil {
-		return err
-	}
-	switch {
-	case inBefore && inAfter:
-		if err := w.deleteViewRow(tx, v, v.project(before)); err != nil {
-			return err
-		}
-		return w.DB.InsertTuple(tx, v.Def.Name, v.project(after))
-	case inBefore:
-		return w.deleteViewRow(tx, v, v.project(before))
-	case inAfter:
-		return w.DB.InsertTuple(tx, v.Def.Name, v.project(after))
-	default:
-		return nil
-	}
-}
-
-// deleteViewRow removes one view row, by PK when the view retains it,
-// otherwise by full-row match (deleting a single occurrence).
-func (w *Warehouse) deleteViewRow(tx *engine.Tx, v *View, row catalog.Tuple) error {
-	if v.pkInView >= 0 {
-		del := &sqlmini.Delete{Table: v.Def.Name, Where: &sqlmini.Binary{
-			Op: sqlmini.OpEq,
-			L:  &sqlmini.ColRef{Name: v.Schema.Column(v.pkInView).Name},
-			R:  &sqlmini.Literal{Val: row[v.pkInView]},
-		}}
-		_, err := w.DB.ExecStmt(tx, del)
-		return err
-	}
-	// Full-row match: build an AND chain over all columns.
-	var where sqlmini.Expr
-	for i := 0; i < v.Schema.NumColumns(); i++ {
-		var cmp sqlmini.Expr
-		if row[i].IsNull() {
-			cmp = &sqlmini.IsNull{Expr: &sqlmini.ColRef{Name: v.Schema.Column(i).Name}}
-		} else {
-			cmp = &sqlmini.Binary{Op: sqlmini.OpEq,
-				L: &sqlmini.ColRef{Name: v.Schema.Column(i).Name},
-				R: &sqlmini.Literal{Val: row[i]}}
-		}
-		if where == nil {
-			where = cmp
-		} else {
-			where = &sqlmini.Binary{Op: sqlmini.OpAnd, L: where, R: cmp}
-		}
-	}
-	_, err := w.DB.ExecStmt(tx, &sqlmini.Delete{Table: v.Def.Name, Where: where})
-	return err
 }
