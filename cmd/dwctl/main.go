@@ -118,7 +118,6 @@ func runApplyOps(db *engine.DB, args []string) {
 	fs := flag.NewFlagSet("apply-ops", flag.ExitOnError)
 	table := fs.String("table", "parts", "destination table")
 	file := fs.String("file", "", "ops file from opdeltad (required)")
-	group := fs.Bool("group-by-txn", true, "group ops of one source txn into one warehouse txn")
 	fs.Parse(args)
 	if *file == "" {
 		fatal(fmt.Errorf("apply-ops needs -file"))
@@ -136,7 +135,7 @@ func runApplyOps(db *engine.DB, args []string) {
 		!strings.Contains(err.Error(), "already registered") {
 		fatal(err)
 	}
-	stats, err := (&warehouse.OpDeltaIntegrator{W: w, GroupByTxn: *group}).Apply(ops)
+	stats, err := (&warehouse.ParallelIntegrator{W: w}).Apply(ops)
 	if err != nil {
 		fatal(err)
 	}

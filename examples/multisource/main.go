@@ -138,7 +138,7 @@ func main() {
 	if err := queue.Ack(); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := (&opdelta.OpDeltaIntegrator{W: wh, GroupByTxn: true}).Apply(shipped); err != nil {
+	if _, err := (&opdelta.OpDeltaIntegrator{W: wh}).Apply(shipped); err != nil {
 		log.Fatal(err)
 	}
 

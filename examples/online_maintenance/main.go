@@ -121,7 +121,7 @@ func main() {
 		return (&opdelta.ValueDeltaIntegrator{W: w}).Apply(deltas.Deltas)
 	})
 	run("op-delta-stream", func(w *opdelta.Warehouse) (opdelta.ApplyStats, error) {
-		return (&opdelta.OpDeltaIntegrator{W: w, GroupByTxn: true}).Apply(ops)
+		return (&opdelta.OpDeltaIntegrator{W: w}).Apply(ops)
 	})
 	fmt.Println("\nthe batch holds the table lock for its whole window (readers stall);")
 	fmt.Println("op-delta integration preserves source transaction boundaries and interleaves.")

@@ -81,7 +81,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stats, err := (&opdelta.OpDeltaIntegrator{W: wh, GroupByTxn: true}).Apply(ops)
+	stats, err := (&opdelta.OpDeltaIntegrator{W: wh}).Apply(ops)
 	if err != nil {
 		log.Fatal(err)
 	}

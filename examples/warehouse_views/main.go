@@ -104,7 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := (&opdelta.OpDeltaIntegrator{W: wh, GroupByTxn: true}).Apply(ops); err != nil {
+	if _, err := (&opdelta.OpDeltaIntegrator{W: wh}).Apply(ops); err != nil {
 		log.Fatal(err)
 	}
 

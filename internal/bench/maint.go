@@ -143,6 +143,7 @@ func RunMaintWindow(cfg Config) (*Result, error) {
 		},
 		Notes: []string{
 			"paper: insert equal; delete 31.8% shorter with Op-Delta; update 69.7% shorter (txn sizes 10..10,000)",
+			"Op-Delta cells run the one op integrator at one worker: footprint analysis and the pre-declared lock plan are in every window",
 		},
 	}
 	res.Values = make([][]float64, 6)
@@ -184,7 +185,7 @@ func RunMaintWindow(cfg Config) (*Result, error) {
 			}
 			oDur, err := measure("e7-wo", func(w *warehouse.Warehouse) (warehouse.ApplyStats, error) {
 				traceOps(tracer, work.ops)
-				return (&warehouse.OpDeltaIntegrator{W: w, GroupByTxn: true}).Apply(work.ops)
+				return (&warehouse.ParallelIntegrator{W: w}).Apply(work.ops)
 			})
 			if err != nil {
 				return nil, err
@@ -232,10 +233,10 @@ func RunConcurrent(cfg Config) (*Result, error) {
 		Title:    "OLAP query latency during integration (§4.1 on-line maintenance)",
 		Unit:     "ms",
 		ColHeads: []string{"integration window", "max reader latency", "reader queries served", "speedup vs serial", "applier lock wait ms", "applier lock waits", "reader lock wait ms", "reader lock acquires"},
-		RowHeads: []string{"ValueDelta batch", "OpDelta per-txn"},
+		RowHeads: []string{"ValueDelta batch"},
 		Notes: []string{
 			"value-delta integration is one exclusive batch: readers stall for the whole window",
-			"parallel rows: conflict-aware DAG scheduling + WAL group commit; speedup is serial Op-Delta window / row window",
+			"Op-Delta rows: one warehouse txn per source txn, conflict-aware DAG scheduling + WAL group commit; w=1 is serial replay, and speedup is the w=1 window / row window",
 			"parallel rows pre-declare key-range locks so key-disjoint appliers overlap execution; table-lock rows force the whole-table baseline",
 			"applier lock wait ms / waits: blocked time and blocked acquisitions of write-mode requests (readers excluded)",
 			"reader lock wait ms / acquires: blocked time and granted read-mode requests; snapshot rows run readers on MVCC commit-LSN snapshots and must show zero of both",
@@ -390,14 +391,7 @@ func RunConcurrent(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	tracer := newBenchTracer(&cfg)
-	oOut, err := runWith("e9-wo", false, func(w *warehouse.Warehouse) (warehouse.ApplyStats, error) {
-		traceOps(tracer, ops)
-		return (&warehouse.OpDeltaIntegrator{W: w, GroupByTxn: true}).Apply(ops)
-	})
-	if err != nil {
-		return nil, err
-	}
-	outs := []*outcome{vOut, oOut}
+	outs := []*outcome{vOut}
 	for _, wk := range workerSweep {
 		wk := wk
 		pOut, err := runWith(fmt.Sprintf("e9-wp%d", wk), false, func(w *warehouse.Warehouse) (warehouse.ApplyStats, error) {
@@ -432,8 +426,9 @@ func RunConcurrent(cfg Config) (*Result, error) {
 		outs = append(outs, pOut)
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	serial := outs[1] // workerSweep starts at w=1
 	for i, out := range outs {
-		speedup := float64(oOut.window) / float64(out.window)
+		speedup := float64(serial.window) / float64(out.window)
 		res.Values[i] = []float64{ms(out.window), ms(out.maxLat), float64(out.served), speedup,
 			ms(out.lockWait), float64(out.waits), ms(out.readerWait), float64(out.readAcqs)}
 	}

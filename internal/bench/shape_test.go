@@ -3,12 +3,29 @@ package bench
 import (
 	"fmt"
 	"testing"
+
+	"opdelta/internal/engine"
+	"opdelta/internal/extract"
+	"opdelta/internal/warehouse"
 )
 
 // Shape tests assert the qualitative findings of each paper artifact at
 // a small scale: who wins, what grows, where the large ratios are.
 // Absolute numbers are not compared (different hardware era); see
-// EXPERIMENTS.md for the side-by-side.
+// EXPERIMENTS.md for the side-by-side. Where a finding is a wall-clock
+// ratio that a loaded machine can push past any fixed limit, the test
+// logs the timing and asserts the count behind it — statements
+// executed, WAL records written — which repeats exactly.
+
+// walRecords returns the WAL records db appended while fn ran.
+func walRecords(t *testing.T, db *engine.DB, fn func() error) uint64 {
+	t.Helper()
+	before := db.WAL().Stats().Appended
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	return db.WAL().Stats().Appended - before
+}
 
 // smallCfg keeps shape tests fast.
 func smallCfg(t *testing.T) Config {
@@ -94,11 +111,40 @@ func TestShapeFigure2(t *testing.T) {
 	}
 	t.Log("\n" + res.Render())
 	first, last := res.ColHeads[0], res.ColHeads[len(res.ColHeads)-1]
-	// Insert overhead is substantial at every size (paper: 80-100%).
-	for _, col := range res.ColHeads {
-		if res.Get("Insert", col) < 25 {
-			t.Errorf("insert trigger overhead at %s = %.1f%%, expected substantial (>25%%)",
-				col, res.Get("Insert", col))
+	// Insert overhead is substantial at every size (paper: 80-100%)
+	// because the trigger writes a captured row for every inserted row:
+	// the transaction's writes double. The percentages above are logged;
+	// the doubling is asserted.
+	cfg := smallCfg(t)
+	db, _, err := populatedSource(&cfg, "fig2-counts", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	capture := &extract.TriggerCapture{DB: db, Table: "parts"}
+	exec := func(tx *engine.Tx, sql string) (engine.Result, error) { return db.Exec(tx, sql) }
+	for _, k := range cfg.TxnSizes {
+		insert := func() error {
+			_, err := runTxn(db, exec, txnInsert, 0, k, "")
+			return err
+		}
+		plain := walRecords(t, db, insert)
+		if err := restore(db, txnInsert, 0, k); err != nil {
+			t.Fatal(err)
+		}
+		if err := capture.Install(); err != nil {
+			t.Fatal(err)
+		}
+		captured := walRecords(t, db, insert)
+		if err := capture.Uninstall(); err != nil {
+			t.Fatal(err)
+		}
+		if err := restore(db, txnInsert, 0, k); err != nil {
+			t.Fatal(err)
+		}
+		if captured-plain != uint64(k) {
+			t.Errorf("insert of %d rows: %d WAL records plain, %d with trigger capture; want one more per row",
+				k, plain, captured)
 		}
 	}
 	// Update and delete overhead grows with transaction size (paper:
@@ -187,35 +233,65 @@ func TestShapeMaintWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Render())
+	// The paper: insert windows equal, delete windows 31.8% and update
+	// windows 69.7% shorter with Op-Delta. The windows are logged; what
+	// is asserted is why, in counts of one transaction at the largest
+	// size: the same inserts either way, one statement where the value
+	// path runs one per deleted row, and one where it deletes and
+	// re-inserts every updated row.
 	last := res.ColHeads[len(res.ColHeads)-1]
-	// Delete and update windows are shorter with Op-Delta (paper: 31.8%
-	// and 69.7% shorter on average).
-	for _, kind := range []string{"Delete", "Update"} {
-		v := res.Get(kind+" (ValueDelta)", last)
-		o := res.Get(kind+" (OpDelta)", last)
-		if o >= v {
-			t.Errorf("%s: op-delta window (%.2fms) should beat value delta (%.2fms)", kind, o, v)
+	for _, kind := range []string{"Insert", "Delete", "Update"} {
+		t.Logf("%s at %s rows: value delta %.2fms, op-delta %.2fms", kind, last,
+			res.Get(kind+" (ValueDelta)", last), res.Get(kind+" (OpDelta)", last))
+	}
+	cfg := smallCfg(t)
+	k := cfg.TxnSizes[len(cfg.TxnSizes)-1]
+	cfg.TableRows = 2 * k // a smaller replica: counts do not depend on it
+	type cost struct {
+		stmts int
+		wal   uint64
+	}
+	costOf := func(name string, apply func(w *warehouse.Warehouse) (warehouse.ApplyStats, error)) cost {
+		t.Helper()
+		w, err := newReplicaWarehouse(&cfg, name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer w.DB.Close()
+		var stats warehouse.ApplyStats
+		wal := walRecords(t, w.DB, func() (err error) {
+			stats, err = apply(w)
+			return err
+		})
+		if stats.Txns != 1 {
+			t.Errorf("%s: %d warehouse transactions, want 1", name, stats.Txns)
+		}
+		return cost{stats.Statements, wal}
 	}
-	// Insert windows are comparable (paper: "the same"); allow 3x.
-	vi := res.Get("Insert (ValueDelta)", last)
-	oi := res.Get("Insert (OpDelta)", last)
-	if r := oi / vi; r > 3 || r < 1.0/3 {
-		t.Errorf("insert windows should be comparable: value=%.2fms op=%.2fms", vi, oi)
+	costs := map[txnKind][2]cost{}
+	for _, kind := range []txnKind{txnInsert, txnDelete, txnUpdate} {
+		work, err := captureSourceTxn(&cfg, "e7-counts-src-"+kind.String(), kind, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs[kind] = [2]cost{
+			costOf("e7-counts-wv-"+kind.String(), func(w *warehouse.Warehouse) (warehouse.ApplyStats, error) {
+				return (&warehouse.ValueDeltaIntegrator{W: w}).Apply(work.deltas)
+			}),
+			costOf("e7-counts-wo-"+kind.String(), func(w *warehouse.Warehouse) (warehouse.ApplyStats, error) {
+				return (&warehouse.ParallelIntegrator{W: w}).Apply(work.ops)
+			}),
+		}
+		t.Logf("%s of %d rows: value delta %+v, op-delta %+v", kind, k, costs[kind][0], costs[kind][1])
 	}
-	// Updates benefit more than deletes in absolute terms (the paper's
-	// 69.7% vs 31.8% asymmetry; in this substrate both relative savings
-	// hover near 50%, but the absolute update saving is about twice the
-	// delete saving because the value path runs two statements per row).
-	// Each cell is a single measurement, so compare savings summed over
-	// every transaction size, with headroom for scheduler noise.
-	var dSave, uSave float64
-	for _, col := range res.ColHeads {
-		dSave += res.Get("Delete (ValueDelta)", col) - res.Get("Delete (OpDelta)", col)
-		uSave += res.Get("Update (ValueDelta)", col) - res.Get("Update (OpDelta)", col)
+	if v, o := costs[txnInsert][0], costs[txnInsert][1]; v != o || v.stmts != k {
+		t.Errorf("insert: value delta %+v and op-delta %+v should both run %d statements and write the same WAL records", v, o, k)
 	}
-	if uSave < dSave*0.6 {
-		t.Errorf("total update saving (%.2fms) should be at least comparable to delete saving (%.2fms)", uSave, dSave)
+	if v, o := costs[txnDelete][0], costs[txnDelete][1]; v.stmts != k || o.stmts != 1 || v.wal != o.wal {
+		t.Errorf("delete: value delta %+v should run %d statements, op-delta %+v one, both deleting the same rows", v, k, o)
+	}
+	if v, o := costs[txnUpdate][0], costs[txnUpdate][1]; v.stmts != 2*k || o.stmts != 1 || v.wal-o.wal != uint64(k) {
+		t.Errorf("update: value delta %+v should run %d statements and write one more WAL record per row than op-delta %+v's one statement", v, 2*k, o)
 	}
 }
 
@@ -232,9 +308,11 @@ func TestShapeConcurrent(t *testing.T) {
 	// window; op-delta integration interleaves, so the worst reader
 	// latency is far smaller.
 	vMax := res.Get("ValueDelta batch", "max reader latency")
-	oMax := res.Get("OpDelta per-txn", "max reader latency")
-	if vMax < 3*oMax {
-		t.Errorf("value-delta max reader latency (%.1fms) should dwarf op-delta (%.1fms)", vMax, oMax)
+	for _, w := range []int{1, 4} {
+		row := fmt.Sprintf("OpDelta parallel w=%d", w)
+		if oMax := res.Get(row, "max reader latency"); vMax < 3*oMax {
+			t.Errorf("value-delta max reader latency (%.1fms) should dwarf %s (%.1fms)", vMax, row, oMax)
+		}
 	}
 	// And the outage is comparable to the whole batch window.
 	vWin := res.Get("ValueDelta batch", "integration window")

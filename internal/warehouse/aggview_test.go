@@ -34,7 +34,7 @@ func aggViewFixture(t *testing.T) (*Warehouse, *AggView) {
 
 func TestAggViewIncrementalMaintenance(t *testing.T) {
 	w, _ := aggViewFixture(t)
-	in := &OpDeltaIntegrator{W: w}
+	in := &ParallelIntegrator{W: w}
 	apply := func(kind opdelta.OpKind, stmt string) {
 		t.Helper()
 		if _, err := in.Apply([]*opdelta.Op{{Seq: 1, Kind: kind, Table: "parts", Stmt: stmt}}); err != nil {
@@ -115,7 +115,7 @@ func TestAggViewUngroupedWithSelection(t *testing.T) {
 	}, schema); err != nil {
 		t.Fatal(err)
 	}
-	in := &OpDeltaIntegrator{W: w}
+	in := &ParallelIntegrator{W: w}
 	in.Apply([]*opdelta.Op{{Seq: 1, Kind: opdelta.OpInsert, Table: "parts",
 		Stmt: `INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 5), (2, 'a', 15), (3, 'a', 25)`}})
 	_, rows, err := w.DB.Query(nil, `SELECT * FROM big_parts_total`)
@@ -142,7 +142,7 @@ func TestQuickAggViewMatchesRecompute(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		w, _ := aggViewFixture(t)
-		in := &OpDeltaIntegrator{W: w}
+		in := &ParallelIntegrator{W: w}
 		nextID := int64(0)
 		for step := 0; step < 25; step++ {
 			var stmt string

@@ -97,12 +97,13 @@ func (a *AppliedLog) MaxSeq() (uint64, error) {
 	return uint64(max), nil
 }
 
-// ranges returns the point lock ranges covering ops' dedup rows, for
-// pre-declaration alongside the group's data locks.
+// ranges returns the lock ranges covering ops' dedup rows, for
+// pre-declaration alongside the group's data locks (a run of
+// consecutive seqs is one range).
 func (a *AppliedLog) ranges(ops []*opdelta.Op) []keyset.KeyRange {
 	rs := make([]keyset.KeyRange, 0, len(ops))
 	for _, op := range ops {
 		rs = append(rs, keyset.Point(catalog.NewInt(int64(op.Seq))))
 	}
-	return keyset.MergeRanges(rs)
+	return lockRanges(rs)
 }

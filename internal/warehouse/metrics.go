@@ -5,11 +5,11 @@ import (
 )
 
 // applyMetrics are one integrator's registry series, labelled by
-// integrator kind so value-delta batches, serial op replay, and
-// parallel op replay are distinguishable on the same warehouse
-// registry. The registry is the warehouse engine's (DB.Obs()), so each
-// engine instance — and thus each bench run's fresh warehouse — keeps
-// its own counters.
+// integrator kind ("value" or "parallel") so value-delta batches and
+// op replay are distinguishable on the same warehouse registry. The
+// registry is the warehouse engine's (DB.Obs()), so each engine
+// instance — and thus each bench run's fresh warehouse — keeps its own
+// counters.
 type applyMetrics struct {
 	txns       *obs.Counter
 	records    *obs.Counter

@@ -2,6 +2,8 @@ package warehouse
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,16 +13,25 @@ import (
 	"opdelta/internal/engine"
 	"opdelta/internal/keyset"
 	"opdelta/internal/opdelta"
+	"opdelta/internal/sqlmini"
 )
 
-// ParallelIntegrator replays an op stream with source-transaction
-// granularity like OpDeltaIntegrator with GroupByTxn, but dispatches
-// independent source transactions onto a bounded worker pool. Two
-// transactions are independent when their key footprints (see
+// ParallelIntegrator replays Op-Deltas. Each source transaction — a run
+// of consecutive ops sharing Op.Txn — applies as one small warehouse
+// transaction, preserving source transaction boundaries, so integration
+// interleaves with concurrent OLAP queries instead of requiring an
+// outage. A caller that wants one warehouse transaction per op gives
+// each op its own Txn.
+//
+// Independent source transactions are dispatched onto a bounded worker
+// pool. Two transactions are independent when their key footprints (see
 // opdelta.StatementFootprint) are disjoint on every table; conflicting
 // transactions are ordered by a dependency DAG so they retain source
 // commit order, and anything the analysis cannot bound falls back to
 // conflicting with everything — serial order, never wrong answers.
+// Workers take ready transactions lowest source position first, so with
+// one worker (Workers ≤ 1, the zero value) the same scheduler is serial
+// replay in source commit order.
 //
 // Key-disjoint groups on the same table overlap end to end: each group
 // pre-declares its computed footprint as exclusive key-range locks
@@ -34,8 +45,8 @@ import (
 // the WAL still group-commits the cohort's fsyncs.
 type ParallelIntegrator struct {
 	W *Warehouse
-	// Workers bounds the apply pool. Values below 2 keep the scheduler
-	// but run one transaction at a time.
+	// Workers bounds the apply pool. Values below 2 run one transaction
+	// at a time, in source commit order.
 	Workers int
 	// TableLocks forces whole-table lock plans (the pre-range-lock
 	// behavior): workers still pipeline commits, but same-table groups
@@ -62,6 +73,9 @@ func (in *ParallelIntegrator) metrics() *applyMetrics {
 // txnGroup is one source transaction's ops plus its conflict metadata.
 type txnGroup struct {
 	ops []*opdelta.Op
+	// stmts[i] is ops[i]'s statement, parsed once by analyze and executed
+	// by the apply; nil when it does not parse.
+	stmts []sqlmini.Statement
 	// foot maps lower(source table) -> key footprint on that table.
 	foot map[string]opdelta.Footprint
 	// universal marks the serial fallback: the group conflicts with
@@ -95,9 +109,10 @@ func (w *Warehouse) conflictKey(table string) (*catalog.Schema, string) {
 	return nil, ""
 }
 
-// analyze computes one group's footprints and lock plan.
+// analyze parses one group's ops and computes its footprints and lock
+// plan.
 func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
-	g := &txnGroup{ops: ops, foot: make(map[string]opdelta.Footprint)}
+	g := &txnGroup{ops: ops, stmts: make([]sqlmini.Statement, len(ops)), foot: make(map[string]opdelta.Footprint)}
 	lockSet := make(map[string]bool)
 	// mustWhole marks tables whose maintenance is not keyed by the
 	// source PK (agg views, join views and partners, PK-dropping views):
@@ -108,17 +123,28 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 	// the projected source PK, so the key values coincide).
 	mustWhole := make(map[string]bool)
 	rangeSrc := make(map[string]string)
+	// addFoot unions fp into the table's footprint. It appends to the
+	// group's own slice rather than calling Footprint.Union, which copies
+	// both operands: a 1000-op transaction would copy half a million
+	// ranges.
 	addFoot := func(table string, fp opdelta.Footprint) {
 		key := strings.ToLower(table)
-		g.foot[key] = g.foot[key].Union(fp)
+		cur := g.foot[key]
+		if cur.Whole || fp.Whole {
+			g.foot[key] = opdelta.WholeTable()
+			return
+		}
+		cur.Ranges = append(cur.Ranges, fp.Ranges...)
+		g.foot[key] = cur
 	}
-	for _, op := range ops {
+	for i, op := range ops {
 		schema, pk := in.W.conflictKey(op.Table)
 		fp := opdelta.WholeTable()
 		stmt, err := op.Statement()
 		if err != nil {
 			g.universal = true
 		} else {
+			g.stmts[i] = stmt
 			fp = opdelta.StatementFootprint(stmt, schema, pk)
 		}
 		if in.W.HasReplica(op.Table) {
@@ -180,7 +206,7 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 		if fp.Whole || len(fp.Ranges) == 0 {
 			continue
 		}
-		g.ranged[t] = keyset.MergeRanges(fp.Ranges)
+		g.ranged[t] = lockRanges(fp.Ranges)
 	}
 	if in.Applied != nil {
 		// The group's dedup rows are part of its write set: lock their
@@ -208,10 +234,37 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 	return g
 }
 
+// lockRanges turns a footprint's ranges into the fewest ranges to
+// pre-declare. On top of keyset.MergeRanges it joins closed integer
+// bounds that are consecutive — [1,1] and [2,2] into [1,2] — which
+// MergeRanges cannot do because it does not know the key's domain: a
+// 1000-row INSERT of ascending BIGINT keys then locks one range, not
+// 1000 points. Only integer-typed bounds are joined, and integer bounds
+// come only from a BIGINT key (footprint analysis converts them for a
+// DOUBLE key), so the joined range covers no key outside the footprint.
+func lockRanges(rs []keyset.KeyRange) []keyset.KeyRange {
+	merged := keyset.MergeRanges(rs)
+	out := merged[:0]
+	for _, r := range merged {
+		if n := len(out); n > 0 {
+			cur := &out[n-1]
+			if cur.HasHi && !cur.HiOpen && r.HasLo && !r.LoOpen &&
+				cur.Hi.Type() == catalog.TypeInt64 && r.Lo.Type() == catalog.TypeInt64 &&
+				cur.Hi.Int() < math.MaxInt64 && r.Lo.Int() == cur.Hi.Int()+1 {
+				cur.Hi, cur.HasHi, cur.HiOpen = r.Hi, r.HasHi, r.HiOpen
+				continue
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 // Apply replays the ops, preserving source commit order between
-// conflicting transactions. On the first error the remaining groups are
-// abandoned (already-committed groups stay committed, exactly as with
-// the serial integrator).
+// conflicting transactions. Ops carrying a lifecycle trace are stamped
+// locked, applied once their statements have run, and durable once
+// their warehouse transaction commits. On the first error the remaining
+// groups are abandoned; already-committed groups stay committed.
 func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 	start := time.Now()
 	var groups []*txnGroup
@@ -241,22 +294,22 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 		workers = n
 	}
 
-	ready := make(chan int, n)
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	cancel := func() { abortOnce.Do(func() { close(abort) }) }
-
+	// mu guards the schedule (ready, indeg, completed), the first error
+	// and panic, and stats; cond wakes workers when a group becomes
+	// ready or the schedule ends. ready holds, ascending, the groups
+	// whose predecessors have all committed.
 	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
 	var firstErr error
 	var panicVal any
 	completed := 0
+	var ready []int
 	for idx := 0; idx < n; idx++ {
 		if indeg[idx] == 0 {
-			ready <- idx
+			ready = append(ready, idx)
 		}
 	}
 
-	ser := &OpDeltaIntegrator{W: in.W}
 	m := in.metrics()
 	runGroup := func(g *txnGroup) (err error) {
 		var tx *engine.Tx
@@ -300,11 +353,12 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 		}
 		// Under at-least-once delivery a replayed op arrives with its
 		// dedup row already committed; skip it (but still finish its
-		// trace, so freshness tracking sees the redelivery resolve).
-		live := g.ops
-		if in.Applied != nil {
-			live = live[:0:0]
-			for _, op := range g.ops {
+		// trace, so freshness tracking sees the redelivery resolve). The
+		// survivors are recorded with the group.
+		var live []*opdelta.Op
+		recs, stmts := 0, 0
+		for i, op := range g.ops {
+			if in.Applied != nil {
 				seen, serr := in.Applied.Seen(tx, op.Seq)
 				if serr != nil {
 					tx.Abort()
@@ -317,10 +371,7 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 				}
 				live = append(live, op)
 			}
-		}
-		recs, stmts := 0, 0
-		for _, op := range live {
-			c, aerr := ser.applyOne(tx, op)
+			c, aerr := in.applyOne(tx, op, g.stmts[i])
 			stmts += c
 			if aerr != nil {
 				tx.Abort()
@@ -360,35 +411,38 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
 			for {
-				select {
-				case <-abort:
+				for len(ready) == 0 && completed < n && firstErr == nil {
+					cond.Wait()
+				}
+				if len(ready) == 0 || firstErr != nil {
 					return
-				case idx, ok := <-ready:
-					if !ok {
-						return
+				}
+				idx := ready[0]
+				ready = ready[1:]
+				mu.Unlock()
+				err := runGroup(groups[idx])
+				mu.Lock()
+				if err != nil {
+					if firstErr == nil {
+						firstErr = err
 					}
-					if err := runGroup(groups[idx]); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						cancel()
-						return
+					cond.Broadcast()
+					return
+				}
+				completed++
+				if completed == n {
+					cond.Broadcast()
+				}
+				for _, d := range rdeps[idx] {
+					indeg[d]--
+					if indeg[d] == 0 {
+						i, _ := slices.BinarySearch(ready, d)
+						ready = slices.Insert(ready, i, d)
+						cond.Signal()
 					}
-					mu.Lock()
-					completed++
-					if completed == n {
-						close(ready)
-					}
-					for _, d := range rdeps[idx] {
-						indeg[d]--
-						if indeg[d] == 0 {
-							ready <- d
-						}
-					}
-					mu.Unlock()
 				}
 			}
 		}()
@@ -399,4 +453,212 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 	}
 	stats.Duration = time.Since(start)
 	return stats, firstErr
+}
+
+// applyOne runs one op inside the group's transaction. stmt is the op's
+// statement as analyze parsed it; nil means it does not parse, and the
+// op fails with the parse error.
+func (in *ParallelIntegrator) applyOne(tx *engine.Tx, op *opdelta.Op, stmt sqlmini.Statement) (int, error) {
+	if stmt == nil {
+		_, err := op.Statement()
+		return 0, err
+	}
+	if in.W.HasReplica(op.Table) {
+		// The replica shares the source schema and name: the op applies
+		// verbatim; dependent views follow via statement hooks.
+		if _, err := in.W.DB.ExecStmt(tx, stmt); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
+	// View-only deployment: apply the transformation rules per view.
+	stmts := 0
+	for _, v := range in.W.ViewsOn(op.Table) {
+		n, err := in.applyToView(tx, v, op, stmt)
+		stmts += n
+		if err != nil {
+			return stmts, err
+		}
+	}
+	return stmts, nil
+}
+
+// applyToView refreshes one SP view from an op, using the hybrid before
+// images when the analyzer required them at capture time.
+func (in *ParallelIntegrator) applyToView(tx *engine.Tx, v *View, op *opdelta.Op, stmt sqlmini.Statement) (int, error) {
+	if v.Def.Join != nil {
+		return 0, fmt.Errorf("warehouse: join view %s requires replicas", v.Def.Name)
+	}
+	switch v.Def.Classify(stmt) {
+	case opdelta.SelfMaintainable:
+		return in.applySelfMaintainable(tx, v, op, stmt)
+	case opdelta.NeedsBefore:
+		if !op.Hybrid {
+			return 0, fmt.Errorf("warehouse: op %d needs before images for view %s but carries none "+
+				"(capture without an analyzer?)", op.Seq, v.Def.Name)
+		}
+		return in.applyWithBeforeImages(tx, v, op, stmt)
+	default:
+		return 0, fmt.Errorf("warehouse: unsupported classification for view %s", v.Def.Name)
+	}
+}
+
+func (in *ParallelIntegrator) applySelfMaintainable(tx *engine.Tx, v *View, op *opdelta.Op, stmt sqlmini.Statement) (int, error) {
+	switch s := stmt.(type) {
+	case *sqlmini.Insert:
+		// Materialize the inserted rows from the statement's literals,
+		// then filter and project into the view.
+		rows, err := rowsFromInsert(s, v.SrcSchema, v.Def.SourceTS, op.Time)
+		if err != nil {
+			return 0, err
+		}
+		err = v.sp.Apply(tx, &engine.StatementDelta{Op: engine.TrigInsert, Table: op.Table, After: rows})
+		return len(rows), err
+	case *sqlmini.Delete:
+		// The predicate references only retained columns: run it
+		// directly against the view (rows in the view already satisfy
+		// the view selection), with source columns renamed to their
+		// warehouse names.
+		del := &sqlmini.Delete{Table: v.Def.Name, Where: renameExpr(s.Where, &v.Def)}
+		if _, err := in.W.DB.ExecStmt(tx, del); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	case *sqlmini.Update:
+		upd := &sqlmini.Update{Table: v.Def.Name, Where: renameExpr(s.Where, &v.Def)}
+		for _, a := range s.Assigns {
+			// Assignments to non-retained columns are no-ops on the view.
+			renamed := v.Def.RenameOf(a.Col)
+			if _, ok := v.Schema.ColIndex(renamed); ok {
+				upd.Assigns = append(upd.Assigns, sqlmini.Assign{
+					Col: renamed, Value: renameExpr(a.Value, &v.Def)})
+			}
+		}
+		if len(upd.Assigns) == 0 {
+			return 0, nil
+		}
+		if _, err := in.W.DB.ExecStmt(tx, upd); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	default:
+		return 0, fmt.Errorf("warehouse: cannot apply %T as op-delta", stmt)
+	}
+}
+
+// applyWithBeforeImages rebuilds the statement's transition tables from
+// the before images the op carries and hands them to the view's plan.
+func (in *ParallelIntegrator) applyWithBeforeImages(tx *engine.Tx, v *View, op *opdelta.Op, stmt sqlmini.Statement) (int, error) {
+	delta := &engine.StatementDelta{Table: op.Table, Before: op.Before}
+	switch s := stmt.(type) {
+	case *sqlmini.Delete:
+		delta.Op = engine.TrigDelete
+	case *sqlmini.Update:
+		delta.Op = engine.TrigUpdate
+		delta.After = make([]catalog.Tuple, len(op.Before))
+		for i, before := range op.Before {
+			after, err := applyAssigns(s.Assigns, v.SrcSchema, before)
+			if err != nil {
+				return 0, err
+			}
+			delta.After[i] = after
+		}
+	default:
+		return 0, fmt.Errorf("warehouse: before-image application undefined for %T", stmt)
+	}
+	return len(op.Before), v.sp.Apply(tx, delta)
+}
+
+// rowsFromInsert evaluates an INSERT statement's literal rows into full
+// source tuples (missing columns NULL, the named engine-maintained
+// timestamp column stamped with the op's capture time so replays are
+// deterministic).
+func rowsFromInsert(s *sqlmini.Insert, schema *catalog.Schema, tsCol string, opTime time.Time) ([]catalog.Tuple, error) {
+	tsIdx := -1
+	if tsCol != "" {
+		if i, ok := schema.ColIndex(tsCol); ok {
+			tsIdx = i
+		}
+	}
+	empty := catalog.NewSchema()
+	var positions []int
+	if s.Columns != nil {
+		positions = make([]int, len(s.Columns))
+		for i, name := range s.Columns {
+			idx, ok := schema.ColIndex(name)
+			if !ok {
+				return nil, fmt.Errorf("warehouse: no column %q", name)
+			}
+			positions[i] = idx
+		}
+	}
+	out := make([]catalog.Tuple, 0, len(s.Rows))
+	for _, row := range s.Rows {
+		tup := make(catalog.Tuple, schema.NumColumns())
+		for i := range tup {
+			tup[i] = catalog.NewNull(schema.Column(i).Type)
+		}
+		if positions == nil && len(row) != schema.NumColumns() {
+			return nil, fmt.Errorf("warehouse: insert arity mismatch")
+		}
+		for i, e := range row {
+			v, err := sqlmini.Eval(e, empty, nil)
+			if err != nil {
+				return nil, err
+			}
+			pos := i
+			if positions != nil {
+				pos = positions[i]
+			}
+			if !v.IsNull() && v.Type() == catalog.TypeInt64 && schema.Column(pos).Type == catalog.TypeFloat64 {
+				v = catalog.NewFloat(float64(v.Int()))
+			}
+			tup[pos] = v
+		}
+		if tsIdx >= 0 && tup[tsIdx].IsNull() {
+			tup[tsIdx] = catalog.NewTime(opTime)
+		}
+		out = append(out, tup)
+	}
+	return out, nil
+}
+
+// renameExpr rewrites column references in e from source names to the
+// view's warehouse names (the transformation rules). Returns nil for a
+// nil expression.
+func renameExpr(e sqlmini.Expr, def *opdelta.ViewDef) sqlmini.Expr {
+	if e == nil || len(def.Rename) == 0 {
+		return e
+	}
+	switch x := e.(type) {
+	case *sqlmini.ColRef:
+		return &sqlmini.ColRef{Name: def.RenameOf(x.Name)}
+	case *sqlmini.Binary:
+		return &sqlmini.Binary{Op: x.Op, L: renameExpr(x.L, def), R: renameExpr(x.R, def)}
+	case *sqlmini.IsNull:
+		return &sqlmini.IsNull{Expr: renameExpr(x.Expr, def), Negate: x.Negate}
+	default:
+		return e
+	}
+}
+
+// applyAssigns computes the after image of one row under an UPDATE's
+// SET list.
+func applyAssigns(assigns []sqlmini.Assign, schema *catalog.Schema, before catalog.Tuple) (catalog.Tuple, error) {
+	after := before.Clone()
+	for _, a := range assigns {
+		pos, ok := schema.ColIndex(a.Col)
+		if !ok {
+			return nil, fmt.Errorf("warehouse: no column %q", a.Col)
+		}
+		v, err := sqlmini.Eval(a.Value, schema, before)
+		if err != nil {
+			return nil, err
+		}
+		if !v.IsNull() && v.Type() == catalog.TypeInt64 && schema.Column(pos).Type == catalog.TypeFloat64 {
+			v = catalog.NewFloat(float64(v.Int()))
+		}
+		after[pos] = v
+	}
+	return after, nil
 }

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
+	"opdelta/internal/keyset"
 	"opdelta/internal/opdelta"
 	"opdelta/internal/sqlmini"
 	"opdelta/internal/wal"
@@ -157,8 +159,8 @@ func tableImage(t *testing.T, db *engine.DB, name string) []string {
 
 // TestParallelApplyEquivalence is the property test: for seeded random
 // workloads, ParallelIntegrator at 4 workers must leave the warehouse —
-// base replica and every view — byte-identical to the serial
-// OpDeltaIntegrator. Each seed runs under both lock plans: key-range
+// base replica and every view — byte-identical to the serial reference
+// (refSerialApply). Each seed runs under both lock plans: key-range
 // locking (appliers overlap execution) and the whole-table baseline.
 func TestParallelApplyEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= int64(*equivseeds); seed++ {
@@ -180,7 +182,7 @@ func TestParallelApplyEquivalence(t *testing.T) {
 				}
 				ops := randomOpWorkload(t, seed, 40)
 				ws := equivWarehouse(t, wal.SyncFlush, withNoPK)
-				serStats, err := (&OpDeltaIntegrator{W: ws, GroupByTxn: true}).Apply(ops)
+				serStats, err := refSerialApply(ws, ops)
 				if err != nil {
 					t.Fatalf("serial apply: %v", err)
 				}
@@ -189,7 +191,8 @@ func TestParallelApplyEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parallel apply: %v", err)
 				}
-				if serStats.Records != parStats.Records || serStats.Txns != parStats.Txns {
+				if serStats.Records != parStats.Records || serStats.Txns != parStats.Txns ||
+					serStats.Statements != parStats.Statements {
 					t.Fatalf("stats diverged: serial %+v parallel %+v", serStats, parStats)
 				}
 				for _, name := range tables {
@@ -206,6 +209,126 @@ func TestParallelApplyEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestUnparseableOpFailsItsGroup: analyze parses each op once and the
+// apply executes that parse. An op that does not parse makes its group
+// conflict with every other — its footprint cannot be bounded — and
+// applying it fails with the parser's error, after every earlier group
+// has committed and before any later one runs.
+func TestUnparseableOpFailsItsGroup(t *testing.T) {
+	w := equivWarehouse(t, wal.SyncFlush, false)
+	ops := []*opdelta.Op{
+		{Seq: 1, Txn: 1, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (1, 's1', 10)"},
+		{Seq: 2, Txn: 2, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (2, 's2', 20)"},
+		{Seq: 3, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = WHERE part_id = 2"},
+		{Seq: 4, Txn: 3, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (3, 's3', 30)"},
+	}
+	_, parseErr := ops[2].Statement()
+	if parseErr == nil {
+		t.Fatal("the broken statement parses")
+	}
+	in := &ParallelIntegrator{W: w, Workers: 4}
+	if g := in.analyze(ops[1:3]); !g.universal || g.stmts[0] == nil || g.stmts[1] != nil {
+		t.Fatalf("group analysis: universal=%v parsed=%v", g.universal, g.stmts)
+	}
+	stats, err := in.Apply(ops)
+	if err == nil || !strings.Contains(err.Error(), parseErr.Error()) {
+		t.Fatalf("err = %v, want the parse error %q", err, parseErr)
+	}
+	if stats.Txns != 1 {
+		t.Fatalf("committed %d groups, want only the one before the broken op", stats.Txns)
+	}
+	if rows := tableImage(t, w.DB, "parts"); len(rows) != 1 || !strings.HasPrefix(rows[0], "1|") {
+		t.Fatalf("replica = %v, want only part 1", rows)
+	}
+}
+
+// TestOneWorkerReplaysInSourceOrder: ready groups are taken lowest
+// source position first, so one worker is serial replay — not merely an
+// order the DAG allows. Group 2 is independent of groups 0 and 1 and
+// becomes ready first, yet still runs last.
+func TestOneWorkerReplaysInSourceOrder(t *testing.T) {
+	w := equivWarehouse(t, wal.SyncFlush, false)
+	if _, err := w.DB.Exec(nil, "INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 0), (2, 'a', 0)"); err != nil {
+		t.Fatal(err)
+	}
+	var order []int64
+	if err := w.DB.CreateStatementHook("parts", engine.StatementHook{Name: "order",
+		Fn: func(_ *engine.Tx, d *engine.StatementDelta) error {
+			order = append(order, d.After[0][2].Int())
+			return nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	ops := []*opdelta.Op{
+		{Seq: 1, Txn: 1, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 1 WHERE part_id = 1"},
+		{Seq: 2, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 2 WHERE part_id = 1"},
+		{Seq: 3, Txn: 3, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 3 WHERE part_id = 2"},
+	}
+	if _, err := (&ParallelIntegrator{W: w}).Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != "[1 2 3]" {
+		t.Fatalf("one worker applied the source transactions in order %v, want [1 2 3]", order)
+	}
+}
+
+// TestLockPlanJoinsConsecutiveIntegerKeys: a transaction of single-row
+// INSERTs with consecutive BIGINT keys pre-declares one range per run
+// of keys, not one point per row, and its statements' own locks are
+// still contained in the plan (the apply takes no table lock). Only
+// closed, integer-typed bounds one apart are joined.
+func TestLockPlanJoinsConsecutiveIntegerKeys(t *testing.T) {
+	w := equivWarehouse(t, wal.SyncFlush, false)
+	var ops []*opdelta.Op
+	for i, key := range append(seqKeys(100, 600), seqKeys(700, 800)...) {
+		ops = append(ops, &opdelta.Op{Seq: uint64(i + 1), Txn: 1, Kind: opdelta.OpInsert, Table: "parts",
+			Stmt: fmt.Sprintf("INSERT INTO parts (part_id, status, qty) VALUES (%d, 's', 1)", key)})
+	}
+	in := &ParallelIntegrator{W: w}
+	g := in.analyze(ops)
+	if got := fmt.Sprint(g.ranged["parts"]); got != "[[100, 599] [700, 799]]" {
+		t.Fatalf("lock plan for parts = %s, want [[100, 599] [700, 799]]", got)
+	}
+	before := w.DB.LockTableStats()["parts"]
+	if _, err := in.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	after := w.DB.LockTableStats()["parts"]
+	if n := after.RangeAcquires - before.RangeAcquires; n != 2 {
+		t.Fatalf("apply granted %d range locks on parts, want the 2 pre-declared", n)
+	}
+	if n := after.Escalations - before.Escalations; n != 0 {
+		t.Fatalf("apply escalated %d times", n)
+	}
+
+	ip := func(v int64) keyset.KeyRange { return keyset.Point(catalog.NewInt(v)) }
+	fp := func(v float64) keyset.KeyRange { return keyset.Point(catalog.NewFloat(v)) }
+	for _, c := range []struct {
+		in   []keyset.KeyRange
+		want string
+	}{
+		{[]keyset.KeyRange{ip(3), ip(1), ip(2), ip(5)}, "[[1, 3] [5, 5]]"},
+		{[]keyset.KeyRange{fp(1), fp(2)}, "[[1, 1] [2, 2]]"},
+		{[]keyset.KeyRange{{Lo: catalog.NewInt(0), HasLo: true, Hi: catalog.NewInt(2), HasHi: true, HiOpen: true}, ip(3)},
+			"[[0, 2) [3, 3]]"},
+		{[]keyset.KeyRange{ip(math.MaxInt64 - 1), ip(math.MaxInt64), ip(math.MinInt64)},
+			fmt.Sprintf("[[%d, %d] [%d, %d]]", int64(math.MinInt64), int64(math.MinInt64), int64(math.MaxInt64-1), int64(math.MaxInt64))},
+	} {
+		if got := fmt.Sprint(lockRanges(c.in)); got != c.want {
+			t.Errorf("lockRanges(%v) = %s, want %s", c.in, got, c.want)
+		}
+	}
+}
+
+// seqKeys returns the keys lo..hi-1.
+func seqKeys(lo, hi int64) []int64 {
+	var ks []int64
+	for k := lo; k < hi; k++ {
+		ks = append(ks, k)
+	}
+	return ks
 }
 
 // TestParallelApplyOrderedConflicts pins the DAG ordering guarantee

@@ -6,8 +6,47 @@ import (
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
+	"opdelta/internal/opdelta"
 	"opdelta/internal/sqlmini"
 )
+
+// refSerialApply is the serial op replay the scheduler replaced, kept as
+// the reference TestParallelApplyEquivalence compares ParallelIntegrator
+// with: each source transaction (a run of ops sharing Op.Txn) in source
+// order as one warehouse transaction, every statement parsed where it
+// is applied and its locks taken on demand — no footprints, lock plan,
+// DAG or workers. Only the per-op apply code is shared.
+func refSerialApply(w *Warehouse, ops []*opdelta.Op) (ApplyStats, error) {
+	in := &ParallelIntegrator{W: w}
+	var stats ApplyStats
+	for i := 0; i < len(ops); {
+		j := i + 1
+		for j < len(ops) && ops[j].Txn == ops[i].Txn {
+			j++
+		}
+		tx := w.DB.Begin()
+		for _, op := range ops[i:j] {
+			stmt, err := op.Statement()
+			if err != nil {
+				tx.Abort()
+				return stats, err
+			}
+			n, err := in.applyOne(tx, op, stmt)
+			stats.Statements += n
+			if err != nil {
+				tx.Abort()
+				return stats, fmt.Errorf("warehouse: op %d (%s): %w", op.Seq, op.Stmt, err)
+			}
+			stats.Records++
+		}
+		if err := tx.Commit(); err != nil {
+			return stats, err
+		}
+		stats.Txns++
+		i = j
+	}
+	return stats, nil
+}
 
 // The per-row, interpreted view maintenance the delta plans replaced,
 // kept verbatim as the reference TestViewMaintenanceMatchesRecompute

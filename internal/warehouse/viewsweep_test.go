@@ -466,13 +466,14 @@ func diffRows(a, b []catalog.Tuple, tol bool) string {
 // between groups, groups emptied and revived, selections entered and
 // left, NULL join keys and aggregate inputs, primary keys shifted onto
 // neighbouring keys, dimension rows rewritten, rows touched twice in a
-// transaction — goes through the serial, the value-delta and the
-// 4-worker parallel integrator. Every view must equal its definition
-// recomputed from the warehouse's own replicas, and must equal what the
-// per-row triggers the plans replaced (reference_test.go) leave behind:
-// bit for bit, float sums included, where both fold in the same order,
-// and to rounding against the parallel run, which reorders key-disjoint
-// transactions.
+// transaction — goes through the op integrator at one worker and at
+// four, and through the value-delta integrator. Every view must equal
+// its definition recomputed from the warehouse's own replicas, and must
+// equal what the per-row triggers the plans replaced (reference_test.go)
+// leave behind under the serial reference replay: bit for bit, float
+// sums included, where both fold in the same order — one worker replays
+// in source order — and to rounding against the 4-worker run, which
+// reorders key-disjoint transactions.
 func TestViewMaintenanceMatchesRecompute(t *testing.T) {
 	for seed := int64(1); seed <= int64(*viewseeds); seed++ {
 		seed := seed
@@ -490,18 +491,20 @@ func TestViewMaintenanceMatchesRecompute(t *testing.T) {
 				apply func(w *Warehouse) error
 				ref   string // the reference run it must match exactly, if any
 			}
-			applyOps := func(w *Warehouse) error {
-				_, err := (&OpDeltaIntegrator{W: w, GroupByTxn: true}).Apply(ops)
-				return err
-			}
 			applyValue := func(w *Warehouse) error {
 				_, err := (&ValueDeltaIntegrator{W: w}).Apply(deltas)
 				return err
 			}
 			runs := []*run{
-				{name: "ref/op", apply: applyOps},
+				{name: "ref/op", apply: func(w *Warehouse) error {
+					_, err := refSerialApply(w, ops)
+					return err
+				}},
 				{name: "ref/value", apply: applyValue},
-				{name: "op", apply: applyOps, ref: "ref/op"},
+				{name: "op", apply: func(w *Warehouse) error {
+					_, err := (&ParallelIntegrator{W: w}).Apply(ops)
+					return err
+				}, ref: "ref/op"},
 				{name: "value", apply: applyValue, ref: "ref/value"},
 				{name: "parallel", apply: func(w *Warehouse) error {
 					_, err := (&ParallelIntegrator{W: w, Workers: 4}).Apply(ops)
@@ -739,7 +742,7 @@ func TestFailingHookRollsStatementBack(t *testing.T) {
 		{Seq: 2, Txn: 2, Kind: opdelta.OpInsert, Table: "parts",
 			Stmt: `INSERT INTO parts (part_id, status, qty, price) VALUES (1, 's1', 5, 1.5), (2, 's2', 5, 2.5)`},
 	}
-	if _, err := (&OpDeltaIntegrator{W: w}).Apply(ok); err != nil {
+	if _, err := (&ParallelIntegrator{W: w}).Apply(ok); err != nil {
 		t.Fatal(err)
 	}
 	before := map[string][]catalog.Tuple{}
@@ -756,7 +759,7 @@ func TestFailingHookRollsStatementBack(t *testing.T) {
 	bad := []*opdelta.Op{{Seq: 3, Txn: 3, Kind: opdelta.OpUpdate, Table: "parts",
 		Stmt: `UPDATE parts SET status = 's3', qty = qty + 20, part_id = part_id + 10 WHERE part_id >= 1`}}
 	integrators := map[string]func() error{
-		"serial": func() error { _, err := (&OpDeltaIntegrator{W: w, GroupByTxn: true}).Apply(bad); return err },
+		"serial": func() error { _, err := (&ParallelIntegrator{W: w}).Apply(bad); return err },
 		"parallel": func() error {
 			_, err := (&ParallelIntegrator{W: w, Workers: 4}).Apply(bad)
 			return err

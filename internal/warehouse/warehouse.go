@@ -8,9 +8,10 @@
 //     record (updates become delete+insert pairs), holding the table
 //     locks for the whole batch: the warehouse outage the paper
 //     attributes to value-delta maintenance;
-//   - OpDeltaIntegrator replays each captured operation as its own
-//     small transaction, preserving source transaction boundaries so
-//     maintenance interleaves with OLAP queries.
+//   - ParallelIntegrator replays captured operations, each source
+//     transaction as one small warehouse transaction, so maintenance
+//     interleaves with OLAP queries; key-disjoint transactions run on a
+//     worker pool, and one worker is serial replay in source order.
 //
 // Views are kept consistent by delta plans compiled at registration
 // (viewplan.go) and installed as statement-level hooks on the replica

@@ -163,12 +163,12 @@ func TestOpDeltaIntegrationIntoReplica(t *testing.T) {
 		t.Fatalf("ops: %d, %v", len(ops), err)
 	}
 	w := replicaWarehouse(t, schema)
-	stats, err := (&OpDeltaIntegrator{W: w}).Apply(ops)
+	stats, err := (&ParallelIntegrator{W: w}).Apply(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Records != 3 || stats.Txns != 3 || stats.Statements != 3 {
-		t.Fatalf("stats = %+v (one statement per op, one txn per op)", stats)
+		t.Fatalf("stats = %+v (one statement per op, one txn per source txn)", stats)
 	}
 	srcRows := tableRows(t, src, "parts")
 	whRows := tableRows(t, w.DB, "parts")
@@ -177,7 +177,7 @@ func TestOpDeltaIntegrationIntoReplica(t *testing.T) {
 	}
 }
 
-func TestOpDeltaGroupByTxn(t *testing.T) {
+func TestOpDeltaGroupsBySourceTxn(t *testing.T) {
 	src, _, oc, log := sourceWithCapture(t, nil)
 	schema := partsSchema(t, src)
 	tx := src.Begin()
@@ -188,12 +188,25 @@ func TestOpDeltaGroupByTxn(t *testing.T) {
 
 	ops, _ := log.Read(0)
 	w := replicaWarehouse(t, schema)
-	stats, err := (&OpDeltaIntegrator{W: w, GroupByTxn: true}).Apply(ops)
+	stats, err := (&ParallelIntegrator{W: w}).Apply(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Txns != 2 {
 		t.Fatalf("txns = %d, want 2 (source boundaries preserved)", stats.Txns)
+	}
+	// One warehouse transaction per op is a stream whose ops each carry
+	// their own Txn.
+	ops = opdelta.CloneOps(ops)
+	for i, op := range ops {
+		op.Txn = uint64(100 + i)
+	}
+	w = replicaWarehouse(t, schema)
+	if stats, err = (&ParallelIntegrator{W: w}).Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Txns != 3 {
+		t.Fatalf("txns = %d, want 3 (one per op)", stats.Txns)
 	}
 }
 
@@ -248,7 +261,7 @@ func TestViewOnlyOpDeltaSelfMaintainable(t *testing.T) {
 	oc.Exec(nil, `DELETE FROM parts WHERE qty > 100`)               // hybrid (matches none)
 
 	ops, _ := log.Read(0)
-	if _, err := (&OpDeltaIntegrator{W: w}).Apply(ops); err != nil {
+	if _, err := (&ParallelIntegrator{W: w}).Apply(ops); err != nil {
 		t.Fatal(err)
 	}
 	rows := tableRows(t, w.DB, "slim_parts")
@@ -279,7 +292,7 @@ func TestViewOnlyOpDeltaHybrid(t *testing.T) {
 	if len(ops) != 3 || ops[1].Before == nil || ops[2].Before == nil {
 		t.Fatalf("hybrid capture missing: %+v", ops)
 	}
-	if _, err := (&OpDeltaIntegrator{W: w}).Apply(ops); err != nil {
+	if _, err := (&ParallelIntegrator{W: w}).Apply(ops); err != nil {
 		t.Fatal(err)
 	}
 	rows := tableRows(t, w.DB, "slim_parts")
@@ -292,7 +305,7 @@ func TestViewOnlyOpDeltaHybrid(t *testing.T) {
 	// Without before images the same op must fail loudly.
 	opsNoBefore := []*opdelta.Op{{Seq: 99, Kind: opdelta.OpDelete, Table: "parts",
 		Stmt: `DELETE FROM parts WHERE qty = 1`}}
-	if _, err := (&OpDeltaIntegrator{W: w}).Apply(opsNoBefore); err == nil ||
+	if _, err := (&ParallelIntegrator{W: w}).Apply(opsNoBefore); err == nil ||
 		!strings.Contains(err.Error(), "before images") {
 		t.Fatalf("err = %v", err)
 	}
@@ -329,7 +342,7 @@ func TestJoinViewMaintenance(t *testing.T) {
 
 	// Drive the warehouse replicas directly with ops (the integrator's
 	// replica path).
-	in := &OpDeltaIntegrator{W: w}
+	in := &ParallelIntegrator{W: w}
 	mustApply := func(stmts ...string) {
 		t.Helper()
 		var ops []*opdelta.Op
@@ -476,7 +489,7 @@ func TestQuickOpDeltaValueDeltaEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := (&OpDeltaIntegrator{W: wo}).Apply(ops); err != nil {
+		if _, err := (&ParallelIntegrator{W: wo}).Apply(ops); err != nil {
 			return false
 		}
 
@@ -593,7 +606,7 @@ func TestViewRenameTransformation(t *testing.T) {
 	oc.Exec(nil, `DELETE FROM parts WHERE qty > 100`)                  // hybrid path (no matches)
 
 	ops, _ := log.Read(0)
-	if _, err := (&OpDeltaIntegrator{W: w}).Apply(ops); err != nil {
+	if _, err := (&ParallelIntegrator{W: w}).Apply(ops); err != nil {
 		t.Fatal(err)
 	}
 	_, rows, err := w.DB.Query(nil, `SELECT sku, state FROM catalog_items`)
@@ -607,7 +620,7 @@ func TestViewRenameTransformation(t *testing.T) {
 	hybridOps := []*opdelta.Op{{Seq: 99, Kind: opdelta.OpDelete, Table: "parts", Hybrid: true,
 		Stmt:   `DELETE FROM parts WHERE qty = 5`,
 		Before: []catalog.Tuple{mustRow(t, src, 1)}}}
-	if _, err := (&OpDeltaIntegrator{W: w}).Apply(hybridOps); err != nil {
+	if _, err := (&ParallelIntegrator{W: w}).Apply(hybridOps); err != nil {
 		t.Fatal(err)
 	}
 	_, rows, _ = w.DB.Query(nil, `SELECT sku FROM catalog_items`)

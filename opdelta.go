@@ -18,7 +18,7 @@
 //	wh := opdelta.NewWarehouse(whDB)
 //	wh.RegisterReplica("parts", schema, "part_id", "last_modified")
 //	ops, _ := log.Read(0)
-//	(&opdelta.OpDeltaIntegrator{W: wh}).Apply(ops)
+//	(&opdelta.OpDeltaIntegrator{W: wh}).Apply(ops) // one warehouse txn per source txn
 //
 // See the examples directory for complete programs and DESIGN.md for
 // the architecture.
@@ -197,8 +197,11 @@ type (
 	Warehouse = warehouse.Warehouse
 	// ValueDeltaIntegrator applies differentials as one batch.
 	ValueDeltaIntegrator = warehouse.ValueDeltaIntegrator
-	// OpDeltaIntegrator replays ops as small transactions.
-	OpDeltaIntegrator = warehouse.OpDeltaIntegrator
+	// OpDeltaIntegrator replays ops, one small warehouse transaction
+	// per source transaction (ops sharing Op.Txn). The zero value
+	// replays serially in source order; Workers > 1 runs key-disjoint
+	// transactions concurrently.
+	OpDeltaIntegrator = warehouse.ParallelIntegrator
 	// ApplyStats summarizes one integration run.
 	ApplyStats = warehouse.ApplyStats
 	// View is one registered materialized view.
