@@ -3,7 +3,9 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"opdelta/internal/fault"
 )
@@ -38,11 +40,18 @@ type HeapFile struct {
 	// would be clobbered. The owner itself may reuse its own pins —
 	// undo runs in reverse order, so the reusing insert is undone
 	// before the delete's restore. Directed placements (PlaceAt) ignore
-	// pins — they ARE the owner's restore. Keyed by page so the
-	// per-insert check stays O(1) even when one batch transaction pins
-	// thousands of slots.
-	pinned map[PageID]map[uint16]uint64
-	nlive  int64 // live record count (maintained, verified by tests)
+	// pins — they ARE the owner's restore. The restore also needs the
+	// record's bytes back, so other owners' inserts and growing updates
+	// must leave a page able to free every pinned record's size by
+	// compacting (Page.InsertAvoid, Page.UpdateReserving). Keyed by page
+	// so the per-insert check stays O(1) even when one batch transaction
+	// pins thousands of slots.
+	pinned map[PageID]map[uint16]slotPin
+	// npinned counts the entries of pinned. A pin is only ever set under
+	// h.mu and its page's stripe, so an updater holding a stripe that
+	// reads zero knows no bytes of its page are reserved without h.mu.
+	npinned atomic.Int64
+	nlive   int64 // live record count (maintained, verified by tests)
 	// latches serialize byte-level access to page images, striped by
 	// page id. The buffer pool's shard locks only protect frame
 	// bookkeeping (pin counts, LRU); the bytes of a fetched page are
@@ -163,25 +172,38 @@ func (h *HeapFile) InsertOwned(rec []byte, owner uint64) (RID, error) {
 	return RID{Page: id, Slot: slot}, nil
 }
 
-// pinLocked records rid as barred from reuse by other owners. Caller
-// holds h.mu.
-func (h *HeapFile) pinLocked(rid RID, owner uint64) {
+// slotPin is one pinned slot: the transaction that freed it and the
+// size of the record its rollback puts back.
+type slotPin struct {
+	owner uint64
+	size  int
+}
+
+// pinLocked records rid, whose freed record was size bytes, as barred
+// from reuse by other owners. Caller holds h.mu and rid's stripe.
+func (h *HeapFile) pinLocked(rid RID, owner uint64, size int) {
 	if h.pinned == nil {
-		h.pinned = make(map[PageID]map[uint16]uint64)
+		h.pinned = make(map[PageID]map[uint16]slotPin)
 	}
 	slots := h.pinned[rid.Page]
 	if slots == nil {
-		slots = make(map[uint16]uint64)
+		slots = make(map[uint16]slotPin)
 		h.pinned[rid.Page] = slots
 	}
-	slots[rid.Slot] = owner
+	if _, ok := slots[rid.Slot]; !ok {
+		h.npinned.Add(1)
+	}
+	slots[rid.Slot] = slotPin{owner: owner, size: size}
 }
 
 // UnpinSlot lifts a pin left by DeletePin or UpdatePin.
 func (h *HeapFile) UnpinSlot(rid RID) {
 	h.mu.Lock()
 	if slots := h.pinned[rid.Page]; slots != nil {
-		delete(slots, rid.Slot)
+		if _, ok := slots[rid.Slot]; ok {
+			delete(slots, rid.Slot)
+			h.npinned.Add(-1)
+		}
 		if len(slots) == 0 {
 			delete(h.pinned, rid.Page)
 		}
@@ -197,9 +219,23 @@ func (h *HeapFile) avoidFn(id PageID, owner uint64) func(uint16) bool {
 		return nil
 	}
 	return func(slot uint16) bool {
-		by, ok := slots[slot]
-		return ok && by != owner
+		p, ok := slots[slot]
+		return ok && p.owner != owner
 	}
+}
+
+// reserveLocked returns the bytes page id must keep reclaimable for
+// owner: the sizes of the records other owners' rollbacks would put back
+// there. An owner's own pins need no reservation against its own writes,
+// because rollback undoes those writes first. Caller holds h.mu.
+func (h *HeapFile) reserveLocked(id PageID, owner uint64) int {
+	reserve := 0
+	for _, p := range h.pinned[id] {
+		if p.owner != owner {
+			reserve += p.size
+		}
+	}
+	return reserve
 }
 
 func (h *HeapFile) insertIntoLocked(id PageID, rec []byte, owner uint64) (RID, error) {
@@ -210,7 +246,7 @@ func (h *HeapFile) insertIntoLocked(id PageID, rec []byte, owner uint64) (RID, e
 	if err != nil {
 		return InvalidRID, err
 	}
-	slot, err := page.InsertAvoid(rec, h.avoidFn(id, owner))
+	slot, err := page.InsertAvoid(rec, h.avoidFn(id, owner), h.reserveLocked(id, owner))
 	if err != nil {
 		h.freeHint[id] = page.FreeSpace()
 		h.pool.Unpin(id, false)
@@ -245,10 +281,11 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 // Delete removes the record at rid.
 func (h *HeapFile) Delete(rid RID) error { return h.delete(rid, 0, false) }
 
-// DeletePin removes the record at rid and pins the freed slot for owner
-// in the same critical section, so no concurrent insert can reuse it
-// before the pin is visible. The transaction layer uses it for
-// transactional deletes, unpinning at commit/abort.
+// DeletePin removes the record at rid and pins the freed slot, and the
+// record's size in bytes, for owner in the same critical section, so no
+// concurrent writer can take either before the pin is visible. The
+// transaction layer uses it for transactional deletes, unpinning at
+// commit/abort.
 func (h *HeapFile) DeletePin(rid RID, owner uint64) error { return h.delete(rid, owner, true) }
 
 func (h *HeapFile) delete(rid RID, owner uint64, pin bool) error {
@@ -261,13 +298,15 @@ func (h *HeapFile) delete(rid RID, owner uint64, pin bool) error {
 	if err != nil {
 		return err
 	}
-	if err := page.Delete(rid.Slot); err != nil {
+	old, err := page.Get(rid.Slot)
+	if err != nil {
 		h.pool.Unpin(rid.Page, false)
 		return err
 	}
 	if pin {
-		h.pinLocked(rid, owner)
+		h.pinLocked(rid, owner, len(old))
 	}
+	page.Delete(rid.Slot)
 	h.freeHint[rid.Page] = page.FreeSpace()
 	h.pool.Unpin(rid.Page, true)
 	h.nlive--
@@ -290,11 +329,14 @@ func (h *HeapFile) UpdatePin(rid RID, rec []byte, owner uint64) (RID, error) {
 }
 
 func (h *HeapFile) update(rid RID, rec []byte, owner uint64, pin bool) (RID, error) {
-	// Fast path: an in-place update touches only this page's bytes, so
-	// it runs under the page stripe alone — no h.mu. This is the hot
-	// path for parallel appliers; taking h.mu here would physically
-	// serialize key-disjoint writers that the lock manager already
-	// proved disjoint. The freeHint refresh is deliberately skipped:
+	// Fast path: an update that stays on its page touches only this
+	// page's bytes, so it runs under the page stripe alone — no h.mu.
+	// This is the hot path for parallel appliers; taking h.mu here would
+	// physically serialize key-disjoint writers that the lock manager
+	// already proved disjoint. While some slot of the file is pinned, a
+	// growing record needs h.mu to learn how many bytes its page must
+	// keep, so the fast path then reserves everything and leaves growth
+	// to the slow path. The freeHint refresh is deliberately skipped:
 	// hints are stale-tolerated (a too-optimistic hint is corrected on
 	// the next insert attempt, a too-pessimistic one just skips a page).
 	l := h.latch(rid.Page)
@@ -304,22 +346,25 @@ func (h *HeapFile) update(rid RID, rec []byte, owner uint64, pin bool) (RID, err
 		l.Unlock()
 		return InvalidRID, err
 	}
-	err = page.Update(rid.Slot, rec)
+	pinned := h.npinned.Load() != 0
+	reserve := 0
+	if pinned {
+		reserve = math.MaxInt
+	}
+	err = page.UpdateReserving(rid.Slot, rec, reserve)
+	h.pool.Unpin(rid.Page, err == nil)
+	l.Unlock()
 	if err == nil {
-		h.pool.Unpin(rid.Page, true)
-		l.Unlock()
 		return rid, nil
 	}
-	h.pool.Unpin(rid.Page, false)
-	l.Unlock()
 	if !errors.Is(err, ErrPageFull) {
 		return InvalidRID, err
 	}
-	// Relocate: delete here, insert elsewhere. The record cannot have
-	// moved or changed between dropping the stripe and reacquiring it —
-	// the caller holds the row's exclusive lock — so re-fetching and
-	// deleting the same slot is safe. h.mu keeps the tombstone, its pin
-	// and the free-space bookkeeping atomic w.r.t. other allocators.
+	// Slow path under h.mu, which keeps the pins, the tombstone and the
+	// free-space bookkeeping atomic w.r.t. other allocators. The record
+	// cannot have moved or changed between dropping the stripe and
+	// reacquiring it — the caller holds the row's exclusive lock — so
+	// re-fetching the same slot is safe.
 	h.mu.Lock()
 	l.Lock()
 	page, err = h.pool.Fetch(rid.Page)
@@ -328,15 +373,32 @@ func (h *HeapFile) update(rid RID, rec []byte, owner uint64, pin bool) (RID, err
 		h.mu.Unlock()
 		return InvalidRID, err
 	}
-	if err := page.Delete(rid.Slot); err != nil {
+	if pinned {
+		// Stay on the page only if it can still give back the bytes of
+		// every record another owner's rollback restores here.
+		err = page.UpdateReserving(rid.Slot, rec, h.reserveLocked(rid.Page, owner))
+		if err == nil || !errors.Is(err, ErrPageFull) {
+			h.pool.Unpin(rid.Page, err == nil)
+			l.Unlock()
+			h.mu.Unlock()
+			if err == nil {
+				return rid, nil
+			}
+			return InvalidRID, err
+		}
+	}
+	// Relocate: delete here, insert elsewhere.
+	old, err := page.Get(rid.Slot)
+	if err != nil {
 		h.pool.Unpin(rid.Page, false)
 		l.Unlock()
 		h.mu.Unlock()
 		return InvalidRID, err
 	}
 	if pin {
-		h.pinLocked(rid, owner)
+		h.pinLocked(rid, owner, len(old))
 	}
+	page.Delete(rid.Slot)
 	h.freeHint[rid.Page] = page.FreeSpace()
 	h.pool.Unpin(rid.Page, true)
 	l.Unlock()

@@ -346,3 +346,99 @@ func pickRID(r *rand.Rand, m map[RID][]byte) (RID, bool) {
 	}
 	return RID{}, false
 }
+
+// fullHeapPage fills page 0 of a fresh heap with eight 1000-byte records
+// (a 152-byte free window is left) and returns their RIDs and images.
+func fullHeapPage(t *testing.T) (*HeapFile, []RID, [][]byte) {
+	t.Helper()
+	h := openTestHeap(t, 8)
+	var rids []RID
+	var recs [][]byte
+	for i := 0; i < 8; i++ {
+		rec := bytes.Repeat([]byte{'a' + byte(i)}, 1000)
+		rid, err := h.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid.Page != 0 {
+			t.Fatalf("record %d landed on page %d, want one full page", i, rid.Page)
+		}
+		rids, recs = append(rids, rid), append(recs, rec)
+	}
+	return h, rids, recs
+}
+
+// TestHeapKeepsPinnedBytesForRollback deletes a record on behalf of one
+// transaction and then lets another grow a record and insert on the same
+// page. Neither may take the bytes the first transaction's rollback
+// needs: its PlaceAt must still put the deleted record back at its slot.
+func TestHeapKeepsPinnedBytesForRollback(t *testing.T) {
+	t.Run("growing update relocates", func(t *testing.T) {
+		h, rids, recs := fullHeapPage(t)
+		if err := h.DeletePin(rids[1], 1); err != nil {
+			t.Fatal(err)
+		}
+		// 1900 bytes fit beside the other six records (2152 free after a
+		// compaction), but only by taking the deleted record's bytes.
+		rid, err := h.UpdatePin(rids[0], bytes.Repeat([]byte("G"), 1900), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid == rids[0] {
+			t.Fatal("the growing update stayed on the page and took the pinned record's bytes")
+		}
+		if err := h.PlaceAt(rids[1], recs[1]); err != nil {
+			t.Fatalf("rollback of the delete: %v", err)
+		}
+	})
+	t.Run("insert goes elsewhere", func(t *testing.T) {
+		h, rids, recs := fullHeapPage(t)
+		if err := h.DeletePin(rids[1], 1); err != nil {
+			t.Fatal(err)
+		}
+		// 1100 bytes stay on the page and leave 1052 reclaimable: enough
+		// for the deleted record and a small insert, not for a 500-byte
+		// insert as well.
+		rid, err := h.UpdatePin(rids[0], bytes.Repeat([]byte("G"), 1100), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid != rids[0] {
+			t.Fatalf("update relocated to %v; it fits beside the pinned record's bytes", rid)
+		}
+		// A small insert fits beside the reservation and refreshes the
+		// page's free-space hint, so the next insert tries this page.
+		if ins, err := h.InsertOwned([]byte("small"), 2); err != nil || ins.Page != rids[1].Page {
+			t.Fatalf("small insert went to %v, %v; want page %d", ins, err, rids[1].Page)
+		}
+		ins, err := h.InsertOwned(bytes.Repeat([]byte("I"), 500), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ins.Page == rids[1].Page {
+			t.Fatalf("insert landed at %v, in the pinned record's bytes", ins)
+		}
+		if err := h.PlaceAt(rids[1], recs[1]); err != nil {
+			t.Fatalf("rollback of the delete: %v", err)
+		}
+	})
+	t.Run("own pins and lifted pins reserve nothing", func(t *testing.T) {
+		grown := bytes.Repeat([]byte("G"), 1900)
+		for _, lift := range []bool{false, true} {
+			h, rids, _ := fullHeapPage(t)
+			if err := h.DeletePin(rids[1], 1); err != nil {
+				t.Fatal(err)
+			}
+			// The owner's own rollback undoes its growth before it
+			// restores the delete; a lifted pin restores nothing.
+			owner := uint64(1)
+			if lift {
+				h.UnpinSlot(rids[1])
+				owner = 2
+			}
+			if rid, err := h.UpdatePin(rids[0], grown, owner); err != nil || rid != rids[0] {
+				t.Fatalf("lifted=%v: the update went to %v, %v; want in place", lift, rid, err)
+			}
+		}
+	})
+}

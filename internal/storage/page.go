@@ -93,14 +93,16 @@ func (p *Page) FreeSpace() int {
 // a tombstoned slot when one exists. Returns ErrPageFull when rec does
 // not fit.
 func (p *Page) Insert(rec []byte) (uint16, error) {
-	return p.InsertAvoid(rec, nil)
+	return p.InsertAvoid(rec, nil, 0)
 }
 
-// InsertAvoid is Insert with a tombstone-reuse veto: slots for which
-// avoid returns true are skipped. The heap layer uses it to keep
-// inserts out of slots freed by still-in-flight transactions, whose
-// rollback would restore the record at exactly that slot.
-func (p *Page) InsertAvoid(rec []byte, avoid func(uint16) bool) (uint16, error) {
+// InsertAvoid is Insert with a tombstone-reuse veto and a byte
+// reservation: slots for which avoid returns true are skipped, and the
+// insert is refused with ErrPageFull if it would leave fewer than
+// reserve bytes reclaimable (see UpdateReserving). The heap layer uses
+// both to keep inserts off slots and bytes freed by still-in-flight
+// transactions, whose rollback restores the record at exactly that slot.
+func (p *Page) InsertAvoid(rec []byte, avoid func(uint16) bool, reserve int) (uint16, error) {
 	if len(rec) == 0 {
 		return 0, errors.New("storage: empty record")
 	}
@@ -121,7 +123,7 @@ func (p *Page) InsertAvoid(rec []byte, avoid func(uint16) bool) (uint16, error) 
 	if !reuse {
 		need += slotSize
 	}
-	if int(p.freeUpper())-int(p.freeLower()) < need {
+	if int(p.freeUpper())-int(p.freeLower()) < need || (reserve > 0 && p.reclaimable()-need < reserve) {
 		return 0, ErrPageFull
 	}
 	newUpper := p.freeUpper() - uint16(len(rec))
@@ -166,12 +168,25 @@ func (p *Page) Delete(slot uint16) error {
 	return nil
 }
 
-// Update replaces the record at slot. If the new record fits in the old
-// record's space it is updated in place; otherwise the page tries to
-// place it in free space (compacting if needed). Returns ErrPageFull if
-// the updated record cannot fit in this page at all; the caller then
+// Update replaces the record at slot; the slot number is kept. A record
+// that fits in the old record's space is rewritten in place. A larger
+// one is placed in free space: the old image is tombstoned first, so if
+// the free window is too small the compaction that makes room drops it
+// instead of keeping it as dead space. The page compacts only when that
+// makes room. Returns ErrPageFull, with the page untouched, if the
+// updated record cannot fit in this page at all; the caller then
 // relocates the record (delete + insert elsewhere).
 func (p *Page) Update(slot uint16, rec []byte) error {
+	return p.UpdateReserving(slot, rec, 0)
+}
+
+// UpdateReserving is Update that keeps reserve bytes reclaimable: a
+// record that grows is refused with ErrPageFull, page untouched, if
+// afterwards the page could no longer free reserve bytes by compacting.
+// The heap layer reserves the bytes of records that in-flight
+// transactions deleted or relocated, so their rollback can put each one
+// back at its slot.
+func (p *Page) UpdateReserving(slot uint16, rec []byte, reserve int) error {
 	if slot >= p.slotCount() {
 		return ErrNoRecord
 	}
@@ -184,52 +199,76 @@ func (p *Page) Update(slot uint16, rec []byte) error {
 		p.setSlot(slot, off, uint16(len(rec)))
 		return nil
 	}
-	// Try to append a fresh copy into free space.
-	if int(p.freeUpper())-int(p.freeLower()) >= len(rec) {
-		newUpper := p.freeUpper() - uint16(len(rec))
-		copy(p[newUpper:], rec)
-		p.setFreeUpper(newUpper)
-		p.setSlot(slot, newUpper, uint16(len(rec)))
-		return nil
+	p.setSlot(slot, 0, 0)
+	if err := p.placeIntoFree(slot, rec, reserve); err != nil {
+		p.setSlot(slot, off, length)
+		return err
 	}
-	// Compact dead space and retry once.
-	p.Compact()
-	if int(p.freeUpper())-int(p.freeLower()) >= len(rec) {
-		// The old record may have moved during compaction; tombstone it
-		// and place the new image.
-		newUpper := p.freeUpper() - uint16(len(rec))
-		copy(p[newUpper:], rec)
-		p.setFreeUpper(newUpper)
-		p.setSlot(slot, newUpper, uint16(len(rec)))
-		return nil
-	}
-	return ErrPageFull
+	return nil
 }
 
-// Compact rewrites live records contiguously at the end of the page,
-// reclaiming dead space left by deletes and in-place growth. Slot
-// numbers are preserved.
-func (p *Page) Compact() {
-	type live struct {
-		slot uint16
-		rec  []byte
+// placeIntoFree stores rec at the tombstoned slot, compacting the page
+// first if that is what makes room, and refuses it if it would leave
+// fewer than reserve bytes reclaimable.
+func (p *Page) placeIntoFree(slot uint16, rec []byte, reserve int) error {
+	if (reserve > 0 && p.reclaimable()-len(rec) < reserve) || !p.makeRoom(len(rec)) {
+		return ErrPageFull
 	}
+	newUpper := p.freeUpper() - uint16(len(rec))
+	copy(p[newUpper:], rec)
+	p.setFreeUpper(newUpper)
+	p.setSlot(slot, newUpper, uint16(len(rec)))
+	return nil
+}
+
+// makeRoom reports whether need contiguous bytes are free, compacting the
+// page when its free window is too small but the dead space behind it
+// would make it large enough. A page that cannot make room is left
+// untouched.
+func (p *Page) makeRoom(need int) bool {
+	if int(p.freeUpper())-int(p.freeLower()) >= need {
+		return true
+	}
+	if p.reclaimable() < need {
+		return false
+	}
+	p.Compact()
+	return true
+}
+
+// reclaimable returns the bytes a compaction would leave free between
+// the slot directory and the records: the page minus the header, the
+// directory and the live records.
+func (p *Page) reclaimable() int {
+	free := PageSize - int(p.freeLower())
 	n := p.slotCount()
-	lives := make([]live, 0, n)
+	for i := uint16(0); i < n; i++ {
+		if off, length := p.slot(i); off != 0 {
+			free -= int(length)
+		}
+	}
+	return free
+}
+
+// Compact rewrites the live records contiguously at the end of the page,
+// in slot order, reclaiming the dead space left by deletes, shrinking
+// updates and replaced images. Slot numbers are preserved. The records
+// are repacked from one copy of the record area in a page-sized scratch
+// image on the stack, so compaction allocates nothing.
+func (p *Page) Compact() {
+	var img Page
+	start := p.freeUpper()
+	copy(img[start:], p[start:])
+	upper := uint16(PageSize)
+	n := p.slotCount()
 	for i := uint16(0); i < n; i++ {
 		off, length := p.slot(i)
 		if off == 0 {
 			continue
 		}
-		rec := make([]byte, length)
-		copy(rec, p[off:off+length])
-		lives = append(lives, live{i, rec})
-	}
-	upper := uint16(PageSize)
-	for _, l := range lives {
-		upper -= uint16(len(l.rec))
-		copy(p[upper:], l.rec)
-		p.setSlot(l.slot, upper, uint16(len(l.rec)))
+		upper -= length
+		copy(p[upper:], img[off:off+length])
+		p.setSlot(i, upper, length)
 	}
 	p.setFreeUpper(upper)
 }

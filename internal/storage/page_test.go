@@ -164,6 +164,108 @@ func TestPageUpdateTooBigReturnsPageFull(t *testing.T) {
 	}
 }
 
+// fullPageWithDeadSpace fills a page with 1000-byte records and deletes
+// slots 1 and 2. Its free window is then 152 bytes and the live records
+// other than slot 0 hold 5000 bytes, so slot 0 can grow to
+// PageSize-header-directory-5000 = 3152 bytes in place, but only by
+// compacting and only once its own 1000-byte image is left out.
+func fullPageWithDeadSpace(t testing.TB) Page {
+	t.Helper()
+	var p Page
+	p.Init()
+	for {
+		if _, err := p.Insert(bytes.Repeat([]byte{'a' + byte(p.NumSlots())}, 1000)); errors.Is(err, ErrPageFull) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.NumSlots() != 8 {
+		t.Fatalf("filled %d slots, want 8", p.NumSlots())
+	}
+	for _, s := range []uint16{1, 2} {
+		if err := p.Delete(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// pageLiveBytes sums the live records through the public API.
+func pageLiveBytes(p *Page) int {
+	live := 0
+	p.LiveRecords(func(_ uint16, rec []byte) bool {
+		live += len(rec)
+		return true
+	})
+	return live
+}
+
+func TestPageCompactingUpdateAllocatesNothing(t *testing.T) {
+	tmpl := fullPageWithDeadSpace(t)
+	big := bytes.Repeat([]byte("G"), 2500)
+	if window := int(tmpl.freeUpper()) - int(tmpl.freeLower()); window >= len(big) {
+		t.Fatalf("free window %d already fits %d bytes: the update would not compact", window, len(big))
+	}
+	var p Page
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		p = tmpl
+		err = p.Update(0, big)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := p.Get(0); !bytes.Equal(got, big) {
+		t.Fatal("compacting update stored the wrong image")
+	}
+	if allocs != 0 {
+		t.Fatalf("compacting update allocated %v times, want 0", allocs)
+	}
+}
+
+func TestPageUpdateThatCannotFitLeavesPageUntouched(t *testing.T) {
+	p := fullPageWithDeadSpace(t)
+	before := p
+	if err := p.Update(0, make([]byte, 3153)); !errors.Is(err, ErrPageFull) {
+		t.Fatalf("err = %v, want ErrPageFull", err)
+	}
+	if p != before {
+		t.Fatal("an update that cannot fit changed the page image")
+	}
+	// One byte less fits, and every other record survives the compaction.
+	want := map[uint16][]byte{}
+	p.LiveRecords(func(slot uint16, rec []byte) bool {
+		want[slot] = append([]byte(nil), rec...)
+		return true
+	})
+	want[0] = bytes.Repeat([]byte("F"), 3152)
+	if err := p.Update(0, want[0]); err != nil {
+		t.Fatalf("3152-byte update: %v", err)
+	}
+	for slot, rec := range want {
+		if got, _ := p.Get(slot); !bytes.Equal(got, rec) {
+			t.Fatalf("slot %d changed by the compacting update", slot)
+		}
+	}
+	if p.FreeSpace() != 0 {
+		t.Fatalf("FreeSpace = %d after filling the page exactly, want 0", p.FreeSpace())
+	}
+}
+
+func TestPageCompactingUpdateDropsOldImage(t *testing.T) {
+	p := fullPageWithDeadSpace(t)
+	// 2000 bytes would fit even beside the old 1000-byte image; the
+	// compaction must still drop that image.
+	if err := p.Update(0, bytes.Repeat([]byte("G"), 2000)); err != nil {
+		t.Fatal(err)
+	}
+	want := PageSize - pageHeaderSize - p.NumSlots()*slotSize - pageLiveBytes(&p) - slotSize
+	if got := p.FreeSpace(); got != want {
+		t.Fatalf("FreeSpace = %d, want %d: the replaced image survived as dead space", got, want)
+	}
+}
+
 func TestPageLiveRecordsOrderAndEarlyStop(t *testing.T) {
 	var p Page
 	p.Init()

@@ -21,36 +21,19 @@ func (p *Page) PlaceAt(slot uint16, rec []byte) error {
 			return p.Update(slot, rec)
 		}
 		// Tombstone: resurrect it.
-		return p.placeIntoFree(slot, rec)
+		return p.placeIntoFree(slot, rec, 0)
 	}
 	// Grow the directory through slot, new entries tombstoned.
 	grow := int(slot-n+1) * slotSize
-	if int(p.freeUpper())-int(p.freeLower()) < grow+len(rec) {
-		p.Compact()
-		if int(p.freeUpper())-int(p.freeLower()) < grow+len(rec) {
-			return ErrPageFull
-		}
+	if !p.makeRoom(grow + len(rec)) {
+		return ErrPageFull
 	}
 	for i := n; i <= slot; i++ {
 		p.setSlot(i, 0, 0)
 	}
 	p.setSlotCount(slot + 1)
 	p.setFreeLower(p.freeLower() + uint16(grow))
-	return p.placeIntoFree(slot, rec)
-}
-
-func (p *Page) placeIntoFree(slot uint16, rec []byte) error {
-	if int(p.freeUpper())-int(p.freeLower()) < len(rec) {
-		p.Compact()
-		if int(p.freeUpper())-int(p.freeLower()) < len(rec) {
-			return ErrPageFull
-		}
-	}
-	newUpper := p.freeUpper() - uint16(len(rec))
-	copy(p[newUpper:], rec)
-	p.setFreeUpper(newUpper)
-	p.setSlot(slot, newUpper, uint16(len(rec)))
-	return nil
+	return p.placeIntoFree(slot, rec, 0)
 }
 
 // PlaceAt redoes an insert or update image at rid, allocating pages up

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"maps"
 	"path/filepath"
 	"testing"
 )
@@ -84,5 +85,82 @@ func TestHeapDeleteIfLiveIdempotent(t *testing.T) {
 	}
 	if h.NumRecords() != 0 {
 		t.Fatalf("NumRecords = %d", h.NumRecords())
+	}
+}
+
+// TestHeapPlaceAtRedoesUpdateThatFitsWithoutOldImage replays, as crash
+// recovery does, a history whose last update grows a record on a full
+// page: it fits in place only because compaction leaves the replaced
+// image out. The redo must place it at the same RID, and the recovered
+// heap must equal the original.
+func TestHeapPlaceAtRedoesUpdateThatFitsWithoutOldImage(t *testing.T) {
+	dir := t.TempDir()
+	orig, err := OpenHeapFile(filepath.Join(dir, "orig.heap"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orig.Close()
+	type step struct {
+		rid RID
+		rec []byte // nil: delete
+	}
+	var history []step
+	for i := 0; i < 8; i++ {
+		rec := bytes.Repeat([]byte{'a' + byte(i)}, 1000)
+		rid, err := orig.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid.Page != 0 {
+			t.Fatalf("record %d landed on page %d, want one full page", i, rid.Page)
+		}
+		history = append(history, step{rid, rec})
+	}
+	for _, s := range history[1:3] {
+		if err := orig.Delete(s.rid); err != nil {
+			t.Fatal(err)
+		}
+		history = append(history, step{s.rid, nil})
+	}
+	grown := bytes.Repeat([]byte("G"), 3000)
+	rid, err := orig.Update(history[0].rid, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rid != history[0].rid {
+		t.Fatalf("update relocated %v to %v; it fits once the old image is left out", history[0].rid, rid)
+	}
+	history = append(history, step{rid, grown})
+
+	redo, err := OpenHeapFile(filepath.Join(dir, "redo.heap"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer redo.Close()
+	for _, s := range history {
+		if s.rec == nil {
+			err = redo.DeleteIfLive(s.rid)
+		} else {
+			err = redo.PlaceAt(s.rid, s.rec)
+		}
+		if err != nil {
+			t.Fatalf("redo %v: %v", s.rid, err)
+		}
+	}
+	heapImage := func(h *HeapFile) map[RID]string {
+		m := map[RID]string{}
+		if err := h.Scan(func(rid RID, rec []byte) (bool, error) {
+			m[rid] = string(rec)
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if want, got := heapImage(orig), heapImage(redo); !maps.Equal(got, want) || len(got) != 6 {
+		t.Fatalf("recovered heap has %d records, original %d, or they differ", len(got), len(want))
+	}
+	if redo.NumRecords() != orig.NumRecords() {
+		t.Fatalf("NumRecords = %d after redo, want %d", redo.NumRecords(), orig.NumRecords())
 	}
 }

@@ -287,19 +287,6 @@ func (q *Queue) Ack() error {
 	return nil
 }
 
-// ackLocked writes the ack position with q.mu held across the file I/O
-// (the pre-group-sync behaviour). sync gates the pre-rename fsync;
-// production uses Ack. This path survives only so the crash-consistency
-// tests can demonstrate the data-loss window the fsync closes, against
-// a deterministic single-threaded op schedule.
-func (q *Queue) ackLocked(sync bool) error {
-	if err := q.writeAckFile(q.readPos.Load(), sync); err != nil {
-		return err
-	}
-	q.ackPos.Store(q.readPos.Load())
-	return nil
-}
-
 // writeAckFile persists pos via temp file [+ fsync] + rename.
 func (q *Queue) writeAckFile(pos int64, sync bool) error {
 	var buf [8]byte

@@ -21,6 +21,19 @@ func appendN(t *testing.T, q *Queue, n int) [][]byte {
 	return msgs
 }
 
+// ackLocked writes the ack position with q.mu held across the file I/O
+// (the pre-group-sync behaviour); sync gates the pre-rename fsync.
+// Production uses Ack. It exists so TestAckWithoutFsyncLosesPosition can
+// demonstrate the data-loss window the fsync closes, against a
+// deterministic single-threaded op schedule.
+func (q *Queue) ackLocked(sync bool) error {
+	if err := q.writeAckFile(q.readPos.Load(), sync); err != nil {
+		return err
+	}
+	q.ackPos.Store(q.readPos.Load())
+	return nil
+}
+
 // TestAckSurvivesCrash proves the fixed Ack path: the acknowledged
 // position is durable across power loss, so a rebooted consumer resumes
 // exactly at the first unacknowledged message — never earlier, never

@@ -42,6 +42,11 @@ func PartsSchema() *catalog.Schema {
 // statuses cycle through plausible part states.
 var statuses = []string{"new", "active", "hold", "revised", "retired"}
 
+// Status returns the i-th of the five part states, cycling; PartRow
+// gives part id its Status(id). They are 3 to 7 bytes long, so updating
+// a row's status can grow its record.
+func Status(i int64) string { return statuses[i%int64(len(statuses))] }
+
 // payloadLen pads the encoded tuple to RecordBytes:
 // bitmap(1) + id(8) + status len+bytes + qty(8) + ts(8) + payload len+bytes.
 func payloadLen(status string) int {
@@ -58,7 +63,7 @@ func payloadLen(status string) int {
 // PartRow builds the 100-byte record for a part id. Deterministic given
 // (id, ts) so workloads are reproducible.
 func PartRow(id int64, ts time.Time) catalog.Tuple {
-	status := statuses[id%int64(len(statuses))]
+	status := Status(id)
 	pl := payloadLen(status)
 	payload := strings.Repeat(string(rune('a'+id%26)), pl)
 	return catalog.Tuple{
