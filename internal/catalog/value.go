@@ -221,7 +221,12 @@ func quoteSQLString(s string) string {
 
 // Compare orders two values of the same type. NULL sorts before all
 // non-NULL values. It returns -1, 0 or +1, and an error on type mismatch.
-func Compare(a, b Value) (int, error) {
+func Compare(a, b Value) (int, error) { return ComparePtr(&a, &b) }
+
+// ComparePtr is Compare on values it reads in place, for callers that
+// compare values held in slices (index probes) and would otherwise copy
+// both on every call.
+func ComparePtr(a, b *Value) (int, error) {
 	// NULL ordering is decided before any numeric promotion so that a
 	// NULL Int64 and a NULL Float64 behave identically.
 	an, bn := a.IsNull(), b.IsNull()
@@ -236,9 +241,11 @@ func Compare(a, b Value) (int, error) {
 	if a.typ != b.typ {
 		// Permit int/float comparison, promoting int to float.
 		if a.typ == TypeInt64 && b.typ == TypeFloat64 {
-			a = NewFloat(float64(a.i))
+			p := NewFloat(float64(a.i))
+			a = &p
 		} else if a.typ == TypeFloat64 && b.typ == TypeInt64 {
-			b = NewFloat(float64(b.i))
+			p := NewFloat(float64(b.i))
+			b = &p
 		} else {
 			return 0, fmt.Errorf("catalog: cannot compare %s with %s", a.typ, b.typ)
 		}
@@ -271,7 +278,7 @@ func Compare(a, b Value) (int, error) {
 // Equal reports whether two values are equal under Compare semantics.
 // Values of incomparable types are unequal.
 func Equal(a, b Value) bool {
-	c, err := Compare(a, b)
+	c, err := ComparePtr(&a, &b)
 	return err == nil && c == 0
 }
 

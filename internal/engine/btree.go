@@ -55,8 +55,8 @@ func newBtree() *btree {
 
 // mustCompare panics on incomparable keys: the index only ever sees one
 // column's type, so a mismatch is an engine bug, not user error.
-func mustCompare(a, b catalog.Value) int {
-	c, err := catalog.Compare(a, b)
+func mustCompare(a, b *catalog.Value) int {
+	c, err := catalog.ComparePtr(a, b)
 	if err != nil {
 		panic(fmt.Sprintf("engine: index key comparison: %v", err))
 	}
@@ -64,11 +64,11 @@ func mustCompare(a, b catalog.Value) int {
 }
 
 // search returns the first index i in keys with keys[i] >= key.
-func searchKeys(keys []catalog.Value, key catalog.Value) int {
+func searchKeys(keys []catalog.Value, key *catalog.Value) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if mustCompare(keys[mid], key) < 0 {
+		if mustCompare(&keys[mid], key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -121,8 +121,8 @@ func (t *btree) Descend(fn func(catalog.Value, storage.RID) bool) {
 var errDuplicateKey = fmt.Errorf("engine: duplicate key in unique index")
 
 func (l *leaf) insert(key catalog.Value, rid storage.RID) (catalog.Value, node, bool, error) {
-	i := searchKeys(l.keys, key)
-	if i < len(l.keys) && mustCompare(l.keys[i], key) == 0 {
+	i := searchKeys(l.keys, &key)
+	if i < len(l.keys) && mustCompare(&l.keys[i], &key) == 0 {
 		return catalog.Value{}, nil, false, errDuplicateKey
 	}
 	l.keys = append(l.keys, catalog.Value{})
@@ -145,16 +145,16 @@ func (l *leaf) insert(key catalog.Value, rid storage.RID) (catalog.Value, node, 
 }
 
 func (l *leaf) get(key catalog.Value) (storage.RID, bool) {
-	i := searchKeys(l.keys, key)
-	if i < len(l.keys) && mustCompare(l.keys[i], key) == 0 {
+	i := searchKeys(l.keys, &key)
+	if i < len(l.keys) && mustCompare(&l.keys[i], &key) == 0 {
 		return l.rids[i], true
 	}
 	return storage.InvalidRID, false
 }
 
 func (l *leaf) del(key catalog.Value) bool {
-	i := searchKeys(l.keys, key)
-	if i < len(l.keys) && mustCompare(l.keys[i], key) == 0 {
+	i := searchKeys(l.keys, &key)
+	if i < len(l.keys) && mustCompare(&l.keys[i], &key) == 0 {
 		l.keys = append(l.keys[:i], l.keys[i+1:]...)
 		l.rids = append(l.rids[:i], l.rids[i+1:]...)
 		return true
@@ -165,10 +165,10 @@ func (l *leaf) del(key catalog.Value) bool {
 func (l *leaf) scan(lo, hi *catalog.Value, fn func(catalog.Value, storage.RID) bool) bool {
 	start := 0
 	if lo != nil {
-		start = searchKeys(l.keys, *lo)
+		start = searchKeys(l.keys, lo)
 	}
 	for i := start; i < len(l.keys); i++ {
-		if hi != nil && mustCompare(l.keys[i], *hi) > 0 {
+		if hi != nil && mustCompare(&l.keys[i], hi) > 0 {
 			return false
 		}
 		if !fn(l.keys[i], l.rids[i]) {
@@ -187,16 +187,16 @@ func (l *leaf) scanDesc(fn func(catalog.Value, storage.RID) bool) bool {
 	return true
 }
 
-func (n *inner) childFor(key catalog.Value) int {
+func (n *inner) childFor(key *catalog.Value) int {
 	i := searchKeys(n.keys, key)
-	if i < len(n.keys) && mustCompare(n.keys[i], key) == 0 {
+	if i < len(n.keys) && mustCompare(&n.keys[i], key) == 0 {
 		return i + 1 // separators live in the right subtree
 	}
 	return i
 }
 
 func (n *inner) insert(key catalog.Value, rid storage.RID) (catalog.Value, node, bool, error) {
-	ci := n.childFor(key)
+	ci := n.childFor(&key)
 	sep, right, grew, err := n.children[ci].insert(key, rid)
 	if err != nil {
 		return catalog.Value{}, nil, false, err
@@ -224,20 +224,20 @@ func (n *inner) insert(key catalog.Value, rid storage.RID) (catalog.Value, node,
 }
 
 func (n *inner) get(key catalog.Value) (storage.RID, bool) {
-	return n.children[n.childFor(key)].get(key)
+	return n.children[n.childFor(&key)].get(key)
 }
 
 func (n *inner) del(key catalog.Value) bool {
-	return n.children[n.childFor(key)].del(key)
+	return n.children[n.childFor(&key)].del(key)
 }
 
 func (n *inner) scan(lo, hi *catalog.Value, fn func(catalog.Value, storage.RID) bool) bool {
 	start := 0
 	if lo != nil {
-		start = n.childFor(*lo)
+		start = n.childFor(lo)
 	}
 	for i := start; i < len(n.children); i++ {
-		if i > 0 && hi != nil && mustCompare(n.keys[i-1], *hi) > 0 {
+		if i > 0 && hi != nil && mustCompare(&n.keys[i-1], hi) > 0 {
 			return true
 		}
 		if !n.children[i].scan(lo, hi, fn) {

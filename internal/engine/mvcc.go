@@ -551,7 +551,7 @@ func (db *DB) sweepUnseen(t *Table, readLSN uint64, seen map[string]struct{}) ([
 		out = append(out, tup)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return mustCompare(out[i][t.PKCol], out[j][t.PKCol]) < 0
+		return mustCompare(&out[i][t.PKCol], &out[j][t.PKCol]) < 0
 	})
 	return out, nil
 }
@@ -573,10 +573,10 @@ func (db *DB) snapshotRange(tx *Tx, t *Table, kr *keyRange, emit func(catalog.Tu
 	var cands []cand
 	have := make(map[string]int)
 	t.RangePK(kr.lo, kr.hi, func(k catalog.Value, rid storage.RID) bool {
-		if kr.loX && kr.lo != nil && mustCompare(k, *kr.lo) == 0 {
+		if kr.loX && kr.lo != nil && mustCompare(&k, kr.lo) == 0 {
 			return true
 		}
-		if kr.hiX && kr.hi != nil && mustCompare(k, *kr.hi) == 0 {
+		if kr.hiX && kr.hi != nil && mustCompare(&k, kr.hi) == 0 {
 			return true
 		}
 		ks := versionKey(k)
@@ -605,7 +605,7 @@ func (db *DB) snapshotRange(tx *Tx, t *Table, kr *keyRange, emit func(catalog.Tu
 		}
 		cands = append(cands, cand{key: k, keyStr: versionKey(k)})
 	}
-	sort.Slice(cands, func(i, j int) bool { return mustCompare(cands[i].key, cands[j].key) < 0 })
+	sort.Slice(cands, func(i, j int) bool { return mustCompare(&cands[i].key, &cands[j].key) < 0 })
 	for _, c := range cands {
 		// Heap first, chain second — same race contract as the scan path.
 		var heapTup catalog.Tuple
@@ -648,13 +648,13 @@ func (db *DB) snapshotRange(tx *Tx, t *Table, kr *keyRange, emit func(catalog.Tu
 // contains reports whether k lies inside the range.
 func (kr *keyRange) contains(k catalog.Value) bool {
 	if kr.lo != nil {
-		c := mustCompare(k, *kr.lo)
+		c := mustCompare(&k, kr.lo)
 		if c < 0 || (c == 0 && kr.loX) {
 			return false
 		}
 	}
 	if kr.hi != nil {
-		c := mustCompare(k, *kr.hi)
+		c := mustCompare(&k, kr.hi)
 		if c > 0 || (c == 0 && kr.hiX) {
 			return false
 		}

@@ -146,14 +146,14 @@ func mergeRanges(a, b *keyRange) *keyRange {
 	if b.lo != nil {
 		if out.lo == nil {
 			out.lo, out.loX = b.lo, b.loX
-		} else if c := mustCompare(*b.lo, *out.lo); c > 0 || (c == 0 && b.loX) {
+		} else if c := mustCompare(b.lo, out.lo); c > 0 || (c == 0 && b.loX) {
 			out.lo, out.loX = b.lo, b.loX
 		}
 	}
 	if b.hi != nil {
 		if out.hi == nil {
 			out.hi, out.hiX = b.hi, b.hiX
-		} else if c := mustCompare(*b.hi, *out.hi); c < 0 || (c == 0 && b.hiX) {
+		} else if c := mustCompare(b.hi, out.hi); c < 0 || (c == 0 && b.hiX) {
 			out.hi, out.hiX = b.hi, b.hiX
 		}
 	}
@@ -178,10 +178,10 @@ func (kr *keyRange) keysetRange() keyset.KeyRange {
 func (kr *keyRange) rangeRIDs(t *Table) []storage.RID {
 	var out []storage.RID
 	t.RangePK(kr.lo, kr.hi, func(k catalog.Value, rid storage.RID) bool {
-		if kr.loX && kr.lo != nil && mustCompare(k, *kr.lo) == 0 {
+		if kr.loX && kr.lo != nil && mustCompare(&k, kr.lo) == 0 {
 			return true
 		}
-		if kr.hiX && kr.hi != nil && mustCompare(k, *kr.hi) == 0 {
+		if kr.hiX && kr.hi != nil && mustCompare(&k, kr.hi) == 0 {
 			return true
 		}
 		out = append(out, rid)

@@ -59,6 +59,12 @@ func TestPoolShardedConcurrentAccess(t *testing.T) {
 		ids[i] = id
 		p.Unpin(id, true)
 	}
+	// The pool only promises frame bookkeeping safety; page bytes are the
+	// caller's to guard, as the heap does with its page latches. Writers
+	// share this lock, so they still run beside each other, and the
+	// flusher takes it alone, so it never writes back a page image a
+	// writer is changing.
+	var imageMu sync.RWMutex
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -66,12 +72,13 @@ func TestPoolShardedConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Each goroutine owns a disjoint page slice: in the engine,
-			// table locks keep two writers off one page image, and the
-			// pool itself only promises frame bookkeeping safety.
+			// table locks keep two writers off one page image.
 			for i := 0; i < 400; i++ {
 				id := ids[g*(pages/8)+i%(pages/8)]
+				imageMu.RLock()
 				pg, err := p.Fetch(id)
 				if err != nil {
+					imageMu.RUnlock()
 					t.Error(err)
 					return
 				}
@@ -81,6 +88,7 @@ func TestPoolShardedConcurrentAccess(t *testing.T) {
 				} else {
 					p.Unpin(id, false)
 				}
+				imageMu.RUnlock()
 			}
 		}()
 	}
@@ -88,7 +96,10 @@ func TestPoolShardedConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if err := p.FlushAll(); err != nil {
+			imageMu.Lock()
+			err := p.FlushAll()
+			imageMu.Unlock()
+			if err != nil {
 				t.Error(err)
 				return
 			}

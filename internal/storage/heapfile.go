@@ -30,9 +30,11 @@ type HeapFile struct {
 	mu   sync.Mutex
 	disk *DiskManager
 	pool *BufferPool
-	// freeHint maps pageID -> last observed free bytes. It is a hint:
-	// stale entries are corrected on the next insert attempt.
-	freeHint map[PageID]int
+	// freeHint holds each page's last observed free bytes, indexed by
+	// page id (ids are dense, 0..NumPages-1; a page past its end reads
+	// as 0). It is a hint: stale entries are corrected on the next
+	// insert attempt.
+	freeHint []int
 	// pinned maps tombstoned slots to the owner (transaction id) that
 	// freed them. Inserts by OTHER owners must not reuse a pinned slot:
 	// the freeing transaction's rollback restores the record at exactly
@@ -91,11 +93,11 @@ func OpenHeapFileFS(fsys fault.FS, path string, poolPages int) (*HeapFile, error
 		return nil, err
 	}
 	h := &HeapFile{
-		disk:     disk,
-		pool:     NewBufferPool(disk, poolPages),
-		freeHint: make(map[PageID]int),
+		disk: disk,
+		pool: NewBufferPool(disk, poolPages),
 	}
 	n := disk.NumPages()
+	h.freeHint = make([]int, n)
 	var p Page
 	for id := PageID(0); id < n; id++ {
 		if err := disk.ReadPage(id, &p); err != nil {
@@ -135,10 +137,11 @@ func (h *HeapFile) InsertOwned(rec []byte, owner uint64) (RID, error) {
 	defer h.mu.Unlock()
 	// Try pages the hint claims can hold the record, newest first
 	// (recent pages are most likely still buffered).
-	n := h.disk.NumPages()
+	need := len(rec) + slotSize
+	n := min(h.disk.NumPages(), PageID(len(h.freeHint)))
 	for id := n; id > 0; {
 		id--
-		if h.freeHint[id] < len(rec)+slotSize {
+		if h.freeHint[id] < need {
 			continue
 		}
 		rid, err := h.insertIntoLocked(id, rec, owner)
@@ -165,11 +168,20 @@ func (h *HeapFile) InsertOwned(rec []byte, owner uint64) (RID, error) {
 		l.Unlock()
 		return InvalidRID, err
 	}
-	h.freeHint[id] = page.FreeSpace()
+	h.setHint(id, page.FreeSpace())
 	h.pool.Unpin(id, true)
 	l.Unlock()
 	h.nlive++
 	return RID{Page: id, Slot: slot}, nil
+}
+
+// setHint records id's free bytes, extending freeHint to cover id.
+// Caller holds h.mu.
+func (h *HeapFile) setHint(id PageID, free int) {
+	for PageID(len(h.freeHint)) <= id {
+		h.freeHint = append(h.freeHint, 0)
+	}
+	h.freeHint[id] = free
 }
 
 // slotPin is one pinned slot: the transaction that freed it and the
@@ -248,11 +260,11 @@ func (h *HeapFile) insertIntoLocked(id PageID, rec []byte, owner uint64) (RID, e
 	}
 	slot, err := page.InsertAvoid(rec, h.avoidFn(id, owner), h.reserveLocked(id, owner))
 	if err != nil {
-		h.freeHint[id] = page.FreeSpace()
+		h.setHint(id, page.FreeSpace())
 		h.pool.Unpin(id, false)
 		return InvalidRID, err
 	}
-	h.freeHint[id] = page.FreeSpace()
+	h.setHint(id, page.FreeSpace())
 	h.pool.Unpin(id, true)
 	h.nlive++
 	return RID{Page: id, Slot: slot}, nil
@@ -307,7 +319,7 @@ func (h *HeapFile) delete(rid RID, owner uint64, pin bool) error {
 		h.pinLocked(rid, owner, len(old))
 	}
 	page.Delete(rid.Slot)
-	h.freeHint[rid.Page] = page.FreeSpace()
+	h.setHint(rid.Page, page.FreeSpace())
 	h.pool.Unpin(rid.Page, true)
 	h.nlive--
 	return nil
@@ -399,7 +411,7 @@ func (h *HeapFile) update(rid RID, rec []byte, owner uint64, pin bool) (RID, err
 		h.pinLocked(rid, owner, len(old))
 	}
 	page.Delete(rid.Slot)
-	h.freeHint[rid.Page] = page.FreeSpace()
+	h.setHint(rid.Page, page.FreeSpace())
 	h.pool.Unpin(rid.Page, true)
 	l.Unlock()
 	h.nlive--
@@ -485,7 +497,7 @@ func (h *HeapFile) DirectLoad(recs [][]byte) ([]RID, error) {
 	rids := make([]RID, 0, len(recs))
 	for i, ss := range slots {
 		id := first + PageID(i)
-		h.freeHint[id] = pages[i].FreeSpace()
+		h.setHint(id, pages[i].FreeSpace())
 		for _, s := range ss {
 			rids = append(rids, RID{Page: id, Slot: s})
 		}

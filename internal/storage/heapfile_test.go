@@ -442,3 +442,68 @@ func TestHeapKeepsPinnedBytesForRollback(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkHeapInsertIntoFullFile measures the free-space search. Every
+// page of the file is full except page 0, so each insert passes over
+// every other page's hint, newest first, before it lands there. The
+// record is deleted again, and page 0 is compacted whenever the dead
+// records have used up its free window, so the next insert finds room
+// in the same place.
+func BenchmarkHeapInsertIntoFullFile(b *testing.B) {
+	rec := bytes.Repeat([]byte("r"), 1000)
+	var probe Page
+	probe.Init()
+	perPage := 0
+	for {
+		if _, err := probe.Insert(rec); err != nil {
+			break
+		}
+		perPage++
+	}
+	for _, pages := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			h, err := OpenHeapFile(filepath.Join(b.TempDir(), "b.heap"), 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer h.Close()
+			// Page 0 holds one record; pages 1.. are packed full.
+			if _, err := h.DirectLoad([][]byte{rec}); err != nil {
+				b.Fatal(err)
+			}
+			recs := make([][]byte, (pages-1)*perPage)
+			for i := range recs {
+				recs[i] = rec
+			}
+			if _, err := h.DirectLoad(recs); err != nil {
+				b.Fatal(err)
+			}
+			if h.NumPages() != PageID(pages) {
+				b.Fatalf("loaded %d pages, want %d", h.NumPages(), pages)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rid, err := h.Insert(rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rid.Page != 0 {
+					b.Fatalf("insert went to %v, want page 0", rid)
+				}
+				if err := h.Delete(rid); err != nil {
+					b.Fatal(err)
+				}
+				if h.freeHint[0] < len(rec)+slotSize {
+					pg, err := h.pool.Fetch(0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pg.Compact()
+					h.freeHint[0] = pg.FreeSpace()
+					h.pool.Unpin(0, true)
+				}
+			}
+		})
+	}
+}

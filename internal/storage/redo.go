@@ -47,7 +47,7 @@ func (h *HeapFile) PlaceAt(rid RID, rec []byte) error {
 		if err != nil {
 			return err
 		}
-		h.freeHint[id] = page.FreeSpace()
+		h.setHint(id, page.FreeSpace())
 		h.pool.Unpin(id, true)
 	}
 	l := h.latch(rid.Page)
@@ -66,7 +66,7 @@ func (h *HeapFile) PlaceAt(rid RID, rec []byte) error {
 		l.Unlock()
 		return fmt.Errorf("storage: redo place at %v: %w", rid, err)
 	}
-	h.freeHint[rid.Page] = page.FreeSpace()
+	h.setHint(rid.Page, page.FreeSpace())
 	h.pool.Unpin(rid.Page, true)
 	l.Unlock()
 	if !wasLive {
@@ -99,7 +99,7 @@ func (h *HeapFile) DeleteIfLive(rid RID) error {
 		h.pool.Unpin(rid.Page, false)
 		return err
 	}
-	h.freeHint[rid.Page] = page.FreeSpace()
+	h.setHint(rid.Page, page.FreeSpace())
 	h.pool.Unpin(rid.Page, true)
 	h.nlive--
 	return nil

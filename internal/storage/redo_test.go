@@ -65,6 +65,15 @@ func TestHeapPlaceAtAllocatesMissingPages(t *testing.T) {
 	if h.NumRecords() != 1 {
 		t.Fatalf("NumRecords after replay = %d", h.NumRecords())
 	}
+	// The grown pages carry free-space hints: an insert finds room on the
+	// newest of them without allocating a fourth.
+	ins, err := h.Insert([]byte("after-redo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.Page != 2 || h.NumPages() != 3 {
+		t.Fatalf("insert after redo went to %v with %d pages, want page 2 of 3", ins, h.NumPages())
+	}
 }
 
 func TestHeapDeleteIfLiveIdempotent(t *testing.T) {
