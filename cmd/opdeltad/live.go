@@ -8,17 +8,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sync"
 	"syscall"
 	"time"
 
+	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
 	"opdelta/internal/obs"
-	"opdelta/internal/opdelta"
-	"opdelta/internal/transport"
-	"opdelta/internal/wal"
-	"opdelta/internal/warehouse"
 )
 
 // diagOpts carries the diagnostics flags shared by every long-running
@@ -68,15 +64,15 @@ func serveObs(addr string, reg *obs.Registry, tracer *obs.Tracer, spans *obs.Spa
 	return url, nil
 }
 
-// runLive drives the whole delta pipeline inside one process: a load
-// generator issues DML against the source through the Op-Delta capture
-// wrapper, a shipper reads the op log and appends encoded ops to the
-// persistent transport queue, and an applier drains the queue into a
-// warehouse (replica + projection view) through the parallel
-// integrator. Every op carries a lifecycle trace — captured, enqueued,
-// dequeued, locked, applied, durable — so /metrics reports live
-// freshness lag and per-stage latency while the pipeline runs.
-func runLive(srcDir, outDir, metricsAddr string, rate int, duration time.Duration, d diagOpts) error {
+// runLive drives the whole delta pipeline inside one process: the
+// warehouse side of -serve and the source side of -ship, connected
+// through a loopback listener and sharing one registry, one lifecycle
+// tracer and one span tracer. Every op is traced captured → enqueued →
+// dequeued → locked → applied → durable, so /metrics reports live
+// freshness lag and per-stage latency while the pipeline runs. The
+// on-disk layout is -serve's (out/topics/<source>, out/wh-<source>),
+// and a restart over the same -src/-out resumes exactly once.
+func runLive(outDir, metricsAddr string, o shipOpts, duration time.Duration, d diagOpts) error {
 	reg := obs.Default()
 	tracer := obs.NewTracer(reg, 512)
 	spans := newSpanTracer(reg, d)
@@ -85,279 +81,91 @@ func runLive(srcDir, outDir, metricsAddr string, rate int, duration time.Duratio
 			return err
 		}
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-
-	// Full-durability commits on both ends: every commit waits for a WAL
-	// fsync (group-committed across the parallel appliers), which is the
-	// configuration the cohort-size and fsync-latency histograms are
-	// meant to characterize.
-	src, err := engine.Open(srcDir, engine.Options{Obs: reg, ObsDB: "src", WALSync: wal.SyncFull})
+	srv, err := startServer("127.0.0.1:0", outDir, reg, tracer, spans)
 	if err != nil {
 		return err
 	}
-	defer src.Close()
-	if _, err := src.Table("parts"); err != nil {
-		const ddl = `CREATE TABLE parts (
-			part_id BIGINT NOT NULL, status VARCHAR, qty BIGINT, last_modified TIMESTAMP
-		) PRIMARY KEY (part_id) TIMESTAMP COLUMN (last_modified)`
-		if _, err := src.Exec(nil, ddl); err != nil {
-			return err
-		}
-	}
-	tbl, err := src.Table("parts")
+	src, err := startSource(srv.lis.Addr().String(), o, reg, spans)
 	if err != nil {
-		return err
+		return errors.Join(err, srv.drain())
 	}
-	view := opdelta.ViewDef{
-		Name: "slim_parts", Source: "parts",
-		Project:  []string{"part_id", "status"},
-		SourcePK: "part_id", SourceTS: "last_modified",
-	}
-	oplog, err := opdelta.NewTableLog(src)
-	if err != nil {
-		return err
-	}
-	capture := &opdelta.Capture{DB: src, Log: oplog, Analyzer: opdelta.NewAnalyzer(view), Obs: reg}
+	waitStop(duration, srv.errs.failed, src.errs.failed)
+	// Source first: its shipper flushes the in-flight window, then the
+	// server's appliers drain everything it acked.
+	return errors.Join(src.drain(), srv.drain())
+}
 
-	queue, err := transport.OpenQueueObs(nil, filepath.Join(outDir, "queue"), reg)
-	if err != nil {
-		return err
-	}
-	defer queue.Close()
+// partsDDL is the schema of the table every long-running mode
+// replicates, created on first start at the source and the warehouse.
+const partsDDL = `CREATE TABLE parts (
+	part_id BIGINT NOT NULL, status VARCHAR, qty BIGINT, last_modified TIMESTAMP
+) PRIMARY KEY (part_id) TIMESTAMP COLUMN (last_modified)`
 
-	whDB, err := engine.Open(filepath.Join(outDir, "wh"), engine.Options{Obs: reg, ObsDB: "wh", WALSync: wal.SyncFull})
-	if err != nil {
-		return err
+// ensureParts creates the parts table in db if it does not exist yet.
+func ensureParts(db *engine.DB) (*engine.Table, error) {
+	if tbl, err := db.Table("parts"); err == nil {
+		return tbl, nil
 	}
-	defer whDB.Close()
-	wh := warehouse.New(whDB)
-	if err := wh.RegisterReplica("parts", tbl.Schema, "part_id", "last_modified"); err != nil {
-		return err
+	if _, err := db.Exec(nil, partsDDL); err != nil {
+		return nil, err
 	}
-	if _, err := wh.RegisterView(view, tbl.Schema, nil); err != nil {
-		return err
-	}
-	integ := &warehouse.ParallelIntegrator{W: wh, Workers: 4}
+	return db.Table("parts")
+}
 
-	if rate <= 0 {
-		rate = 200
-	}
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+// schemaOf resolves table schemas from db for op encode and decode.
+func schemaOf(db *engine.DB) func(string) (*catalog.Schema, error) {
+	return func(table string) (*catalog.Schema, error) {
+		t, err := db.Table(table)
+		if err != nil {
+			return nil, err
 		}
-		errMu.Unlock()
-		cancel()
+		return t.Schema, nil
 	}
+}
 
-	// In-flight traces keyed by op Seq: Op.Trace does not survive the
-	// queue's Encode/DecodeOp round trip, so the applier re-attaches by
-	// sequence number.
-	var traces sync.Map
+// errOnce keeps the first error a pipeline's goroutines report; failed
+// closes when it is set.
+type errOnce struct {
+	mu     sync.Mutex
+	err    error
+	failed chan struct{}
+}
 
-	var wg sync.WaitGroup
+func (e *errOnce) set(err error) {
+	if err == nil {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.err == nil {
+		e.err = err
+		close(e.failed)
+	}
+}
 
-	// Load generator: inserts with occasional PK-targeted updates and
-	// deletes, all bounded footprints so the parallel integrator's
-	// key-range locking gets exercised.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(time.Second / time.Duration(rate))
-		defer ticker.Stop()
-		id := 0
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-			}
-			id++
-			stmt := fmt.Sprintf(`INSERT INTO parts (part_id, status, qty) VALUES (%d, 'new', %d)`, id, id%1000)
-			switch {
-			case id%8 == 0:
-				stmt = fmt.Sprintf(`UPDATE parts SET status = 'hot' WHERE part_id = %d`, id-4)
-			case id%16 == 9:
-				stmt = fmt.Sprintf(`DELETE FROM parts WHERE part_id = %d`, id-8)
-			}
-			if _, err := capture.Exec(nil, stmt); err != nil {
-				fail(err)
-				return
-			}
-		}
-	}()
+func (e *errOnce) get() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.err
+}
 
-	// Shipper: tail the op log, begin each op's trace at its capture
-	// timestamp, and append the encoded op to the queue.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(5 * time.Millisecond)
-		defer ticker.Stop()
-		var cursor uint64
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-			}
-			ops, err := oplog.Read(cursor)
-			if err != nil {
-				fail(err)
-				return
-			}
-			for _, op := range ops {
-				tr := tracer.Begin(op.Seq, op.Txn, op.Time)
-				// Single-process spans: same stages as the networked
-				// pipeline minus the wire, so /debug/spanz and the
-				// slow-span log work identically in live mode. No clock
-				// skew to correct — capture and apply share one clock.
-				if tid := obs.TraceID("live", op.Seq); spans.Sampled(tid) {
-					tr.SetOnDone(func(rec obs.TraceRecord) {
-						emitLocalSpans(spans, tid, "live", rec)
-					})
-				}
-				// Stamp and publish the trace before the append: the
-				// applier can dequeue the instant Append lands, and a
-				// post-append stamp would race it backwards.
-				tr.Enqueued()
-				traces.Store(op.Seq, tr)
-				enc, err := op.Encode(nil, tbl.Schema)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := queue.Append(enc); err != nil {
-					fail(err)
-					return
-				}
-				cursor = op.Seq
-			}
-		}
-	}()
-
-	// Applier: drain the queue in batches into the warehouse. The
-	// integrator stamps locked/applied/durable and completes each trace.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			var batch []*opdelta.Op
-			for len(batch) < 256 {
-				msg, err := queue.Next()
-				if errors.Is(err, transport.ErrEmpty) {
-					break
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				op, _, err := opdelta.DecodeOp(msg, tbl.Schema)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if v, ok := traces.LoadAndDelete(op.Seq); ok {
-					op.Trace = v.(*obs.Trace)
-					op.Trace.Dequeued()
-				}
-				batch = append(batch, op)
-			}
-			if len(batch) == 0 {
-				// Let a few source transactions accumulate: batches give
-				// the conflict scheduler something to overlap, and the
-				// queue holds a visible (non-zero) depth between drains.
-				time.Sleep(20 * time.Millisecond)
-				continue
-			}
-			if _, err := integ.Apply(batch); err != nil {
-				fail(err)
-				return
-			}
-			if err := queue.Ack(); err != nil {
-				fail(err)
-				return
-			}
-		}
-	}()
-
+// waitStop blocks until SIGINT/SIGTERM arrives, duration elapses (0 =
+// no limit), or either side's failed channel closes (nil never does).
+func waitStop(duration time.Duration, srvFailed, srcFailed <-chan struct{}) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 	var timeout <-chan time.Time
 	if duration > 0 {
-		t := time.NewTimer(duration)
-		defer t.Stop()
-		timeout = t.C
+		tm := time.NewTimer(duration)
+		defer tm.Stop()
+		timeout = tm.C
 	}
 	select {
 	case <-sig:
+		fmt.Println("opdeltad: signal received, draining")
 	case <-timeout:
-	case <-stop:
-	}
-	cancel()
-	wg.Wait()
-
-	snap := reg.Snapshot()
-	captured, applied, traced := 0.0, 0.0, 0.0
-	if m := snap.Get("opdelta_captured_total"); m != nil {
-		captured = m.Value
-	}
-	if m := snap.Get("warehouse_apply_txns_total", obs.L("integrator", "parallel")); m != nil {
-		applied = m.Value
-	}
-	if m := snap.Get("delta_traces_total"); m != nil {
-		traced = m.Value
-	}
-	fmt.Printf("opdeltad: live pipeline done: %d ops captured, %d warehouse txns applied, %d lifecycles traced\n",
-		int(captured), int(applied), int(traced))
-	errMu.Lock()
-	defer errMu.Unlock()
-	return firstErr
-}
-
-// emitLocalSpans converts a completed lifecycle trace into the span
-// chain the networked pipeline would have produced, for a pipeline that
-// runs in one process (one clock, no wire hops).
-func emitLocalSpans(spans *obs.SpanTracer, tid uint64, source string, rec obs.TraceRecord) {
-	capID := obs.SpanIDFor(tid, "capture")
-	queueID := obs.SpanIDFor(tid, "queue")
-	applyID := obs.SpanIDFor(tid, "apply")
-	durableID := obs.SpanIDFor(tid, "durable")
-	if rec.Enqueued != 0 {
-		spans.Record(obs.SpanRecord{TraceID: tid, SpanID: capID, Name: "capture",
-			Source: source, Seq: rec.Seq, StartUnixNs: rec.Captured, EndUnixNs: rec.Enqueued})
-	}
-	if rec.Enqueued != 0 && rec.Dequeued != 0 {
-		spans.Record(obs.SpanRecord{TraceID: tid, SpanID: queueID, ParentID: capID, Name: "queue",
-			Source: source, Seq: rec.Seq, StartUnixNs: rec.Enqueued, EndUnixNs: rec.Dequeued})
-	}
-	applyStart := rec.Locked
-	if applyStart == 0 {
-		applyStart = rec.Dequeued
-	}
-	if applyStart != 0 && rec.Applied != 0 {
-		spans.Record(obs.SpanRecord{TraceID: tid, SpanID: applyID, ParentID: queueID, Name: "apply",
-			Source: source, Seq: rec.Seq, StartUnixNs: applyStart, EndUnixNs: rec.Applied})
-	}
-	if rec.Applied != 0 && rec.Durable != 0 {
-		spans.Record(obs.SpanRecord{TraceID: tid, SpanID: durableID, ParentID: applyID, Name: "durable",
-			Source: source, Seq: rec.Seq, StartUnixNs: rec.Applied, EndUnixNs: rec.Durable})
-	}
-	if rec.Durable != 0 && rec.Captured != 0 {
-		spans.ObserveE2E(tid, source, rec.Seq, rec.Durable-rec.Captured)
+	case <-srvFailed:
+	case <-srcFailed:
 	}
 }

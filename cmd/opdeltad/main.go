@@ -26,11 +26,6 @@
 // /debug/pprof/ on the same mux. -tracesample and -slowspan control
 // span head-sampling and the slow-trace log threshold.
 //
-// With -live the daemon instead runs the full pipeline in-process —
-// load generation through Op-Delta capture, a persistent queue, and
-// parallel warehouse apply — stamping every delta's lifecycle so the
-// metrics endpoint reports live freshness lag (see live.go).
-//
 // With -serve the daemon is the warehouse side of networked
 // replication: it accepts shipper connections on -listen, lands op
 // batches in per-source durable topics under -out, and applies each
@@ -39,6 +34,13 @@
 // capture under -src, streamed to the server with acked resumable
 // delivery (see ship.go). Both drain gracefully on SIGINT/SIGTERM and
 // resume from the last acked durable LSN after a hard kill.
+//
+// With -live the daemon runs both sides in one process, connected over
+// a loopback listener (see live.go): source -source under -src, its
+// topic and warehouse under -out as -serve lays them out
+// (out/topics/<source>, out/wh-<source>). Every delta's lifecycle is
+// stamped, so the metrics endpoint reports live freshness lag, and a
+// restart over the same directories resumes exactly once.
 package main
 
 import (
@@ -69,15 +71,15 @@ func main() {
 		window     = flag.Int("window", 0, "snapshot method: window rows (0 = exact sort-merge)")
 		archive    = flag.Bool("archive", false, "log method: mine the archive directory instead of the live WAL")
 		metrics    = flag.String("metrics", "", "serve /metrics and /debug/deltaz on this address (port 0 picks a free port)")
-		live       = flag.Bool("live", false, "run the live capture->queue->warehouse pipeline under -out instead of extraction passes")
+		live       = flag.Bool("live", false, "run -serve and -ship in one process: capture under -src, topic and warehouse under -out")
 		loadgen    = flag.Int("loadgen", 200, "live/ship mode: source statements per second")
 		runFor     = flag.Duration("duration", 0, "live/serve/ship mode: stop after this long (0 = run until interrupted)")
 		serve      = flag.Bool("serve", false, "run the replication server: accept shippers on -listen, apply under -out")
 		listen     = flag.String("listen", "127.0.0.1:0", "serve mode: replication listen address")
 		ship       = flag.String("ship", "", "run a replication shipper against this server address, capturing under -src")
-		source     = flag.String("source", "src-1", "ship mode: source id announced to the server")
+		source     = flag.String("source", "src-1", "ship/live mode: source id announced to the server")
 		truncLog   = flag.Bool("truncatelog", false, "ship mode: truncate the op log at its head on startup, forcing a fresh replica to snapshot-bootstrap")
-		chunkRows  = flag.Int("chunkrows", 128, "ship mode: rows per snapshot bootstrap chunk")
+		chunkRows  = flag.Int("chunkrows", 128, "ship/live mode: rows per snapshot bootstrap chunk")
 		chunkDelay = flag.Duration("chunkdelay", 0, "ship mode: pause between snapshot bootstrap chunks (paces bootstrap against live traffic)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/ on the metrics address")
 		traceSmpl  = flag.Int("tracesample", 1, "serve/ship/live mode: head-sample one in N replication traces by trace ID (0 disables span tracing)")
@@ -102,7 +104,9 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-		if err := runShip(*ship, *srcDir, *source, *metrics, *loadgen, *chunkRows, *chunkDelay, *truncLog, *runFor, diag, *faultDelay, *faultMax); err != nil {
+		o := shipOpts{srcDir: *srcDir, source: *source, rate: *loadgen, chunkRows: *chunkRows,
+			chunkDelay: *chunkDelay, truncate: *truncLog, faultDelayProb: *faultDelay, faultMaxDelay: *faultMax}
+		if err := runShip(*ship, *metrics, o, *runFor, diag); err != nil {
 			fatal(err)
 		}
 		return
@@ -112,7 +116,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *live {
-		if err := runLive(*srcDir, *outDir, *metrics, *loadgen, *runFor, diag); err != nil {
+		o := shipOpts{srcDir: *srcDir, source: *source, rate: *loadgen, chunkRows: *chunkRows}
+		if err := runLive(*outDir, *metrics, o, *runFor, diag); err != nil {
 			fatal(err)
 		}
 		return

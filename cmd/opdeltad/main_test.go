@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -107,10 +108,10 @@ func TestLiveMetricsScrape(t *testing.T) {
 		"delta_freshness_lag_seconds_count",
 		"delta_freshness_lag_seconds_sum",
 		"opdelta_captured_total",
-		"transport_queue_appends_total",
-		`wal_fsync_seconds_count{db="wh"}`,
-		`wal_group_commit_cohort_records_count{db="wh"}`,
-		`txn_lock_grants_total{db="wh"}`,
+		`transport_queue_appends_total{source="src-1"}`,
+		`wal_fsync_seconds_count{db="wh-src-1"}`,
+		`wal_group_commit_cohort_records_count{db="wh-src-1"}`,
+		`txn_lock_grants_total{db="wh-src-1"}`,
 		`warehouse_apply_txns_total{integrator="parallel"}`,
 	}
 	for _, name := range mustPositive {
@@ -121,8 +122,8 @@ func TestLiveMetricsScrape(t *testing.T) {
 			t.Errorf("series %s = %v, want > 0", name, v)
 		}
 	}
-	if v, ok := sampleValue(body, `storage_pool_hit_ratio{db="wh",pool="parts"}`); !ok || v <= 0 {
-		t.Errorf("storage_pool_hit_ratio{db=wh,pool=parts} = %v (present=%v), want > 0", v, ok)
+	if v, ok := sampleValue(body, `storage_pool_hit_ratio{db="wh-src-1",pool="parts"}`); !ok || v <= 0 {
+		t.Errorf("storage_pool_hit_ratio{db=wh-src-1,pool=parts} = %v (present=%v), want > 0", v, ok)
 	}
 
 	// Queue depth oscillates with the applier's drain cadence; require a
@@ -133,7 +134,7 @@ func TestLiveMetricsScrape(t *testing.T) {
 		if err == nil {
 			b, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if v, ok := sampleValue(b, "transport_queue_depth_bytes"); ok && v > 0 {
+			if v, ok := sampleValue(b, `transport_queue_depth_bytes{source="src-1"}`); ok && v > 0 {
 				depthSeen = true
 			}
 		}
@@ -162,6 +163,32 @@ func TestLiveMetricsScrape(t *testing.T) {
 	for _, tr := range dz.Traces {
 		assertMonotoneTrace(t, tr)
 	}
+}
+
+// TestLiveRestartExactlyOnce runs -live twice over the same -src and
+// -out, draining each run with SIGTERM. The second run must reopen the
+// first run's topic and warehouse and resume from the server's durable
+// seq, and after it the replica must equal an exact replay of the
+// source op log through the applied seq: nothing lost, nothing applied
+// twice.
+func TestLiveRestartExactlyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns the daemon binary")
+	}
+	bin := buildDaemon(t)
+	work := t.TempDir()
+	srcDir, outDir := filepath.Join(work, "src"), filepath.Join(work, "out")
+	var last *proc
+	for run := 1; run <= 2; run++ {
+		last = startProc(t, fmt.Sprintf("live run %d", run), bin,
+			"-live", "-src", srcDir, "-out", outDir,
+			"-metrics", "127.0.0.1:0", "-loadgen", "400", "-duration", "2m")
+		waitMetric(t, last.metricsURL(), "delta_traces_total",
+			func(v float64) bool { return v >= 100 }, 20*time.Second)
+		last.drain(15 * time.Second)
+	}
+	acked := ackedSeq(t, last.expectLine("drained at acked seq", time.Second))
+	verifyReplica(t, srcDir, filepath.Join(outDir, "wh-src-1"), acked)
 }
 
 // sampleValue finds the sample whose name (with labels, if any) is

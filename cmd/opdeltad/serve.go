@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sync"
-	"syscall"
 	"time"
 
-	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
 	"opdelta/internal/obs"
 	netrepl "opdelta/internal/transport/net"
@@ -42,15 +39,28 @@ func runServe(listenAddr, outDir, metricsAddr string, duration time.Duration, d 
 			return err
 		}
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-
-	lis, err := net.Listen("tcp", listenAddr)
+	srv, err := startServer(listenAddr, outDir, reg, tracer, spans)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("opdeltad: replication server listening on %s\n", lis.Addr())
+	waitStop(duration, srv.errs.failed, nil)
+	return srv.drain()
+}
+
+// server is the running warehouse side: the netrepl server, and per
+// source a warehouse under out/wh-<source> with the applier draining
+// the source's topic into it. drain stops it.
+type server struct {
+	outDir string
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	spans  *obs.SpanTracer
+	lis    net.Listener
+	srv    *netrepl.Server
+	served chan struct{} // closed when Serve returns
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	errs   errOnce
 
 	// Per-source state is created lazily and shared by two consumers
 	// with different triggers: the server's Bootstrap callback needs the
@@ -58,212 +68,181 @@ func runServe(listenAddr, outDir, metricsAddr string, duration time.Duration, d 
 	// exists), and the applier manager needs the same warehouse and
 	// bootstrapper when the topic appears. Whichever fires first builds
 	// the state; the other reuses it.
-	type sourceState struct {
-		db       *engine.DB
-		integ    *warehouse.ParallelIntegrator
-		boot     *netrepl.Bootstrapper
-		applying bool
-	}
-	states := make(map[string]*sourceState)
-	var statesMu sync.Mutex
-	ensureState := func(source string) (*sourceState, error) {
-		statesMu.Lock()
-		defer statesMu.Unlock()
-		if st, ok := states[source]; ok {
-			return st, nil
-		}
-		db, err := engine.Open(filepath.Join(outDir, "wh-"+source),
-			engine.Options{Obs: reg, ObsDB: "wh-" + source, WALSync: wal.SyncFull})
-		if err != nil {
-			return nil, err
-		}
-		w := warehouse.New(db)
-		if _, err := db.Table("parts"); err != nil {
-			const ddl = `CREATE TABLE parts (
-				part_id BIGINT NOT NULL, status VARCHAR, qty BIGINT, last_modified TIMESTAMP
-			) PRIMARY KEY (part_id) TIMESTAMP COLUMN (last_modified)`
-			if _, err := db.Exec(nil, ddl); err != nil {
-				db.Close()
-				return nil, err
-			}
-		}
-		tbl, err := db.Table("parts")
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		if err := w.RegisterReplica("parts", tbl.Schema, "part_id", "last_modified"); err != nil {
-			db.Close()
-			return nil, err
-		}
-		applied, err := warehouse.EnsureAppliedLog(w)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		blog, err := warehouse.EnsureBootstrapLog(w)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		st := &sourceState{
-			db:    db,
-			integ: &warehouse.ParallelIntegrator{W: w, Workers: 4, Applied: applied},
-			boot:  &netrepl.Bootstrapper{Log: blog, Applied: applied, Source: source, Obs: reg, Spans: spans},
-		}
-		states[source] = st
-		return st, nil
-	}
+	mu     sync.Mutex
+	states map[string]*sourceState
+}
 
-	srv := netrepl.NewServer(netrepl.ServerConfig{
+type sourceState struct {
+	db    *engine.DB
+	integ *warehouse.ParallelIntegrator
+	boot  *netrepl.Bootstrapper
+}
+
+// startServer listens on listenAddr and starts applying every source
+// whose topic exists under outDir or whose shipper connects.
+func startServer(listenAddr, outDir string, reg *obs.Registry, tracer *obs.Tracer, spans *obs.SpanTracer) (*server, error) {
+	lis, err := net.Listen("tcp", listenAddr)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("opdeltad: replication server listening on %s\n", lis.Addr())
+	s := &server{
+		outDir: outDir, reg: reg, tracer: tracer, spans: spans, lis: lis,
+		served: make(chan struct{}),
+		stop:   make(chan struct{}),
+		errs:   errOnce{failed: make(chan struct{})},
+		states: make(map[string]*sourceState),
+	}
+	s.srv = netrepl.NewServer(netrepl.ServerConfig{
 		Dir:   filepath.Join(outDir, "topics"),
 		Obs:   reg,
 		Spans: spans,
 		Bootstrap: func(source string) (*netrepl.Bootstrapper, error) {
-			st, err := ensureState(source)
+			st, err := s.ensureState(source)
 			if err != nil {
 				return nil, err
 			}
 			return st.boot, nil
 		},
 	})
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lis) }()
+	go func() {
+		defer close(s.served)
+		err := s.srv.Serve(lis)
+		select {
+		case <-s.stop: // drain closed the listener
+		default:
+			s.errs.set(err)
+		}
+	}()
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.errs.set(s.watch())
+	}()
+	return s, nil
+}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	// Applier manager: every new source that opens a topic gets its own
-	// warehouse and applier goroutine, wired to the source's
-	// bootstrapper so snapshot chunks settle on the apply loop.
-	startApplier := func(source string) error {
-		st, err := ensureState(source)
-		if err != nil {
-			return err
-		}
-		statesMu.Lock()
-		if st.applying {
-			statesMu.Unlock()
-			return nil
-		}
-		st.applying = true
-		statesMu.Unlock()
-		topic, err := srv.Topic(source)
-		if err != nil {
-			return err
-		}
-		db := st.db
-		ap := &netrepl.Applier{
-			Topic:      topic,
-			Integrator: st.integ,
-			SchemaOf: func(table string) (*catalog.Schema, error) {
-				t, err := db.Table(table)
-				if err != nil {
-					return nil, err
-				}
-				return t.Schema, nil
-			},
-			Bootstrap: st.boot,
-			Tracer:    tracer,
-			Spans:     spans,
-			Obs:       reg,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := ap.Run(stop); err != nil {
-				fail(fmt.Errorf("applier %s: %w", source, err))
+// watch starts an applier for every source, until stop closes: first
+// for the topics a previous run left on disk, then for each topic a
+// shipper's HELLO opens.
+func (s *server) watch() error {
+	entries, _ := os.ReadDir(filepath.Join(s.outDir, "topics")) // none before the first run
+	for _, e := range entries {
+		if e.IsDir() {
+			if _, err := s.srv.Topic(e.Name()); err != nil {
+				return err
 			}
-		}()
-		fmt.Printf("opdeltad: applying source %q into %s\n", source, db.Dir())
-		return nil
+		}
 	}
-
-	// Watch for new sources. Topics appear when a shipper's HELLO lands
-	// (or existed on disk from a previous run — recover those first).
-	entries, err := os.ReadDir(filepath.Join(outDir, "topics"))
-	if err == nil {
-		for _, e := range entries {
-			if e.IsDir() {
-				if err := startApplier(e.Name()); err != nil {
+	started := make(map[string]bool)
+	ticker := time.NewTicker(100 * time.Millisecond)
+	defer ticker.Stop()
+	for {
+		for _, source := range s.srv.Sources() {
+			if !started[source] {
+				started[source] = true
+				if err := s.startApplier(source); err != nil {
 					return err
 				}
 			}
 		}
+		select {
+		case <-s.stop:
+			return nil
+		case <-ticker.C:
+		}
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(100 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-			}
-			for _, source := range srv.Sources() {
-				statesMu.Lock()
-				st, known := states[source]
-				running := known && st.applying
-				statesMu.Unlock()
-				if !running {
-					if err := startApplier(source); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
+}
+
+func (s *server) ensureState(source string) (_ *sourceState, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st, ok := s.states[source]; ok {
+		return st, nil
+	}
+	db, err := engine.Open(filepath.Join(s.outDir, "wh-"+source),
+		engine.Options{Obs: s.reg, ObsDB: "wh-" + source, WALSync: wal.SyncFull})
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			db.Close()
 		}
 	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	var timeout <-chan time.Time
-	if duration > 0 {
-		tm := time.NewTimer(duration)
-		defer tm.Stop()
-		timeout = tm.C
+	w := warehouse.New(db)
+	tbl, err := ensureParts(db)
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case <-sig:
-		fmt.Println("opdeltad: signal received, draining")
-	case <-timeout:
-	case err := <-serveDone:
-		close(stop)
-		wg.Wait()
+	if err := w.RegisterReplica("parts", tbl.Schema, "part_id", "last_modified"); err != nil {
+		return nil, err
+	}
+	applied, err := warehouse.EnsureAppliedLog(w)
+	if err != nil {
+		return nil, err
+	}
+	blog, err := warehouse.EnsureBootstrapLog(w)
+	if err != nil {
+		return nil, err
+	}
+	st := &sourceState{
+		db:    db,
+		integ: &warehouse.ParallelIntegrator{W: w, Workers: 4, Applied: applied},
+		boot:  &netrepl.Bootstrapper{Log: blog, Applied: applied, Source: source, Obs: s.reg, Spans: s.spans},
+	}
+	s.states[source] = st
+	return st, nil
+}
+
+// startApplier starts the source's applier: into its own warehouse,
+// wired to the source's bootstrapper so snapshot chunks settle on the
+// apply loop.
+func (s *server) startApplier(source string) error {
+	st, err := s.ensureState(source)
+	if err != nil {
 		return err
 	}
-
-	// Drain: stop accepting, notify shippers, let appliers finish their
-	// final batches, then close everything durably.
-	lis.Close()
-	close(stop)
-	wg.Wait()
-	if err := srv.Shutdown(); err != nil {
-		fail(err)
+	topic, err := s.srv.Topic(source)
+	if err != nil {
+		return err
 	}
-	<-serveDone
-	statesMu.Lock()
-	for source, st := range states {
+	ap := &netrepl.Applier{
+		Topic:      topic,
+		Integrator: st.integ,
+		SchemaOf:   schemaOf(st.db),
+		Bootstrap:  st.boot,
+		Tracer:     s.tracer,
+		Spans:      s.spans,
+		Obs:        s.reg,
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		if err := ap.Run(s.stop); err != nil {
+			s.errs.set(fmt.Errorf("applier %s: %w", source, err))
+		}
+	}()
+	fmt.Printf("opdeltad: applying source %q into %s\n", source, st.db.Dir())
+	return nil
+}
+
+// drain stops accepting, lets the appliers apply everything enqueued,
+// notifies the shippers, and closes every warehouse durably.
+func (s *server) drain() error {
+	close(s.stop)
+	s.lis.Close()
+	s.wg.Wait()
+	s.errs.set(s.srv.Shutdown())
+	<-s.served
+	s.mu.Lock()
+	for source, st := range s.states {
 		if err := st.db.Close(); err != nil {
-			fail(fmt.Errorf("close %s: %w", source, err))
+			s.errs.set(fmt.Errorf("close %s: %w", source, err))
 		}
 	}
-	n := len(states)
-	statesMu.Unlock()
+	n := len(s.states)
+	s.mu.Unlock()
 	fmt.Printf("opdeltad: replication server drained, %d source(s) closed\n", n)
-	errMu.Lock()
-	defer errMu.Unlock()
-	return firstErr
+	return s.errs.get()
 }

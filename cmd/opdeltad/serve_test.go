@@ -457,8 +457,9 @@ func spanNames(spans []struct {
 // end-to-end latency past the server's -slowspan threshold (slow-span
 // log line + spans_slow_total), the two /debug/spanz rings must join on
 // trace ID into a complete cross-process chain (capture/ship on the
-// shipper, persist/queue/apply/durable on the server), and the server
-// must expose raw + skew-corrected replication lag series.
+// shipper, persist/queue/apply/durable on the server), the server must
+// expose raw + skew-corrected replication lag series, and every server
+// lifecycle must carry its enqueue stamp in pipeline order.
 func TestServeShipTracing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns daemon binaries")
@@ -562,6 +563,34 @@ func TestServeShipTracing(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s = %d, want 200", url, resp.StatusCode)
 		}
+	}
+
+	// The applier stamps every op's enqueue time from its batch mark, so
+	// each server lifecycle is complete and the queue stage is observed.
+	resp, err := http.Get(srvMetrics + "/debug/deltaz?n=128")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dz struct {
+		Traces []obs.TraceRecord `json:"traces"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&dz)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dz.Traces) == 0 {
+		t.Fatal("server /debug/deltaz returned no traces")
+	}
+	for _, tr := range dz.Traces {
+		assertMonotoneTrace(t, tr)
+	}
+	body, err = scrape(srvMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := sampleValue(body, `delta_stage_seconds_count{stage="queue"}`); !ok || v <= 0 {
+		t.Errorf(`delta_stage_seconds_count{stage="queue"} = %v (present=%v), want > 0`, v, ok)
 	}
 
 	// Exactly-once still holds through the delayed link.

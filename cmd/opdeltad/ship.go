@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
 	"opdelta/internal/catalog"
@@ -39,7 +36,7 @@ import (
 // writers are never blocked. With truncate, the op log is truncated at
 // its current head on startup, forcing exactly that path on a fresh
 // server; chunkRows/chunkDelay pace the chunk reads.
-func runShip(serverAddr, srcDir, source, metricsAddr string, rate, chunkRows int, chunkDelay time.Duration, truncate bool, duration time.Duration, d diagOpts, faultDelayProb float64, faultMaxDelay time.Duration) error {
+func runShip(serverAddr, metricsAddr string, o shipOpts, duration time.Duration, d diagOpts) error {
 	reg := obs.Default()
 	spans := newSpanTracer(reg, d)
 	if metricsAddr != "" {
@@ -47,51 +44,82 @@ func runShip(serverAddr, srcDir, source, metricsAddr string, rate, chunkRows int
 			return err
 		}
 	}
-	src, err := engine.Open(srcDir, engine.Options{Obs: reg, ObsDB: "src", WALSync: wal.SyncFull})
+	src, err := startSource(serverAddr, o, reg, spans)
 	if err != nil {
 		return err
 	}
-	defer src.Close()
-	if _, err := src.Table("parts"); err != nil {
-		const ddl = `CREATE TABLE parts (
-			part_id BIGINT NOT NULL, status VARCHAR, qty BIGINT, last_modified TIMESTAMP
-		) PRIMARY KEY (part_id) TIMESTAMP COLUMN (last_modified)`
-		if _, err := src.Exec(nil, ddl); err != nil {
-			return err
+	waitStop(duration, nil, src.errs.failed)
+	return src.drain()
+}
+
+// shipOpts configures the source side.
+type shipOpts struct {
+	srcDir, source  string
+	rate, chunkRows int
+	chunkDelay      time.Duration
+	truncate        bool
+	faultDelayProb  float64
+	faultMaxDelay   time.Duration
+}
+
+// source is the running source side: the source engine, its load
+// generator and its shipper. drain stops it.
+type source struct {
+	db   *engine.DB
+	sh   *netrepl.Shipper
+	stop chan struct{}
+	wg   sync.WaitGroup
+	errs errOnce
+}
+
+// startSource opens the source under o.srcDir and starts its load
+// generator and a shipper to serverAddr.
+func startSource(serverAddr string, o shipOpts, reg *obs.Registry, spans *obs.SpanTracer) (_ *source, err error) {
+	db, err := engine.Open(o.srcDir, engine.Options{Obs: reg, ObsDB: "src", WALSync: wal.SyncFull})
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			db.Close()
 		}
+	}()
+	tbl, err := ensureParts(db)
+	if err != nil {
+		return nil, err
 	}
 	view := opdelta.ViewDef{
 		Name: "slim_parts", Source: "parts",
 		Project:  []string{"part_id", "status"},
 		SourcePK: "part_id", SourceTS: "last_modified",
 	}
-	oplog, err := opdelta.NewTableLog(src)
+	oplog, err := opdelta.NewTableLog(db)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	capture := &opdelta.Capture{DB: src, Log: oplog, Analyzer: opdelta.NewAnalyzer(view), Obs: reg}
+	capture := &opdelta.Capture{DB: db, Log: oplog, Analyzer: opdelta.NewAnalyzer(view), Obs: reg}
 
-	if truncate {
+	if o.truncate {
 		if head := oplog.Seq(); head > 0 {
 			if err := oplog.Truncate(head); err != nil {
-				return err
+				return nil, err
 			}
 			fmt.Printf("opdeltad: op log truncated at seq %d; a bare replica must bootstrap\n", head)
 		}
 	}
 	snap := &opdelta.Snapshotter{
-		DB: src, Log: oplog, Tables: []string{"parts"},
-		ChunkRows: chunkRows, ChunkDelay: chunkDelay,
+		DB: db, Log: oplog, Tables: []string{"parts"},
+		ChunkRows: o.chunkRows, ChunkDelay: o.chunkDelay,
 	}
 
 	dial := func() (net.Conn, error) { return net.DialTimeout("tcp", serverAddr, 2*time.Second) }
-	if faultDelayProb > 0 {
+	if o.faultDelayProb > 0 {
 		// Route every connection through a seeded fault link that delays
 		// frames per the schedule: bytes the shipper writes cross the
 		// fault net, then a goroutine bridge relays them onto the real
 		// TCP connection (and the reverse for reads). Exercises the
 		// slow-span diagnostics against genuine wire latency.
-		nw := fault.NewNet(fault.NetProfile{Seed: 1, DelayProb: faultDelayProb, MaxDelay: faultMaxDelay})
+		nw := fault.NewNet(fault.NetProfile{Seed: 1, DelayProb: o.faultDelayProb, MaxDelay: o.faultMaxDelay})
 		lis := nw.Listener()
 		tcpDial := dial
 		dial = func() (net.Conn, error) {
@@ -113,121 +141,95 @@ func runShip(serverAddr, srcDir, source, metricsAddr string, rate, chunkRows int
 			bridgeConns(far, tcp)
 			return local, nil
 		}
-		fmt.Printf("opdeltad: fault link enabled: delayprob=%g maxdelay=%s\n", faultDelayProb, faultMaxDelay)
+		fmt.Printf("opdeltad: fault link enabled: delayprob=%g maxdelay=%s\n", o.faultDelayProb, o.faultMaxDelay)
 	}
 
-	sh := netrepl.NewShipper(netrepl.ShipperConfig{
-		Source: source,
-		Dial:   dial,
-		Fetch:  oplog.Read,
-		SchemaOf: func(table string) (*catalog.Schema, error) {
-			t, err := src.Table(table)
-			if err != nil {
-				return nil, err
-			}
-			return t.Schema, nil
-		},
-		Snapshot: snap,
-		Obs:      reg,
-		Spans:    spans,
-		Retry:    retry.Policy{Base: 50 * time.Millisecond, Cap: 2 * time.Second, Multiplier: 2, Jitter: 0.5},
-	})
-	fmt.Printf("opdeltad: shipping source %q from %s to %s\n", source, srcDir, serverAddr)
-
-	if rate <= 0 {
-		rate = 200
-	}
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-
-	var wg sync.WaitGroup
 	// Resume load generation past any id a previous run issued: ids are
 	// issued in increasing order and deletes only target ids at least 8
 	// behind the head, so the surviving max part_id is within 2 of the
 	// last issued id — a 16-id stride clears it with room to spare.
 	nextID := 0
-	tbl, err := src.Table("parts")
-	if err != nil {
-		return err
-	}
 	pkIdx, _ := tbl.Schema.ColIndex("part_id")
-	if err := src.ScanTable(nil, "parts", func(row catalog.Tuple) error {
+	if err := db.ScanTable(nil, "parts", func(row catalog.Tuple) error {
 		if id := int(row[pkIdx].Int()); id > nextID {
 			nextID = id
 		}
 		return nil
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	if nextID > 0 {
 		nextID += 16
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(time.Second / time.Duration(rate))
-		defer ticker.Stop()
-		id := nextID
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-			}
-			id++
-			stmt := fmt.Sprintf(`INSERT INTO parts (part_id, status, qty) VALUES (%d, 'new', %d)`, id, id%1000)
-			switch {
-			case id%8 == 0:
-				stmt = fmt.Sprintf(`UPDATE parts SET status = 'hot' WHERE part_id = %d`, id-4)
-			case id%16 == 9:
-				stmt = fmt.Sprintf(`DELETE FROM parts WHERE part_id = %d`, id-8)
-			}
-			if _, err := capture.Exec(nil, stmt); err != nil {
-				fail(err)
-				return
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := sh.Run(stop); err != nil {
-			fail(fmt.Errorf("shipper: %w", err))
-		}
-	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	var timeout <-chan time.Time
-	if duration > 0 {
-		tm := time.NewTimer(duration)
-		defer tm.Stop()
-		timeout = tm.C
+	s := &source{
+		db: db,
+		sh: netrepl.NewShipper(netrepl.ShipperConfig{
+			Source:   o.source,
+			Dial:     dial,
+			Fetch:    oplog.Read,
+			SchemaOf: schemaOf(db),
+			Snapshot: snap,
+			Obs:      reg,
+			Spans:    spans,
+			Retry:    retry.Policy{Base: 50 * time.Millisecond, Cap: 2 * time.Second, Multiplier: 2, Jitter: 0.5},
+		}),
+		stop: make(chan struct{}),
+		errs: errOnce{failed: make(chan struct{})},
 	}
-	select {
-	case <-sig:
-		fmt.Println("opdeltad: signal received, draining")
-	case <-timeout:
-	case <-stop:
+	fmt.Printf("opdeltad: shipping source %q from %s to %s\n", o.source, o.srcDir, serverAddr)
+	s.wg.Add(2)
+	go func() {
+		defer s.wg.Done()
+		s.errs.set(loadgen(capture, nextID, o.rate, s.stop))
+	}()
+	go func() {
+		defer s.wg.Done()
+		if err := s.sh.Run(s.stop); err != nil {
+			s.errs.set(fmt.Errorf("shipper: %w", err))
+		}
+	}()
+	return s, nil
+}
+
+// drain stops load generation, lets the shipper flush its in-flight
+// window and end the stream, and closes the source.
+func (s *source) drain() error {
+	close(s.stop)
+	s.wg.Wait()
+	fmt.Printf("opdeltad: shipper drained at acked seq %d\n", s.sh.Acked())
+	s.errs.set(s.db.Close())
+	return s.errs.get()
+}
+
+// loadgen issues rate statements per second through capture, with part
+// ids from id+1 on, until stop closes: inserts with occasional
+// PK-targeted updates and deletes, all bounded footprints so the
+// parallel integrator's key-range locking gets exercised.
+func loadgen(capture *opdelta.Capture, id, rate int, stop <-chan struct{}) error {
+	if rate <= 0 {
+		rate = 200
 	}
-	cancel()
-	wg.Wait()
-	fmt.Printf("opdeltad: shipper drained at acked seq %d\n", sh.Acked())
-	errMu.Lock()
-	defer errMu.Unlock()
-	return firstErr
+	ticker := time.NewTicker(time.Second / time.Duration(rate))
+	defer ticker.Stop()
+	for {
+		select {
+		case <-stop:
+			return nil
+		case <-ticker.C:
+		}
+		id++
+		stmt := fmt.Sprintf(`INSERT INTO parts (part_id, status, qty) VALUES (%d, 'new', %d)`, id, id%1000)
+		switch {
+		case id%8 == 0:
+			stmt = fmt.Sprintf(`UPDATE parts SET status = 'hot' WHERE part_id = %d`, id-4)
+		case id%16 == 9:
+			stmt = fmt.Sprintf(`DELETE FROM parts WHERE part_id = %d`, id-8)
+		}
+		if _, err := capture.Exec(nil, stmt); err != nil {
+			return err
+		}
+	}
 }
 
 // bridgeConns relays bytes between two connections until either side

@@ -202,8 +202,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 	integ := &warehouse.ParallelIntegrator{W: w, Workers: 2, Applied: applied}
 
-	// Every batch is traced (default 1-in-1 sampling): the soak doubles
-	// as a leak check on the persist→apply span handoff under faults.
+	// Every batch is traced (default 1-in-1 sampling) and marked, so the
+	// soak doubles as a leak check on batch marks under faults.
 	spans := obs.NewSpanTracer(obs.NewRegistry(), 512)
 	pendingHandoffs := 0
 
@@ -313,8 +313,8 @@ func Run(cfg Config) (*Report, error) {
 		return rep, err
 	}
 
-	// Convergence dequeued every seq, so every registered span handoff
-	// must have been claimed — a residue is an applier-side span leak.
+	// Convergence dequeued every seq, so every pushed batch mark must
+	// have been taken — a residue is an applier-side mark leak.
 	if pendingHandoffs != 0 {
 		return rep, fmt.Errorf("simnet seed %d: %d span handoffs leaked after convergence", cfg.Seed, pendingHandoffs)
 	}

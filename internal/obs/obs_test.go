@@ -242,7 +242,7 @@ func TestTracerLifecycle(t *testing.T) {
 	tr := NewTracer(r, 4)
 	start := time.Now().Add(-10 * time.Millisecond)
 	trace := tr.Begin(7, 3, start)
-	trace.Enqueued()
+	trace.EnqueuedAt(time.Now().UnixNano())
 	trace.Dequeued()
 	trace.Locked()
 	trace.Applied()
@@ -304,7 +304,7 @@ func TestTracerRingWraps(t *testing.T) {
 func TestNilTracerAndTrace(t *testing.T) {
 	var tr *Tracer
 	trace := tr.Begin(1, 1, time.Now())
-	trace.Enqueued()
+	trace.EnqueuedAt(time.Now().UnixNano())
 	trace.Dequeued()
 	trace.Locked()
 	trace.Applied()

@@ -151,10 +151,12 @@ func (tr *Trace) stamp(slot *atomic.Int64) {
 	slot.CompareAndSwap(0, time.Now().UnixNano())
 }
 
-// Enqueued marks the delta appended to the transport queue.
-func (tr *Trace) Enqueued() {
+// EnqueuedAt marks the delta appended to the transport queue at ns
+// (unix nanoseconds). The stamp is taken where the append happened —
+// the replication server — and applied when the op is dequeued.
+func (tr *Trace) EnqueuedAt(ns int64) {
 	if tr != nil {
-		tr.stamp(&tr.enqueued)
+		tr.enqueued.CompareAndSwap(0, ns)
 	}
 }
 

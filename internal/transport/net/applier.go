@@ -25,13 +25,13 @@ type Applier struct {
 	// SchemaOf resolves schemas for ops carrying before images; nil is
 	// fine when none do.
 	SchemaOf func(table string) (*catalog.Schema, error)
-	// Tracer, when set, traces each op's dequeue→durable lifecycle.
+	// Tracer, when set, traces each op's enqueue→durable lifecycle; the
+	// enqueue stamp comes from the op's batch mark.
 	Tracer *obs.Tracer
 	// Spans, when set (together with Tracer), completes wire-propagated
-	// traces: a dequeued op claiming a span handoff emits
-	// queue/apply/durable spans when its lifecycle finishes, plus the
-	// skew-corrected end-to-end observation that drives the slow-span
-	// log.
+	// traces: the last op of a traced batch emits queue/apply/durable
+	// spans when its lifecycle finishes, plus the skew-corrected
+	// end-to-end observation that drives the slow-span log.
 	Spans *obs.SpanTracer
 	// Bootstrap, when set, is this source's snapshot-bootstrap
 	// coordinator: the applier feeds it every applied batch (footprints
@@ -93,12 +93,15 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 				return err
 			}
 			op.Trace = a.Tracer.Begin(op.Seq, op.Txn, op.Time)
-			op.Trace.Dequeued()
-			// Claim the span handoff for every dequeued op even when
-			// tracing is off here — an unclaimed handoff is an orphan.
-			if h := a.Topic.TakeSpanHandoff(op.Seq); h != nil && a.Spans != nil && op.Trace != nil {
-				a.hookSpans(op.Trace, h)
+			// Take the batch mark for every dequeued op even when tracing
+			// is off here — the FIFO advances only on this path.
+			if m, last := a.Topic.takeMark(op.Seq); m != nil {
+				op.Trace.EnqueuedAt(m.enqueuedNs())
+				if last && !m.tc.Zero() && a.Spans != nil && op.Trace != nil {
+					a.hookSpans(op.Trace, m.tc)
+				}
 			}
+			op.Trace.Dequeued()
 			batch = append(batch, op)
 		}
 		if len(batch) == 0 {
@@ -146,25 +149,21 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 
 // hookSpans arranges for the op's trace completion (stamped by the
 // integrator workers) to emit the server-side spans of its wire trace:
-// queue (durable on topic → dequeued), apply (dequeue/lock → applied),
+// queue (enqueued on topic → dequeued), apply (dequeue/lock → applied),
 // durable (applied → fsynced), and the end-to-end freshness
 // observation corrected by the source's clock offset.
-func (a *Applier) hookSpans(tr *obs.Trace, h *SpanHandoff) {
+func (a *Applier) hookSpans(tr *obs.Trace, tc obs.TraceContext) {
 	spans, topic := a.Spans, a.Topic
 	tr.SetOnDone(func(rec obs.TraceRecord) {
-		tid := h.TC.TraceID
+		tid := tc.TraceID
 		persistID := obs.SpanIDFor(tid, "persist")
 		queueID := obs.SpanIDFor(tid, "queue")
 		applyID := obs.SpanIDFor(tid, "apply")
 		durableID := obs.SpanIDFor(tid, "durable")
-		queueStart := h.PersistEndNs()
-		if queueStart == 0 {
-			queueStart = h.RecvNs // applier outran the persist stamp
-		}
-		if rec.Dequeued != 0 {
+		if rec.Enqueued != 0 && rec.Dequeued != 0 {
 			spans.Record(obs.SpanRecord{TraceID: tid, SpanID: queueID, ParentID: persistID,
 				Name: "queue", Source: topic.Source, Seq: rec.Seq,
-				StartUnixNs: queueStart, EndUnixNs: rec.Dequeued})
+				StartUnixNs: rec.Enqueued, EndUnixNs: rec.Dequeued})
 		}
 		applyStart := rec.Locked
 		if applyStart == 0 {
@@ -180,8 +179,8 @@ func (a *Applier) hookSpans(tr *obs.Trace, h *SpanHandoff) {
 				Name: "durable", Source: topic.Source, Seq: rec.Seq,
 				StartUnixNs: rec.Applied, EndUnixNs: rec.Durable})
 		}
-		if rec.Durable != 0 && h.TC.CaptureUnixNs != 0 {
-			lag := rec.Durable - h.TC.CaptureUnixNs
+		if rec.Durable != 0 && tc.CaptureUnixNs != 0 {
+			lag := rec.Durable - tc.CaptureUnixNs
 			if off, _, ok := topic.Skew(); ok {
 				lag -= off
 			}

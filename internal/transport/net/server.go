@@ -43,7 +43,7 @@ type ServerConfig struct {
 	// HELLO is rejected).
 	Bootstrap func(source string) (*Bootstrapper, error)
 	// Spans, when set, continues wire-propagated traces: a traced DELTA
-	// gets a "persist" span and a span handoff the applier completes.
+	// gets a "persist" span; its batch mark hands the context to the applier.
 	// Nil disables tracing (trailers are still stripped and ignored).
 	Spans *obs.SpanTracer
 	// UnsafeAcceptOutOfOrder disables the DELTA chain check (prevSeq
@@ -133,31 +133,39 @@ type Topic struct {
 	skewRtt    int64
 	skewOK     bool
 
-	// Span handoffs carry a traced batch's wire context from the
-	// connection goroutine (which persisted it) to the applier (which
-	// will apply it), keyed by the batch's last fresh seq. Bounded: a
-	// handoff whose op never dequeues (connection died mid-append)
-	// must not leak.
-	handoffMu sync.Mutex
-	handoffs  map[uint64]*SpanHandoff
+	// Batch marks carry every fresh batch's enqueue time — and a traced
+	// batch's wire context — from the connection goroutine that persisted
+	// it to the applier that dequeues it. One mark per batch, in queue
+	// order, so the applier consumes them from the head. Bounded: a mark
+	// whose ops never dequeue (connection died mid-append) must not leak.
+	markMu sync.Mutex
+	marks  []*batchMark
 }
 
-// maxSpanHandoffs bounds a topic's pending handoff map; beyond it the
-// lowest-seq (oldest) handoff is evicted as dropped.
-const maxSpanHandoffs = 1024
+// maxBatchMarks bounds a topic's pending marks; beyond it the oldest
+// mark is evicted and counted as a dropped span handoff.
+const maxBatchMarks = 1024
 
-// SpanHandoff is one traced batch's context in flight between persist
-// and apply.
-type SpanHandoff struct {
-	TC     obs.TraceContext
-	RecvNs int64 // frame receive time: the persist span's start
+// batchMark is one fresh batch in flight between persist and apply: its
+// op seq range, when its frame arrived, when its append became durable,
+// and the wire trace context of a traced batch (zero otherwise).
+type batchMark struct {
+	first, last uint64
+	recvNs      int64
+	tc          obs.TraceContext
 
 	persistEnd atomic.Int64 // set once the append is durable; 0 until then
 }
 
-// PersistEndNs returns when the batch became durable on the topic, or
-// 0 if the applier won the race with the connection goroutine.
-func (h *SpanHandoff) PersistEndNs() int64 { return h.persistEnd.Load() }
+// enqueuedNs is the enqueue stamp of the batch's ops: when the append
+// became durable, or the frame's receive time if the applier won the
+// race with the connection goroutine.
+func (m *batchMark) enqueuedNs() int64 {
+	if end := m.persistEnd.Load(); end != 0 {
+		return end
+	}
+	return m.recvNs
+}
 
 // LastSeq returns the highest op seq durably enqueued on the topic.
 func (t *Topic) LastSeq() uint64 {
@@ -182,56 +190,57 @@ func (t *Topic) Skew() (offsetNs, rttNs int64, ok bool) {
 	return t.skewOffset, t.skewRtt, t.skewOK
 }
 
-// putSpanHandoff registers a handoff for the op seq that ends a traced
-// batch, evicting the oldest entry when full. Returns the number of
-// handoffs dropped by eviction.
-func (t *Topic) putSpanHandoff(seq uint64, h *SpanHandoff) int {
-	t.handoffMu.Lock()
-	defer t.handoffMu.Unlock()
-	if t.handoffs == nil {
-		t.handoffs = make(map[uint64]*SpanHandoff)
-	}
+// pushMark appends m to the FIFO, evicting the oldest marks when it
+// is full. Returns the number of marks evicted.
+func (t *Topic) pushMark(m *batchMark) int {
+	t.markMu.Lock()
+	defer t.markMu.Unlock()
 	dropped := 0
-	for len(t.handoffs) >= maxSpanHandoffs {
-		var min uint64
-		for s := range t.handoffs {
-			if min == 0 || s < min {
-				min = s
-			}
-		}
-		delete(t.handoffs, min)
+	for len(t.marks) >= maxBatchMarks {
+		t.marks = t.marks[1:]
 		dropped++
 	}
-	t.handoffs[seq] = h
+	t.marks = append(t.marks, m)
 	return dropped
 }
 
-// dropSpanHandoff removes a handoff whose batch failed to persist.
-func (t *Topic) dropSpanHandoff(seq uint64) {
-	t.handoffMu.Lock()
-	delete(t.handoffs, seq)
-	t.handoffMu.Unlock()
-}
-
-// TakeSpanHandoff claims (and removes) the handoff for seq, if any.
-// The applier calls it for every dequeued op; a miss is the common
-// case (unsampled batches, mid-batch ops).
-func (t *Topic) TakeSpanHandoff(seq uint64) *SpanHandoff {
-	t.handoffMu.Lock()
-	defer t.handoffMu.Unlock()
-	h := t.handoffs[seq]
-	if h != nil {
-		delete(t.handoffs, seq)
+// unpushMark removes m, the mark of a batch that failed to persist,
+// unless the applier has already consumed it.
+func (t *Topic) unpushMark(m *batchMark) {
+	t.markMu.Lock()
+	defer t.markMu.Unlock()
+	if n := len(t.marks); n > 0 && t.marks[n-1] == m {
+		t.marks = t.marks[:n-1]
 	}
-	return h
 }
 
-// PendingSpanHandoffs counts handoffs registered but not yet claimed —
-// after a drained run it must be zero or spans have been orphaned.
+// takeMark returns the mark of the batch that carried seq, and whether
+// seq ends it — the mark is then removed. The applier calls it for
+// every dequeued op, in seq order. Ops below the head mark's first seq
+// have none: they were recovered from the queue file when the topic
+// opened, or their mark was evicted.
+func (t *Topic) takeMark(seq uint64) (m *batchMark, last bool) {
+	t.markMu.Lock()
+	defer t.markMu.Unlock()
+	for len(t.marks) > 0 && t.marks[0].last < seq {
+		t.marks = t.marks[1:]
+	}
+	if len(t.marks) == 0 || seq < t.marks[0].first {
+		return nil, false
+	}
+	m = t.marks[0]
+	if seq == m.last {
+		t.marks = t.marks[1:]
+	}
+	return m, seq == m.last
+}
+
+// PendingSpanHandoffs counts batch marks pushed but not yet consumed —
+// after a drained run it must be zero or marks have been orphaned.
 func (t *Topic) PendingSpanHandoffs() int {
-	t.handoffMu.Lock()
-	defer t.handoffMu.Unlock()
-	return len(t.handoffs)
+	t.markMu.Lock()
+	defer t.markMu.Unlock()
+	return len(t.marks)
 }
 
 // Topic opens (or creates) the source's topic. Safe for concurrent
@@ -476,11 +485,10 @@ func (s *Server) handle(conn net.Conn) {
 // connections for one source (an old half-dead one plus its
 // replacement) cannot interleave appends out of seq order.
 //
-// tc/recvNs carry the batch's trace context: for a traced batch with
-// fresh ops a span handoff is registered under the batch's last seq
-// BEFORE the append — the applier polls the queue concurrently and
-// could dequeue the op the instant the write lands, so registering
-// after would race the claim and orphan the span.
+// Every batch with fresh ops pushes a batch mark (receive time, trace
+// context) BEFORE the append — the applier polls the queue concurrently
+// and could dequeue an op the instant the write lands, so pushing after
+// would leave it without its mark.
 func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recvNs int64) (uint64, error) {
 	prevSeq, encOps, err := parseDelta(payload)
 	if err != nil {
@@ -517,30 +525,26 @@ func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recv
 		last = seq
 	}
 	if len(fresh) == 0 {
-		// A pure redelivery was traced on its first arrival (or predates
-		// this process): nothing to persist, no handoff to park.
+		// A pure redelivery was marked on its first arrival (or predates
+		// this process): nothing to persist, no mark to push.
 		return topic.lastSeq, nil
 	}
-	var handoff *SpanHandoff
-	if !tc.Zero() {
-		handoff = &SpanHandoff{TC: tc, RecvNs: recvNs}
-		if dropped := topic.putSpanHandoff(last, handoff); dropped > 0 {
-			s.handoffDropped.Add(uint64(dropped))
-		}
+	first, _ := opSeq(fresh[0]) // parsed in the loop above
+	mark := &batchMark{first: first, last: last, recvNs: recvNs, tc: tc}
+	if dropped := topic.pushMark(mark); dropped > 0 {
+		s.handoffDropped.Add(uint64(dropped))
 	}
 	// Durable on return (group-synced fsync), so acking last acks only
 	// durable ops. On failure nothing is published and the queue has cut
 	// the write back: the shipper resends from the old watermark.
 	if err := topic.Q.AppendBatch(fresh); err != nil {
-		if handoff != nil {
-			topic.dropSpanHandoff(last)
-		}
+		topic.unpushMark(mark)
 		return 0, err
 	}
 	topic.lastSeq = last
-	if handoff != nil {
-		end := time.Now().UnixNano()
-		handoff.persistEnd.Store(end)
+	end := time.Now().UnixNano()
+	mark.persistEnd.Store(end)
+	if !tc.Zero() {
 		s.cfg.Spans.Record(obs.SpanRecord{
 			TraceID: tc.TraceID, SpanID: obs.SpanIDFor(tc.TraceID, "persist"), ParentID: tc.SpanID,
 			Name: "persist", Source: topic.Source, Seq: last,

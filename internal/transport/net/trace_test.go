@@ -1,6 +1,7 @@
 package netrepl
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -181,5 +182,109 @@ func TestSkewEstimatorKeepsMinRTT(t *testing.T) {
 	off, rtt, _ = e.Estimate()
 	if rtt != 400_000 || off != -250_000 {
 		t.Fatalf("estimate after faster sample = (%d, %d), want (-250000, 400000)", off, rtt)
+	}
+}
+
+// TestBatchMarksStampEnqueue: every fresh batch pushes a mark, and the
+// applier stamps each op of the batch with that batch's persist time.
+// Ops recovered from the queue file when the topic opened lie below the
+// first mark's first seq and get no stamp; no mark is left behind.
+func TestBatchMarksStampEnqueue(t *testing.T) {
+	src := newReplSource(t)
+	src.workload(t, 12, 0)
+	encs, seqs := encodedOps(t, src)
+	fs := fault.NewSimFS(1)
+
+	// Batch A lands, then the server stops before anything applies it.
+	srv := NewServer(ServerConfig{Dir: "/topics", FS: fs})
+	topic, err := srv.Topic("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.enqueue(topic, deltaPayload(0, encs[:4]), obs.TraceContext{}, time.Now().UnixNano()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restarted server lands batches B and C; A is in its queue file.
+	srv = NewServer(ServerConfig{Dir: "/topics", FS: fs})
+	defer srv.Shutdown()
+	if topic, err = srv.Topic("s"); err != nil {
+		t.Fatal(err)
+	}
+	persisted := make(map[uint64]int64)
+	for _, b := range [][2]int{{4, 8}, {8, 12}} {
+		recv := time.Now().UnixNano()
+		if _, err := srv.enqueue(topic, deltaPayload(seqs[b[0]-1], encs[b[0]:b[1]]), obs.TraceContext{}, recv); err != nil {
+			t.Fatal(err)
+		}
+		m := topic.marks[len(topic.marks)-1]
+		if m.first != seqs[b[0]] || m.last != seqs[b[1]-1] || m.recvNs != recv || m.persistEnd.Load() < recv {
+			t.Fatalf("mark %+v for seqs %d..%d received at %d", m, seqs[b[0]], seqs[b[1]-1], recv)
+		}
+		for _, seq := range seqs[b[0]:b[1]] {
+			persisted[seq] = m.persistEnd.Load()
+		}
+	}
+
+	wh := newReplWarehouse(t, src.schema)
+	tracer := obs.NewTracer(obs.NewRegistry(), len(encs))
+	ap := &Applier{Topic: topic, Integrator: wh.integ, SchemaOf: src.schemaOf, Tracer: tracer}
+	stop := make(chan struct{})
+	close(stop) // Run drains the queue, then returns
+	if err := ap.Run(stop); err != nil {
+		t.Fatal(err)
+	}
+	recs := tracer.Recent(0)
+	if len(recs) != len(encs) {
+		t.Fatalf("%d lifecycles, want %d", len(recs), len(encs))
+	}
+	for _, rec := range recs {
+		if rec.Enqueued != persisted[rec.Seq] {
+			t.Errorf("seq %d enqueued at %d, want %d", rec.Seq, rec.Enqueued, persisted[rec.Seq])
+		}
+	}
+	if n := topic.PendingSpanHandoffs(); n != 0 {
+		t.Fatalf("%d batch marks left after the queue drained", n)
+	}
+}
+
+// TestBatchMarkBounds: a batch whose append fails leaves no mark, and
+// past 1024 pending marks the oldest is evicted and counted as dropped.
+func TestBatchMarkBounds(t *testing.T) {
+	op := func(seq uint64) []byte { return binary.LittleEndian.AppendUint64(nil, seq) }
+	fs := fault.NewSimFS(1)
+	reg := obs.NewRegistry()
+	srv := NewServer(ServerConfig{Dir: "/topics", FS: fs, Obs: reg})
+	defer srv.Shutdown()
+	topic, err := srv.Topic("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fs.SetScript(&fault.Script{DiskLimit: 1})
+	if _, err := srv.enqueue(topic, deltaPayload(0, [][]byte{op(1), op(2)}), obs.TraceContext{}, 0); err == nil {
+		t.Fatal("enqueue past the disk limit succeeded")
+	}
+	if n := topic.PendingSpanHandoffs(); n != 0 || topic.LastSeq() != 0 {
+		t.Fatalf("failed append left %d marks, watermark %d", n, topic.LastSeq())
+	}
+	fs.SetScript(nil)
+
+	for seq := uint64(1); seq <= maxBatchMarks+1; seq++ {
+		if _, err := srv.enqueue(topic, deltaPayload(seq-1, [][]byte{op(seq)}), obs.TraceContext{}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := topic.PendingSpanHandoffs(); n != maxBatchMarks {
+		t.Fatalf("%d marks pending, want the bound %d", n, maxBatchMarks)
+	}
+	if got := reg.Counter("netrepl_span_handoff_dropped_total").Value(); got != 1 {
+		t.Fatalf("netrepl_span_handoff_dropped_total = %d, want 1", got)
+	}
+	if m, _ := topic.takeMark(1); m != nil {
+		t.Fatalf("seq 1's evicted mark still found: %+v", m)
 	}
 }

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"testing"
+	"time"
 
 	"opdelta/internal/obs"
 	"opdelta/internal/wal"
@@ -9,7 +10,7 @@ import (
 
 // TestParallelApplyTraceMonotone runs a captured workload through the
 // lifecycle tracer end to end in-process: the test plays the transport
-// role (Begin + Enqueued + Dequeued), the parallel integrator stamps
+// role (Begin + EnqueuedAt + Dequeued), the parallel integrator stamps
 // lock/apply/durable and completes each trace, and every completed
 // record must be monotone in pipeline order with freshness covering
 // the full capture->durable span. The parallel appliers stamp traces
@@ -22,7 +23,7 @@ func TestParallelApplyTraceMonotone(t *testing.T) {
 	tracer := obs.NewTracer(reg, len(ops)+1)
 	for _, op := range ops {
 		tr := tracer.Begin(op.Seq, op.Txn, op.Time)
-		tr.Enqueued()
+		tr.EnqueuedAt(time.Now().UnixNano())
 		tr.Dequeued()
 		op.Trace = tr
 	}
