@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
 	"opdelta/internal/obs"
 )
@@ -89,7 +88,7 @@ func runLive(outDir, metricsAddr string, o shipOpts, duration time.Duration, d d
 	if err != nil {
 		return errors.Join(err, srv.drain())
 	}
-	waitStop(duration, srv.errs.failed, src.errs.failed)
+	waitStop(duration, srv.served, srv.srv.Failed(), src.errs.failed)
 	// Source first: its shipper flushes the in-flight window, then the
 	// server's appliers drain everything it acked.
 	return errors.Join(src.drain(), srv.drain())
@@ -110,17 +109,6 @@ func ensureParts(db *engine.DB) (*engine.Table, error) {
 		return nil, err
 	}
 	return db.Table("parts")
-}
-
-// schemaOf resolves table schemas from db for op encode and decode.
-func schemaOf(db *engine.DB) func(string) (*catalog.Schema, error) {
-	return func(table string) (*catalog.Schema, error) {
-		t, err := db.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		return t.Schema, nil
-	}
 }
 
 // errOnce keeps the first error a pipeline's goroutines report; failed
@@ -150,8 +138,9 @@ func (e *errOnce) get() error {
 }
 
 // waitStop blocks until SIGINT/SIGTERM arrives, duration elapses (0 =
-// no limit), or either side's failed channel closes (nil never does).
-func waitStop(duration time.Duration, srvFailed, srcFailed <-chan struct{}) {
+// no limit), or a failure channel closes (nil never does): the server's
+// Serve returned or an applier failed, or the source side failed.
+func waitStop(duration time.Duration, served, applyFailed, srcFailed <-chan struct{}) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
@@ -165,7 +154,8 @@ func waitStop(duration time.Duration, srvFailed, srcFailed <-chan struct{}) {
 	case <-sig:
 		fmt.Println("opdeltad: signal received, draining")
 	case <-timeout:
-	case <-srvFailed:
+	case <-served:
+	case <-applyFailed:
 	case <-srcFailed:
 	}
 }

@@ -29,7 +29,8 @@
 // With -serve the daemon is the warehouse side of networked
 // replication: it accepts shipper connections on -listen, lands op
 // batches in per-source durable topics under -out, and applies each
-// source into its own warehouse exactly once (see serve.go). With
+// source into its own warehouse exactly once: the server starts one
+// applier per topic and drains it on shutdown (see serve.go). With
 // -ship ADDR it is the source side: load generation through Op-Delta
 // capture under -src, streamed to the server with acked resumable
 // delivery (see ship.go). Both drain gracefully on SIGINT/SIGTERM and

@@ -48,7 +48,7 @@ func runShip(serverAddr, metricsAddr string, o shipOpts, duration time.Duration,
 	if err != nil {
 		return err
 	}
-	waitStop(duration, nil, src.errs.failed)
+	waitStop(duration, nil, nil, src.errs.failed)
 	return src.drain()
 }
 
@@ -168,7 +168,7 @@ func startSource(serverAddr string, o shipOpts, reg *obs.Registry, spans *obs.Sp
 			Source:   o.source,
 			Dial:     dial,
 			Fetch:    oplog.Read,
-			SchemaOf: schemaOf(db),
+			SchemaOf: db.Schema,
 			Snapshot: snap,
 			Obs:      reg,
 			Spans:    spans,

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
 	"opdelta/internal/extract"
 	"opdelta/internal/opdelta"
@@ -364,14 +363,7 @@ func RunTable4(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	schemaOf := func(table string) (*catalog.Schema, error) {
-		t, err := db.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		return t.Schema, nil
-	}
-	fileLog, err := opdelta.NewFileLog(filepath.Join(cfg.WorkDir, "t4-ops.log"), schemaOf)
+	fileLog, err := opdelta.NewFileLog(filepath.Join(cfg.WorkDir, "t4-ops.log"), db.Schema)
 	if err != nil {
 		return nil, err
 	}

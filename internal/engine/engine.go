@@ -415,6 +415,16 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
+// Schema returns the named table's schema — the resolver op encode and
+// decode take (a method value, db.Schema).
+func (db *DB) Schema(table string) (*catalog.Schema, error) {
+	t, err := db.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	return t.Schema, nil
+}
+
 // Tables returns the table names in the catalog.
 func (db *DB) Tables() []string {
 	db.mu.RLock()

@@ -96,6 +96,17 @@ type NetStats struct {
 	Drops, Dups, Reorders, Truncates, Delays, Cuts, DialFails uint64
 }
 
+// Add sums o into s — the faults of several networks, one per phase.
+func (s *NetStats) Add(o NetStats) {
+	s.Drops += o.Drops
+	s.Dups += o.Dups
+	s.Reorders += o.Reorders
+	s.Truncates += o.Truncates
+	s.Delays += o.Delays
+	s.Cuts += o.Cuts
+	s.DialFails += o.DialFails
+}
+
 // Stats returns injected-fault counters.
 func (n *Net) Stats() NetStats {
 	return NetStats{

@@ -9,15 +9,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
 	"opdelta/internal/fault"
 	"opdelta/internal/obs"
 	"opdelta/internal/opdelta"
 	netrepl "opdelta/internal/transport/net"
-	"opdelta/internal/transport/retry"
-	"opdelta/internal/wal"
-	"opdelta/internal/warehouse"
 )
 
 // BootstrapConfig parameterizes one snapshot-bootstrap soak run: a
@@ -96,14 +92,14 @@ type BootstrapReport struct {
 	Faults fault.NetStats
 }
 
-// bootReplica is one incarnation of the warehouse process.
+// bootReplica is one incarnation of the warehouse process: the engine,
+// its replica, and the server applying into it.
 type bootReplica struct {
 	db      *engine.DB
-	applied *warehouse.AppliedLog
-	blog    *warehouse.BootstrapLog
-	boot    *netrepl.Bootstrapper
-	integ   *warehouse.ParallelIntegrator
+	replica *netrepl.Replica
 	reg     *obs.Registry
+	srv     *netrepl.Server
+	served  chan struct{} // closed when the current Serve returns
 }
 
 // RunBootstrap executes one seeded bootstrap soak and reports the
@@ -131,28 +127,12 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 	defer os.RemoveAll(root)
 
 	// Source: capture the pre-workload, then truncate it out of the log.
-	src, err := engine.Open(filepath.Join(root, "src"), engine.Options{WALSync: wal.SyncFlush, Now: fixedNow})
+	src, err := openSource(root)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	if _, err := src.Exec(nil, partsDDL); err != nil {
-		return nil, err
-	}
-	tbl, err := src.Table("parts")
-	if err != nil {
-		return nil, err
-	}
-	oplog, err := opdelta.NewTableLog(src)
-	if err != nil {
-		return nil, err
-	}
-	view := opdelta.ViewDef{
-		Name: "slim_parts", Source: "parts",
-		Project:  []string{"part_id", "status"},
-		SourcePK: "part_id", SourceTS: "last_modified",
-	}
-	capture := &opdelta.Capture{DB: src, Log: oplog, Analyzer: opdelta.NewAnalyzer(view)}
+	defer src.db.Close()
+	oplog, capture := src.oplog, src.capture
 	stmts := genStatements(rng, cfg.PreTxns+cfg.LiveTxns)
 	for _, s := range stmts[:cfg.PreTxns] {
 		if _, err := capture.Exec(nil, s); err != nil {
@@ -196,21 +176,13 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 	rep.Restarted = !cfg.DisableRestart && rng.Intn(2) == 0
 	rep.ShipperOnly = rep.Restarted && rng.Intn(2) == 0
 
-	schemaOf := func(table string) (*catalog.Schema, error) {
-		t, err := src.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		return t.Schema, nil
-	}
-
 	// bootReading flips up at the first chunk read and down once the run
 	// is durably done; live commits landing in between are the proof the
 	// source took writes throughout bootstrap.
 	var bootReading atomic.Bool
 	var writesDuring atomic.Int64
 	snap := &opdelta.Snapshotter{
-		DB: src, Log: oplog,
+		DB: src.db, Log: oplog,
 		Tables:     []string{"parts"},
 		ChunkRows:  rep.ChunkRows,
 		ChunkDelay: cfg.ChunkDelay,
@@ -258,33 +230,19 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 	topicDir := filepath.Join(root, "topics")
 	deadline := time.Now().Add(cfg.Timeout)
 
-	openReplica := func() (*bootReplica, error) {
-		db, err := engine.Open(whDir, engine.Options{WALSync: wal.SyncFlush, Now: fixedNow})
-		if err != nil {
+	startServer := func(nw *fault.Net) (*bootReplica, error) {
+		r := &bootReplica{reg: obs.NewRegistry()}
+		var err error
+		if r.db, r.replica, err = openReplica(whDir, src.schema, r.reg, nil); err != nil {
 			return nil, err
 		}
-		w := warehouse.New(db)
-		if err := w.RegisterReplica("parts", tbl.Schema, "part_id", "last_modified"); err != nil {
-			db.Close()
-			return nil, err
-		}
-		applied, err := warehouse.EnsureAppliedLog(w)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		blog, err := warehouse.EnsureBootstrapLog(w)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		reg := obs.NewRegistry()
-		boot := &netrepl.Bootstrapper{
-			Log: blog, Applied: applied, Source: "src",
-			Obs: reg, BrokenChunkWins: cfg.BrokenChunkWins,
-		}
-		integ := &warehouse.ParallelIntegrator{W: w, Workers: 2, Applied: applied}
-		return &bootReplica{db: db, applied: applied, blog: blog, boot: boot, integ: integ, reg: reg}, nil
+		r.replica.Bootstrap.BrokenChunkWins = cfg.BrokenChunkWins
+		r.srv = netrepl.NewServer(netrepl.ServerConfig{
+			Dir: topicDir, Obs: r.reg,
+			Replica: func(string) (*netrepl.Replica, error) { return r.replica, nil },
+		})
+		r.served = serve(r.srv, nw)
+		return r, nil
 	}
 	harvest := func(r *bootReplica) {
 		l := obs.L("source", "src")
@@ -292,95 +250,20 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 		rep.Chases += r.reg.Counter("netrepl_bootstrap_chases_total", l).Value()
 		rep.DroppedRows += r.reg.Counter("netrepl_bootstrap_dropped_rows_total", l).Value()
 	}
-	addStats := func(s fault.NetStats) {
-		rep.Faults.Drops += s.Drops
-		rep.Faults.Dups += s.Dups
-		rep.Faults.Reorders += s.Reorders
-		rep.Faults.Truncates += s.Truncates
-		rep.Faults.Delays += s.Delays
-		rep.Faults.Cuts += s.Cuts
-		rep.Faults.DialFails += s.DialFails
-	}
-
-	type shipHandle struct {
-		stop chan struct{}
-		wg   sync.WaitGroup
-		err  error
-	}
-	startShipper := func(nw *fault.Net) *shipHandle {
-		sh := netrepl.NewShipper(netrepl.ShipperConfig{
-			Source: "src", Dial: nw.Dial,
-			Fetch: oplog.Read, SchemaOf: schemaOf,
-			Snapshot: snap,
-			BatchOps: 3, Window: 3,
-			Retry:      retry.Policy{Base: time.Millisecond, Cap: 10 * time.Millisecond, Multiplier: 2, Jitter: 0.5},
-			AckTimeout: 40 * time.Millisecond,
-			PollEvery:  time.Millisecond,
-		})
-		h := &shipHandle{stop: make(chan struct{})}
-		h.wg.Add(1)
-		go func() { defer h.wg.Done(); h.err = sh.Run(h.stop) }()
-		return h
-	}
-
-	type serverHandle struct {
-		rep       *bootReplica
-		srv       *netrepl.Server
-		stopApply chan struct{}
-		applyWG   sync.WaitGroup
-		applyErr  error
-		serveWG   sync.WaitGroup
-	}
-	serveOn := func(h *serverHandle, nw *fault.Net) {
-		h.serveWG.Add(1)
-		go func() { defer h.serveWG.Done(); h.srv.Serve(nw.Listener()) }()
-	}
-	startServer := func(nw *fault.Net) (*serverHandle, error) {
-		r, err := openReplica()
-		if err != nil {
-			return nil, err
+	// stopServer kills the network and the shipper, then shuts the
+	// server down, which drains its applier. The replica engine stays
+	// open so the caller can digest it; close it via r.db when done.
+	stopServer := func(r *bootReplica, nw *fault.Net, sh *shipper) error {
+		shipErr := sh.kill(nw)
+		applyErr := r.srv.Shutdown()
+		<-r.served
+		rep.Faults.Add(nw.Stats())
+		harvest(r)
+		if applyErr != nil {
+			return fmt.Errorf("simboot seed %d: %w", cfg.Seed, applyErr)
 		}
-		h := &serverHandle{rep: r}
-		h.srv = netrepl.NewServer(netrepl.ServerConfig{
-			Dir: topicDir,
-			Bootstrap: func(string) (*netrepl.Bootstrapper, error) { return r.boot, nil },
-		})
-		serveOn(h, nw)
-		topic, err := h.srv.Topic("src")
-		if err != nil {
-			r.db.Close()
-			return nil, err
-		}
-		ap := &netrepl.Applier{
-			Topic: topic, Integrator: r.integ, SchemaOf: schemaOf,
-			Bootstrap: r.boot, PollEvery: time.Millisecond,
-		}
-		h.stopApply = make(chan struct{})
-		h.applyWG.Add(1)
-		go func() { defer h.applyWG.Done(); h.applyErr = ap.Run(h.stopApply) }()
-		return h, nil
-	}
-	// stopServer mirrors the simnet kill order: network first (nothing
-	// graceful can be delivered), shipper, applier, then the server
-	// closing its queues. The replica engine stays open so the caller can
-	// digest it; close it via r.db when done.
-	stopServer := func(h *serverHandle, nw *fault.Net, ship *shipHandle) error {
-		nw.Close()
-		if ship != nil {
-			close(ship.stop)
-			ship.wg.Wait()
-		}
-		close(h.stopApply)
-		h.applyWG.Wait()
-		h.srv.Shutdown()
-		h.serveWG.Wait()
-		addStats(nw.Stats())
-		harvest(h.rep)
-		if h.applyErr != nil {
-			return fmt.Errorf("simboot seed %d: applier: %w", cfg.Seed, h.applyErr)
-		}
-		if ship != nil && ship.err != nil {
-			return fmt.Errorf("simboot seed %d: shipper: %w", cfg.Seed, ship.err)
+		if shipErr != nil {
+			return fmt.Errorf("simboot seed %d: shipper: %w", cfg.Seed, shipErr)
 		}
 		return nil
 	}
@@ -399,14 +282,14 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 	// already be done; restarting then exercises the done-run handshake).
 	midBootstrap := func(r *bootReplica) func() bool {
 		return func() bool {
-			m, err := r.blog.Meta()
+			m, err := r.replica.Bootstrap.Log.Meta()
 			if err != nil {
 				return false
 			}
 			if m.Done {
 				return true
 			}
-			prog, err := r.blog.Progress()
+			prog, err := r.replica.Bootstrap.Log.Progress()
 			return err == nil && len(prog) > 0
 		}
 	}
@@ -419,18 +302,18 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 			default:
 				return false
 			}
-			m, err := r.blog.Meta()
+			m, err := r.replica.Bootstrap.Log.Meta()
 			if err != nil || !m.Done {
 				return false
 			}
 			bootReading.Store(false)
-			max, err := r.applied.MaxSeq()
+			max, err := r.replica.Integrator.Applied.MaxSeq()
 			return err == nil && max >= oplog.Seq()
 		}
 	}
 
-	finish := func(h *serverHandle, nw *fault.Net, ship *shipHandle, met bool) error {
-		stopErr := stopServer(h, nw, ship)
+	finish := func(r *bootReplica, nw *fault.Net, sh *shipper, met bool) error {
+		stopErr := stopServer(r, nw, sh)
 		// liveErr is owned by the writer goroutine until liveDone closes;
 		// on a timeout the workload may still be running, so only read it
 		// behind the channel.
@@ -442,14 +325,14 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 		}
 		if lerr == nil {
 			rep.MaxSeq = oplog.Seq()
-			if rep.SourceDigest, err = tableDigest(src, "parts"); err != nil {
+			if rep.SourceDigest, err = tableDigest(src.db, "parts"); err != nil {
 				return err
 			}
-			if rep.WarehouseDigest, err = tableDigest(h.rep.db, "parts"); err != nil {
+			if rep.WarehouseDigest, err = tableDigest(r.db, "parts"); err != nil {
 				return err
 			}
 		}
-		closeErr := h.rep.db.Close()
+		closeErr := r.db.Close()
 		if lerr != nil {
 			return fmt.Errorf("simboot seed %d: live workload: %w", cfg.Seed, lerr)
 		}
@@ -473,21 +356,21 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 	}
 
 	nw1 := fault.NewNet(withSeed(profile, cfg.Seed))
-	h1, err := startServer(nw1)
+	r1, err := startServer(nw1)
 	if err != nil {
 		return rep, err
 	}
-	ship1 := startShipper(nw1)
+	ship1 := startShipper(nw1, src, snap, nil)
 	startLive()
 
 	if !rep.Restarted {
-		met := waitUntil(converged(h1.rep))
-		return rep, finish(h1, nw1, ship1, met)
+		met := waitUntil(converged(r1))
+		return rep, finish(r1, nw1, ship1, met)
 	}
 
-	if !waitUntil(midBootstrap(h1.rep)) {
-		err := stopServer(h1, nw1, ship1)
-		h1.rep.db.Close()
+	if !waitUntil(midBootstrap(r1)) {
+		err := stopServer(r1, nw1, ship1)
+		r1.db.Close()
 		if err != nil {
 			return rep, err
 		}
@@ -498,39 +381,40 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 		// Hard-kill the shipper's world: the network dies first, so its
 		// in-flight chunk and window state are simply gone, then a brand
 		// new shipper resumes from the replica's durable progress. The
-		// server, applier, and warehouse engine never stop.
-		nw1.Close()
-		close(ship1.stop)
-		ship1.wg.Wait()
-		addStats(nw1.Stats())
-		if ship1.err != nil {
-			h1.rep.db.Close()
-			return rep, fmt.Errorf("simboot seed %d: shipper: %w", cfg.Seed, ship1.err)
+		// server, its applier, and the warehouse engine never stop; the
+		// server just serves the new network.
+		err := ship1.kill(nw1)
+		rep.Faults.Add(nw1.Stats())
+		if err != nil {
+			r1.srv.Shutdown()
+			<-r1.served
+			r1.db.Close()
+			return rep, fmt.Errorf("simboot seed %d: shipper: %w", cfg.Seed, err)
 		}
-		h1.serveWG.Wait() // Serve returned when nw1's listener died
+		<-r1.served // Serve returned when nw1's listener died
 		nw2 := fault.NewNet(withSeed(profile, cfg.Seed+1_000_003))
-		serveOn(h1, nw2)
-		ship2 := startShipper(nw2)
-		met := waitUntil(converged(h1.rep))
-		return rep, finish(h1, nw2, ship2, met)
+		r1.served = serve(r1.srv, nw2)
+		ship2 := startShipper(nw2, src, snap, nil)
+		met := waitUntil(converged(r1))
+		return rep, finish(r1, nw2, ship2, met)
 	}
 
 	// Whole-replica restart: server, applier, and the warehouse engine
 	// all die with the connections severed; the second incarnation must
 	// resume mid-bootstrap from the durable BootstrapLog.
-	if err := stopServer(h1, nw1, ship1); err != nil {
-		h1.rep.db.Close()
+	if err := stopServer(r1, nw1, ship1); err != nil {
+		r1.db.Close()
 		return rep, err
 	}
-	if err := h1.rep.db.Close(); err != nil {
+	if err := r1.db.Close(); err != nil {
 		return rep, err
 	}
 	nw2 := fault.NewNet(withSeed(profile, cfg.Seed+1_000_003))
-	h2, err := startServer(nw2)
+	r2, err := startServer(nw2)
 	if err != nil {
 		return rep, err
 	}
-	ship2 := startShipper(nw2)
-	met := waitUntil(converged(h2.rep))
-	return rep, finish(h2, nw2, ship2, met)
+	ship2 := startShipper(nw2, src, snap, nil)
+	met := waitUntil(converged(r2))
+	return rep, finish(r2, nw2, ship2, met)
 }

@@ -12,17 +12,26 @@
 //     updates and deletes) runs against a source engine through the
 //     op-delta capture wrapper. The source table digest is ground
 //     truth.
-//  2. Replication pass: a netrepl server, shipper, and applier move
-//     the captured op log across a fault.Net whose fault schedule is
-//     derived from the seed. Roughly half the seeds kill the server
-//     and the shipper mid-stream — no SHUTDOWN frame, connections
-//     severed, all shipper state lost — and restart both over the
-//     server's surviving queue directory, so resume-from-durable-LSN
-//     runs from a blank client against recovered server state.
+//  2. Replication pass: a shipper and a netrepl server move the
+//     captured op log across a fault.Net whose fault schedule is
+//     derived from the seed, and the server applies it through the
+//     production warehouse side (netrepl.NewReplica: its integrator
+//     workers, its applier poll). Roughly half the seeds kill the
+//     server and the shipper mid-stream — no SHUTDOWN frame,
+//     connections severed, all shipper state lost — and restart both
+//     over the server's surviving queue directory, so
+//     resume-from-durable-LSN runs from a blank client against
+//     recovered server state.
 //  3. Verdict: the run converges when the server acked every source
 //     op, the applied log's high seq matches, and the warehouse
 //     replica's digest equals the source digest. Anything else is a
 //     lost or duplicated transaction.
+//
+// Kill order: the network dies first, so nothing graceful reaches
+// either end; then the shipper stops; then the server's Shutdown severs
+// what is left, drains its applier and closes its queues — the same
+// Shutdown opdeltad -serve runs, so the soak owns no stop order of the
+// warehouse side.
 //
 // The workload, fault schedule, and restart decision are deterministic
 // per seed; delivery timing is not (goroutines race), but the verdict
@@ -40,7 +49,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"opdelta/internal/catalog"
@@ -134,32 +142,15 @@ func Run(cfg Config) (*Report, error) {
 	defer os.RemoveAll(root)
 
 	// Workload pass: capture a deterministic DML stream at the source.
-	src, err := engine.Open(filepath.Join(root, "src"), engine.Options{WALSync: wal.SyncFlush, Now: fixedNow})
+	src, err := openSource(root)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	if _, err := src.Exec(nil, partsDDL); err != nil {
+	defer src.db.Close()
+	if err := workload(src.capture, rng, cfg.Txns); err != nil {
 		return nil, err
 	}
-	tbl, err := src.Table("parts")
-	if err != nil {
-		return nil, err
-	}
-	oplog, err := opdelta.NewTableLog(src)
-	if err != nil {
-		return nil, err
-	}
-	view := opdelta.ViewDef{
-		Name: "slim_parts", Source: "parts",
-		Project:  []string{"part_id", "status"},
-		SourcePK: "part_id", SourceTS: "last_modified",
-	}
-	capture := &opdelta.Capture{DB: src, Log: oplog, Analyzer: opdelta.NewAnalyzer(view)}
-	if err := workload(capture, rng, cfg.Txns); err != nil {
-		return nil, err
-	}
-	ops, err := oplog.Read(0)
+	ops, err := src.oplog.Read(0)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +158,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("simnet seed %d: empty workload", cfg.Seed)
 	}
 	rep := &Report{Seed: cfg.Seed, Txns: cfg.Txns, MaxSeq: ops[len(ops)-1].Seq}
-	if rep.SourceDigest, err = tableDigest(src, "parts"); err != nil {
+	if rep.SourceDigest, err = tableDigest(src.db, "parts"); err != nil {
 		return nil, err
 	}
 
@@ -179,65 +170,35 @@ func Run(cfg Config) (*Report, error) {
 		profile = p
 	}
 	rep.Restarted = rng.Intn(2) == 0
-	schemaOf := func(table string) (*catalog.Schema, error) {
-		t, err := src.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		return t.Schema, nil
-	}
-
-	wh, err := engine.Open(filepath.Join(root, "wh"), engine.Options{WALSync: wal.SyncFlush, Now: fixedNow})
-	if err != nil {
-		return nil, err
-	}
-	defer wh.Close()
-	w := warehouse.New(wh)
-	if err := w.RegisterReplica("parts", tbl.Schema, "part_id", "last_modified"); err != nil {
-		return nil, err
-	}
-	applied, err := warehouse.EnsureAppliedLog(w)
-	if err != nil {
-		return nil, err
-	}
-	integ := &warehouse.ParallelIntegrator{W: w, Workers: 2, Applied: applied}
 
 	// Every batch is traced (default 1-in-1 sampling) and marked, so the
 	// soak doubles as a leak check on batch marks under faults.
 	spans := obs.NewSpanTracer(obs.NewRegistry(), 512)
 	pendingHandoffs := 0
 
+	// The warehouse engine outlives the server restart; each server
+	// incarnation applies into the same replica.
+	wh, replica, err := openReplica(filepath.Join(root, "wh"), src.schema, nil, spans)
+	if err != nil {
+		return nil, err
+	}
+	defer wh.Close()
+
 	topicDir := filepath.Join(root, "topics")
 	deadline := time.Now().Add(cfg.Timeout)
-	runPhase := func(seedShift int64, target func(acked func() uint64) bool) (*fault.NetStats, error) {
+	runPhase := func(seedShift int64, target func(acked func() uint64) bool) (fault.NetStats, error) {
 		nw := fault.NewNet(withSeed(profile, cfg.Seed+seedShift))
 		srv := netrepl.NewServer(netrepl.ServerConfig{
 			Dir: topicDir, UnsafeAcceptOutOfOrder: cfg.UnsafeAcceptOutOfOrder,
-			Spans: spans,
+			Spans:   spans,
+			Replica: func(string) (*netrepl.Replica, error) { return replica, nil },
 		})
-		serveDone := make(chan struct{})
-		go func() { defer close(serveDone); srv.Serve(nw.Listener()) }()
+		served := serve(srv, nw)
 		topic, err := srv.Topic("src")
 		if err != nil {
-			return nil, err
+			return nw.Stats(), err
 		}
-		sh := netrepl.NewShipper(netrepl.ShipperConfig{
-			Source: "src", Dial: nw.Dial,
-			Fetch: oplog.Read, SchemaOf: schemaOf,
-			BatchOps: 3, Window: 3,
-			Retry:      retry.Policy{Base: time.Millisecond, Cap: 10 * time.Millisecond, Multiplier: 2, Jitter: 0.5},
-			AckTimeout: 40 * time.Millisecond,
-			PollEvery:  time.Millisecond,
-			Spans:      spans,
-		})
-		ap := &netrepl.Applier{Topic: topic, Integrator: integ, SchemaOf: schemaOf, PollEvery: time.Millisecond, Spans: spans}
-		stopShip := make(chan struct{})
-		stopApply := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(2)
-		var shipErr, applyErr error
-		go func() { defer wg.Done(); shipErr = sh.Run(stopShip) }()
-		go func() { defer wg.Done(); applyErr = ap.Run(stopApply) }()
+		sh := startShipper(nw, src, nil, spans)
 		met := target == nil
 		for target != nil && time.Now().Before(deadline) {
 			if target(sh.Acked) {
@@ -246,41 +207,23 @@ func Run(cfg Config) (*Report, error) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		// Kill order mimics the failure being simulated: the network dies
-		// first (no SHUTDOWN can be delivered), then the endpoints stop,
-		// and only then does the server close its queues — the applier
-		// must not race a queue that Shutdown is closing.
-		nw.Close()
-		close(stopShip)
-		close(stopApply)
-		wg.Wait()
+		// The network dies first (no SHUTDOWN can be delivered), then the
+		// shipper, then the server, which drains its applier.
+		shipErr := sh.kill(nw)
+		applyErr := srv.Shutdown()
+		<-served
 		pendingHandoffs = topic.PendingSpanHandoffs()
-		srv.Shutdown()
-		<-serveDone
 		stats := nw.Stats()
 		if applyErr != nil {
-			return &stats, fmt.Errorf("simnet seed %d: applier: %w", cfg.Seed, applyErr)
+			return stats, fmt.Errorf("simnet seed %d: %w", cfg.Seed, applyErr)
 		}
 		if shipErr != nil {
-			return &stats, fmt.Errorf("simnet seed %d: shipper: %w", cfg.Seed, shipErr)
+			return stats, fmt.Errorf("simnet seed %d: shipper: %w", cfg.Seed, shipErr)
 		}
 		if !met {
-			return &stats, fmt.Errorf("simnet seed %d: phase timed out", cfg.Seed)
+			return stats, fmt.Errorf("simnet seed %d: phase timed out", cfg.Seed)
 		}
-		return &stats, nil
-	}
-
-	addStats := func(s *fault.NetStats) {
-		if s == nil {
-			return
-		}
-		rep.Faults.Drops += s.Drops
-		rep.Faults.Dups += s.Dups
-		rep.Faults.Reorders += s.Reorders
-		rep.Faults.Truncates += s.Truncates
-		rep.Faults.Delays += s.Delays
-		rep.Faults.Cuts += s.Cuts
-		rep.Faults.DialFails += s.DialFails
+		return stats, nil
 	}
 
 	if rep.Restarted {
@@ -288,7 +231,7 @@ func Run(cfg Config) (*Report, error) {
 		// the restarted phase gets a brand-new shipper with zero state.
 		half := rep.MaxSeq / 2
 		stats, err := runPhase(0, func(acked func() uint64) bool { return acked() >= half })
-		addStats(stats)
+		rep.Faults.Add(stats)
 		if err != nil {
 			return rep, err
 		}
@@ -298,10 +241,10 @@ func Run(cfg Config) (*Report, error) {
 		if acked() < want {
 			return false
 		}
-		max, err := applied.MaxSeq()
+		max, err := replica.Integrator.Applied.MaxSeq()
 		return err == nil && max >= want
 	})
-	addStats(stats)
+	rep.Faults.Add(stats)
 	if err != nil {
 		if cfg.UnsafeAcceptOutOfOrder {
 			// With the hole open, acks can stall behind dropped-and-skipped
@@ -331,6 +274,112 @@ func Run(cfg Config) (*Report, error) {
 			cfg.Seed, rep.SourceDigest, rep.WarehouseDigest)
 	}
 	return rep, nil
+}
+
+// source is a soak's source side: an engine with the parts table, the
+// op log, and the capture wrapper that fills it through the slim_parts
+// analyzer view.
+type source struct {
+	db      *engine.DB
+	oplog   *opdelta.TableLog
+	capture *opdelta.Capture
+	schema  *catalog.Schema // of parts
+}
+
+// openSource creates the source under root/src.
+func openSource(root string) (_ *source, err error) {
+	db, err := engine.Open(filepath.Join(root, "src"), engine.Options{WALSync: wal.SyncFlush, Now: fixedNow})
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			db.Close()
+		}
+	}()
+	if _, err := db.Exec(nil, partsDDL); err != nil {
+		return nil, err
+	}
+	tbl, err := db.Table("parts")
+	if err != nil {
+		return nil, err
+	}
+	oplog, err := opdelta.NewTableLog(db)
+	if err != nil {
+		return nil, err
+	}
+	view := opdelta.ViewDef{
+		Name: "slim_parts", Source: "parts",
+		Project:  []string{"part_id", "status"},
+		SourcePK: "part_id", SourceTS: "last_modified",
+	}
+	capture := &opdelta.Capture{DB: db, Log: oplog, Analyzer: opdelta.NewAnalyzer(view)}
+	return &source{db: db, oplog: oplog, capture: capture, schema: tbl.Schema}, nil
+}
+
+// openReplica opens the warehouse engine under dir with a parts replica
+// of schema, as the Replica of source "src"; reg and spans go to its
+// bootstrapper.
+func openReplica(dir string, schema *catalog.Schema, reg *obs.Registry, spans *obs.SpanTracer) (*engine.DB, *netrepl.Replica, error) {
+	db, err := engine.Open(dir, engine.Options{WALSync: wal.SyncFlush, Now: fixedNow})
+	if err != nil {
+		return nil, nil, err
+	}
+	w := warehouse.New(db)
+	err = w.RegisterReplica("parts", schema, "part_id", "last_modified")
+	var r *netrepl.Replica
+	if err == nil {
+		r, err = netrepl.NewReplica(w, "src", reg, spans)
+	}
+	if err != nil {
+		db.Close()
+		return nil, nil, err
+	}
+	return db, r, nil
+}
+
+// serve runs srv on nw's listener; the channel closes when Serve
+// returns, which it does once nw is closed.
+func serve(srv *netrepl.Server, nw *fault.Net) chan struct{} {
+	served := make(chan struct{})
+	go func() { defer close(served); srv.Serve(nw.Listener()) }()
+	return served
+}
+
+// shipper is a soak's running shipper.
+type shipper struct {
+	*netrepl.Shipper
+	stop chan struct{}
+	done chan error
+}
+
+// startShipper ships src's op log over nw on the soak's tight timers;
+// snap, when set, serves snapshot bootstraps.
+func startShipper(nw *fault.Net, src *source, snap *opdelta.Snapshotter, spans *obs.SpanTracer) *shipper {
+	sh := &shipper{
+		Shipper: netrepl.NewShipper(netrepl.ShipperConfig{
+			Source: "src", Dial: nw.Dial,
+			Fetch: src.oplog.Read, SchemaOf: src.db.Schema,
+			Snapshot: snap,
+			BatchOps: 3, Window: 3,
+			Retry:      retry.Policy{Base: time.Millisecond, Cap: 10 * time.Millisecond, Multiplier: 2, Jitter: 0.5},
+			AckTimeout: 40 * time.Millisecond,
+			PollEvery:  time.Millisecond,
+			Spans:      spans,
+		}),
+		stop: make(chan struct{}),
+		done: make(chan error, 1),
+	}
+	go func() { sh.done <- sh.Run(sh.stop) }()
+	return sh
+}
+
+// kill cuts nw — nothing graceful can be delivered — then stops the
+// shipper and returns its error.
+func (sh *shipper) kill(nw *fault.Net) error {
+	nw.Close()
+	close(sh.stop)
+	return <-sh.done
 }
 
 func withSeed(p fault.NetProfile, seed int64) fault.NetProfile {

@@ -11,13 +11,45 @@ import (
 	"opdelta/internal/warehouse"
 )
 
+// Replica is one source's warehouse side: the exactly-once integrator
+// its ops replay through and the snapshot-bootstrap coordinator that
+// reconciles its chunks. A server with ServerConfig.Replica resolves it
+// once per source and keeps it on the Topic; the HELLO handshake and
+// the topic's applier use that same value, which is what serializes
+// chunk reconciliation with delta apply for the source.
+type Replica struct {
+	Integrator *warehouse.ParallelIntegrator
+	Bootstrap  *Bootstrapper
+}
+
+// NewReplica makes w the warehouse side of source: it ensures w's
+// applied log and bootstrap log and returns the integrator (four
+// workers, exactly-once through the applied log) and the bootstrapper.
+// The caller registers w's replica tables first; reg and spans receive
+// the bootstrapper's metrics and chunk spans.
+func NewReplica(w *warehouse.Warehouse, source string, reg *obs.Registry, spans *obs.SpanTracer) (*Replica, error) {
+	applied, err := warehouse.EnsureAppliedLog(w)
+	if err != nil {
+		return nil, err
+	}
+	blog, err := warehouse.EnsureBootstrapLog(w)
+	if err != nil {
+		return nil, err
+	}
+	return &Replica{
+		Integrator: &warehouse.ParallelIntegrator{W: w, Workers: 4, Applied: applied},
+		Bootstrap:  &Bootstrapper{Log: blog, Applied: applied, Source: source, Obs: reg, Spans: spans},
+	}, nil
+}
+
 // Applier drains one topic into one warehouse through the parallel
 // integrator. The queue gives at-least-once delivery (a crash between
 // apply and Ack replays the tail); the integrator's AppliedLog turns
 // that into exactly-once effects. Each op gets a lifecycle trace
 // beginning at its source capture timestamp — carried inside the op
 // encoding — so the warehouse-side tracer measures true end-to-end
-// freshness across the wire.
+// freshness across the wire. A server with ServerConfig.Replica runs
+// one per topic; only a server without it leaves Run to the caller.
 type Applier struct {
 	Topic *Topic
 	// Integrator applies batches; set Applied on it for exactly-once.

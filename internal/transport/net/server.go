@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,12 +36,15 @@ type ServerConfig struct {
 	// on a topic (fresh ops only, dedup excluded). The server calls it
 	// from the connection's goroutine.
 	OnEnqueue func(source string, ops int)
-	// Bootstrap, when set, resolves the per-source snapshot-bootstrap
-	// coordinator; a HELLO whose source log base has advanced past the
-	// topic's durable seq then negotiates a bootstrap instead of being
-	// stuck with an unreplayable gap. Nil disables bootstrap (such a
-	// HELLO is rejected).
-	Bootstrap func(source string) (*Bootstrapper, error)
+	// Replica, when set, resolves a source's warehouse side, once per
+	// source, when its topic opens. The server then runs the topic's
+	// applier into it until Shutdown, and a HELLO whose source log base
+	// has advanced past the topic's durable seq negotiates a snapshot
+	// bootstrap instead of being stuck with an unreplayable gap. Nil
+	// leaves applying to the caller and rejects such a HELLO.
+	Replica func(source string) (*Replica, error)
+	// Tracer, when set, traces each applied op's lifecycle (Applier.Tracer).
+	Tracer *obs.Tracer
 	// Spans, when set, continues wire-propagated traces: a traced DELTA
 	// gets a "persist" span; its batch mark hands the context to the applier.
 	// Nil disables tracing (trailers are still stripped and ignored).
@@ -70,7 +73,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Server accepts N concurrent source shippers, writes their op batches
-// into per-source durable queue topics, and acks the durable seq.
+// into per-source durable queue topics, and acks the durable seq. With
+// ServerConfig.Replica it also applies every topic into its replica.
 // Replayed ops — redelivery after a reconnect or a duplicated frame —
 // are deduplicated against the topic's high-water seq before they
 // reach the queue, which is sound because ops arrive in seq order
@@ -79,11 +83,19 @@ func (c ServerConfig) withDefaults() ServerConfig {
 type Server struct {
 	cfg ServerConfig
 
-	mu      sync.Mutex
-	topics  map[string]*Topic
-	conns   map[net.Conn]bool
-	closed  bool
-	serveWG sync.WaitGroup
+	mu        sync.Mutex
+	topics    map[string]*Topic
+	conns     map[net.Conn]bool
+	closed    bool
+	recovered bool // topics under Dir opened (with Replica set)
+	serveWG   sync.WaitGroup
+
+	// Appliers run from their topic's opening until Shutdown, across
+	// Serve calls. The first applier error closes failed.
+	stopApply chan struct{}
+	applyWG   sync.WaitGroup
+	applyErr  error
+	failed    chan struct{}
 
 	connects       *obs.Counter
 	busy           *obs.Counter
@@ -100,7 +112,10 @@ type Server struct {
 // to start accepting.
 func NewServer(cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, topics: make(map[string]*Topic), conns: make(map[net.Conn]bool)}
+	s := &Server{
+		cfg: cfg, topics: make(map[string]*Topic), conns: make(map[net.Conn]bool),
+		stopApply: make(chan struct{}), failed: make(chan struct{}),
+	}
 	reg := cfg.Obs
 	s.connects = reg.Counter("netrepl_server_connects_total")
 	s.busy = reg.Counter("netrepl_server_busy_total")
@@ -120,6 +135,8 @@ func NewServer(cfg ServerConfig) *Server {
 type Topic struct {
 	Source string
 	Q      *transport.Queue
+
+	replica *Replica // nil unless the server has ServerConfig.Replica
 
 	mu      sync.Mutex
 	lastSeq uint64
@@ -248,8 +265,17 @@ func (t *Topic) PendingSpanHandoffs() int {
 func (s *Server) Topic(source string) (*Topic, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.topicLocked(source)
+}
+
+// topicLocked opens the source's topic under s.mu. A new topic resolves
+// its Replica here — exactly once per source — and starts its applier.
+func (s *Server) topicLocked(source string) (*Topic, error) {
 	if t := s.topics[source]; t != nil {
 		return t, nil
+	}
+	if s.closed {
+		return nil, errors.New("netrepl: server shut down")
 	}
 	q, err := transport.OpenQueueObs(s.cfg.FS, filepath.Join(s.cfg.Dir, source), s.cfg.Obs, obs.L("source", source))
 	if err != nil {
@@ -272,6 +298,13 @@ func (s *Server) Topic(source string) (*Topic, error) {
 		q.Close()
 		return nil, err
 	}
+	if s.cfg.Replica != nil {
+		if t.replica, err = s.cfg.Replica(source); err != nil {
+			q.Close()
+			return nil, err
+		}
+		s.startApplier(t)
+	}
 	s.topics[source] = t
 	s.cfg.Obs.GaugeFunc("netrepl_server_last_seq", func() float64 {
 		return float64(t.LastSeq())
@@ -282,21 +315,65 @@ func (s *Server) Topic(source string) (*Topic, error) {
 	return t, nil
 }
 
-// Sources returns the sources with open topics, sorted.
-func (s *Server) Sources() []string {
+// startApplier runs t's applier into its replica until Shutdown.
+func (s *Server) startApplier(t *Topic) {
+	ap := &Applier{
+		Topic:      t,
+		Integrator: t.replica.Integrator,
+		SchemaOf:   t.replica.Integrator.W.DB.Schema,
+		Bootstrap:  t.replica.Bootstrap,
+		Tracer:     s.cfg.Tracer,
+		Spans:      s.cfg.Spans,
+		Obs:        s.cfg.Obs,
+	}
+	s.applyWG.Add(1)
+	go func() {
+		defer s.applyWG.Done()
+		if err := ap.Run(s.stopApply); err != nil {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.applyErr == nil {
+				s.applyErr = fmt.Errorf("applier %s: %w", t.Source, err)
+				close(s.failed)
+			}
+		}
+	}()
+}
+
+// Failed is closed when an applier fails; Shutdown returns the error.
+func (s *Server) Failed() <-chan struct{} { return s.failed }
+
+// recoverTopics opens, with Replica set, every topic a previous run
+// left under Dir, so each backlog applies without its shipper. Once
+// per server.
+func (s *Server) recoverTopics() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.topics))
-	for src := range s.topics {
-		out = append(out, src)
+	if s.cfg.Replica == nil || s.recovered {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	entries, err := s.cfg.FS.ReadDir(s.cfg.Dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			if _, err := s.topicLocked(e.Name()); err != nil {
+				return err
+			}
+		}
+	}
+	s.recovered = true
+	return nil
 }
 
 // Serve accepts connections on lis until the listener fails or the
-// server shuts down. It returns nil after Shutdown/Close.
+// server shuts down. It returns nil after Shutdown/Close. The first
+// call first recovers the topics under Dir (with Replica set).
 func (s *Server) Serve(lis net.Listener) error {
+	if err := s.recoverTopics(); err != nil {
+		return err
+	}
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
@@ -379,12 +456,8 @@ func (s *Server) handle(conn net.Conn) {
 	mode := ModeStream
 	var progress []BootstrapProgress
 	var boot *Bootstrapper
-	if s.cfg.Bootstrap != nil {
-		if boot, err = s.cfg.Bootstrap(source); err != nil {
-			s.rejects.Inc()
-			send(FrameReject, 0, []byte(err.Error()))
-			return
-		}
+	if topic.replica != nil {
+		boot = topic.replica.Bootstrap
 	}
 	if boot != nil {
 		mode, progress, err = boot.Handshake(base, topic.LastSeq(), send)
@@ -559,8 +632,10 @@ func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recv
 }
 
 // Shutdown stops accepting, announces SHUTDOWN on every active
-// connection, waits for handlers to drain, and closes the topics.
-// The listener passed to Serve is closed by the caller.
+// connection and severs it, waits for the handlers, stops the appliers
+// — each drains its queue, so every op the server acked is applied —
+// and closes the topics. It returns the first applier error. The
+// listener passed to Serve is closed by the caller.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	if s.closed {
@@ -580,9 +655,11 @@ func (s *Server) Shutdown() error {
 		c.Close()
 	}
 	s.serveWG.Wait()
-	var firstErr error
+	close(s.stopApply)
+	s.applyWG.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	firstErr := s.applyErr
 	for _, t := range s.topics {
 		if err := t.Q.Close(); err != nil && firstErr == nil {
 			firstErr = err
