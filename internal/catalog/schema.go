@@ -121,3 +121,22 @@ func (s *Schema) Validate(t Tuple) error {
 	}
 	return nil
 }
+
+// Coerce adapts v to col's type where a lossless conversion exists:
+// NULL takes the column's type, and an integer becomes a DOUBLE. Every
+// layer that turns a statement literal into a column value — the
+// executor's rows and SET lists, the key analysis, the warehouse's
+// view-only replay — converts through here, so they agree with the
+// source on what a literal means.
+func Coerce(v Value, col Column) (Value, error) {
+	if v.IsNull() {
+		return NewNull(col.Type), nil
+	}
+	if v.Type() == col.Type {
+		return v, nil
+	}
+	if v.Type() == TypeInt64 && col.Type == TypeFloat64 {
+		return NewFloat(float64(v.Int())), nil
+	}
+	return Value{}, fmt.Errorf("engine: column %q expects %s, got %s", col.Name, col.Type, v.Type())
+}

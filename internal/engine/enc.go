@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"opdelta/internal/catalog"
+	"opdelta/internal/keyset"
 	"opdelta/internal/storage"
 )
 
@@ -25,7 +26,8 @@ import (
 // Value encodings (all big-endian so byte order equals numeric order):
 //
 //	INT64/TIMESTAMP: uint64(v) XOR sign bit
-//	DOUBLE:          IEEE bits, sign-flipped negatives (total order; NaN first)
+//	DOUBLE:          IEEE bits, sign-flipped negatives (total order; -0 as 0,
+//	                 every NaN as 0, below -Inf)
 //	BOOLEAN:         one byte 0/1
 //	VARCHAR/VARBINARY: payload with 0x00 escaped as 0x00 0xFF,
 //	                 terminated by 0x00 0x01 (so prefixes sort before
@@ -44,7 +46,16 @@ func encodeIndexValue(dst []byte, v catalog.Value) ([]byte, error) {
 	case catalog.TypeTime:
 		return appendOrderedUint64(dst, uint64(v.Time().UnixNano())^(1<<63)), nil
 	case catalog.TypeFloat64:
-		bits := math.Float64bits(v.Float())
+		// catalog.Compare calls -0 equal to 0 and every NaN equal, below
+		// every number: encode them so.
+		f := v.Float()
+		if math.IsNaN(f) {
+			return appendOrderedUint64(dst, 0), nil
+		}
+		if f == 0 {
+			f = 0
+		}
+		bits := math.Float64bits(f)
 		if bits&(1<<63) != 0 {
 			bits = ^bits // negative: flip everything
 		} else {
@@ -96,15 +107,20 @@ func indexEntryKey(v catalog.Value, rid storage.RID) (catalog.Value, error) {
 }
 
 // indexRangeBounds returns composite-key bounds covering every entry
-// whose column value lies in [lo, hi] (nil = open end; exclusivity is
-// handled by nudging with minimal/maximal RID suffixes).
-func indexRangeBounds(lo, hi *catalog.Value, loX, hiX bool) (loKey, hiKey *catalog.Value, err error) {
-	if lo != nil {
-		enc, err := encodeIndexValue(nil, *lo)
+// whose column value lies in r (exclusivity is handled by nudging with
+// minimal/maximal RID suffixes). No comparison matches NULL, so an
+// unbounded low end still starts above the NULL entries: at the bare
+// non-NULL tag, below every non-NULL encoding.
+func indexRangeBounds(r keyset.KeyRange) (loKey, hiKey *catalog.Value, err error) {
+	if !r.HasLo {
+		v := catalog.NewBytes([]byte{0x01})
+		loKey = &v
+	} else {
+		enc, err := encodeIndexValue(nil, r.Lo)
 		if err != nil {
 			return nil, nil, err
 		}
-		if loX {
+		if r.LoOpen {
 			// Everything strictly greater than any (lo, rid): append max
 			// RID suffix.
 			enc = append(enc, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00)
@@ -112,20 +128,17 @@ func indexRangeBounds(lo, hi *catalog.Value, loX, hiX bool) (loKey, hiKey *catal
 		v := catalog.NewBytes(enc)
 		loKey = &v
 	}
-	if hi != nil {
-		enc, err := encodeIndexValue(nil, *hi)
+	if r.HasHi {
+		enc, err := encodeIndexValue(nil, r.Hi)
 		if err != nil {
 			return nil, nil, err
 		}
-		if hiX {
-			// Strictly less than (hi, any rid): stop just before the
-			// value's smallest composite (empty RID suffix sorts first).
-			v := catalog.NewBytes(enc)
-			hiKey = &v
-			return loKey, hiKey, nil
+		if !r.HiOpen {
+			// Inclusive: include every RID suffix for hi. Open: stop just
+			// before the value's smallest composite (empty RID suffix
+			// sorts first).
+			enc = append(enc, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00)
 		}
-		// Inclusive: include every RID suffix for hi.
-		enc = append(enc, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00)
 		v := catalog.NewBytes(enc)
 		hiKey = &v
 	}

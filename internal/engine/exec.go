@@ -79,29 +79,17 @@ func (db *DB) execCreateTable(s *sqlmini.CreateTable) (Result, error) {
 	return Result{}, err
 }
 
-// coerce adapts v to the column type where a lossless conversion
-// exists (integer literals into DOUBLE columns).
-func coerce(v catalog.Value, col catalog.Column) (catalog.Value, error) {
-	if v.IsNull() {
-		return catalog.NewNull(col.Type), nil
-	}
-	if v.Type() == col.Type {
-		return v, nil
-	}
-	if v.Type() == catalog.TypeInt64 && col.Type == catalog.TypeFloat64 {
-		return catalog.NewFloat(float64(v.Int())), nil
-	}
-	return catalog.Value{}, fmt.Errorf("engine: column %q expects %s, got %s", col.Name, col.Type, v.Type())
-}
-
 // lockForWrite plans the lock set of one DML statement: when the
 // statement's key footprint is analyzable and bounded, exclusive range
 // locks on exactly those primary-key intervals; otherwise (no PK, an
 // unanalyzable predicate, mismatched key literal types, or a provably
 // empty footprint, which is not worth a special case) the whole-table
-// X lock the engine always used. The footprint analysis is the same
-// one the parallel warehouse applier pre-declares with, so statement
-// locks taken here are always contained in a pre-declared set.
+// X lock the engine always used. keyset owns the reading of the
+// predicate: the footprint is the same one the parallel warehouse
+// applier pre-declares with, so statement locks taken here are always
+// contained in a pre-declared set, and the access path collectTargets
+// plans (keyset.ExactRange) reads the same comparisons, so the rows it
+// visits lie inside these locks.
 func (tx *Tx) lockForWrite(t *Table, stmt sqlmini.Statement) error {
 	if t.PKCol >= 0 {
 		pk := t.Schema.Column(t.PKCol).Name
@@ -122,53 +110,12 @@ func (db *DB) execInsert(tx *Tx, s *sqlmini.Insert) (Result, error) {
 	if err := tx.lockForWrite(t, s); err != nil {
 		return Result{}, err
 	}
-	// Resolve the column list to schema positions once.
-	var positions []int
-	if s.Columns != nil {
-		positions = make([]int, len(s.Columns))
-		for i, name := range s.Columns {
-			idx, ok := t.Schema.ColIndex(name)
-			if !ok {
-				return Result{}, fmt.Errorf("engine: no column %q in %s", name, t.Name)
-			}
-			positions[i] = idx
-		}
+	rows, err := InsertRows(s, t.Schema)
+	if err != nil {
+		return Result{}, err
 	}
-	delta := t.newDelta(TrigInsert, len(s.Rows))
-	var n int64
-	for _, row := range s.Rows {
-		tup := make(catalog.Tuple, t.Schema.NumColumns())
-		for i := range tup {
-			tup[i] = catalog.NewNull(t.Schema.Column(i).Type)
-		}
-		if positions == nil {
-			if len(row) != t.Schema.NumColumns() {
-				return Result{}, fmt.Errorf("engine: INSERT has %d values, %s has %d columns",
-					len(row), t.Name, t.Schema.NumColumns())
-			}
-			for i, e := range row {
-				v, err := sqlmini.Eval(e, emptySchema, nil)
-				if err != nil {
-					return Result{}, err
-				}
-				if tup[i], err = coerce(v, t.Schema.Column(i)); err != nil {
-					return Result{}, err
-				}
-			}
-		} else {
-			if len(row) != len(positions) {
-				return Result{}, fmt.Errorf("engine: INSERT has %d values for %d columns", len(row), len(positions))
-			}
-			for i, e := range row {
-				v, err := sqlmini.Eval(e, emptySchema, nil)
-				if err != nil {
-					return Result{}, err
-				}
-				if tup[positions[i]], err = coerce(v, t.Schema.Column(positions[i])); err != nil {
-					return Result{}, err
-				}
-			}
-		}
+	delta := t.newDelta(TrigInsert, len(rows))
+	for _, tup := range rows {
 		if t.TSCol >= 0 && tup[t.TSCol].IsNull() {
 			tup[t.TSCol] = catalog.NewTime(db.opts.Now())
 		}
@@ -176,12 +123,114 @@ func (db *DB) execInsert(tx *Tx, s *sqlmini.Insert) (Result, error) {
 			return Result{}, err
 		}
 		delta.add(nil, tup)
-		n++
 	}
 	if err := tx.fireStatementHooks(t, delta); err != nil {
 		return Result{}, err
 	}
-	return Result{RowsAffected: n}, nil
+	return Result{RowsAffected: int64(len(rows))}, nil
+}
+
+// InsertRows evaluates an INSERT's literal rows into full tuples of
+// schema, the way the executor inserts them: the column list resolved
+// to positions once, columns the statement leaves out NULL, every value
+// through catalog.Coerce. It stamps no timestamp column; each caller
+// stamps with its own clock (the executor with Options.Now, view-only
+// op replay with the op's capture time).
+func InsertRows(s *sqlmini.Insert, schema *catalog.Schema) ([]catalog.Tuple, error) {
+	var positions []int
+	if s.Columns != nil {
+		positions = make([]int, len(s.Columns))
+		for i, name := range s.Columns {
+			idx, ok := schema.ColIndex(name)
+			if !ok {
+				return nil, fmt.Errorf("engine: no column %q in %s", name, s.Table)
+			}
+			positions[i] = idx
+		}
+	}
+	rows := make([]catalog.Tuple, len(s.Rows))
+	for r, row := range s.Rows {
+		if positions == nil && len(row) != schema.NumColumns() {
+			return nil, fmt.Errorf("engine: INSERT has %d values, %s has %d columns",
+				len(row), s.Table, schema.NumColumns())
+		}
+		if positions != nil && len(row) != len(positions) {
+			return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(row), len(positions))
+		}
+		tup := make(catalog.Tuple, schema.NumColumns())
+		for i := range tup {
+			tup[i] = catalog.NewNull(schema.Column(i).Type)
+		}
+		for i, e := range row {
+			pos := i
+			if positions != nil {
+				pos = positions[i]
+			}
+			v, err := sqlmini.Eval(e, emptySchema, nil)
+			if err != nil {
+				return nil, err
+			}
+			if tup[pos], err = catalog.Coerce(v, schema.Column(pos)); err != nil {
+				return nil, err
+			}
+		}
+		rows[r] = tup
+	}
+	return rows, nil
+}
+
+// SetList is an UPDATE's SET list resolved against its table's schema:
+// the after image of any row under the statement, as the executor
+// computes it.
+type SetList struct {
+	schema *catalog.Schema
+	items  []setItem
+}
+
+type setItem struct {
+	pos  int
+	expr sqlmini.Expr
+}
+
+// ResolveSet resolves an UPDATE's assignments to schema positions, once
+// per statement.
+func ResolveSet(s *sqlmini.Update, schema *catalog.Schema) (SetList, error) {
+	items := make([]setItem, len(s.Assigns))
+	for i, a := range s.Assigns {
+		pos, ok := schema.ColIndex(a.Col)
+		if !ok {
+			return SetList{}, fmt.Errorf("engine: no column %q in %s", a.Col, s.Table)
+		}
+		items[i] = setItem{pos: pos, expr: a.Value}
+	}
+	return SetList{schema: schema, items: items}, nil
+}
+
+// Apply returns before's after image: every assignment evaluated over
+// before and coerced to its column's type. It stamps no timestamp
+// column; the executor stamps one the statement does not assign.
+func (l SetList) Apply(before catalog.Tuple) (catalog.Tuple, error) {
+	after := before.Clone()
+	for _, it := range l.items {
+		v, err := sqlmini.Eval(it.expr, l.schema, before)
+		if err != nil {
+			return nil, err
+		}
+		if after[it.pos], err = catalog.Coerce(v, l.schema.Column(it.pos)); err != nil {
+			return nil, err
+		}
+	}
+	return after, nil
+}
+
+// assigns reports whether the list assigns the column at pos.
+func (l SetList) assigns(pos int) bool {
+	for _, it := range l.items {
+		if it.pos == pos {
+			return true
+		}
+	}
+	return false
 }
 
 // insertRow applies one validated insert: heap, WAL, index, undo,
@@ -254,11 +303,11 @@ type Row struct {
 // key, otherwise via a full scan — the plan split the paper describes
 // ("table scans unless an index is defined").
 func (db *DB) collectTargets(t *Table, where sqlmini.Expr) ([]Row, error) {
-	if kr, ok := pkRangePlan(t, where); ok {
-		return db.targetsFromRIDs(t, kr.rangeRIDs(t))
+	if r, ok := pkRangePlan(t, where); ok {
+		return db.targetsFromRIDs(t, t.rangeRIDs(&r))
 	}
-	if si, kr, ok := secondaryRangePlan(t, where); ok {
-		rids, err := t.rangeSecondary(si, kr)
+	if si, r, ok := secondaryRangePlan(t, where); ok {
+		rids, err := t.rangeSecondary(si, r)
 		if err != nil {
 			return nil, err
 		}
@@ -295,36 +344,18 @@ func (db *DB) execUpdate(tx *Tx, s *sqlmini.Update) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Pre-resolve assignment positions.
-	type assign struct {
-		pos  int
-		expr sqlmini.Expr
+	set, err := ResolveSet(s, t.Schema)
+	if err != nil {
+		return Result{}, err
 	}
-	assigns := make([]assign, len(s.Assigns))
-	tsAssigned := false
-	for i, a := range s.Assigns {
-		pos, ok := t.Schema.ColIndex(a.Col)
-		if !ok {
-			return Result{}, fmt.Errorf("engine: no column %q in %s", a.Col, t.Name)
-		}
-		if pos == t.TSCol {
-			tsAssigned = true
-		}
-		assigns[i] = assign{pos: pos, expr: a.Value}
-	}
+	tsAssigned := set.assigns(t.TSCol)
 	delta := t.newDelta(TrigUpdate, len(targets))
 	var n int64
 	for _, tg := range targets {
 		before := tg.Tuple
-		after := before.Clone()
-		for _, a := range assigns {
-			v, err := sqlmini.Eval(a.expr, t.Schema, before)
-			if err != nil {
-				return Result{}, err
-			}
-			if after[a.pos], err = coerce(v, t.Schema.Column(a.pos)); err != nil {
-				return Result{}, err
-			}
+		after, err := set.Apply(before)
+		if err != nil {
+			return Result{}, err
 		}
 		if t.TSCol >= 0 && !tsAssigned {
 			after[t.TSCol] = catalog.NewTime(db.opts.Now())
@@ -601,16 +632,16 @@ func (db *DB) IterateSelect(tx *Tx, sel *sqlmini.Select, fn func(catalog.Tuple) 
 	// lock the engine always used.
 	var planRIDs []storage.RID
 	planned := false
-	if kr, ok := pkRangePlan(t, sel.Where); ok {
-		if err := tx.lockRangeShared(t.Name, kr.keysetRange()); err != nil {
+	if r, ok := pkRangePlan(t, sel.Where); ok {
+		if err := tx.lockRangeShared(t.Name, r); err != nil {
 			return nil, err
 		}
-		planRIDs, planned = kr.rangeRIDs(t), true
-	} else if si, kr, ok := secondaryRangePlan(t, sel.Where); ok {
+		planRIDs, planned = t.rangeRIDs(&r), true
+	} else if si, r, ok := secondaryRangePlan(t, sel.Where); ok {
 		if err := tx.lockShared(t.Name); err != nil {
 			return nil, err
 		}
-		rids, err := t.rangeSecondary(si, kr)
+		rids, err := t.rangeSecondary(si, r)
 		if err != nil {
 			return nil, err
 		}

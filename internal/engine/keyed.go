@@ -60,7 +60,7 @@ func (tx *Tx) RowsByKey(t *Table, col int, key catalog.Value, forUpdate bool) ([
 	// coerce to it can still equal stored values (a float against an
 	// integer column), which only a scan finds.
 	indexable := false
-	if k, err := coerce(key, t.Schema.Column(col)); err == nil {
+	if k, err := catalog.Coerce(key, t.Schema.Column(col)); err == nil {
 		key, indexable = k, true
 	}
 	if col == t.PKCol && indexable {
@@ -77,7 +77,7 @@ func (tx *Tx) RowsByKey(t *Table, col int, key catalog.Value, forUpdate bool) ([
 		return nil, err
 	}
 	if si := t.secIndexOn(col); si != nil && indexable {
-		rids, err := t.rangeSecondary(si, &keyRange{lo: &key, hi: &key})
+		rids, err := t.rangeSecondary(si, keyset.Point(key))
 		if err != nil {
 			return nil, err
 		}

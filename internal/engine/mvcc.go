@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"opdelta/internal/catalog"
+	"opdelta/internal/keyset"
 	"opdelta/internal/sqlmini"
 	"opdelta/internal/storage"
 	"opdelta/internal/txn"
@@ -451,8 +452,8 @@ func snapshotReadable(t *Table) bool { return t.PKCol >= 0 && t.vstore != nil }
 // for range plans and heap order (plus a key-ordered tail of
 // chain-only rows) for scans.
 func (db *DB) iterateSnapshot(tx *Tx, t *Table, where sqlmini.Expr, emit func(catalog.Tuple) error) error {
-	if kr, ok := pkRangePlan(t, where); ok {
-		return db.snapshotRange(tx, t, kr, emit)
+	if r, ok := pkRangePlan(t, where); ok {
+		return db.snapshotRange(tx, t, &r, emit)
 	}
 	return db.snapshotScan(tx, t, where, emit)
 }
@@ -562,7 +563,7 @@ func (db *DB) sweepUnseen(t *Table, readLSN uint64, seen map[string]struct{}) ([
 // uncommitted deletes) and the in-range chains (which carry exactly the
 // keys whose index entries are untrustworthy) — and each candidate
 // resolves through heap-then-chain visibility.
-func (db *DB) snapshotRange(tx *Tx, t *Table, kr *keyRange, emit func(catalog.Tuple) error) error {
+func (db *DB) snapshotRange(tx *Tx, t *Table, r *keyset.KeyRange, emit func(catalog.Tuple) error) error {
 	readLSN := tx.readLSN
 	type cand struct {
 		key    catalog.Value
@@ -572,13 +573,7 @@ func (db *DB) snapshotRange(tx *Tx, t *Table, kr *keyRange, emit func(catalog.Tu
 	}
 	var cands []cand
 	have := make(map[string]int)
-	t.RangePK(kr.lo, kr.hi, func(k catalog.Value, rid storage.RID) bool {
-		if kr.loX && kr.lo != nil && mustCompare(&k, kr.lo) == 0 {
-			return true
-		}
-		if kr.hiX && kr.hi != nil && mustCompare(&k, kr.hi) == 0 {
-			return true
-		}
+	t.walkPK(r, func(k catalog.Value, rid storage.RID) bool {
 		ks := versionKey(k)
 		have[ks] = len(cands)
 		cands = append(cands, cand{key: k, keyStr: ks, rid: rid, hasRID: true})
@@ -600,7 +595,7 @@ func (db *DB) snapshotRange(tx *Tx, t *Table, kr *keyRange, emit func(catalog.Tu
 	})
 	for _, tup := range chained {
 		k := tup[t.PKCol]
-		if !kr.contains(k) {
+		if !r.Contains(keyset.Point(k)) {
 			continue
 		}
 		cands = append(cands, cand{key: k, keyStr: versionKey(k)})
@@ -643,21 +638,4 @@ func (db *DB) snapshotRange(tx *Tx, t *Table, kr *keyRange, emit func(catalog.Tu
 		}
 	}
 	return nil
-}
-
-// contains reports whether k lies inside the range.
-func (kr *keyRange) contains(k catalog.Value) bool {
-	if kr.lo != nil {
-		c := mustCompare(&k, kr.lo)
-		if c < 0 || (c == 0 && kr.loX) {
-			return false
-		}
-	}
-	if kr.hi != nil {
-		c := mustCompare(&k, kr.hi)
-		if c > 0 || (c == 0 && kr.hiX) {
-			return false
-		}
-	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"opdelta/internal/catalog"
+	"opdelta/internal/keyset"
 	"opdelta/internal/storage"
 )
 
@@ -165,9 +166,9 @@ func (t *Table) secIndexOn(col int) *secIndex {
 }
 
 // rangeSecondary collects RIDs of entries whose column value lies in
-// the keyRange, in value order.
-func (t *Table) rangeSecondary(si *secIndex, kr *keyRange) ([]storage.RID, error) {
-	loKey, hiKey, err := indexRangeBounds(kr.lo, kr.hi, kr.loX, kr.hiX)
+// r, in value order.
+func (t *Table) rangeSecondary(si *secIndex, r keyset.KeyRange) ([]storage.RID, error) {
+	loKey, hiKey, err := indexRangeBounds(r)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,17 @@ func TestQuickEncodingPreservesOrder(t *testing.T) {
 			return catalog.NewInt(r.Int63() - r.Int63())
 		case 1:
 			f := r.NormFloat64() * math.Pow(10, float64(r.Intn(10)))
-			if r.Intn(10) == 0 {
+			switch r.Intn(20) {
+			case 0, 1:
 				f = 0
+			case 2:
+				f = math.Copysign(0, -1) // equal to 0 under Compare
+			case 3:
+				f = math.NaN()
+			case 4:
+				f = math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63) // a negative NaN
+			case 5:
+				f = math.Inf(1 - 2*r.Intn(2))
 			}
 			return catalog.NewFloat(f)
 		case 2:

@@ -108,6 +108,9 @@ func RunAdjacentRanges(cfg AdjacentConfig) (*AdjacentReport, error) {
 		if workErr != nil {
 			return nil, fmt.Errorf("simcrash: adjacent crash pass failed without crashing: %w", workErr)
 		}
+		// The workload outran its crash point; the verification's own
+		// reopen and close must not trip it.
+		crashFS.SetScript(nil)
 		if err := verifyAdjacent(crashFS, cfg, rep, true); err != nil {
 			return nil, fmt.Errorf("simcrash: adjacent crash pass (completed): %w", err)
 		}

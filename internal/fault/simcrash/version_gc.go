@@ -116,6 +116,9 @@ func RunVersionGC(cfg VersionGCConfig) (*VersionGCReport, error) {
 		if workErr != nil {
 			return nil, fmt.Errorf("simcrash: version-gc crash pass failed without crashing: %w", workErr)
 		}
+		// The workload outran its crash point; the verification's own
+		// reopen and close must not trip it.
+		crashFS.SetScript(nil)
 		if err := verifyVersionGC(crashFS, cfg, rep, true); err != nil {
 			return nil, fmt.Errorf("simcrash: version-gc crash pass (completed): %w", err)
 		}

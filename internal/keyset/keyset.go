@@ -1,15 +1,20 @@
-// Package keyset is the primary-key interval algebra shared by the
-// statement footprint analysis (internal/opdelta), the hierarchical
-// lock manager (internal/txn), and the executor's lock planning
-// (internal/engine). It is a leaf package — it may import only the
-// catalog and the SQL AST — so every layer of the stack can agree on
-// one definition of "which keys can this touch".
+// Package keyset owns how a WHERE clause bounds a key. It is the
+// primary-key interval algebra shared by the statement footprint
+// analysis (internal/opdelta), the hierarchical lock manager
+// (internal/txn), and the executor (internal/engine), which plans both
+// its statement locks and its index access paths — primary-key ranges,
+// secondary-index ranges, snapshot range reads — through it. It is a
+// leaf package — it may import only the catalog and the SQL AST — so
+// every layer of the stack reads a comparison the same way: column
+// against literal, either operand order, the literal coerced to the
+// column's type by catalog.Coerce.
 //
 // A Footprint over-approximates the set of primary-key values one
 // statement can reach, as a union of intervals. Two statements whose
 // footprints are disjoint commute; anything the analysis cannot bound
 // degrades to the whole table, which only costs parallelism, never
-// correctness.
+// correctness. ExactRange is the stricter reading an access path needs:
+// the interval a predicate selects exactly, or nothing.
 package keyset
 
 import (
@@ -293,11 +298,18 @@ func intersectFootprints(a, b Footprint) Footprint {
 }
 
 // intersectRange returns the overlap of two intervals, when non-empty.
-// At an equal bound the open (stricter) flag wins.
 func intersectRange(a, b KeyRange) (KeyRange, bool) {
 	if !a.Intersects(b) {
 		return KeyRange{}, false
 	}
+	return narrow(a, b), true
+}
+
+// narrow returns a with each bound tightened to b's where b's is
+// stricter; at an equal bound the open flag wins. Disjoint inputs give
+// an empty interval (lower bound above the upper), which an index walk
+// visits as nothing. Incomparable bounds keep a's.
+func narrow(a, b KeyRange) KeyRange {
 	out := a
 	if b.HasLo {
 		if !out.HasLo {
@@ -313,7 +325,7 @@ func intersectRange(a, b KeyRange) (KeyRange, bool) {
 			out.Hi, out.HiOpen = b.Hi, b.HiOpen
 		}
 	}
-	return out, true
+	return out
 }
 
 // StatementFootprint computes the key footprint of stmt on its own
@@ -325,13 +337,14 @@ func StatementFootprint(stmt sqlmini.Statement, schema *catalog.Schema, pk strin
 	if pk == "" {
 		return WholeTable()
 	}
+	key := keyColumn(schema, pk)
 	switch s := stmt.(type) {
 	case *sqlmini.Insert:
-		return insertFootprint(s, schema, pk)
+		return insertFootprint(s, schema, key)
 	case *sqlmini.Delete:
-		return predicateFootprint(s.Where, schema, pk)
+		return predicateFootprint(s.Where, key)
 	case *sqlmini.Update:
-		fp := predicateFootprint(s.Where, schema, pk)
+		fp := predicateFootprint(s.Where, key)
 		// An assignment to the key itself adds the assigned value (when
 		// literal) to the write set; anything computed defeats analysis.
 		for _, a := range s.Assigns {
@@ -342,7 +355,7 @@ func StatementFootprint(stmt sqlmini.Statement, schema *catalog.Schema, pk strin
 			if !ok {
 				return WholeTable()
 			}
-			v, ok := normalizeKeyLiteral(lit.Val, schema, pk)
+			v, ok := normalizeKeyLiteral(lit.Val, key)
 			if !ok {
 				return WholeTable()
 			}
@@ -354,46 +367,47 @@ func StatementFootprint(stmt sqlmini.Statement, schema *catalog.Schema, pk strin
 	}
 }
 
+// keyColumn resolves the key column in schema. A key the schema does
+// not know (or a nil schema) comes back with TypeInvalid, and its
+// literals pass through unchecked, preserving the conservative overlap
+// handling downstream.
+func keyColumn(schema *catalog.Schema, pk string) catalog.Column {
+	if schema != nil {
+		if i, ok := schema.ColIndex(pk); ok {
+			return schema.Column(i)
+		}
+	}
+	return catalog.Column{Name: pk}
+}
+
 // normalizeKeyLiteral coerces a key literal to the key column's type
-// the same way the executor's comparisons do (int literal on a float
+// the way the executor does (catalog.Coerce: an int literal on a float
 // key). A NULL literal, or a literal of any other mismatched type —
-// e.g. a string compared against an integer key — reports false, and
-// the caller widens to the whole table: bounds of mixed types cannot be
-// ordered reliably, so the analysis refuses to reason about them.
-// Without a schema the literal passes through unchecked, preserving the
-// conservative overlap handling downstream.
-func normalizeKeyLiteral(v catalog.Value, schema *catalog.Schema, pk string) (catalog.Value, bool) {
+// e.g. a string compared against an integer key — reports false:
+// bounds of mixed types cannot be ordered reliably, so the analysis
+// refuses to reason about them.
+func normalizeKeyLiteral(v catalog.Value, key catalog.Column) (catalog.Value, bool) {
 	if v.IsNull() {
 		return v, false
 	}
-	if schema == nil {
+	if key.Type == catalog.TypeInvalid {
 		return v, true
 	}
-	i, ok := schema.ColIndex(pk)
-	if !ok {
-		return v, true
-	}
-	ct := schema.Column(i).Type
-	if v.Type() == ct {
-		return v, true
-	}
-	if v.Type() == catalog.TypeInt64 && ct == catalog.TypeFloat64 {
-		return catalog.NewFloat(float64(v.Int())), true
-	}
-	return v, false
+	v, err := catalog.Coerce(v, key)
+	return v, err == nil
 }
 
 // insertFootprint collects the literal key values of an INSERT's rows.
-func insertFootprint(s *sqlmini.Insert, schema *catalog.Schema, pk string) Footprint {
+func insertFootprint(s *sqlmini.Insert, schema *catalog.Schema, key catalog.Column) Footprint {
 	pkIdx := -1
 	if s.Columns != nil {
 		for i, name := range s.Columns {
-			if strings.EqualFold(name, pk) {
+			if strings.EqualFold(name, key.Name) {
 				pkIdx = i
 			}
 		}
 	} else if schema != nil {
-		if i, ok := schema.ColIndex(pk); ok {
+		if i, ok := schema.ColIndex(key.Name); ok {
 			pkIdx = i
 		}
 	}
@@ -411,7 +425,7 @@ func insertFootprint(s *sqlmini.Insert, schema *catalog.Schema, pk string) Footp
 		if !ok {
 			return WholeTable()
 		}
-		v, ok := normalizeKeyLiteral(lit.Val, schema, pk)
+		v, ok := normalizeKeyLiteral(lit.Val, key)
 		if !ok {
 			return WholeTable()
 		}
@@ -426,60 +440,107 @@ func insertFootprint(s *sqlmini.Insert, schema *catalog.Schema, pk string) Footp
 // a nil predicate — is the whole table. Strict comparisons produce open
 // bounds, so `pk < 10` and `pk > 10` are disjoint from the point 10 and
 // from each other.
-func predicateFootprint(e sqlmini.Expr, schema *catalog.Schema, pk string) Footprint {
-	switch x := e.(type) {
-	case *sqlmini.Binary:
-		switch x.Op {
-		case sqlmini.OpAnd:
-			return intersectFootprints(predicateFootprint(x.L, schema, pk), predicateFootprint(x.R, schema, pk))
-		case sqlmini.OpOr:
-			return unionFootprints(predicateFootprint(x.L, schema, pk), predicateFootprint(x.R, schema, pk))
-		case sqlmini.OpEq, sqlmini.OpLt, sqlmini.OpLe, sqlmini.OpGt, sqlmini.OpGe:
-			col, lit, op, ok := keyCompare(x)
-			if !ok || !strings.EqualFold(col, pk) {
-				return WholeTable()
-			}
-			v, ok := normalizeKeyLiteral(lit, schema, pk)
-			if !ok {
-				return WholeTable()
-			}
-			switch op {
-			case sqlmini.OpEq:
-				return Footprint{Ranges: []KeyRange{Point(v)}}
-			case sqlmini.OpLt:
-				return Footprint{Ranges: []KeyRange{{Hi: v, HasHi: true, HiOpen: true}}}
-			case sqlmini.OpLe:
-				return Footprint{Ranges: []KeyRange{{Hi: v, HasHi: true}}}
-			case sqlmini.OpGt:
-				return Footprint{Ranges: []KeyRange{{Lo: v, HasLo: true, LoOpen: true}}}
-			default: // OpGe
-				return Footprint{Ranges: []KeyRange{{Lo: v, HasLo: true}}}
-			}
-		}
+func predicateFootprint(e sqlmini.Expr, key catalog.Column) Footprint {
+	x, ok := e.(*sqlmini.Binary)
+	if !ok {
+		return WholeTable()
 	}
-	return WholeTable()
+	switch x.Op {
+	case sqlmini.OpAnd:
+		return intersectFootprints(predicateFootprint(x.L, key), predicateFootprint(x.R, key))
+	case sqlmini.OpOr:
+		return unionFootprints(predicateFootprint(x.L, key), predicateFootprint(x.R, key))
+	}
+	r, ok := compareRange(x, key)
+	if !ok {
+		return WholeTable()
+	}
+	return Footprint{Ranges: []KeyRange{r}}
 }
 
-// keyCompare normalizes a comparison to (column op literal), flipping
-// the operator when the literal is on the left.
-func keyCompare(x *sqlmini.Binary) (col string, lit catalog.Value, op sqlmini.BinOp, ok bool) {
-	if c, isCol := x.L.(*sqlmini.ColRef); isCol {
-		if l, isLit := x.R.(*sqlmini.Literal); isLit {
-			return c.Name, l.Val, x.Op, true
-		}
-		return "", catalog.Value{}, 0, false
+// ExactRange returns the interval of col's values that where selects
+// exactly, with no residual predicate: where must be a conjunction,
+// nested in any way, of comparisons between col and literals. A
+// contradictory conjunction yields an empty interval, which is still a
+// plan. Anything else — another column, OR, a NULL literal, a literal
+// that does not coerce to col's type, a nil predicate — reports false,
+// and the caller scans. Every range a DML statement plans this way lies
+// inside its StatementFootprint, since both read the same comparisons
+// through compareRange.
+func ExactRange(where sqlmini.Expr, col catalog.Column) (KeyRange, bool) {
+	x, ok := where.(*sqlmini.Binary)
+	if !ok {
+		return KeyRange{}, false
 	}
-	if l, isLit := x.L.(*sqlmini.Literal); isLit {
-		if c, isCol := x.R.(*sqlmini.ColRef); isCol {
-			flip := map[sqlmini.BinOp]sqlmini.BinOp{
-				sqlmini.OpEq: sqlmini.OpEq,
-				sqlmini.OpLt: sqlmini.OpGt, sqlmini.OpLe: sqlmini.OpGe,
-				sqlmini.OpGt: sqlmini.OpLt, sqlmini.OpGe: sqlmini.OpLe,
-			}
-			return c.Name, l.Val, flip[x.Op], true
-		}
+	if x.Op != sqlmini.OpAnd {
+		return compareRange(x, col)
 	}
-	return "", catalog.Value{}, 0, false
+	l, ok := ExactRange(x.L, col)
+	if !ok {
+		return KeyRange{}, false
+	}
+	r, ok := ExactRange(x.R, col)
+	if !ok {
+		return KeyRange{}, false
+	}
+	return narrow(l, r), true
+}
+
+// compareRange reads one comparison between the key column and a
+// literal, in either operand order, as the interval it selects, with
+// the literal normalized to the key's type.
+func compareRange(x *sqlmini.Binary, key catalog.Column) (KeyRange, bool) {
+	var name string
+	var lit catalog.Value
+	op := x.Op
+	switch l := x.L.(type) {
+	case *sqlmini.ColRef:
+		r, ok := x.R.(*sqlmini.Literal)
+		if !ok {
+			return KeyRange{}, false
+		}
+		name, lit = l.Name, r.Val
+	case *sqlmini.Literal:
+		c, ok := x.R.(*sqlmini.ColRef)
+		if !ok {
+			return KeyRange{}, false
+		}
+		// lit OP col reads as col OP' lit with the comparison mirrored.
+		name, lit = c.Name, l.Val
+		switch op {
+		case sqlmini.OpLt:
+			op = sqlmini.OpGt
+		case sqlmini.OpLe:
+			op = sqlmini.OpGe
+		case sqlmini.OpGt:
+			op = sqlmini.OpLt
+		case sqlmini.OpGe:
+			op = sqlmini.OpLe
+		}
+	default:
+		return KeyRange{}, false
+	}
+	if !strings.EqualFold(name, key.Name) {
+		return KeyRange{}, false
+	}
+	v, ok := normalizeKeyLiteral(lit, key)
+	if !ok {
+		return KeyRange{}, false
+	}
+	switch op {
+	case sqlmini.OpEq:
+		return Point(v), true
+	case sqlmini.OpLt:
+		return KeyRange{Hi: v, HasHi: true, HiOpen: true}, true
+	case sqlmini.OpLe:
+		return KeyRange{Hi: v, HasHi: true}, true
+	case sqlmini.OpGt:
+		return KeyRange{Lo: v, HasLo: true, LoOpen: true}, true
+	case sqlmini.OpGe:
+		return KeyRange{Lo: v, HasLo: true}, true
+	default:
+		return KeyRange{}, false
+	}
 }
 
 // String formats a footprint compactly for logs and errors.

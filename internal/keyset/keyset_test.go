@@ -217,3 +217,45 @@ func TestFootprintWithoutKey(t *testing.T) {
 		t.Fatalf("no PK should mean whole table, got %+v", fp)
 	}
 }
+
+// TestExactRange pins the access-path reading of a predicate: exact or
+// nothing, where the footprint reading over-approximates.
+func TestExactRange(t *testing.T) {
+	key := catalog.Column{Name: "part_id", Type: catalog.TypeInt64}
+	for _, tc := range []struct {
+		where string
+		want  string // "" means no plan
+	}{
+		{"part_id BETWEEN 10 AND 19", "[10, 19]"},
+		{"10 < part_id", "(10, +inf)"},
+		{"part_id <= 7 AND (3 <= part_id AND (part_id < 6 AND part_id > 3))", "(3, 6)"},
+		{"part_id > 10 AND part_id < 5", "(10, 5)"}, // contradictory: an empty plan, still a plan
+		{"PART_ID = 4", "[4, 4]"},
+		{"part_id >= 10 AND qty >= 500", ""}, // a residual conjunct: the footprint's [10, +inf) is not exact
+		{"part_id = 3 OR part_id = 8", ""},
+		{"part_id <> 3", ""},
+		{"part_id = NULL", ""},
+		{"part_id = 'oops'", ""},
+		{"part_id < 2.5", ""}, // a DOUBLE does not coerce to BIGINT
+		{"part_id = part_id", ""},
+	} {
+		where, err := sqlmini.ParseExpr(tc.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok := ExactRange(where, key)
+		got := ""
+		if ok {
+			got = r.String()
+		}
+		if got != tc.want {
+			t.Errorf("ExactRange(%s) = %q, want %q", tc.where, got, tc.want)
+		}
+	}
+	// An int literal on a DOUBLE column coerces, as the executor's rows do.
+	where, _ := sqlmini.ParseExpr("k >= 5")
+	r, ok := ExactRange(where, catalog.Column{Name: "k", Type: catalog.TypeFloat64})
+	if !ok || r.Lo.Type() != catalog.TypeFloat64 || r.Lo.Float() != 5 {
+		t.Fatalf("int literal on a DOUBLE column = %s, %v; want [5, +inf) in DOUBLE", r, ok)
+	}
+}

@@ -508,9 +508,18 @@ func (in *ParallelIntegrator) applySelfMaintainable(tx *engine.Tx, v *View, op *
 	case *sqlmini.Insert:
 		// Materialize the inserted rows from the statement's literals,
 		// then filter and project into the view.
-		rows, err := rowsFromInsert(s, v.SrcSchema, v.Def.SourceTS, op.Time)
+		rows, err := engine.InsertRows(s, v.SrcSchema)
 		if err != nil {
 			return 0, err
+		}
+		// The engine-maintained timestamp column takes the op's capture
+		// time, so replays are deterministic.
+		if i, ok := v.SrcSchema.ColIndex(v.Def.SourceTS); ok {
+			for _, row := range rows {
+				if row[i].IsNull() {
+					row[i] = catalog.NewTime(op.Time)
+				}
+			}
 		}
 		err = v.sp.Apply(tx, &engine.StatementDelta{Op: engine.TrigInsert, Table: op.Table, After: rows})
 		return len(rows), err
@@ -555,9 +564,13 @@ func (in *ParallelIntegrator) applyWithBeforeImages(tx *engine.Tx, v *View, op *
 		delta.Op = engine.TrigDelete
 	case *sqlmini.Update:
 		delta.Op = engine.TrigUpdate
+		set, err := engine.ResolveSet(s, v.SrcSchema)
+		if err != nil {
+			return 0, err
+		}
 		delta.After = make([]catalog.Tuple, len(op.Before))
 		for i, before := range op.Before {
-			after, err := applyAssigns(s.Assigns, v.SrcSchema, before)
+			after, err := set.Apply(before)
 			if err != nil {
 				return 0, err
 			}
@@ -567,60 +580,6 @@ func (in *ParallelIntegrator) applyWithBeforeImages(tx *engine.Tx, v *View, op *
 		return 0, fmt.Errorf("warehouse: before-image application undefined for %T", stmt)
 	}
 	return len(op.Before), v.sp.Apply(tx, delta)
-}
-
-// rowsFromInsert evaluates an INSERT statement's literal rows into full
-// source tuples (missing columns NULL, the named engine-maintained
-// timestamp column stamped with the op's capture time so replays are
-// deterministic).
-func rowsFromInsert(s *sqlmini.Insert, schema *catalog.Schema, tsCol string, opTime time.Time) ([]catalog.Tuple, error) {
-	tsIdx := -1
-	if tsCol != "" {
-		if i, ok := schema.ColIndex(tsCol); ok {
-			tsIdx = i
-		}
-	}
-	empty := catalog.NewSchema()
-	var positions []int
-	if s.Columns != nil {
-		positions = make([]int, len(s.Columns))
-		for i, name := range s.Columns {
-			idx, ok := schema.ColIndex(name)
-			if !ok {
-				return nil, fmt.Errorf("warehouse: no column %q", name)
-			}
-			positions[i] = idx
-		}
-	}
-	out := make([]catalog.Tuple, 0, len(s.Rows))
-	for _, row := range s.Rows {
-		tup := make(catalog.Tuple, schema.NumColumns())
-		for i := range tup {
-			tup[i] = catalog.NewNull(schema.Column(i).Type)
-		}
-		if positions == nil && len(row) != schema.NumColumns() {
-			return nil, fmt.Errorf("warehouse: insert arity mismatch")
-		}
-		for i, e := range row {
-			v, err := sqlmini.Eval(e, empty, nil)
-			if err != nil {
-				return nil, err
-			}
-			pos := i
-			if positions != nil {
-				pos = positions[i]
-			}
-			if !v.IsNull() && v.Type() == catalog.TypeInt64 && schema.Column(pos).Type == catalog.TypeFloat64 {
-				v = catalog.NewFloat(float64(v.Int()))
-			}
-			tup[pos] = v
-		}
-		if tsIdx >= 0 && tup[tsIdx].IsNull() {
-			tup[tsIdx] = catalog.NewTime(opTime)
-		}
-		out = append(out, tup)
-	}
-	return out, nil
 }
 
 // renameExpr rewrites column references in e from source names to the
@@ -640,25 +599,4 @@ func renameExpr(e sqlmini.Expr, def *opdelta.ViewDef) sqlmini.Expr {
 	default:
 		return e
 	}
-}
-
-// applyAssigns computes the after image of one row under an UPDATE's
-// SET list.
-func applyAssigns(assigns []sqlmini.Assign, schema *catalog.Schema, before catalog.Tuple) (catalog.Tuple, error) {
-	after := before.Clone()
-	for _, a := range assigns {
-		pos, ok := schema.ColIndex(a.Col)
-		if !ok {
-			return nil, fmt.Errorf("warehouse: no column %q", a.Col)
-		}
-		v, err := sqlmini.Eval(a.Value, schema, before)
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsNull() && v.Type() == catalog.TypeInt64 && schema.Column(pos).Type == catalog.TypeFloat64 {
-			v = catalog.NewFloat(float64(v.Int()))
-		}
-		after[pos] = v
-	}
-	return after, nil
 }

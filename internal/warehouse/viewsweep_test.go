@@ -83,11 +83,44 @@ func (vs sweepViews) names() []string {
 	for _, d := range vs.sp {
 		out = append(out, d.Name)
 	}
-	out = append(out, vs.join.Name)
+	if vs.join.Join != nil {
+		out = append(out, vs.join.Name)
+	}
 	for _, d := range vs.aggs {
 		out = append(out, d.Name)
 	}
 	return out
+}
+
+// viewOnly is the sweep's projection views as a deployment without
+// replicas declares them: source key and timestamp named, and no join
+// or aggregate view, which need replicas.
+func (vs sweepViews) viewOnly() sweepViews {
+	var out sweepViews
+	for _, d := range vs.sp {
+		d.SourcePK, d.SourceTS = "part_id", "last_modified"
+		out.sp = append(out.sp, d)
+	}
+	return out
+}
+
+// viewOnlyWarehouse builds a warehouse that stores the views and no
+// replica: every op reaches them through the transformation rules, with
+// the before images hybrid capture attached where a view needs them.
+func viewOnlyWarehouse(t *testing.T, vs sweepViews, srcSchema *catalog.Schema) *Warehouse {
+	t.Helper()
+	db, err := engine.Open(t.TempDir(), engine.Options{Now: fixedNow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	w := New(db)
+	for _, def := range vs.sp {
+		if _, err := w.RegisterView(def, srcSchema, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
 }
 
 // sweepWarehouse builds a warehouse with both replicas and the views.
@@ -132,13 +165,14 @@ func sweepWarehouse(t *testing.T, vs sweepViews, indexed bool) *Warehouse {
 }
 
 // sweepWorkload runs a seeded random transaction mix on a fresh source
-// and returns it twice: as the captured op stream and as the value
-// deltas mined from the source's log. Part ids start on multiples of
+// and returns it twice: as the captured op stream, with hybrid capture
+// driven by analyzer, and as the value deltas mined from the source's
+// log; the source itself comes back for recomputing views from. Part ids start on multiples of
 // three, so SET part_id = part_id + 1 over a range lands on free keys
 // the first two times a row is shifted and collides after that; a
 // statement the source rejects aborts its transaction, which then
 // appears in neither stream.
-func sweepWorkload(t *testing.T, seed int64, txns int) ([]*opdelta.Op, []extract.Delta) {
+func sweepWorkload(t *testing.T, seed int64, txns int, analyzer *opdelta.Analyzer) ([]*opdelta.Op, []extract.Delta, *engine.DB) {
 	t.Helper()
 	src := openDB(t)
 	for _, ddl := range []string{sweepPartsDDL, sweepDimDDL} {
@@ -150,7 +184,7 @@ func sweepWorkload(t *testing.T, seed int64, txns int) ([]*opdelta.Op, []extract
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc := &opdelta.Capture{DB: src, Log: log}
+	oc := &opdelta.Capture{DB: src, Log: log, Analyzer: analyzer}
 	rng := rand.New(rand.NewSource(seed))
 	const idSpace, dimSpace = 240, 30
 	status := func() string { return fmt.Sprintf("'s%d'", rng.Intn(6)) }
@@ -281,7 +315,7 @@ func sweepWorkload(t *testing.T, seed int64, txns int) ([]*opdelta.Op, []extract
 	if _, err := miner.Extract(&sink); err != nil {
 		t.Fatal(err)
 	}
-	return ops, sink.Deltas
+	return ops, sink.Deltas, src
 }
 
 func tableTuples(t *testing.T, db *engine.DB, name string) []catalog.Tuple {
@@ -296,14 +330,14 @@ func tableTuples(t *testing.T, db *engine.DB, name string) []catalog.Tuple {
 	return rows
 }
 
-// recompute evaluates every view definition over the warehouse's own
-// replicas.
-func recompute(t *testing.T, w *Warehouse, vs sweepViews) map[string][]catalog.Tuple {
+// recompute evaluates every view definition of w over the parts and
+// qty_dim tables of base: the warehouse's own replicas, or the source.
+func recompute(t *testing.T, base *engine.DB, w *Warehouse, vs sweepViews) map[string][]catalog.Tuple {
 	t.Helper()
-	parts := tableTuples(t, w.DB, "parts")
-	dim := tableTuples(t, w.DB, "qty_dim")
-	pt, _ := w.DB.Table("parts")
-	dt, _ := w.DB.Table("qty_dim")
+	parts := tableTuples(t, base, "parts")
+	dim := tableTuples(t, base, "qty_dim")
+	pt, _ := base.Table("parts")
+	dt, _ := base.Table("qty_dim")
 	col := func(s *catalog.Schema, name string) int {
 		i, ok := s.ColIndex(name)
 		if !ok {
@@ -332,25 +366,27 @@ func recompute(t *testing.T, w *Warehouse, vs sweepViews) map[string][]catalog.T
 			out[def.Name] = append(out[def.Name], v)
 		}
 	}
-	lc, rc := col(pt.Schema, vs.join.Join.LeftCol), col(dt.Schema, vs.join.Join.RightCol)
-	out[vs.join.Name] = nil
-	for _, l := range parts {
-		if !selected(vs.join.Where, l) || l[lc].IsNull() {
-			continue
-		}
-		for _, r := range dim {
-			if !catalog.Equal(l[lc], r[rc]) {
+	if vs.join.Join != nil {
+		lc, rc := col(pt.Schema, vs.join.Join.LeftCol), col(dt.Schema, vs.join.Join.RightCol)
+		out[vs.join.Name] = nil
+		for _, l := range parts {
+			if !selected(vs.join.Where, l) || l[lc].IsNull() {
 				continue
 			}
-			var v catalog.Tuple
-			for _, name := range vs.join.Project {
-				if i, ok := pt.Schema.ColIndex(name); ok {
-					v = append(v, l[i])
-				} else {
-					v = append(v, r[col(dt.Schema, name)])
+			for _, r := range dim {
+				if !catalog.Equal(l[lc], r[rc]) {
+					continue
 				}
+				var v catalog.Tuple
+				for _, name := range vs.join.Project {
+					if i, ok := pt.Schema.ColIndex(name); ok {
+						v = append(v, l[i])
+					} else {
+						v = append(v, r[col(dt.Schema, name)])
+					}
+				}
+				out[vs.join.Name] = append(out[vs.join.Name], v)
 			}
-			out[vs.join.Name] = append(out[vs.join.Name], v)
 		}
 	}
 	for _, def := range vs.aggs {
@@ -473,7 +509,11 @@ func diffRows(a, b []catalog.Tuple, tol bool) string {
 // leave behind under the serial reference replay: bit for bit, float
 // sums included, where both fold in the same order — one worker replays
 // in source order — and to rounding against the 4-worker run, which
-// reorders key-disjoint transactions.
+// reorders key-disjoint transactions. The same op stream also goes to
+// a warehouse that stores only the projection views, no replica: the
+// view-only Op-Delta path, fed the before images hybrid capture
+// attached, whose views must equal their definitions recomputed from
+// the source.
 func TestViewMaintenanceMatchesRecompute(t *testing.T) {
 	for seed := int64(1); seed <= int64(*viewseeds); seed++ {
 		seed := seed
@@ -483,13 +523,23 @@ func TestViewMaintenanceMatchesRecompute(t *testing.T) {
 			// read the join view through a secondary index.
 			vs := sweepViewDefs(t, seed%2 == 0)
 			refViews := sweepViewDefs(t, false)
-			ops, deltas := sweepWorkload(t, seed, 45)
+			viewOnly := vs.viewOnly()
+			ops, deltas, src := sweepWorkload(t, seed, 45, opdelta.NewAnalyzer(viewOnly.sp...))
+			srcParts, err := src.Table("parts")
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			type run struct {
-				name  string
-				w     *Warehouse
-				apply func(w *Warehouse) error
-				ref   string // the reference run it must match exactly, if any
+				name     string
+				w        *Warehouse
+				apply    func(w *Warehouse) error
+				ref      string // the reference run it must match exactly, if any
+				viewOnly bool   // no replicas: recomputed from the source
+			}
+			applyOps := func(w *Warehouse) error {
+				_, err := (&ParallelIntegrator{W: w}).Apply(ops)
+				return err
 			}
 			applyValue := func(w *Warehouse) error {
 				_, err := (&ValueDeltaIntegrator{W: w}).Apply(deltas)
@@ -501,23 +551,24 @@ func TestViewMaintenanceMatchesRecompute(t *testing.T) {
 					return err
 				}},
 				{name: "ref/value", apply: applyValue},
-				{name: "op", apply: func(w *Warehouse) error {
-					_, err := (&ParallelIntegrator{W: w}).Apply(ops)
-					return err
-				}, ref: "ref/op"},
+				{name: "op", apply: applyOps, ref: "ref/op"},
 				{name: "value", apply: applyValue, ref: "ref/value"},
 				{name: "parallel", apply: func(w *Warehouse) error {
 					_, err := (&ParallelIntegrator{W: w, Workers: 4}).Apply(ops)
 					return err
 				}},
+				{name: "view-only", apply: applyOps, viewOnly: true},
 			}
 			byName := map[string]*run{}
 			for _, r := range runs {
 				byName[r.name] = r
-				if strings.HasPrefix(r.name, "ref/") {
+				switch {
+				case r.viewOnly:
+					r.w = viewOnlyWarehouse(t, viewOnly, srcParts.Schema)
+				case strings.HasPrefix(r.name, "ref/"):
 					r.w = sweepWarehouse(t, refViews, seed%2 == 1)
 					useReferenceMaintenance(t, r.w)
-				} else {
+				default:
 					r.w = sweepWarehouse(t, vs, seed%2 == 1)
 				}
 				if err := r.apply(r.w); err != nil {
@@ -528,7 +579,16 @@ func TestViewMaintenanceMatchesRecompute(t *testing.T) {
 				if strings.HasPrefix(r.name, "ref/") {
 					continue
 				}
-				want := recompute(t, r.w, vs)
+				if r.viewOnly {
+					want := recompute(t, src, r.w, viewOnly)
+					for _, view := range viewOnly.names() {
+						if d := diffRows(tableTuples(t, r.w.DB, view), want[view], false); d != "" {
+							t.Errorf("%s: %s differs from its definition over the source: %s", r.name, view, d)
+						}
+					}
+					continue
+				}
+				want := recompute(t, r.w.DB, r.w, vs)
 				for _, view := range vs.names() {
 					got := tableTuples(t, r.w.DB, view)
 					if d := diffRows(got, want[view], true); d != "" {
