@@ -192,11 +192,40 @@ func truncErr(c Column) error {
 	return fmt.Errorf("catalog: tuple data truncated in column %q", c.Name)
 }
 
-// EncodedSize returns the number of bytes EncodeTuple would emit for t.
+// EncodedSize returns the number of bytes EncodeTuple would emit for t,
+// and the error it would return, without encoding: a batch sizes one
+// buffer for all its images this way.
 func EncodedSize(s *Schema, t Tuple) (int, error) {
-	b, err := EncodeTuple(nil, s, t)
-	if err != nil {
+	if err := s.Validate(t); err != nil {
 		return 0, err
 	}
-	return len(b), nil
+	n := (s.NumColumns() + 7) / 8
+	for _, v := range t {
+		if v.IsNull() {
+			continue
+		}
+		switch v.typ {
+		case TypeInt64, TypeTime, TypeFloat64:
+			n += 8
+		case TypeBool:
+			n++
+		case TypeString:
+			n += uvarintLen(uint64(len(v.s))) + len(v.s)
+		case TypeBytes:
+			n += uvarintLen(uint64(len(v.b))) + len(v.b)
+		default:
+			return 0, fmt.Errorf("catalog: cannot encode type %s", v.typ)
+		}
+	}
+	return n, nil
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for x >= 0x80 {
+		x >>= 7
+		n++
+	}
+	return n
 }

@@ -585,72 +585,6 @@ func (t *Table) RangePK(lo, hi *catalog.Value, fn func(catalog.Value, storage.RI
 	t.pk.Range(lo, hi, fn)
 }
 
-func (t *Table) indexInsert(tup catalog.Tuple, rid storage.RID) error {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	if t.PKCol >= 0 {
-		if err := t.pk.Insert(tup[t.PKCol], rid); err != nil {
-			return fmt.Errorf("engine: duplicate primary key %s in %s", tup[t.PKCol], t.Name)
-		}
-	}
-	return t.secInsertLocked(tup, rid)
-}
-
-func (t *Table) indexDelete(tup catalog.Tuple) {
-	t.indexDeleteAt(tup, storage.InvalidRID)
-}
-
-// indexDeleteAt removes index entries for a row. Secondary entries are
-// keyed by (value, rid); callers that know the RID pass it, the PK-only
-// legacy path may not.
-func (t *Table) indexDeleteAt(tup catalog.Tuple, rid storage.RID) {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	if t.PKCol >= 0 {
-		t.pk.Delete(tup[t.PKCol])
-	}
-	if rid != storage.InvalidRID {
-		t.secDeleteLocked(tup, rid)
-	}
-}
-
-// indexUpdate rewires all indexes for an updated row: oldRID is where
-// the before image lived, rid where the after image lives now.
-func (t *Table) indexUpdate(before, after catalog.Tuple, oldRID, rid storage.RID) error {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	// In-place update leaving every indexed column unchanged: nothing to
-	// rewire. This is the common shape of a row revision (non-key
-	// columns plus the timestamp), and skipping the btree round-trips
-	// keeps the table-wide index lock uncontended for them.
-	if oldRID == rid &&
-		(t.PKCol < 0 || catalog.Equal(before[t.PKCol], after[t.PKCol])) &&
-		!t.secKeysDifferLocked(before, after) {
-		return nil
-	}
-	if t.PKCol >= 0 {
-		if catalog.Equal(before[t.PKCol], after[t.PKCol]) {
-			// Same key: refresh the RID in place.
-			t.pk.Delete(before[t.PKCol])
-			if err := t.pk.Insert(after[t.PKCol], rid); err != nil {
-				return err
-			}
-		} else {
-			if _, dup := t.pk.Get(after[t.PKCol]); dup {
-				return fmt.Errorf("engine: duplicate primary key %s in %s", after[t.PKCol], t.Name)
-			}
-			t.pk.Delete(before[t.PKCol])
-			if err := t.pk.Insert(after[t.PKCol], rid); err != nil {
-				return err
-			}
-		}
-	}
-	if err := t.secDeleteLocked(before, oldRID); err != nil {
-		return err
-	}
-	return t.secInsertLocked(after, rid)
-}
-
 // secKeysDifferLocked reports whether any secondary-indexed column
 // changed between the two images. Caller holds idxMu.
 func (t *Table) secKeysDifferLocked(before, after catalog.Tuple) bool {

@@ -733,3 +733,65 @@ func TestRollbackRestoresDeleteBesideGrowingUpdate(t *testing.T) {
 		db.Close()
 	}
 }
+
+// TestRollbackRestoresShrinkBesideGrowingUpdate shrinks a row in place
+// in one transaction while another grows a row on the same full page
+// and commits. Rolling the first back — by Abort, or as a loser of crash
+// recovery — must grow the shrunk row back: the growing update may not
+// take the bytes the shrink freed.
+func TestRollbackRestoresShrinkBesideGrowingUpdate(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		dir := t.TempDir()
+		clock := newClock()
+		db, err := Open(dir, Options{Now: clock.Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec(nil, `CREATE TABLE docs (id BIGINT NOT NULL, body VARCHAR) PRIMARY KEY (id)`); err != nil {
+			t.Fatal(err)
+		}
+		// Eight ≈1000-byte records fill one 8 KB page.
+		for i := 1; i <= 8; i++ {
+			body := strings.Repeat(string(rune('a'+i)), 980)
+			if _, err := db.Exec(nil, fmt.Sprintf(`INSERT INTO docs (id, body) VALUES (%d, '%s')`, i, body)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx1 := db.Begin()
+		if _, err := db.Exec(tx1, `UPDATE docs SET body = 'short' WHERE id = 2`); err != nil {
+			t.Fatal(err)
+		}
+		tx2 := db.Begin()
+		if _, err := db.Exec(tx2, fmt.Sprintf(`UPDATE docs SET body = '%s' WHERE id = 1`, strings.Repeat("G", 1880))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx2.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			if err := db.WAL().Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = Open(dir, Options{Now: clock.Now}); err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+		} else if err := tx1.Abort(); err != nil {
+			t.Fatalf("abort: %v", err)
+		}
+		_, rows, err := db.Query(nil, `SELECT body FROM docs WHERE id = 2`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0][0].String() != strings.Repeat("c", 980) {
+			t.Fatalf("crash=%v: row 2 after the rollback: %.40v", crash, rows)
+		}
+		_, rows, err = db.Query(nil, `SELECT body FROM docs WHERE id = 1`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0][0].String() != strings.Repeat("G", 1880) {
+			t.Fatalf("crash=%v: row 1 after the rollback: %.40v", crash, rows)
+		}
+		db.Close()
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -357,15 +358,8 @@ func (db *DB) gcThreshold() int64 {
 func versionKey(v catalog.Value) string {
 	var buf [8]byte
 	switch v.Type() {
-	case catalog.TypeInt64:
-		binary.BigEndian.PutUint64(buf[:], uint64(v.Int()))
-		return string(buf[:])
-	case catalog.TypeFloat64:
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.Float()))
-		return string(buf[:])
-	case catalog.TypeTime:
-		binary.BigEndian.PutUint64(buf[:], uint64(v.Time().UnixNano()))
-		return string(buf[:])
+	case catalog.TypeInt64, catalog.TypeFloat64, catalog.TypeTime:
+		return string(appendFixedKey(buf[:0], v))
 	case catalog.TypeString:
 		return v.Str()
 	case catalog.TypeBytes:
@@ -380,47 +374,86 @@ func versionKey(v catalog.Value) string {
 	}
 }
 
+// appendFixedKey appends the 8-byte versionKey of an integer, float or
+// time value to dst.
+func appendFixedKey(dst []byte, v catalog.Value) []byte {
+	switch v.Type() {
+	case catalog.TypeInt64:
+		return binary.BigEndian.AppendUint64(dst, uint64(v.Int()))
+	case catalog.TypeFloat64:
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()))
+	default:
+		return binary.BigEndian.AppendUint64(dst, uint64(v.Time().UnixNano()))
+	}
+}
+
+// versionKeys returns the versionKey of n non-NULL values of one key
+// column. Fixed-width keys are carved out of one string, so a batch's
+// keys cost one allocation rather than one each.
+func versionKeys(n int, key func(i int) catalog.Value) []string {
+	out := make([]string, n)
+	if n == 0 {
+		return out
+	}
+	switch key(0).Type() {
+	case catalog.TypeInt64, catalog.TypeFloat64, catalog.TypeTime:
+	default:
+		for i := range out {
+			out[i] = versionKey(key(i))
+		}
+		return out
+	}
+	var b strings.Builder
+	b.Grow(8 * n)
+	var buf [8]byte
+	for i := 0; i < n; i++ {
+		b.Write(appendFixedKey(buf[:0], key(i)))
+	}
+	s := b.String()
+	for i := range out {
+		out[i] = s[8*i : 8*i+8]
+	}
+	return out
+}
+
 // stageVersion records one in-flight write in the table's version store
 // and remembers the key on the transaction so Commit can stamp it (or
 // Abort drop it). Must be called BEFORE the heap mutation — that
 // ordering is the reader half's correctness contract (see
-// storage.VersionStore).
+// storage.VersionStore); a batch stages every row before it touches
+// its first page.
 func (tx *Tx) stageVersion(t *Table, key string, base, after []byte) {
-	if t.vstore == nil {
+	if t.vstore == nil || !t.vstore.Stage(key, uint64(tx.id), base, after) {
 		return
 	}
-	t.vstore.Stage(key, uint64(tx.id), base, after)
-	if tx.staged == nil {
-		tx.staged = make(map[*Table]map[string]struct{})
+	for i := range tx.staged {
+		if tx.staged[i].t == t {
+			tx.staged[i].keys = append(tx.staged[i].keys, key)
+			return
+		}
 	}
-	keys := tx.staged[t]
-	if keys == nil {
-		keys = make(map[string]struct{})
-		tx.staged[t] = keys
-	}
-	keys[key] = struct{}{}
+	tx.staged = append(tx.staged, stagedKeys{t: t, keys: []string{key}})
+}
+
+// stagedKeys are the keys one transaction has a pending version of in
+// one table, each listed once.
+type stagedKeys struct {
+	t    *Table
+	keys []string
 }
 
 // resolveStaged stamps every staged version with the commit LSN.
 func (tx *Tx) resolveStaged(commit uint64) {
-	for t, keys := range tx.staged {
-		list := make([]string, 0, len(keys))
-		for k := range keys {
-			list = append(list, k)
-		}
-		t.vstore.Resolve(list, uint64(tx.id), commit)
+	for _, s := range tx.staged {
+		s.t.vstore.Resolve(s.keys, uint64(tx.id), commit)
 	}
 	tx.staged = nil
 }
 
 // dropStaged removes every staged version (abort path).
 func (tx *Tx) dropStaged() {
-	for t, keys := range tx.staged {
-		list := make([]string, 0, len(keys))
-		for k := range keys {
-			list = append(list, k)
-		}
-		t.vstore.DropTxn(list, uint64(tx.id))
+	for _, s := range tx.staged {
+		s.t.vstore.DropTxn(s.keys, uint64(tx.id))
 	}
 	tx.staged = nil
 }

@@ -169,14 +169,14 @@ func TestKeyedRowAccess(t *testing.T) {
 	tx := db.Begin()
 	lookup := func(col int, key catalog.Value, want string) []Row {
 		t.Helper()
-		rows, err := tx.RowsByKey(tbl, col, key, true)
+		found, err := tx.RowsByKeys(tbl, col, []catalog.Value{key}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ids(rows); got != want {
-			t.Fatalf("RowsByKey(col %d, %v) = %q, want %q", col, key, got, want)
+		if got := ids(found[0]); got != want {
+			t.Fatalf("RowsByKeys(col %d, %v) = %q, want %q", col, key, got, want)
 		}
-		return rows
+		return found[0]
 	}
 	lookup(idCol, catalog.NewInt(2), "2,")
 	lookup(idCol, catalog.NewInt(99), "")
@@ -254,7 +254,7 @@ func TestKeyedRowAccess(t *testing.T) {
 
 	snap := db.BeginSnapshot()
 	defer snap.Commit()
-	if _, err := snap.RowsByKey(tbl, idCol, catalog.NewInt(1), false); err == nil {
+	if _, err := snap.RowsByKeys(tbl, idCol, []catalog.Value{catalog.NewInt(1)}, false); err == nil {
 		t.Fatal("keyed access on a snapshot transaction accepted")
 	}
 }

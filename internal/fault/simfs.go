@@ -689,3 +689,18 @@ func (e simDirEntry) Name() string               { return e.name }
 func (e simDirEntry) IsDir() bool                { return e.dir }
 func (e simDirEntry) Type() iofs.FileMode        { return simFileInfo{dir: e.dir}.Mode().Type() }
 func (e simDirEntry) Info() (iofs.FileInfo, error) { return simFileInfo{name: e.name, dir: e.dir}, nil }
+
+// CrashPoint marks a place inside an operation where a power loss may
+// strike although no file is touched there: between a heap page's
+// writes and their log records, or between two pages of one statement.
+// On a SimFS it counts as one mutating operation, so a crash schedule
+// samples it like any write; on any other FS it does nothing.
+func CrashPoint(fsys FS) {
+	if s, ok := fsys.(*SimFS); ok {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.crashed {
+			s.step(false, func() {})
+		}
+	}
+}

@@ -19,6 +19,7 @@ package keyset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -206,6 +207,32 @@ func MergeRanges(rs []KeyRange) []KeyRange {
 			continue
 		}
 		out = append(out, next)
+	}
+	return out
+}
+
+// LockRanges turns ranges into the fewest ranges to lock. On top of
+// MergeRanges it joins closed integer bounds that are consecutive —
+// [1,1] and [2,2] into [1,2] — which MergeRanges cannot do because it
+// does not know the key's domain: a 1000-row INSERT of ascending BIGINT
+// keys then locks one range, not 1000 points. Only integer-typed bounds
+// are joined, and integer bounds come only from a BIGINT key (footprint
+// analysis converts them for a DOUBLE key), so the joined range covers
+// no key outside the input.
+func LockRanges(rs []KeyRange) []KeyRange {
+	merged := MergeRanges(rs)
+	out := merged[:0]
+	for _, r := range merged {
+		if n := len(out); n > 0 {
+			cur := &out[n-1]
+			if cur.HasHi && !cur.HiOpen && r.HasLo && !r.LoOpen &&
+				cur.Hi.Type() == catalog.TypeInt64 && r.Lo.Type() == catalog.TypeInt64 &&
+				cur.Hi.Int() < math.MaxInt64 && r.Lo.Int() == cur.Hi.Int()+1 {
+				cur.Hi, cur.HasHi, cur.HiOpen = r.Hi, r.HasHi, r.HiOpen
+				continue
+			}
+		}
+		out = append(out, r)
 	}
 	return out
 }

@@ -50,7 +50,7 @@ func (h *HeapFile) PlaceAt(rid RID, rec []byte) error {
 		h.setHint(id, page.FreeSpace())
 		h.pool.Unpin(id, true)
 	}
-	l := h.latch(rid.Page)
+	l := h.stripe(rid.Page)
 	l.Lock()
 	page, err := h.pool.Fetch(rid.Page)
 	if err != nil {
@@ -83,7 +83,7 @@ func (h *HeapFile) DeleteIfLive(rid RID) error {
 	if h.disk.NumPages() <= rid.Page {
 		return nil
 	}
-	l := h.latch(rid.Page)
+	l := h.stripe(rid.Page)
 	l.Lock()
 	defer l.Unlock()
 	page, err := h.pool.Fetch(rid.Page)

@@ -71,6 +71,9 @@ type versionStripe struct {
 
 type versionChain struct {
 	vers []tupleVersion // newest first; vers[len-1] is always the base
+	// first holds a new chain's two entries (its first write and the
+	// base), so a first-touched key costs one allocation.
+	first [2]tupleVersion
 }
 
 type tupleVersion struct {
@@ -110,33 +113,40 @@ func (vs *VersionStore) stripe(key string) *versionStripe {
 // when the key has no chain yet; an existing chain already carries the
 // full committed history. Consecutive stages by the same transaction on
 // the same key collapse into one pending entry (only the final image
-// can commit). The caller must hold an exclusive lock covering key, and
-// must call Stage before mutating the heap.
-func (vs *VersionStore) Stage(key string, txn uint64, base, after []byte) {
+// can commit); fresh reports that this stage added one, i.e. that txn
+// must resolve or drop key when it finishes. The caller must hold an
+// exclusive lock covering key, and must call Stage before mutating the
+// heap.
+func (vs *VersionStore) Stage(key string, txn uint64, base, after []byte) (fresh bool) {
 	s := vs.stripe(key)
 	s.mu.Lock()
+	added := 0
 	c := s.chains[key]
-	if c == nil {
-		c = &versionChain{vers: []tupleVersion{{tuple: base}}}
+	switch {
+	case c == nil:
+		c = &versionChain{}
+		c.first = [2]tupleVersion{{txn: txn, tuple: after}, {tuple: base}}
+		c.vers = c.first[:]
 		s.chains[key] = c
-		vs.nvers.Add(1)
-		if vs.m != nil {
-			vs.m.Created.Inc()
-		}
-	}
-	if top := &c.vers[0]; top.pending() && top.txn == txn {
-		top.tuple = after
-	} else {
+		added, fresh = 2, true
+	case c.vers[0].pending() && c.vers[0].txn == txn:
+		c.vers[0].tuple = after
+	default:
 		c.vers = append([]tupleVersion{{txn: txn, tuple: after}}, c.vers...)
-		vs.nvers.Add(1)
+		added, fresh = 1, true
+	}
+	n := len(c.vers)
+	s.mu.Unlock()
+	if added > 0 {
+		vs.nvers.Add(int64(added))
 		if vs.m != nil {
-			vs.m.Created.Inc()
+			vs.m.Created.Add(uint64(added))
 		}
 	}
 	if vs.m != nil {
-		vs.m.ChainLen.Observe(float64(len(c.vers)))
+		vs.m.ChainLen.Observe(float64(n))
 	}
-	s.mu.Unlock()
+	return fresh
 }
 
 // Resolve stamps txn's pending entries on the given keys with its

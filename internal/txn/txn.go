@@ -764,6 +764,13 @@ func (lm *LockManager) Holding(tx ID, table string) LockMode {
 	return 0
 }
 
+// CoversRanges reports whether the table mode tx holds on table already
+// implies range locks of mode on any keys, so that asking for them is a
+// no-op; a caller about to build many ranges checks this first.
+func (lm *LockManager) CoversRanges(tx ID, table string, mode LockMode) bool {
+	return tableModeCoversRange(lm.Holding(tx, table), mode)
+}
+
 // HoldingRange reports the strongest protection tx has over every key
 // in r on table: Exclusive or Shared, from either a covering table mode
 // or a single containing range lock; zero when some key in r is

@@ -105,5 +105,5 @@ func (a *AppliedLog) ranges(ops []*opdelta.Op) []keyset.KeyRange {
 	for _, op := range ops {
 		rs = append(rs, keyset.Point(catalog.NewInt(int64(op.Seq))))
 	}
-	return lockRanges(rs)
+	return keyset.LockRanges(rs)
 }

@@ -90,7 +90,7 @@ names:
 	w.all = append(w.all, v)
 	w.mu.Unlock()
 	// One hook per side. The view's rows are found by either side's key
-	// through RowsByKey, which reads a secondary index on that view
+	// through RowsByKeys, which reads a secondary index on that view
 	// column when the deployment created one and scans the view otherwise.
 	for side, source := range [2]string{def.Source, def.Join.Table} {
 		side := side

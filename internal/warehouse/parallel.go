@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -206,7 +205,7 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 		if fp.Whole || len(fp.Ranges) == 0 {
 			continue
 		}
-		g.ranged[t] = lockRanges(fp.Ranges)
+		g.ranged[t] = keyset.LockRanges(fp.Ranges)
 	}
 	if in.Applied != nil {
 		// The group's dedup rows are part of its write set: lock their
@@ -232,32 +231,6 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 		}
 	}
 	return g
-}
-
-// lockRanges turns a footprint's ranges into the fewest ranges to
-// pre-declare. On top of keyset.MergeRanges it joins closed integer
-// bounds that are consecutive — [1,1] and [2,2] into [1,2] — which
-// MergeRanges cannot do because it does not know the key's domain: a
-// 1000-row INSERT of ascending BIGINT keys then locks one range, not
-// 1000 points. Only integer-typed bounds are joined, and integer bounds
-// come only from a BIGINT key (footprint analysis converts them for a
-// DOUBLE key), so the joined range covers no key outside the footprint.
-func lockRanges(rs []keyset.KeyRange) []keyset.KeyRange {
-	merged := keyset.MergeRanges(rs)
-	out := merged[:0]
-	for _, r := range merged {
-		if n := len(out); n > 0 {
-			cur := &out[n-1]
-			if cur.HasHi && !cur.HiOpen && r.HasLo && !r.LoOpen &&
-				cur.Hi.Type() == catalog.TypeInt64 && r.Lo.Type() == catalog.TypeInt64 &&
-				cur.Hi.Int() < math.MaxInt64 && r.Lo.Int() == cur.Hi.Int()+1 {
-				cur.Hi, cur.HasHi, cur.HiOpen = r.Hi, r.HasHi, r.HiOpen
-				continue
-			}
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // Apply replays the ops, preserving source commit order between

@@ -316,8 +316,8 @@ func TestLockPlanJoinsConsecutiveIntegerKeys(t *testing.T) {
 		{[]keyset.KeyRange{ip(math.MaxInt64 - 1), ip(math.MaxInt64), ip(math.MinInt64)},
 			fmt.Sprintf("[[%d, %d] [%d, %d]]", int64(math.MinInt64), int64(math.MinInt64), int64(math.MaxInt64-1), int64(math.MaxInt64))},
 	} {
-		if got := fmt.Sprint(lockRanges(c.in)); got != c.want {
-			t.Errorf("lockRanges(%v) = %s, want %s", c.in, got, c.want)
+		if got := fmt.Sprint(keyset.LockRanges(c.in)); got != c.want {
+			t.Errorf("LockRanges(%v) = %s, want %s", c.in, got, c.want)
 		}
 	}
 }

@@ -101,13 +101,14 @@ func (p *spPlan) project(row catalog.Tuple) catalog.Tuple {
 	return out
 }
 
-// Apply folds one statement on the source into the view. View rows are
-// written deletes first, then inserts, so a statement that shifts keys
-// onto one another (SET part_id = part_id + 1 over a sparse range)
-// never meets its own not-yet-moved rows; a row whose key stays is
-// rewritten in place, and left alone when no projected column changed.
+// Apply folds one statement on the source into the view. Rows whose key
+// stays are rewritten in place as one batch, and left alone when no
+// projected column changed; the other view rows are written deletes
+// first, then inserts, each as one batch, so a statement that shifts
+// keys onto one another (SET part_id = part_id + 1 over a sparse range)
+// never meets its own not-yet-moved rows.
 func (p *spPlan) Apply(tx *engine.Tx, d *engine.StatementDelta) error {
-	var gone, born []catalog.Tuple
+	var gone, born, kept []catalog.Tuple
 	switch d.Op {
 	case engine.TrigInsert:
 		born = make([]catalog.Tuple, 0, len(d.After))
@@ -143,9 +144,7 @@ func (p *spPlan) Apply(tx *engine.Tx, d *engine.StatementDelta) error {
 					continue
 				}
 				if p.pkInView >= 0 && sameValue(before[p.proj[p.pkInView]], after[p.proj[p.pkInView]]) {
-					if err := p.rewrite(tx, p.project(after)); err != nil {
-						return err
-					}
+					kept = append(kept, p.project(after))
 					continue
 				}
 			}
@@ -157,28 +156,79 @@ func (p *spPlan) Apply(tx *engine.Tx, d *engine.StatementDelta) error {
 			}
 		}
 	}
+	if err := p.rewrite(tx, kept); err != nil {
+		return err
+	}
 	if err := p.deleteRows(tx, gone); err != nil {
 		return err
 	}
-	for _, row := range born {
-		if err := tx.InsertRow(p.view, row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return insertAll(tx, p.view, born)
 }
 
-// rewrite replaces the view row carrying row's key, inserting it when
-// the view has none.
-func (p *spPlan) rewrite(tx *engine.Tx, row catalog.Tuple) error {
-	old, err := tx.RowsByKey(p.view, p.pkInView, row[p.pkInView], true)
+// rewrite replaces the view rows carrying the given rows' keys, and
+// inserts the rows the view has none for.
+func (p *spPlan) rewrite(tx *engine.Tx, rows []catalog.Tuple) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	found, err := tx.RowsByKeys(p.view, p.pkInView, column(rows, p.pkInView), true)
 	if err != nil {
 		return err
 	}
-	if len(old) == 0 {
-		return tx.InsertRow(p.view, row)
+	olds := make([]engine.Row, 0, len(rows))
+	afters := make([]catalog.Tuple, 0, len(rows))
+	var missing []catalog.Tuple
+	for i, row := range rows {
+		if len(found[i]) == 0 {
+			missing = append(missing, row)
+			continue
+		}
+		olds, afters = append(olds, found[i][0]), append(afters, row)
 	}
-	return tx.UpdateRow(p.view, old[0], row)
+	if len(olds) > 0 {
+		if err := tx.UpdateBatch(p.view, olds, afters); err != nil {
+			return err
+		}
+	}
+	return insertAll(tx, p.view, missing)
+}
+
+// column returns every row's value in column col.
+func column(rows []catalog.Tuple, col int) []catalog.Value {
+	out := make([]catalog.Value, len(rows))
+	for i, row := range rows {
+		out[i] = row[col]
+	}
+	return out
+}
+
+// flatten concatenates RowsByKeys' per-key rows.
+func flatten(found [][]engine.Row) []engine.Row {
+	n := 0
+	for _, rs := range found {
+		n += len(rs)
+	}
+	out := make([]engine.Row, 0, n)
+	for _, rs := range found {
+		out = append(out, rs...)
+	}
+	return out
+}
+
+// insertAll inserts rows into view as one batch; none is no call.
+func insertAll(tx *engine.Tx, view *engine.Table, rows []catalog.Tuple) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	return tx.InsertBatch(view, rows)
+}
+
+// deleteAll deletes rows from view as one batch; none is no call.
+func deleteAll(tx *engine.Tx, view *engine.Table, rows []engine.Row) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	return tx.DeleteBatch(view, rows)
 }
 
 // upsert applies an after image that comes with no before image (the
@@ -197,7 +247,7 @@ func (p *spPlan) upsert(tx *engine.Tx, after catalog.Tuple) error {
 	}
 	row := p.project(after)
 	if in {
-		return p.rewrite(tx, row)
+		return p.rewrite(tx, []catalog.Tuple{row})
 	}
 	return p.deleteRows(tx, []catalog.Tuple{row})
 }
@@ -211,18 +261,11 @@ func (p *spPlan) deleteRows(tx *engine.Tx, rows []catalog.Tuple) error {
 		return nil
 	}
 	if p.pkInView >= 0 {
-		for _, row := range rows {
-			old, err := tx.RowsByKey(p.view, p.pkInView, row[p.pkInView], true)
-			if err != nil {
-				return err
-			}
-			for _, r := range old {
-				if err := tx.DeleteRow(p.view, r); err != nil {
-					return err
-				}
-			}
+		found, err := tx.RowsByKeys(p.view, p.pkInView, column(rows, p.pkInView), true)
+		if err != nil {
+			return err
 		}
-		return nil
+		return deleteAll(tx, p.view, flatten(found))
 	}
 	// The stored bytes of a view row are the encoding of the projected
 	// source image, so byte equality is row equality.
@@ -249,12 +292,7 @@ func (p *spPlan) deleteRows(tx *engine.Tx, rows []catalog.Tuple) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range victims {
-		if err := tx.DeleteRow(p.view, r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return deleteAll(tx, p.view, victims)
 }
 
 // Join sides.
@@ -307,10 +345,11 @@ func (p *joinPlan) combine(left, right catalog.Tuple) catalog.Tuple {
 // selection outcome leaves its partners as they were: its view rows are
 // patched in place (or left alone when none of the side's projected
 // columns changed). Everything else is deletes for the whole batch,
-// then inserts, with one partner probe per distinct join key.
+// then inserts, with one partner probe for all distinct join keys.
 func (p *joinPlan) applySide(tx *engine.Tx, side int, d *engine.StatementDelta) error {
 	var gone []catalog.Value // side primary keys whose view rows go
 	var born []catalog.Tuple // side rows to pair with their partners
+	var kept []catalog.Tuple // side rows whose view rows are patched
 	pk, jc := p.pkCol[side], p.joinCol[side]
 	switch d.Op {
 	case engine.TrigInsert:
@@ -346,11 +385,8 @@ func (p *joinPlan) applySide(tx *engine.Tx, side int, d *engine.StatementDelta) 
 				continue
 			}
 			if inBefore && inAfter && sameValue(before[pk], after[pk]) && sameValue(before[jc], after[jc]) {
-				if unchanged(before, after, p.own[side]) {
-					continue
-				}
-				if err := p.patch(tx, side, after); err != nil {
-					return err
+				if !unchanged(before, after, p.own[side]) {
+					kept = append(kept, after)
 				}
 				continue
 			}
@@ -362,80 +398,101 @@ func (p *joinPlan) applySide(tx *engine.Tx, side int, d *engine.StatementDelta) 
 			}
 		}
 	}
-	for _, key := range gone {
-		old, err := tx.RowsByKey(p.view, p.pkInView[side], key, true)
+	if err := p.patch(tx, side, kept); err != nil {
+		return err
+	}
+	if len(gone) > 0 {
+		found, err := tx.RowsByKeys(p.view, p.pkInView[side], gone, true)
 		if err != nil {
 			return err
 		}
-		for _, r := range old {
-			if err := tx.DeleteRow(p.view, r); err != nil {
-				return err
-			}
+		if err := deleteAll(tx, p.view, flatten(found)); err != nil {
+			return err
 		}
 	}
 	return p.insertPairs(tx, side, born)
 }
 
-// patch rewrites the side's projected columns in the view rows of one
-// side row whose key and partners stay.
-func (p *joinPlan) patch(tx *engine.Tx, side int, after catalog.Tuple) error {
-	old, err := tx.RowsByKey(p.view, p.pkInView[side], after[p.pkCol[side]], true)
+// patch rewrites the side's projected columns in the view rows of side
+// rows whose key and partners stay, as one batch.
+func (p *joinPlan) patch(tx *engine.Tx, side int, rows []catalog.Tuple) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	found, err := tx.RowsByKeys(p.view, p.pkInView[side], column(rows, p.pkCol[side]), true)
 	if err != nil {
 		return err
 	}
-	for _, r := range old {
-		next := make(catalog.Tuple, len(r.Tuple))
-		copy(next, r.Tuple)
-		for i, c := range p.cols {
-			if c.side == side {
-				next[i] = after[c.col]
+	olds := make([]engine.Row, 0, len(rows))
+	nexts := make([]catalog.Tuple, 0, len(rows))
+	for i, after := range rows {
+		for _, r := range found[i] {
+			next := make(catalog.Tuple, len(r.Tuple))
+			copy(next, r.Tuple)
+			for c, jc := range p.cols {
+				if jc.side == side {
+					next[c] = after[jc.col]
+				}
 			}
-		}
-		if err := tx.UpdateRow(p.view, r, next); err != nil {
-			return err
+			olds, nexts = append(olds, r), append(nexts, next)
 		}
 	}
-	return nil
+	if len(olds) == 0 {
+		return nil
+	}
+	return tx.UpdateBatch(p.view, olds, nexts)
 }
 
 // insertPairs joins the side's (selected) rows with the other side's
-// replica and inserts the pairs, probing once per distinct join key.
+// replica, probing once for all distinct join keys, and inserts the
+// pairs as one batch.
 func (p *joinPlan) insertPairs(tx *engine.Tx, side int, rows []catalog.Tuple) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	other := 1 - side
-	probed := make(map[valueKey][]catalog.Tuple)
+	slot := make(map[valueKey]int) // distinct join key -> its probe
+	var probe []catalog.Value
 	for _, row := range rows {
 		key := row[p.joinCol[side]]
 		if key.IsNull() {
 			continue // NULL join keys never match
 		}
-		k := keyOf(key)
-		partners, seen := probed[k]
-		if !seen {
-			found, err := tx.RowsByKey(p.tables[other], p.joinCol[other], key, false)
-			if err != nil {
-				return err
-			}
-			for _, r := range found {
-				if ok, err := p.selected(other, r.Tuple); err != nil {
-					return err
-				} else if ok {
-					partners = append(partners, r.Tuple)
-				}
-			}
-			probed[k] = partners
+		if _, seen := slot[keyOf(key)]; !seen {
+			slot[keyOf(key)] = len(probe)
+			probe = append(probe, key)
 		}
-		for _, partner := range partners {
-			pair := [2]catalog.Tuple{}
-			pair[side], pair[other] = row, partner
-			if err := tx.InsertRow(p.view, p.combine(pair[leftSide], pair[rightSide])); err != nil {
+	}
+	if len(probe) == 0 {
+		return nil
+	}
+	found, err := tx.RowsByKeys(p.tables[other], p.joinCol[other], probe, false)
+	if err != nil {
+		return err
+	}
+	partners := make([][]catalog.Tuple, len(probe))
+	for i, rs := range found {
+		for _, r := range rs {
+			if ok, err := p.selected(other, r.Tuple); err != nil {
 				return err
+			} else if ok {
+				partners[i] = append(partners[i], r.Tuple)
 			}
 		}
 	}
-	return nil
+	var pairs []catalog.Tuple
+	for _, row := range rows {
+		key := row[p.joinCol[side]]
+		if key.IsNull() {
+			continue
+		}
+		for _, partner := range partners[slot[keyOf(key)]] {
+			pair := [2]catalog.Tuple{}
+			pair[side], pair[other] = row, partner
+			pairs = append(pairs, p.combine(pair[leftSide], pair[rightSide]))
+		}
+	}
+	return insertAll(tx, p.view, pairs)
 }
 
 // aggPlan maintains one aggregate view.
@@ -448,24 +505,33 @@ type aggPlan struct {
 // aggGroup is one group a statement touched: the row the view held when
 // the statement first reached the group, and the accumulator since.
 type aggGroup struct {
+	key    catalog.Value // the group-by value; NULL for an ungrouped view
 	stored engine.Row
 	found  bool          // stored is a row of the view
 	acc    catalog.Tuple // nil while the group has no live rows
 }
 
-// Apply loads each group the statement touches once, folds the
-// statement's rows into the loaded accumulators in row order — an
+// Apply loads every group the statement touches with one read, folds
+// the statement's rows into the loaded accumulators in row order — an
 // UPDATE's before image out, then its after image in, row by row, so
 // every group sees its additions in the order per-row maintenance would
-// apply them and float sums come out bit-identical — and writes each
-// group once. A group that empties forgets its accumulator (a float sum
-// need not return to exactly zero) and restarts from zero if a later
-// row of the statement revives it.
+// apply them and float sums come out bit-identical — and writes the
+// groups as one batch per kind of write. A group that empties forgets
+// its accumulator (a float sum need not return to exactly zero) and
+// restarts from zero if a later row of the statement revives it.
 func (p *aggPlan) Apply(tx *engine.Tx, d *engine.StatementDelta) error {
 	groups := make(map[valueKey]*aggGroup)
 	var order []*aggGroup // first-touch order, for repeatable writes
-	fold := func(row catalog.Tuple, sign int64) error {
-		v := p.v
+	var keys []catalog.Value
+	v := p.v
+	// The rows that fold, with the group each folds into.
+	type step struct {
+		row  catalog.Tuple
+		sign int64
+		g    *aggGroup
+	}
+	steps := make([]step, 0, len(d.Before)+len(d.After))
+	add := func(row catalog.Tuple, sign int64) error {
 		if ok, err := sqlmini.EvalPredicate(v.Def.Where, v.SrcSchema, row); err != nil || !ok {
 			return err
 		}
@@ -476,82 +542,100 @@ func (p *aggPlan) Apply(tx *engine.Tx, d *engine.StatementDelta) error {
 		k := keyOf(key)
 		g := groups[k]
 		if g == nil {
-			var err error
-			if g, err = p.load(tx, key); err != nil {
-				return err
-			}
+			g = &aggGroup{key: key}
 			groups[k] = g
 			order = append(order, g)
+			keys = append(keys, key)
 		}
-		if g.acc == nil {
-			if sign < 0 {
-				return fmt.Errorf("warehouse: aggregate view %s: delete for missing group (view registered after data load?)", v.Def.Name)
-			}
-			g.acc = p.zero(key)
-		}
-		v.foldInto(g.acc, row, sign, p.base)
-		if g.acc[p.base].Int() == 0 {
-			g.acc = nil
-		}
+		steps = append(steps, step{row: row, sign: sign, g: g})
 		return nil
 	}
 	for i := 0; i < len(d.Before) || i < len(d.After); i++ {
 		if i < len(d.Before) {
-			if err := fold(d.Before[i], -1); err != nil {
+			if err := add(d.Before[i], -1); err != nil {
 				return err
 			}
 		}
 		if i < len(d.After) {
-			if err := fold(d.After[i], +1); err != nil {
+			if err := add(d.After[i], +1); err != nil {
 				return err
 			}
 		}
 	}
+	if err := p.load(tx, order, keys); err != nil {
+		return err
+	}
+	for _, st := range steps {
+		g := st.g
+		if g.acc == nil {
+			if st.sign < 0 {
+				return fmt.Errorf("warehouse: aggregate view %s: delete for missing group (view registered after data load?)", v.Def.Name)
+			}
+			g.acc = p.zero(g.key)
+		}
+		v.foldInto(g.acc, st.row, st.sign, p.base)
+		if g.acc[p.base].Int() == 0 {
+			g.acc = nil
+		}
+	}
+	var gone, olds []engine.Row
+	var afters, born []catalog.Tuple
 	for _, g := range order {
-		var err error
 		switch {
 		case g.found && g.acc == nil:
-			err = tx.DeleteRow(p.view, g.stored)
+			gone = append(gone, g.stored)
 		case g.found:
 			if !g.acc.Equal(g.stored.Tuple) {
-				err = tx.UpdateRow(p.view, g.stored, g.acc)
+				olds, afters = append(olds, g.stored), append(afters, g.acc)
 			}
 		case g.acc != nil:
-			err = tx.InsertRow(p.view, g.acc)
+			born = append(born, g.acc)
 		}
-		if err != nil {
+	}
+	if err := deleteAll(tx, p.view, gone); err != nil {
+		return err
+	}
+	if len(olds) > 0 {
+		if err := tx.UpdateBatch(p.view, olds, afters); err != nil {
 			return err
 		}
 	}
-	return nil
+	return insertAll(tx, p.view, born)
 }
 
-// load reads a group's stored row, taking the exclusive lock its
-// rewrite will need.
-func (p *aggPlan) load(tx *engine.Tx, key catalog.Value) (*aggGroup, error) {
-	g := &aggGroup{}
+// load reads the stored rows of the given groups, taking the exclusive
+// locks their rewrite will need.
+func (p *aggPlan) load(tx *engine.Tx, groups []*aggGroup, keys []catalog.Value) error {
+	if len(groups) == 0 {
+		return nil
+	}
 	if p.v.groupIdx >= 0 {
-		rows, err := tx.RowsByKey(p.view, 0, key, true)
+		found, err := tx.RowsByKeys(p.view, 0, keys, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if len(rows) > 0 {
-			g.stored, g.found = rows[0], true
+		for i, g := range groups {
+			if len(found[i]) > 0 {
+				g.stored, g.found = found[i][0], true
+			}
 		}
 	} else {
 		// An ungrouped view is one row at most.
+		g := groups[0]
 		err := tx.ScanRows(p.view, true, func(r engine.Row) (bool, error) {
 			g.stored, g.found = r, true
 			return false, nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if g.found {
-		g.acc = g.stored.Tuple.Clone()
+	for _, g := range groups {
+		if g.found {
+			g.acc = g.stored.Tuple.Clone()
+		}
 	}
-	return g, nil
+	return nil
 }
 
 // zero is a fresh group's accumulator.
