@@ -96,6 +96,20 @@ func (p *Page) Insert(rec []byte) (uint16, error) {
 	return p.InsertAvoid(rec, nil, 0)
 }
 
+// CheckRecordSize returns the error a page refuses an n-byte record
+// with whatever its free space — empty, or larger than an empty page
+// holds — or nil. A write batch checks its images with it before it
+// touches a page.
+func CheckRecordSize(n int) error {
+	if n == 0 {
+		return errors.New("storage: empty record")
+	}
+	if n > PageSize-pageHeaderSize-slotSize {
+		return fmt.Errorf("storage: record of %d bytes exceeds page capacity", n)
+	}
+	return nil
+}
+
 // InsertAvoid is Insert with a tombstone-reuse veto and a byte
 // reservation: slots for which avoid returns true are skipped, and the
 // insert is refused with ErrPageFull if it would leave fewer than
@@ -103,11 +117,8 @@ func (p *Page) Insert(rec []byte) (uint16, error) {
 // both to keep inserts off slots and bytes freed by still-in-flight
 // transactions, whose rollback restores the record at exactly that slot.
 func (p *Page) InsertAvoid(rec []byte, avoid func(uint16) bool, reserve int) (uint16, error) {
-	if len(rec) == 0 {
-		return 0, errors.New("storage: empty record")
-	}
-	if len(rec) > PageSize-pageHeaderSize-slotSize {
-		return 0, fmt.Errorf("storage: record of %d bytes exceeds page capacity", len(rec))
+	if err := CheckRecordSize(len(rec)); err != nil {
+		return 0, err
 	}
 	// Find a reusable tombstone first: reusing costs no directory growth.
 	slotNo := uint16(0)
