@@ -230,18 +230,14 @@ func TestShapeTable4(t *testing.T) {
 	}
 	t.Log("\n" + res.Render())
 	last := res.ColHeads[len(res.ColHeads)-1]
-	// Inserts: the DB log pays a per-record transactional insert, the
-	// file log a buffered append — file log wins at scale (paper: 81.8s
-	// vs 55.4s at 10k rows).
-	if res.Get("Insert (DBLog)", last) <= res.Get("Insert (FileLog)", last) {
-		t.Errorf("insert DBLog (%.2fms) should exceed FileLog (%.2fms) at size %s",
-			res.Get("Insert (DBLog)", last), res.Get("Insert (FileLog)", last), last)
-	}
-	// Deletes and updates: one op either way, so response times are
-	// close (paper: within a few percent). The times are logged; what is
-	// asserted is the count behind them at the largest size: each log
-	// captures one op for the statement, and the DB log adds one WAL
-	// record — its op row — to the statement's own.
+	// The paper: inserts cost more with the DB log, which pays a
+	// transactional insert per op where the file log buffers an append
+	// (81.8s vs 55.4s at 10k rows); deletes and updates are one op
+	// either way, so their times are close. The times are logged; what
+	// is asserted is the count behind them at the largest size: k
+	// single-row INSERTs capture k ops and one scan-based DELETE or
+	// UPDATE captures one, with either log, and the DB log adds one WAL
+	// record per op — its op row — to the statements' own.
 	cfg := smallCfg(t)
 	k := cfg.TxnSizes[len(cfg.TxnSizes)-1]
 	db, _, err := populatedSource(&cfg, "t4-counts", k, false)
@@ -258,9 +254,13 @@ func TestShapeTable4(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fileLog.Close()
-	for _, kind := range []txnKind{txnDelete, txnUpdate} {
+	for _, kind := range []txnKind{txnInsert, txnDelete, txnUpdate} {
 		t.Logf("%s at %d rows: DBLog %.2fms, FileLog %.2fms", kind, k,
 			res.Get(kind.String()+" (DBLog)", last), res.Get(kind.String()+" (FileLog)", last))
+		first, want := int64(0), uint64(1)
+		if kind == txnInsert {
+			first, want = 1_000_000, uint64(k) // fresh ids, one op per statement
+		}
 		var recs [2]uint64
 		var ops [2]uint64
 		for i, log := range []opdelta.Log{tableLog, fileLog} {
@@ -269,17 +269,17 @@ func TestShapeTable4(t *testing.T) {
 			seq := log.(interface{ Seq() uint64 })
 			before := seq.Seq()
 			recs[i] = walRecords(t, db, func() error {
-				_, err := runTxn(db, exec, kind, 0, k, "m")
+				_, err := runTxn(db, exec, kind, first, k, "m")
 				return err
 			})
 			ops[i] = seq.Seq() - before
-			if err := restore(db, kind, 0, k); err != nil {
+			if err := restore(db, kind, first, k); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if ops != [2]uint64{1, 1} || recs[0] != recs[1]+1 {
-			t.Errorf("%s of %d rows: %d ops captured and %d WAL records with the DB log, %d ops and %d records with the file log; want one op each and one record more for the DB log",
-				kind, k, ops[0], recs[0], ops[1], recs[1])
+		if ops != [2]uint64{want, want} || recs[0] != recs[1]+want {
+			t.Errorf("%s of %d rows: %d ops captured and %d WAL records with the DB log, %d ops and %d records with the file log; want %d ops each and %d records more for the DB log",
+				kind, k, ops[0], recs[0], ops[1], recs[1], want, want)
 		}
 	}
 }

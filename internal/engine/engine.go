@@ -44,12 +44,6 @@ type Options struct {
 	Now func() time.Time
 	// LockTimeout bounds lock waits. Default 10s.
 	LockTimeout time.Duration
-	// DeadlockProbe is the waits-for probe interval during blocked lock
-	// waits: a blocked transaction re-runs the cycle classifier at this
-	// cadence and aborts itself in milliseconds when it sits on a cycle,
-	// instead of burning the full LockTimeout. Zero means the 50ms
-	// default; negative disables probing (deadline backstop only).
-	DeadlockProbe time.Duration
 	// FS routes all engine file I/O (heap files, WAL, catalog); nil
 	// means the real filesystem. The fault-injection harness substitutes
 	// a fault.SimFS here to crash and recover the whole engine in-process.
@@ -63,14 +57,6 @@ type Options struct {
 	// series so a process holding several engines on one registry
 	// (opdeltad: source + warehouse) keeps them apart.
 	ObsDB string
-	// RetentionMinAge, when positive, is the minimum version-history age
-	// automatic and checkpoint GC preserve: the GC watermark is clamped
-	// so commits younger than this stay AS OF readable, giving a
-	// predictable time-travel horizon. It also feeds the adaptive GC
-	// trigger, whose threshold scales with the version creation rate
-	// times the retention horizon. Zero keeps the classic behavior —
-	// history lives only until the oldest snapshot releases it.
-	RetentionMinAge time.Duration
 }
 
 func (o *Options) fill() {
@@ -81,6 +67,12 @@ func (o *Options) fill() {
 		o.Now = time.Now
 	}
 }
+
+// deadlockProbe is the waits-for probe interval during blocked lock
+// waits: a blocked transaction re-runs the cycle classifier at this
+// cadence and aborts itself in milliseconds when it sits on a cycle,
+// instead of burning the full LockTimeout.
+const deadlockProbe = 50 * time.Millisecond
 
 // DB is one engine instance rooted at a directory.
 type DB struct {
@@ -177,11 +169,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		obs:       reg,
 		obsLabels: labels,
 	}
-	probe := opts.DeadlockProbe
-	if probe == 0 {
-		probe = 50 * time.Millisecond
-	}
-	db.locks.SetDeadlockProbe(probe)
+	db.locks.SetDeadlockProbe(deadlockProbe)
 	db.mvcc.snaps = txn.NewSnapshotRegistry(opts.Now)
 	reg.GaugeFunc("mvcc_oldest_snapshot_age_seconds", func() float64 {
 		return db.mvcc.snaps.OldestAge().Seconds()

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +10,7 @@ import (
 )
 
 // manualClock advances only when told, unlike logicalClock's
-// tick-per-call: retention and rate windows need exact control.
+// tick-per-call: snapshot ages and rate windows need exact control.
 type manualClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -33,57 +32,18 @@ func (c *manualClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// TestRetentionMinAgeFloor: with a retention policy, even a full
-// quiescent GC sweep must keep commits younger than RetentionMinAge
-// time-travel readable; once they age past the horizon they become
-// reclaimable.
-func TestRetentionMinAgeFloor(t *testing.T) {
-	clock := newManualClock()
-	db := openTestDB(t, Options{Now: clock.Now, RetentionMinAge: time.Minute})
-	createParts(t, db)
-	lsn1 := commitRows(t, db, `INSERT INTO parts (part_id, qty) VALUES (1, 0)`)
-	for i := 1; i <= 5; i++ {
-		// Space commits past the stamp granularity so each lands its own
-		// retention sample.
-		clock.Advance(200 * time.Millisecond)
-		commitRows(t, db, fmt.Sprintf(`UPDATE parts SET qty = %d WHERE part_id = 1`, i))
-	}
-	before := db.VersionCount()
-	if before == 0 {
-		t.Fatal("expected version chains before GC")
-	}
-
-	// All history is younger than the retention horizon: a full sweep
-	// reclaims nothing and AS OF the first commit still reads.
-	clock.Advance(10 * time.Second)
-	db.VersionGC()
-	if n := db.VersionCount(); n != before {
-		t.Fatalf("versions after in-retention GC = %d, want %d untouched", n, before)
-	}
-	_, rows, err := db.Query(nil, fmt.Sprintf(`SELECT qty FROM parts AS OF %d`, lsn1))
-	if err != nil || len(rows) != 1 || rows[0][0].Int() != 0 {
-		t.Fatalf("AS OF inside retention = %v, %v (want qty 0)", rows, err)
-	}
-
-	// Past the horizon the same sweep reclaims, and the floor rises.
-	clock.Advance(2 * time.Minute)
-	db.VersionGC()
-	if n := db.VersionCount(); n != 0 {
-		t.Fatalf("versions after post-retention GC = %d, want 0", n)
-	}
-	if _, _, err := db.Query(nil, fmt.Sprintf(`SELECT * FROM parts AS OF %d`, lsn1)); err == nil ||
-		!strings.Contains(err.Error(), "snapshot too old") {
-		t.Fatalf("aged-out AS OF err = %v, want snapshot too old", err)
-	}
-}
-
 // TestAdaptiveGCThreshold: the automatic trigger's threshold starts at
 // the base and grows with the observed version creation rate times the
-// retention horizon.
+// history horizon, the age of the oldest live snapshot.
 func TestAdaptiveGCThreshold(t *testing.T) {
 	clock := newManualClock()
-	db := openTestDB(t, Options{Now: clock.Now, RetentionMinAge: 10 * time.Second})
+	db := openTestDB(t, Options{Now: clock.Now})
 	createParts(t, db)
+	// A snapshot held open sets the horizon: 10s old when the rate is
+	// sampled below.
+	stx := db.BeginSnapshot()
+	defer stx.Commit()
+	clock.Advance(9 * time.Second)
 
 	if thr := db.gcThreshold(); thr != gcBaseThreshold {
 		t.Fatalf("initial threshold = %d, want base %d", thr, gcBaseThreshold)

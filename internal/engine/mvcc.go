@@ -56,10 +56,6 @@ type mvccState struct {
 	rate        float64
 	rateAt      time.Time
 	rateCreated uint64
-	// stamps are (commit LSN, wall time) samples, oldest first, spaced
-	// commitStampEvery apart. They translate the RetentionMinAge wall
-	// clock horizon into a commit-LSN clamp on the GC watermark.
-	stamps []commitStamp
 }
 
 type commitMark struct {
@@ -67,18 +63,12 @@ type commitMark struct {
 	resolved bool
 }
 
-type commitStamp struct {
-	lsn uint64
-	at  time.Time
-}
-
 // gcBaseThreshold is the floor of the adaptive automatic-GC trigger:
 // below this many versions engine-wide, versions simply linger — that
 // slack is what makes recent-history AS OF reads useful between
 // checkpoints. The effective threshold grows with the observed version
 // creation rate times the history horizon GC must preserve anyway (the
-// oldest live snapshot's age, floored by RetentionMinAge), so a
-// write-heavy engine with long-lived readers does not burn commit-path
+// oldest live snapshot's age), so a write-heavy engine with long-lived readers does not burn commit-path
 // GC passes that cannot reclaim anything.
 const gcBaseThreshold = 4096
 
@@ -88,10 +78,6 @@ const gcRateSampleEvery = 50 * time.Millisecond
 
 // gcRateBlend is the EWMA retention of the previous rate estimate.
 const gcRateBlend = 0.8
-
-// commitStampEvery spaces retention commit stamps; finer granularity
-// buys nothing because the clamp only has to be conservative.
-const commitStampEvery = 100 * time.Millisecond
 
 // gcStripesPerPass bounds one incremental GC pass. Automatic triggers
 // sit on the commit path; a full sweep there would be a latency burst
@@ -151,54 +137,10 @@ func (db *DB) mvccEndCommit(lsn wal.LSN) {
 		m.visible = m.outstanding[n].lsn
 		n++
 	}
-	visible := m.visible
 	if n > 0 {
 		m.outstanding = append(m.outstanding[:0], m.outstanding[n:]...)
 	}
 	m.mu.Unlock()
-	if n > 0 {
-		db.noteCommitStamp(visible)
-	}
-}
-
-// noteCommitStamp samples (visible LSN, now) for the retention clamp.
-// Only engines with a retention floor pay for the ring.
-func (db *DB) noteCommitStamp(visible uint64) {
-	if db.opts.RetentionMinAge <= 0 {
-		return
-	}
-	now := db.opts.Now()
-	m := &db.mvcc
-	m.gcMu.Lock()
-	if len(m.stamps) == 0 || now.Sub(m.stamps[len(m.stamps)-1].at) >= commitStampEvery {
-		m.stamps = append(m.stamps, commitStamp{lsn: visible, at: now})
-	}
-	m.gcMu.Unlock()
-}
-
-// retentionFloor translates RetentionMinAge into the highest commit LSN
-// whose history is old enough to prune. clamp is false when no
-// retention policy is configured; with a policy but no sufficiently old
-// stamp, the floor is 0 — nothing may be pruned yet. Consumed stamps
-// are dropped, except the newest one at or below the cutoff, which
-// remains the boundary for the next pass.
-func (db *DB) retentionFloor() (floor uint64, clamp bool) {
-	if db.opts.RetentionMinAge <= 0 {
-		return 0, false
-	}
-	cutoff := db.opts.Now().Add(-db.opts.RetentionMinAge)
-	m := &db.mvcc
-	m.gcMu.Lock()
-	defer m.gcMu.Unlock()
-	i := 0
-	for i < len(m.stamps) && !m.stamps[i].at.After(cutoff) {
-		floor = m.stamps[i].lsn
-		i++
-	}
-	if i > 1 {
-		m.stamps = append(m.stamps[:0], m.stamps[i-1:]...)
-	}
-	return floor, true
 }
 
 // BeginSnapshot starts a read-only snapshot transaction pinned at the
@@ -274,11 +216,6 @@ func (db *DB) versionGCTables(tables []*Table, full bool) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	wm := m.snaps.Watermark(db.currentReadLSNLocked)
-	if floor, clamp := db.retentionFloor(); clamp && wm > floor {
-		// Retention policy: even a quiescent engine keeps commits
-		// younger than RetentionMinAge time-travel readable.
-		wm = floor
-	}
 	total := 0
 	for _, t := range tables {
 		if t.vstore == nil {
@@ -326,9 +263,8 @@ func (db *DB) maybeVersionGC() {
 // gcThreshold derives the automatic-GC trigger from live signals
 // instead of a fixed population cap: base + creation-rate × history
 // horizon. The horizon is how far back history must survive anyway —
-// the oldest live snapshot's age, floored by RetentionMinAge — so the
-// threshold approximates "the population an effective GC pass could
-// actually get below". A fixed cap under-triggers on idle engines and
+// the oldest live snapshot's age — so the threshold approximates "the
+// population an effective GC pass could actually get below". A fixed cap under-triggers on idle engines and
 // thrashes on write-heavy ones whose pinned history makes every pass a
 // no-op.
 func (db *DB) gcThreshold() int64 {
@@ -345,11 +281,7 @@ func (db *DB) gcThreshold() int64 {
 	}
 	rate := m.rate
 	m.gcMu.Unlock()
-	horizon := m.snaps.OldestAge()
-	if db.opts.RetentionMinAge > horizon {
-		horizon = db.opts.RetentionMinAge
-	}
-	return gcBaseThreshold + int64(rate*horizon.Seconds())
+	return gcBaseThreshold + int64(rate*m.snaps.OldestAge().Seconds())
 }
 
 // versionKey encodes a primary-key value as the version store's chain

@@ -26,7 +26,6 @@ package simcrash
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -75,51 +74,22 @@ func RunAdjacentRanges(cfg AdjacentConfig) (*AdjacentReport, error) {
 		cfg.Workers = 2
 	}
 	rep := &AdjacentReport{Seed: cfg.Seed, Stripes: cfg.Stripes}
-
-	clean := fault.NewSimFS(cfg.Seed)
-	if err := runAdjacentWorkload(clean, cfg); err != nil {
-		return nil, fmt.Errorf("simcrash: adjacent clean pass: %w", err)
+	// As in the parallel-apply scenario, worker interleaving is real
+	// concurrency: the crash pass can take a different op path and
+	// finish early, in which case it is verified as a clean pass.
+	out, err := crashCycle{
+		name: "adjacent", seed: cfg.Seed, salt: 11,
+		run: func(fsys fault.FS, _ bool) error {
+			return runAdjacentWorkload(fsys, cfg)
+		},
+		verify: func(fsys fault.FS, complete bool) error {
+			return verifyAdjacent(fsys, cfg, rep, complete)
+		},
+	}.drive()
+	if err != nil {
+		return nil, err
 	}
-	rep.TotalOps = clean.Ops()
-	if rep.TotalOps == 0 {
-		return nil, fmt.Errorf("simcrash: adjacent clean pass performed no fs ops")
-	}
-	if err := verifyAdjacent(clean, cfg, rep, true); err != nil {
-		return nil, fmt.Errorf("simcrash: adjacent clean pass: %w", err)
-	}
-
-	// Crash pass. As in the parallel-apply scenario, worker interleaving
-	// is real concurrency: the crash pass can take a different op path
-	// and finish early, in which case it is verified as a clean pass.
-	rng := rand.New(rand.NewSource(cfg.Seed*0x9E3779B9 + 11))
-	rep.CrashOp = 1 + uint64(rng.Int63n(int64(rep.TotalOps)))
-	crashFS := fault.NewSimFS(cfg.Seed)
-	crashFS.SetScript(&fault.Script{
-		CrashOp:     rep.CrashOp,
-		CrashBefore: rng.Intn(2) == 0,
-		TornTail:    func(path string) bool { return !strings.HasSuffix(path, ".heap") },
-	})
-	var workErr error
-	crashed := fault.RunToCrash(func() {
-		workErr = runAdjacentWorkload(crashFS, cfg)
-	})
-	rep.Crashed = crashed || crashFS.Crashed()
-	if !rep.Crashed {
-		if workErr != nil {
-			return nil, fmt.Errorf("simcrash: adjacent crash pass failed without crashing: %w", workErr)
-		}
-		// The workload outran its crash point; the verification's own
-		// reopen and close must not trip it.
-		crashFS.SetScript(nil)
-		if err := verifyAdjacent(crashFS, cfg, rep, true); err != nil {
-			return nil, fmt.Errorf("simcrash: adjacent crash pass (completed): %w", err)
-		}
-		return rep, nil
-	}
-	rebooted := crashFS.Reboot()
-	if err := verifyAdjacent(rebooted, cfg, rep, false); err != nil {
-		return nil, fmt.Errorf("simcrash: adjacent seed %d crash@%d: %w", cfg.Seed, rep.CrashOp, err)
-	}
+	rep.TotalOps, rep.CrashOp, rep.Crashed = out.totalOps, out.crashOp, out.crashed
 	return rep, nil
 }
 

@@ -25,7 +25,6 @@ package simcrash
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"time"
@@ -77,57 +76,23 @@ func RunParallelApply(cfg ParallelConfig) (*ParallelReport, error) {
 		cfg.Workers = 4
 	}
 	rep := &ParallelReport{Seed: cfg.Seed, Txns: cfg.Txns}
-
-	// Clean pass: size the op space and prove the workload itself is
-	// sound (every transaction applied, view consistent).
-	clean := fault.NewSimFS(cfg.Seed)
-	if err := runParallelWorkload(clean, cfg.Txns, cfg.Workers); err != nil {
-		return nil, fmt.Errorf("simcrash: parallel clean pass: %w", err)
+	// Worker interleaving (and with it group-commit fsync batching) is
+	// not deterministic, so the crash pass may perform fewer ops than
+	// the clean pass and complete; that run is verified as a second
+	// clean pass instead of discarded.
+	out, err := crashCycle{
+		name: "parallel", seed: cfg.Seed, salt: 7,
+		run: func(fsys fault.FS, _ bool) error {
+			return runParallelWorkload(fsys, cfg.Txns, cfg.Workers)
+		},
+		verify: func(fsys fault.FS, complete bool) error {
+			return verifyParallel(fsys, cfg.Txns, rep, complete)
+		},
+	}.drive()
+	if err != nil {
+		return nil, err
 	}
-	rep.TotalOps = clean.Ops()
-	if rep.TotalOps == 0 {
-		return nil, fmt.Errorf("simcrash: parallel clean pass performed no fs ops")
-	}
-	if err := verifyParallel(clean, cfg.Txns, rep, true); err != nil {
-		return nil, fmt.Errorf("simcrash: parallel clean pass: %w", err)
-	}
-
-	// Crash pass. Worker interleaving (and with it group-commit fsync
-	// batching) is not deterministic, so the crash pass may perform
-	// fewer ops than the clean pass and complete; that run is verified
-	// as a second clean pass instead of discarded.
-	rng := rand.New(rand.NewSource(cfg.Seed*0x9E3779B9 + 7))
-	rep.CrashOp = 1 + uint64(rng.Int63n(int64(rep.TotalOps)))
-	crashFS := fault.NewSimFS(cfg.Seed)
-	crashFS.SetScript(&fault.Script{
-		CrashOp:     rep.CrashOp,
-		CrashBefore: rng.Intn(2) == 0,
-		TornTail:    func(path string) bool { return !strings.HasSuffix(path, ".heap") },
-	})
-	var workErr error
-	crashed := fault.RunToCrash(func() {
-		workErr = runParallelWorkload(crashFS, cfg.Txns, cfg.Workers)
-	})
-	// The CrashPanic can be swallowed by a worker's cleanup path, in
-	// which case the workload surfaces ErrCrashed as a plain error; the
-	// filesystem's own flag is the authority.
-	rep.Crashed = crashed || crashFS.Crashed()
-	if !rep.Crashed {
-		if workErr != nil {
-			return nil, fmt.Errorf("simcrash: parallel crash pass failed without crashing: %w", workErr)
-		}
-		// The workload outran its crash point; the verification's own
-		// reopen and close must not trip it.
-		crashFS.SetScript(nil)
-		if err := verifyParallel(crashFS, cfg.Txns, rep, true); err != nil {
-			return nil, fmt.Errorf("simcrash: parallel crash pass (completed): %w", err)
-		}
-		return rep, nil
-	}
-	rebooted := crashFS.Reboot()
-	if err := verifyParallel(rebooted, cfg.Txns, rep, false); err != nil {
-		return nil, fmt.Errorf("simcrash: parallel seed %d crash@%d: %w", cfg.Seed, rep.CrashOp, err)
-	}
+	rep.TotalOps, rep.CrashOp, rep.Crashed = out.totalOps, out.crashOp, out.crashed
 	return rep, nil
 }
 

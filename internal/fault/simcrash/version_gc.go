@@ -35,8 +35,8 @@ package simcrash
 // round.
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"opdelta/internal/catalog"
@@ -81,53 +81,30 @@ func RunVersionGC(cfg VersionGCConfig) (*VersionGCReport, error) {
 		cfg.Rounds = 4
 	}
 	rep := &VersionGCReport{Seed: cfg.Seed}
-
-	clean := fault.NewSimFS(cfg.Seed)
-	if err := runVersionGCWorkload(clean, cfg, rep); err != nil {
-		return nil, fmt.Errorf("simcrash: version-gc clean pass: %w", err)
-	}
-	rep.TotalOps = clean.Ops()
-	if rep.TotalOps == 0 {
-		return nil, fmt.Errorf("simcrash: version-gc clean pass performed no fs ops")
-	}
-	if rep.Reclaimed == 0 {
-		return nil, fmt.Errorf("simcrash: version-gc clean pass reclaimed nothing; the scenario is inert")
-	}
-	if err := verifyVersionGC(clean, cfg, rep, true); err != nil {
-		return nil, fmt.Errorf("simcrash: version-gc clean pass: %w", err)
-	}
-
-	// Crash pass: the workload is single-threaded, so the op stream
+	// The workload is single-threaded, so the crash pass's op stream
 	// matches the clean pass exactly and the sampled crash always fires.
-	rng := rand.New(rand.NewSource(cfg.Seed*0x9E3779B9 + 13))
-	rep.CrashOp = 1 + uint64(rng.Int63n(int64(rep.TotalOps)))
-	crashFS := fault.NewSimFS(cfg.Seed)
-	crashFS.SetScript(&fault.Script{
-		CrashOp:     rep.CrashOp,
-		CrashBefore: rng.Intn(2) == 0,
-		TornTail:    func(path string) bool { return !strings.HasSuffix(path, ".heap") },
-	})
-	var workErr error
-	crashed := fault.RunToCrash(func() {
-		workErr = runVersionGCWorkload(crashFS, cfg, nil)
-	})
-	rep.Crashed = crashed || crashFS.Crashed()
-	if !rep.Crashed {
-		if workErr != nil {
-			return nil, fmt.Errorf("simcrash: version-gc crash pass failed without crashing: %w", workErr)
-		}
-		// The workload outran its crash point; the verification's own
-		// reopen and close must not trip it.
-		crashFS.SetScript(nil)
-		if err := verifyVersionGC(crashFS, cfg, rep, true); err != nil {
-			return nil, fmt.Errorf("simcrash: version-gc crash pass (completed): %w", err)
-		}
-		return rep, nil
+	out, err := crashCycle{
+		name: "version-gc", seed: cfg.Seed, salt: 13,
+		run: func(fsys fault.FS, clean bool) error {
+			if !clean {
+				return runVersionGCWorkload(fsys, cfg, nil)
+			}
+			if err := runVersionGCWorkload(fsys, cfg, rep); err != nil {
+				return err
+			}
+			if rep.Reclaimed == 0 {
+				return errors.New("reclaimed nothing; the scenario is inert")
+			}
+			return nil
+		},
+		verify: func(fsys fault.FS, complete bool) error {
+			return verifyVersionGC(fsys, cfg, rep, complete)
+		},
+	}.drive()
+	if err != nil {
+		return nil, err
 	}
-	rebooted := crashFS.Reboot()
-	if err := verifyVersionGC(rebooted, cfg, rep, false); err != nil {
-		return nil, fmt.Errorf("simcrash: version-gc seed %d crash@%d: %w", cfg.Seed, rep.CrashOp, err)
-	}
+	rep.TotalOps, rep.CrashOp, rep.Crashed = out.totalOps, out.crashOp, out.crashed
 	return rep, nil
 }
 

@@ -27,9 +27,6 @@ type ViewDef struct {
 	// Join, when set, makes this a two-table equi-join view; the
 	// warehouse keeps an auxiliary replica of the joined table.
 	Join *JoinSpec
-	// HasReplica records that the warehouse stores a full replica of
-	// Source (identity view); every op is then self-maintainable.
-	HasReplica bool
 	// SourcePK names the source table's primary-key column. The
 	// warehouse uses it to address view rows; when empty it is inferred
 	// from the replica table if one exists.
@@ -143,10 +140,6 @@ func intersects(a, b map[string]bool) bool {
 //     retained columns AND no assignment touches a selection-predicate
 //     column (which could move unseen rows into the view).
 func (v *ViewDef) Classify(stmt sqlmini.Statement) Maintainability {
-	if v.HasReplica {
-		// The warehouse holds the full base state; any op replays on it.
-		return SelfMaintainable
-	}
 	proj := v.projectSet()
 	var selCols map[string]bool
 	if v.Where != nil {

@@ -6,27 +6,8 @@ import (
 	"opdelta/internal/sqlmini"
 )
 
-// Conflict footprints for the parallel integrator. The interval algebra
-// itself lives in internal/keyset so the engine's lock manager and the
-// executor's lock planning share it (opdelta imports engine, so the
-// algebra cannot live here without a cycle); these aliases preserve the
-// original opdelta API.
-
-// KeyRange is an interval over primary-key values; see keyset.KeyRange.
-type KeyRange = keyset.KeyRange
-
-// Footprint is the key set one statement touches on one table; see
-// keyset.Footprint.
-type Footprint = keyset.Footprint
-
-// WholeTable is the footprint that conflicts with everything on its
-// table.
-func WholeTable() Footprint { return keyset.WholeTable() }
-
 // StatementFootprint computes the key footprint of stmt on its own
 // table; see keyset.StatementFootprint.
-func StatementFootprint(stmt sqlmini.Statement, schema *catalog.Schema, pk string) Footprint {
+func StatementFootprint(stmt sqlmini.Statement, schema *catalog.Schema, pk string) keyset.Footprint {
 	return keyset.StatementFootprint(stmt, schema, pk)
 }
-
-func pointRange(v catalog.Value) KeyRange { return keyset.Point(v) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opdelta/internal/catalog"
+	"opdelta/internal/keyset"
 	"opdelta/internal/sqlmini"
 )
 
@@ -24,7 +25,7 @@ func partsSchema() *catalog.Schema {
 	)
 }
 
-func fp(t *testing.T, src string) Footprint {
+func fp(t *testing.T, src string) keyset.Footprint {
 	t.Helper()
 	return StatementFootprint(mustParse(t, src), partsSchema(), "part_id")
 }
@@ -58,8 +59,8 @@ func TestFootprintPointsAndInserts(t *testing.T) {
 
 func TestFootprintConservativeFallbacks(t *testing.T) {
 	cases := []string{
-		"UPDATE parts SET status = 'x' WHERE qty > 5",           // non-key predicate
-		"DELETE FROM parts",                                     // no predicate
+		"UPDATE parts SET status = 'x' WHERE qty > 5",              // non-key predicate
+		"DELETE FROM parts",                                        // no predicate
 		"UPDATE parts SET part_id = part_id + 1 WHERE part_id = 3", // computed key assignment
 	}
 	for _, src := range cases {
@@ -96,7 +97,7 @@ func TestFootprintKeyUpdateMoves(t *testing.T) {
 	// Rewriting the key touches both the old and the new key value.
 	a := StatementFootprint(mustParse(t, "UPDATE parts SET part_id = 99 WHERE part_id = 1"), partsSchema(), "part_id")
 	hit := func(k int64) bool {
-		return a.Overlaps(Footprint{Ranges: []KeyRange{pointRange(catalog.NewInt(k))}})
+		return a.Overlaps(keyset.Footprint{Ranges: []keyset.KeyRange{keyset.Point(catalog.NewInt(k))}})
 	}
 	if a.Whole || !hit(1) || !hit(99) || hit(50) {
 		t.Fatalf("key-move footprint wrong: %+v", a)

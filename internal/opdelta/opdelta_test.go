@@ -285,7 +285,6 @@ func TestAnalyzerClassification(t *testing.T) {
 	}
 	projView := ViewDef{Name: "v", Source: "parts", Project: []string{"part_id", "status"}}
 	selView := ViewDef{Name: "v", Source: "parts", Where: mustExpr("status = 'active'")}
-	replica := ViewDef{Name: "v", Source: "parts", HasReplica: true}
 	joinView := ViewDef{Name: "v", Source: "orders",
 		Join: &JoinSpec{Table: "parts", LeftCol: "part_id", RightCol: "part_id"}}
 
@@ -314,8 +313,6 @@ func TestAnalyzerClassification(t *testing.T) {
 		{selView, `UPDATE parts SET status = 'active' WHERE part_id = 9`, NeedsBefore},
 		// Update not touching selection columns: self-maintainable.
 		{selView, `UPDATE parts SET qty = 5 WHERE part_id = 9`, SelfMaintainable},
-		// Full replica absorbs anything.
-		{replica, `UPDATE parts SET qty = qty * 2 WHERE note = 'z'`, SelfMaintainable},
 		// Join views go through the auxiliary replica.
 		{joinView, `INSERT INTO parts VALUES (1, 'a', 2, NULL)`, NeedsAux},
 		{joinView, `DELETE FROM orders WHERE order_id = 1`, NeedsAux},
@@ -348,17 +345,6 @@ func TestViewDefValidate(t *testing.T) {
 	}
 	if err := (&ViewDef{Name: "v", Source: "t"}).Validate(); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestReplicaClassifierNote documents the HasReplica shortcut used by
-// the warehouse: replica views classify as self-maintainable because
-// the warehouse has the full base state.
-func TestReplicaClassifierNote(t *testing.T) {
-	v := ViewDef{Name: "r", Source: "parts", HasReplica: true}
-	stmt, _ := sqlmini.Parse(`UPDATE parts SET a = 1 WHERE b = 2`)
-	if got := v.Classify(stmt); got != SelfMaintainable {
-		t.Fatalf("replica classify = %v", got)
 	}
 }
 

@@ -42,6 +42,9 @@ func NewReplica(w *warehouse.Warehouse, source string, reg *obs.Registry, spans 
 	}, nil
 }
 
+// applyBatchOps bounds ops per integrator call.
+const applyBatchOps = 256
+
 // Applier drains one topic into one warehouse through the parallel
 // integrator. The queue gives at-least-once delivery (a crash between
 // apply and Ack replays the tail); the integrator's AppliedLog turns
@@ -72,8 +75,6 @@ type Applier struct {
 	Bootstrap *Bootstrapper
 	// Obs receives the applier's metrics; nil keeps a private registry.
 	Obs *obs.Registry
-	// BatchOps bounds ops per integrator call. Default 256.
-	BatchOps int
 	// PollEvery paces the empty-queue wait. Default 5ms.
 	PollEvery time.Duration
 }
@@ -85,10 +86,6 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	reg := a.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	batchOps := a.BatchOps
-	if batchOps <= 0 {
-		batchOps = 256
 	}
 	poll := a.PollEvery
 	if poll <= 0 {
@@ -112,7 +109,7 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	stopping := false
 	for {
 		var batch []*opdelta.Op
-		for len(batch) < batchOps {
+		for len(batch) < applyBatchOps {
 			msg, err := a.Topic.Q.Next()
 			if errors.Is(err, transport.ErrEmpty) {
 				break

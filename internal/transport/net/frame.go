@@ -32,22 +32,16 @@ import (
 	"opdelta/internal/obs"
 )
 
-// Protocol version, sent in HELLO and checked by the server. Version 2
-// adds snapshot bootstrap: HELLO carries the source log's truncation
-// base, WELCOME carries a mode byte plus per-table bootstrap progress,
-// and the WATERMARK / SNAPSHOT_CHUNK / CHUNK_ACK frames bracket chunked
-// state transfer with low/high watermarks (DBLog-style). Version 3
-// adds tracing and clock-skew estimation: HELLO carries the client's
-// send timestamp, WELCOME echoes it with the server's receive/send
-// pair (the first NTP-style exchange), HEARTBEAT probes carry further
-// exchanges plus the client's current offset estimate, and DELTA /
-// SNAPSHOT_CHUNK frames may carry a FlagTrace span-context trailer.
-// The server accepts version-2 peers unchanged — every v3 field is
-// either version-gated or flag-gated, so old peers never see it.
-const (
-	Version    = 3
-	minVersion = 2
-)
+// Version is the protocol version, sent in HELLO; the server REJECTs
+// any other. HELLO carries the source log's truncation base and the
+// client's send timestamp; WELCOME carries a mode byte, per-table
+// bootstrap progress and the server's receive/send pair (the first
+// NTP-style clock-skew exchange); HEARTBEAT probes carry further
+// exchanges plus the client's current offset estimate. The WATERMARK /
+// SNAPSHOT_CHUNK / CHUNK_ACK frames bracket chunked state transfer
+// with low/high watermarks (DBLog-style), and DELTA / SNAPSHOT_CHUNK
+// frames may carry a FlagTrace span-context trailer.
+const Version = 3
 
 // Frame types.
 const (
@@ -96,9 +90,8 @@ const (
 const FlagReply = byte(1)
 
 // FlagTrace marks a DELTA or SNAPSHOT_CHUNK payload as ending in a
-// trace-context trailer (see appendTraceTrailer). Flag-gated so a
-// sender that is not sampling — or an old peer — produces payloads
-// byte-identical to version 2.
+// trace-context trailer (see appendTraceTrailer). Flag-gated so a frame
+// the sender did not sample carries no trailer at all.
 const FlagTrace = byte(1 << 1)
 
 const headerSize = 10
@@ -251,7 +244,7 @@ func (fr *FrameReader) fill(buf []byte, got *int) error {
 // Bootstrap modes negotiated in WELCOME.
 const (
 	// ModeStream: the replica can resume from the delta stream alone;
-	// the shipper sends deltas after the WELCOME seq, as in version 1.
+	// the shipper sends deltas after the WELCOME seq.
 	ModeStream = byte(0)
 	// ModeBootstrap: the replica needs (or is resuming) a snapshot
 	// bootstrap; WELCOME carries per-table chunk progress and the
@@ -270,9 +263,8 @@ type BootstrapProgress struct {
 }
 
 // helloPayload encodes HELLO: version byte, uvarint source-log
-// truncation base, 8-byte client send timestamp (unix ns, version 3 —
-// inserted before the source because the source id is the unbounded
-// payload tail), source id.
+// truncation base, 8-byte client send timestamp (unix ns), source id
+// (last, because it is the unbounded payload tail).
 func helloPayload(source string, base uint64, sendUnixNs int64) []byte {
 	out := make([]byte, 0, 1+binary.MaxVarintLen64+8+len(source))
 	out = append(out, Version)
@@ -281,31 +273,26 @@ func helloPayload(source string, base uint64, sendUnixNs int64) []byte {
 	return append(out, source...)
 }
 
-// parseHello decodes a HELLO payload. A version-1 payload (no base
-// field) parses with base 0 so the server can name the version in its
-// REJECT instead of dropping the connection on a frame error; a
-// version-2 payload parses with sendUnixNs 0 (no skew exchange).
-func parseHello(p []byte) (version byte, base uint64, sendUnixNs int64, source string, err error) {
-	if len(p) < 2 {
-		return 0, 0, 0, "", fmt.Errorf("%w: HELLO too short", ErrBadFrame)
+// parseHello decodes a HELLO payload. A HELLO naming any version but
+// Version fails with an error that names it, and one without a source
+// id fails too; the server sends either error back as its REJECT.
+func parseHello(p []byte) (base uint64, sendUnixNs int64, source string, err error) {
+	if len(p) == 0 {
+		return 0, 0, "", fmt.Errorf("%w: empty HELLO", ErrBadFrame)
 	}
-	version = p[0]
-	if version < 2 {
-		return version, 0, 0, string(p[1:]), nil
+	if p[0] != Version {
+		return 0, 0, "", fmt.Errorf("unsupported version %d (want %d)", p[0], Version)
 	}
 	base, k := binary.Uvarint(p[1:])
-	if k <= 0 || len(p) < 1+k+1 {
-		return 0, 0, 0, "", fmt.Errorf("%w: HELLO base", ErrBadFrame)
+	if k <= 0 || len(p) < 1+k+8 {
+		return 0, 0, "", fmt.Errorf("%w: HELLO base or timestamp", ErrBadFrame)
 	}
 	pos := 1 + k
-	if version >= 3 {
-		if len(p) < pos+8+1 {
-			return 0, 0, 0, "", fmt.Errorf("%w: HELLO timestamp", ErrBadFrame)
-		}
-		sendUnixNs = int64(binary.LittleEndian.Uint64(p[pos : pos+8]))
-		pos += 8
+	sendUnixNs = int64(binary.LittleEndian.Uint64(p[pos : pos+8]))
+	if source = string(p[pos+8:]); source == "" {
+		return 0, 0, "", errors.New("missing source id")
 	}
-	return version, base, sendUnixNs, string(p[pos:]), nil
+	return base, sendUnixNs, source, nil
 }
 
 // appendBlob appends a uvarint-length-prefixed byte string.
@@ -352,9 +339,9 @@ func parseSkewTimes(p []byte) skewTimes {
 // welcomePayload encodes WELCOME: 8-byte resume seq, mode byte, in
 // ModeBootstrap a uvarint table count followed by per-table progress
 // (blob table name, state byte 0=in-progress 1=done, blob last key),
-// and — for version-3 clients — a fixed 24-byte timestamp exchange
-// (ts non-nil) completing the HELLO's skew probe.
-func welcomePayload(seq uint64, mode byte, progress []BootstrapProgress, ts *skewTimes) []byte {
+// and a fixed 24-byte timestamp exchange completing the HELLO's skew
+// probe.
+func welcomePayload(seq uint64, mode byte, progress []BootstrapProgress, ts skewTimes) []byte {
 	out := make([]byte, 0, 16)
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], seq)
@@ -372,43 +359,35 @@ func welcomePayload(seq uint64, mode byte, progress []BootstrapProgress, ts *ske
 			out = appendBlob(out, pr.LastKey)
 		}
 	}
-	if ts != nil {
-		out = appendSkewTimes(out, *ts)
-	}
-	return out
+	return appendSkewTimes(out, ts)
 }
 
-// parseWelcome decodes a WELCOME payload. A bare 8-byte payload (the
-// version-1 shape) parses as ModeStream; exactly 24 bytes beyond the
-// structural fields are the version-3 timestamp exchange.
-func parseWelcome(p []byte) (seq uint64, mode byte, progress []BootstrapProgress, ts *skewTimes, err error) {
-	if len(p) < 8 {
-		return 0, 0, nil, nil, fmt.Errorf("%w: WELCOME %d bytes", ErrBadFrame, len(p))
+// parseWelcome decodes a WELCOME payload.
+func parseWelcome(p []byte) (seq uint64, mode byte, progress []BootstrapProgress, ts skewTimes, err error) {
+	if len(p) < 9 {
+		return 0, 0, nil, ts, fmt.Errorf("%w: WELCOME %d bytes", ErrBadFrame, len(p))
 	}
 	seq = binary.LittleEndian.Uint64(p[:8])
-	if len(p) == 8 {
-		return seq, ModeStream, nil, nil, nil
-	}
 	mode = p[8]
 	pos := 9
 	if mode == ModeBootstrap {
 		n, k := binary.Uvarint(p[pos:])
 		if k <= 0 {
-			return 0, 0, nil, nil, fmt.Errorf("%w: WELCOME table count", ErrBadFrame)
+			return 0, 0, nil, ts, fmt.Errorf("%w: WELCOME table count", ErrBadFrame)
 		}
 		pos += k
 		for i := uint64(0); i < n; i++ {
 			var table, key []byte
 			if table, pos, err = takeBlob(p, pos); err != nil {
-				return 0, 0, nil, nil, err
+				return 0, 0, nil, ts, err
 			}
 			if pos >= len(p) {
-				return 0, 0, nil, nil, fmt.Errorf("%w: WELCOME progress state", ErrBadFrame)
+				return 0, 0, nil, ts, fmt.Errorf("%w: WELCOME progress state", ErrBadFrame)
 			}
 			state := p[pos]
 			pos++
 			if key, pos, err = takeBlob(p, pos); err != nil {
-				return 0, 0, nil, nil, err
+				return 0, 0, nil, ts, err
 			}
 			pr := BootstrapProgress{Table: string(table), Done: state == 1}
 			if len(key) > 0 {
@@ -417,23 +396,16 @@ func parseWelcome(p []byte) (seq uint64, mode byte, progress []BootstrapProgress
 			progress = append(progress, pr)
 		}
 	}
-	switch len(p) - pos {
-	case 0:
-	case skewTimesLen:
-		t := parseSkewTimes(p[pos:])
-		ts = &t
-		pos += skewTimesLen
-	default:
-		return 0, 0, nil, nil, fmt.Errorf("%w: WELCOME trailing bytes", ErrBadFrame)
+	if len(p)-pos != skewTimesLen {
+		return 0, 0, nil, ts, fmt.Errorf("%w: WELCOME timestamps", ErrBadFrame)
 	}
-	return seq, mode, progress, ts, nil
+	return seq, mode, progress, parseSkewTimes(p[pos:]), nil
 }
 
-// Heartbeat payloads (version 3). A probe carries the client's send
-// time plus its current skew estimate, so the server learns the
-// offset the client computed from earlier exchanges; the echo carries
-// the full three-timestamp exchange back. Version-2 heartbeats have
-// empty payloads and are echoed empty.
+// Heartbeat payloads. A probe carries the client's send time plus its
+// current skew estimate, so the server learns the offset the client
+// computed from earlier exchanges; the echo carries the full
+// three-timestamp exchange back.
 
 // probePayload encodes a HEARTBEAT probe: 8-byte send time, 8-byte
 // offset estimate (server−client ns), 8-byte RTT of that estimate's
@@ -453,17 +425,15 @@ func probePayload(sendUnixNs, offsetNs, rttNs int64, hasEstimate bool) []byte {
 
 const probeLen = 25
 
-// parseProbe decodes a HEARTBEAT probe; ok is false for the empty
-// version-2 payload (or anything else unrecognized — heartbeats are
-// liveness first, measurement second).
-func parseProbe(p []byte) (sendUnixNs, offsetNs, rttNs int64, hasEstimate, ok bool) {
+// parseProbe decodes a HEARTBEAT probe.
+func parseProbe(p []byte) (sendUnixNs, offsetNs, rttNs int64, hasEstimate bool, err error) {
 	if len(p) != probeLen {
-		return 0, 0, 0, false, false
+		return 0, 0, 0, false, fmt.Errorf("%w: HEARTBEAT probe %d bytes", ErrBadFrame, len(p))
 	}
 	return int64(binary.LittleEndian.Uint64(p[0:8])),
 		int64(binary.LittleEndian.Uint64(p[8:16])),
 		int64(binary.LittleEndian.Uint64(p[16:24])),
-		p[24] == 1, true
+		p[24] == 1, nil
 }
 
 // echoPayload encodes a HEARTBEAT echo: the probe's timestamp
@@ -472,13 +442,12 @@ func echoPayload(ts skewTimes) []byte {
 	return appendSkewTimes(make([]byte, 0, skewTimesLen), ts)
 }
 
-// parseEcho decodes a HEARTBEAT echo; ok is false for the empty
-// version-2 echo.
-func parseEcho(p []byte) (ts skewTimes, ok bool) {
+// parseEcho decodes a HEARTBEAT echo.
+func parseEcho(p []byte) (skewTimes, error) {
 	if len(p) != skewTimesLen {
-		return skewTimes{}, false
+		return skewTimes{}, fmt.Errorf("%w: HEARTBEAT echo %d bytes", ErrBadFrame, len(p))
 	}
-	return parseSkewTimes(p), true
+	return parseSkewTimes(p), nil
 }
 
 // Watermark kinds.
@@ -656,14 +625,14 @@ func parseChunkAck(p []byte) (chunkID, round uint64, status byte, keys [][]byte,
 	return chunkID, round, status, keys, nil
 }
 
-// seqPayload encodes the 8-byte seq payload of WELCOME and ACK frames.
+// seqPayload encodes the 8-byte seq payload of an ACK frame.
 func seqPayload(seq uint64) []byte {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], seq)
 	return buf[:]
 }
 
-// parseSeq decodes a WELCOME/ACK payload.
+// parseSeq decodes an ACK payload.
 func parseSeq(p []byte) (uint64, error) {
 	if len(p) != 8 {
 		return 0, fmt.Errorf("%w: seq payload %d bytes", ErrBadFrame, len(p))
@@ -734,7 +703,7 @@ func opSeq(enc []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(enc[0:8]), nil
 }
 
-// Trace-context trailer (version 3). When a frame's FlagTrace bit is
+// Trace-context trailer. When a frame's FlagTrace bit is
 // set, the last 24 bytes of its payload are the span context: 8-byte
 // trace id, 8-byte sending span id, 8-byte capture timestamp (unix
 // ns, sender's clock). The trailer sits outside the structural
@@ -753,8 +722,8 @@ func appendTraceTrailer(payload []byte, tc obs.TraceContext) []byte {
 
 // splitTraceTrailer strips the trailer when flags carry FlagTrace,
 // returning the context and the structural payload. Without the flag
-// the payload passes through untouched with a zero context — old
-// senders and unsampled frames take this path.
+// the payload passes through untouched with a zero context — unsampled
+// frames take this path.
 func splitTraceTrailer(flags byte, payload []byte) (obs.TraceContext, []byte, error) {
 	if flags&FlagTrace == 0 {
 		return obs.TraceContext{}, payload, nil

@@ -110,27 +110,18 @@ func TestDeltaPayloadRoundTrip(t *testing.T) {
 
 // TestHelloRoundTrip checks the handshake payload codec.
 func TestHelloRoundTrip(t *testing.T) {
-	v, base, sendNs, src, err := parseHello(helloPayload("src-a", 42, 777))
+	base, sendNs, src, err := parseHello(helloPayload("src-a", 42, 777))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != Version || src != "src-a" || base != 42 || sendNs != 777 {
-		t.Fatalf("parsed version %d source %q base %d sendNs %d", v, src, base, sendNs)
+	if src != "src-a" || base != 42 || sendNs != 777 {
+		t.Fatalf("parsed source %q base %d sendNs %d", src, base, sendNs)
 	}
-	if _, _, _, _, err := parseHello([]byte{Version}); err == nil {
+	if _, _, _, err := parseHello(helloPayload("", 42, 777)); err == nil {
 		t.Fatal("empty source parsed successfully")
 	}
-	// A version-1 payload still parses (base 0) so the server can name
-	// the version mismatch in its REJECT.
-	if v1, b1, ts1, s1, err := parseHello(append([]byte{1}, "old"...)); err != nil || v1 != 1 || b1 != 0 || ts1 != 0 || s1 != "old" {
-		t.Fatalf("v1 hello: %d %d %d %q %v", v1, b1, ts1, s1, err)
-	}
-	// A version-2 payload (uvarint base, then source, no timestamp)
-	// still parses: v2 shippers talk to v3 servers unchanged.
-	v2p := append([]byte{2}, 42)
-	v2p = append(v2p, "src-a"...)
-	if v2, b2, ts2, s2, err := parseHello(v2p); err != nil || v2 != 2 || b2 != 42 || ts2 != 0 || s2 != "src-a" {
-		t.Fatalf("v2 hello: %d %d %d %q %v", v2, b2, ts2, s2, err)
+	if _, _, _, err := parseHello([]byte{Version}); err == nil {
+		t.Fatal("truncated HELLO parsed successfully")
 	}
 	seq, err := parseSeq(seqPayload(1 << 40))
 	if err != nil || seq != 1<<40 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -419,8 +420,8 @@ func TestServerBusyAndReject(t *testing.T) {
 	if err != nil || typ != FrameWelcome {
 		t.Fatalf("first conn: %s, %v", frameName(typ), err)
 	}
-	if seq, _ := parseSeq(payload); seq != 0 {
-		t.Fatalf("fresh topic WELCOME seq = %d", seq)
+	if seq, _, _, _, err := parseWelcome(payload); err != nil || seq != 0 {
+		t.Fatalf("fresh topic WELCOME seq = %d, %v", seq, err)
 	}
 
 	// Second connection is shed with BUSY.
@@ -435,23 +436,31 @@ func TestServerBusyAndReject(t *testing.T) {
 		t.Fatalf("second conn: %s, %v (want BUSY)", frameName(typ), err)
 	}
 
-	// Drop the first; its slot frees, and a bad version is REJECTed.
+	// Drop the first; its slot frees, and a HELLO naming any version but
+	// Version is REJECTed with a reason that names it: a future version,
+	// and version 2's shape (uvarint base, then source, no timestamp).
 	if err := WriteFrame(c1, FrameShutdown, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "slot release", func() bool {
-		c3, err := nw.Dial()
-		if err != nil {
-			return false
+	for _, hello := range [][]byte{append([]byte{99}, "late"...), append([]byte{2, 0}, "old"...)} {
+		want := fmt.Sprintf("version %d", hello[0])
+		waitFor(t, 5*time.Second, "a free slot", func() bool {
+			c, err := nw.Dial()
+			if err != nil {
+				return false
+			}
+			defer c.Close()
+			if err := WriteFrame(c, FrameHello, 0, hello); err != nil {
+				return false
+			}
+			c.SetReadDeadline(time.Now().Add(time.Second))
+			typ, _, payload, err = ReadFrame(c)
+			return err == nil && typ != FrameBusy
+		})
+		if typ != FrameReject || !strings.Contains(string(payload), want) {
+			t.Fatalf("HELLO naming %s: %s %q (want REJECT naming it)", want, frameName(typ), payload)
 		}
-		defer c3.Close()
-		if err := WriteFrame(c3, FrameHello, 0, append([]byte{99}, "late"...)); err != nil {
-			return false
-		}
-		c3.SetReadDeadline(time.Now().Add(time.Second))
-		typ, _, _, err := ReadFrame(c3)
-		return err == nil && typ == FrameReject
-	})
+	}
 	if srv.cfg.Obs == nil {
 		t.Fatal("server registry missing")
 	}

@@ -437,14 +437,10 @@ func (s *Server) handle(conn net.Conn) {
 		s.badFrames.Inc()
 		return
 	}
-	version, base, helloSendNs, source, err := parseHello(payload)
-	if err != nil || source == "" || version < minVersion || version > Version {
-		reason := fmt.Sprintf("unsupported version %d (want %d-%d)", version, minVersion, Version)
-		if err != nil || source == "" {
-			reason = "missing source id"
-		}
+	base, helloSendNs, source, err := parseHello(payload)
+	if err != nil {
 		s.rejects.Inc()
-		send(FrameReject, 0, []byte(reason))
+		send(FrameReject, 0, []byte(err.Error()))
 		return
 	}
 	topic, err := s.Topic(source)
@@ -475,12 +471,9 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	s.connects.Inc()
-	// A version-3 peer gets the HELLO's timestamps echoed back with our
-	// receive/send pair — the first skew exchange of the connection.
-	var wts *skewTimes
-	if version >= 3 {
-		wts = &skewTimes{T0: helloSendNs, T1: helloRecvNs, T2: time.Now().UnixNano()}
-	}
+	// The HELLO's timestamp goes back with our receive/send pair — the
+	// first skew exchange of the connection.
+	wts := skewTimes{T0: helloSendNs, T1: helloRecvNs, T2: time.Now().UnixNano()}
 	if err := send(FrameWelcome, 0, welcomePayload(topic.LastSeq(), mode, progress, wts)); err != nil {
 		return
 	}
@@ -529,19 +522,19 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		case FrameHeartbeat:
-			// A version-3 probe carries the shipper's send time and its
-			// current offset estimate: store the estimate on the topic for
-			// the applier's corrected lag, echo the exchange back. Empty
-			// (version-2) probes get the empty echo they expect.
-			if t0, off, rtt, has, ok := parseProbe(payload); ok {
-				if has {
-					topic.SetSkew(off, rtt)
-				}
-				echo := echoPayload(skewTimes{T0: t0, T1: recvNs, T2: time.Now().UnixNano()})
-				if err := send(FrameHeartbeat, FlagReply, echo); err != nil {
-					return
-				}
-			} else if err := send(FrameHeartbeat, FlagReply, nil); err != nil {
+			// A probe carries the shipper's send time and its current
+			// offset estimate: store the estimate on the topic for the
+			// applier's corrected lag, echo the exchange back.
+			t0, off, rtt, has, err := parseProbe(payload)
+			if err != nil {
+				s.badFrames.Inc()
+				return
+			}
+			if has {
+				topic.SetSkew(off, rtt)
+			}
+			echo := echoPayload(skewTimes{T0: t0, T1: recvNs, T2: time.Now().UnixNano()})
+			if err := send(FrameHeartbeat, FlagReply, echo); err != nil {
 				return
 			}
 		case FrameShutdown:

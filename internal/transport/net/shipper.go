@@ -53,17 +53,11 @@ type ShipperConfig struct {
 	// AckTimeout bounds how long the oldest in-flight batch may stay
 	// unacked before the connection is declared wedged (a dropped DELTA
 	// or ACK frame would otherwise stall the window forever: resend
-	// happens only on reconnect). Default 2s.
+	// happens only on reconnect). It also sets the heartbeat interval
+	// (AckTimeout/2) and how long a snapshot chunk may await its
+	// CHUNK_ACK (4×AckTimeout: the verdict waits for the replica's
+	// applied cursor to pass the chunk's high watermark). Default 2s.
 	AckTimeout time.Duration
-	// ChunkAckTimeout bounds how long a snapshot chunk may await its
-	// CHUNK_ACK. Longer than AckTimeout because the verdict waits for
-	// the replica's applied cursor to pass the chunk's high watermark.
-	// Default 4×AckTimeout.
-	ChunkAckTimeout time.Duration
-	// HeartbeatEvery is the idle probe interval; the server's echo
-	// proves the connection alive with no data to ship. Default
-	// AckTimeout/2.
-	HeartbeatEvery time.Duration
 	// PollEvery paces the idle loop: how often the shipper polls Fetch
 	// and the connection for frames. Default 5ms.
 	PollEvery time.Duration
@@ -96,12 +90,6 @@ func (c ShipperConfig) withDefaults() ShipperConfig {
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 2 * time.Second
-	}
-	if c.ChunkAckTimeout <= 0 {
-		c.ChunkAckTimeout = 4 * c.AckTimeout
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = c.AckTimeout / 2
 	}
 	if c.PollEvery <= 0 {
 		c.PollEvery = 5 * time.Millisecond
@@ -247,9 +235,7 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 	// the server's receive/send pair; our receive time completes it.
 	// HEARTBEAT probes keep re-estimating for the connection's life.
 	skew := &SkewEstimator{}
-	if helloTs != nil {
-		skew.Sample(helloTs.T0, helloTs.T1, helloTs.T2, time.Now().UnixNano())
-	}
+	skew.Sample(helloTs.T0, helloTs.T1, helloTs.T2, time.Now().UnixNano())
 	var pump *bootPump
 	if mode == ModeBootstrap {
 		if sh.cfg.Snapshot == nil {
@@ -388,14 +374,14 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 			}
 		}
 
-		// Liveness and skew probes. A probe doubles as the idle
-		// heartbeat but is sent on its interval even under load — the
-		// skew estimate must keep refreshing while deltas flow, since
-		// that is exactly when the freshness metric matters. The probe
-		// carries our current offset estimate so the server can correct
-		// the lag it measures against this source's clock.
+		// Liveness and skew probes, every AckTimeout/2. A probe doubles
+		// as the idle heartbeat but is sent on its interval even under
+		// load — the skew estimate must keep refreshing while deltas
+		// flow, since that is exactly when the freshness metric matters.
+		// The probe carries our current offset estimate so the server can
+		// correct the lag it measures against this source's clock.
 		now := time.Now()
-		if now.Sub(lastProbe) > sh.cfg.HeartbeatEvery {
+		if now.Sub(lastProbe) > sh.cfg.AckTimeout/2 {
 			off, rtt, okEst := skew.Estimate()
 			conn.SetWriteDeadline(now.Add(sh.cfg.AckTimeout))
 			if err := WriteFrame(conn, FrameHeartbeat, 0, probePayload(now.UnixNano(), off, rtt, okEst)); err != nil {
@@ -412,7 +398,7 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 		if now.Sub(lastRecv) > 2*sh.cfg.AckTimeout {
 			return errReconnect
 		}
-		if pump != nil && pump.state == pumpAwaitAck && now.Sub(pump.sentAt) > sh.cfg.ChunkAckTimeout {
+		if pump != nil && pump.state == pumpAwaitAck && now.Sub(pump.sentAt) > 4*sh.cfg.AckTimeout {
 			// The chunk's verdict never came (lost frame, or a wedged
 			// replica): reconnect and resume from durable progress.
 			return errReconnect
@@ -464,11 +450,13 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 				pump.onAck(chunkID, round, status, keys, lastRecv)
 			}
 		case FrameHeartbeat:
-			// Echo received: lastRecv already refreshed. A version-3 echo
-			// carries the probe's timestamp exchange — another skew sample.
-			if ts, ok := parseEcho(payload); ok {
-				skew.Sample(ts.T0, ts.T1, ts.T2, lastRecv.UnixNano())
+			// Echo received: lastRecv already refreshed. It carries the
+			// probe's timestamp exchange — another skew sample.
+			ts, err := parseEcho(payload)
+			if err != nil {
+				return errReconnect
 			}
+			skew.Sample(ts.T0, ts.T1, ts.T2, lastRecv.UnixNano())
 		case FrameBusy, FrameShutdown:
 			return errReconnect
 		default:

@@ -67,32 +67,33 @@ func TestTracedFrameTornByNet(t *testing.T) {
 	}
 }
 
-// TestProbeEchoRoundTrip covers the v3 HEARTBEAT payloads: the probe's
+// TestProbeEchoRoundTrip covers the HEARTBEAT payloads: the probe's
 // timestamps and current estimate, and the echo's three skew times.
-// Empty payloads — the v2 heartbeat — must parse as "no probe".
+// A payload of any other length, the empty one included, is a bad
+// frame.
 func TestProbeEchoRoundTrip(t *testing.T) {
-	t0, off, rtt, has, ok := parseProbe(probePayload(100, -7, 42, true))
-	if !ok || t0 != 100 || off != -7 || rtt != 42 || !has {
-		t.Fatalf("probe round trip: t0=%d off=%d rtt=%d has=%v ok=%v", t0, off, rtt, has, ok)
+	t0, off, rtt, has, err := parseProbe(probePayload(100, -7, 42, true))
+	if err != nil || t0 != 100 || off != -7 || rtt != 42 || !has {
+		t.Fatalf("probe round trip: t0=%d off=%d rtt=%d has=%v err=%v", t0, off, rtt, has, err)
 	}
-	if _, _, _, _, ok := parseProbe(nil); ok {
-		t.Fatal("empty heartbeat parsed as probe")
+	if _, _, _, _, err := parseProbe(nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("empty probe: err=%v, want ErrBadFrame", err)
 	}
-	ts, ok := parseEcho(echoPayload(skewTimes{T0: 1, T1: 2, T2: 3}))
-	if !ok || ts != (skewTimes{T0: 1, T1: 2, T2: 3}) {
-		t.Fatalf("echo round trip: %+v ok=%v", ts, ok)
+	ts, err := parseEcho(echoPayload(skewTimes{T0: 1, T1: 2, T2: 3}))
+	if err != nil || ts != (skewTimes{T0: 1, T1: 2, T2: 3}) {
+		t.Fatalf("echo round trip: %+v err=%v", ts, err)
 	}
-	if _, ok := parseEcho(nil); ok {
-		t.Fatal("empty heartbeat parsed as echo")
+	if _, err := parseEcho(nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("empty echo: err=%v, want ErrBadFrame", err)
 	}
 }
 
-// TestWelcomeSkewTimes: a v3 WELCOME carries the handshake timestamps
-// after the structural payload; a v2 WELCOME (no trailing times) still
-// parses with ts == nil.
+// TestWelcomeSkewTimes: WELCOME carries the handshake timestamps after
+// the structural payload, in either mode, and one without them is a
+// bad frame.
 func TestWelcomeSkewTimes(t *testing.T) {
 	prog := []BootstrapProgress{{Table: "parts", LastKey: []byte("k"), Done: false}}
-	wts := &skewTimes{T0: 11, T1: 22, T2: 33}
+	wts := skewTimes{T0: 11, T1: 22, T2: 33}
 	seq, mode, gotProg, gotTs, err := parseWelcome(welcomePayload(9, ModeBootstrap, prog, wts))
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +101,16 @@ func TestWelcomeSkewTimes(t *testing.T) {
 	if seq != 9 || mode != ModeBootstrap || len(gotProg) != 1 || gotProg[0].Table != "parts" {
 		t.Fatalf("welcome structural fields: seq=%d mode=%d prog=%v", seq, mode, gotProg)
 	}
-	if gotTs == nil || *gotTs != *wts {
+	if gotTs != wts {
 		t.Fatalf("welcome skew times = %+v, want %+v", gotTs, wts)
 	}
-	seq, mode, _, gotTs, err = parseWelcome(welcomePayload(5, ModeStream, nil, nil))
-	if err != nil || seq != 5 || mode != ModeStream || gotTs != nil {
-		t.Fatalf("v2-style welcome: seq=%d mode=%d ts=%v err=%v", seq, mode, gotTs, err)
+	seq, mode, _, gotTs, err = parseWelcome(welcomePayload(5, ModeStream, nil, wts))
+	if err != nil || seq != 5 || mode != ModeStream || gotTs != wts {
+		t.Fatalf("stream welcome: seq=%d mode=%d ts=%v err=%v", seq, mode, gotTs, err)
+	}
+	short := welcomePayload(5, ModeStream, nil, wts)
+	if _, _, _, _, err := parseWelcome(short[:len(short)-skewTimesLen]); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("welcome without timestamps: err=%v, want ErrBadFrame", err)
 	}
 }
 

@@ -407,14 +407,11 @@ func NewLockManagerObs(timeout time.Duration, reg *obs.Registry, labels ...obs.L
 	return lm
 }
 
-// SetDeadlockProbe enables (or, with d <= 0, disables) the in-wait
-// waits-for cycle probe at interval d. Call before the manager is
-// shared across goroutines; probing is off by default so the
-// deadline-backstop path stays exercised where callers want it.
+// SetDeadlockProbe enables the in-wait waits-for cycle probe at
+// interval d. Call before the manager is shared across goroutines;
+// probing is off by default so the deadline-backstop path stays
+// exercised where callers want it.
 func (lm *LockManager) SetDeadlockProbe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
 	lm.probe = d
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/keyset"
-	"opdelta/internal/opdelta"
 )
 
 // conflictsWith is the definition of an edge: either group is universal,
@@ -74,7 +73,7 @@ func randomGroups(rng *rand.Rand, n int, mixed bool) []*txnGroup {
 	tables := []string{"parts", "orders", "dim"}
 	groups := make([]*txnGroup, n)
 	for i := range groups {
-		g := &txnGroup{foot: make(map[string]opdelta.Footprint)}
+		g := &txnGroup{foot: make(map[string]keyset.Footprint)}
 		switch rng.Intn(40) {
 		case 0:
 			g.universal = true
@@ -83,10 +82,10 @@ func randomGroups(rng *rand.Rand, n int, mixed bool) []*txnGroup {
 			if rng.Intn(3) == 0 {
 				continue
 			}
-			var fp opdelta.Footprint
+			var fp keyset.Footprint
 			switch rng.Intn(25) {
 			case 0:
-				fp = opdelta.WholeTable()
+				fp = keyset.WholeTable()
 			case 1: // touches no key, but is present
 			default:
 				for k := 1 + rng.Intn(3); k > 0; k-- {
@@ -124,7 +123,7 @@ var dagSink []int
 func BenchmarkDependencyDAG(b *testing.B) {
 	groups := make([]*txnGroup, 256)
 	for i := range groups {
-		groups[i] = &txnGroup{foot: map[string]opdelta.Footprint{
+		groups[i] = &txnGroup{foot: map[string]keyset.Footprint{
 			"parts": {Ranges: []keyset.KeyRange{keyset.Point(catalog.NewInt(int64(i * 7919 % 12000)))}}}}
 	}
 	b.Run("sweep", func(b *testing.B) {

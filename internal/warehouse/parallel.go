@@ -24,7 +24,7 @@ import (
 //
 // Independent source transactions are dispatched onto a bounded worker
 // pool. Two transactions are independent when their key footprints (see
-// opdelta.StatementFootprint) are disjoint on every table; conflicting
+// keyset.StatementFootprint) are disjoint on every table; conflicting
 // transactions are ordered by a dependency DAG so they retain source
 // commit order, and anything the analysis cannot bound falls back to
 // conflicting with everything — serial order, never wrong answers.
@@ -76,7 +76,7 @@ type txnGroup struct {
 	// by the apply; nil when it does not parse.
 	stmts []sqlmini.Statement
 	// foot maps lower(source table) -> key footprint on that table.
-	foot map[string]opdelta.Footprint
+	foot map[string]keyset.Footprint
 	// universal marks the serial fallback: the group conflicts with
 	// every other group (unparseable op or undeterminable key set).
 	universal bool
@@ -111,7 +111,7 @@ func (w *Warehouse) conflictKey(table string) (*catalog.Schema, string) {
 // analyze parses one group's ops and computes its footprints and lock
 // plan.
 func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
-	g := &txnGroup{ops: ops, stmts: make([]sqlmini.Statement, len(ops)), foot: make(map[string]opdelta.Footprint)}
+	g := &txnGroup{ops: ops, stmts: make([]sqlmini.Statement, len(ops)), foot: make(map[string]keyset.Footprint)}
 	lockSet := make(map[string]bool)
 	// mustWhole marks tables whose maintenance is not keyed by the
 	// source PK (agg views, join views and partners, PK-dropping views):
@@ -126,11 +126,11 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 	// group's own slice rather than calling Footprint.Union, which copies
 	// both operands: a 1000-op transaction would copy half a million
 	// ranges.
-	addFoot := func(table string, fp opdelta.Footprint) {
+	addFoot := func(table string, fp keyset.Footprint) {
 		key := strings.ToLower(table)
 		cur := g.foot[key]
 		if cur.Whole || fp.Whole {
-			g.foot[key] = opdelta.WholeTable()
+			g.foot[key] = keyset.WholeTable()
 			return
 		}
 		cur.Ranges = append(cur.Ranges, fp.Ranges...)
@@ -138,13 +138,13 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 	}
 	for i, op := range ops {
 		schema, pk := in.W.conflictKey(op.Table)
-		fp := opdelta.WholeTable()
+		fp := keyset.WholeTable()
 		stmt, err := op.Statement()
 		if err != nil {
 			g.universal = true
 		} else {
 			g.stmts[i] = stmt
-			fp = opdelta.StatementFootprint(stmt, schema, pk)
+			fp = keyset.StatementFootprint(stmt, schema, pk)
 		}
 		if in.W.HasReplica(op.Table) {
 			lockSet[op.Table] = true
@@ -158,13 +158,13 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 				// effectively reads arbitrary partner rows and patches
 				// arbitrary view rows, so widen to whole-table on both
 				// sides and lock the partner too.
-				fp = opdelta.WholeTable()
+				fp = keyset.WholeTable()
 				mustWhole[v.Def.Name] = true
 				partner := v.Def.Join.Table
 				if strings.EqualFold(partner, op.Table) {
 					partner = v.Def.Source
 				}
-				addFoot(partner, opdelta.WholeTable())
+				addFoot(partner, keyset.WholeTable())
 				lockSet[partner] = true
 				mustWhole[partner] = true
 			case v.sp.pkInView < 0:
@@ -176,7 +176,7 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 				// on that lock anyway, so widen to whole-table and let
 				// the DAG run them in source order, one worker at a time,
 				// instead of parking workers on the lock.
-				fp = opdelta.WholeTable()
+				fp = keyset.WholeTable()
 				mustWhole[v.Def.Name] = true
 			default:
 				rangeSrc[v.Def.Name] = strings.ToLower(op.Table)
