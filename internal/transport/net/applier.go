@@ -45,17 +45,23 @@ func NewReplica(w *warehouse.Warehouse, source string, reg *obs.Registry, spans 
 // applyBatchOps bounds ops per integrator call.
 const applyBatchOps = 256
 
+// ErrNoAppliedLog is Run's answer for an integrator without an
+// AppliedLog: the applier keeps no position of its own, so without the
+// log it could neither resume nor apply exactly once.
+var ErrNoAppliedLog = errors.New("netrepl: applier needs an integrator with an AppliedLog")
+
 // Applier drains one topic into one warehouse through the parallel
-// integrator. The queue gives at-least-once delivery (a crash between
-// apply and Ack replays the tail); the integrator's AppliedLog turns
-// that into exactly-once effects. Each op gets a lifecycle trace
+// integrator. The integrator's AppliedLog is the topic's one durable
+// consumer position: each op's row commits with its effects, the
+// applier never acks the topic, and a restarted Run resumes at the
+// first op the log lacks (resume). Each op gets a lifecycle trace
 // beginning at its source capture timestamp — carried inside the op
 // encoding — so the warehouse-side tracer measures true end-to-end
 // freshness across the wire. A server with ServerConfig.Replica runs
 // one per topic; only a server without it leaves Run to the caller.
 type Applier struct {
 	Topic *Topic
-	// Integrator applies batches; set Applied on it for exactly-once.
+	// Integrator applies batches; its Applied log must be set.
 	Integrator *warehouse.ParallelIntegrator
 	// SchemaOf resolves schemas for ops carrying before images; nil is
 	// fine when none do.
@@ -81,8 +87,15 @@ type Applier struct {
 
 // Run applies until stop closes, then drains: it returns once the
 // queue has come up empty after stop was seen, so everything enqueued
-// before a graceful shutdown is applied and acked by it.
+// before a graceful shutdown is applied by it.
 func (a *Applier) Run(stop <-chan struct{}) error {
+	if a.Integrator == nil || a.Integrator.Applied == nil {
+		return ErrNoAppliedLog
+	}
+	next, err := a.resume()
+	if err != nil {
+		return err
+	}
 	reg := a.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -110,7 +123,11 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	for {
 		var batch []*opdelta.Op
 		for len(batch) < applyBatchOps {
-			msg, err := a.Topic.Q.Next()
+			msg, err := next, error(nil)
+			if next == nil {
+				msg, err = a.Topic.Q.Next()
+			}
+			next = nil
 			if errors.Is(err, transport.ErrEmpty) {
 				break
 			}
@@ -153,9 +170,6 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 		if _, err := a.Integrator.Apply(batch); err != nil {
 			return err
 		}
-		if err := a.Topic.Q.Ack(); err != nil {
-			return err
-		}
 		if err := a.Bootstrap.Observe(batch); err != nil {
 			return err
 		}
@@ -173,6 +187,39 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 		}
 		lagCorrected.ObserveDuration(corrected)
 		lagGauge.Set(corrected.Nanoseconds())
+	}
+}
+
+// resume drops the topic's leading messages whose seqs the AppliedLog
+// holds and returns the first one it lacks, or nil when the topic runs
+// out first. That op may sit below AppliedLog.MaxSeq: the integrator
+// commits key-disjoint groups out of order, so a crash can leave it
+// unapplied under applied ones, and resuming at the max would lose it.
+// Applied ops after it reach the integrator again, whose per-op dedup
+// skips them. The cost is one scan of the log and one of the topic.
+func (a *Applier) resume() ([]byte, error) {
+	applied, err := a.Integrator.Applied.Seqs()
+	if err != nil {
+		return nil, err
+	}
+	for {
+		msg, err := a.Topic.Q.Next()
+		if errors.Is(err, transport.ErrEmpty) {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		seq, err := opSeq(msg)
+		if err != nil {
+			return nil, err
+		}
+		for len(applied) > 0 && applied[0] < seq {
+			applied = applied[1:]
+		}
+		if len(applied) == 0 || applied[0] != seq {
+			return msg, nil
+		}
 	}
 }
 

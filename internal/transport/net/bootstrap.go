@@ -319,7 +319,7 @@ func (b *Bootstrapper) pendFor(chunkID, round uint64) *pendChunk {
 // Observe records a batch of just-applied ops (footprints for the
 // collision rule, cursor for the high-watermark gate) and then tries to
 // settle the pending chunk. The applier calls it after the batch is
-// applied and acked, so the cursor is exact at batch boundaries.
+// applied, so the cursor is exact at batch boundaries.
 func (b *Bootstrapper) Observe(ops []*opdelta.Op) error {
 	if b == nil {
 		return nil

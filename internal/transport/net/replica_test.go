@@ -1,13 +1,21 @@
 package netrepl
 
 import (
+	"errors"
+	"fmt"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"opdelta/internal/fault"
+	"opdelta/internal/keyset"
+	"opdelta/internal/obs"
+	"opdelta/internal/opdelta"
+	"opdelta/internal/warehouse"
 )
 
 // TestShutdownAppliesEveryAckedOp shuts a server with Replica down while
@@ -81,8 +89,25 @@ func TestShutdownAppliesEveryAckedOp(t *testing.T) {
 // TestRestartedServerAppliesRecoveredBacklog lands a workload in a topic
 // with no Replica (nothing applies it), then restarts the server over
 // the same Dir with Replica set: Serve recovers the topic through
-// cfg.FS and applies its backlog with no shipper connected.
+// cfg.FS and applies its backlog with no shipper connected. The topic
+// is never acked, so the applier finds its place in the AppliedLog.
+//
+// In the gap case the warehouse already holds every op but one, k, that
+// no later op touches — a state the parallel integrator's out-of-order
+// group commits can leave behind at a crash. AppliedLog.MaxSeq already
+// reads the topic's last seq, so an applier that resumed there would
+// never apply k; the restarted one must apply it, and only it, once.
 func TestRestartedServerAppliesRecoveredBacklog(t *testing.T) {
+	for _, gap := range []bool{false, true} {
+		name := "empty warehouse"
+		if gap {
+			name = "gap below MaxSeq"
+		}
+		t.Run(name, func(t *testing.T) { testRestartedServerAppliesRecoveredBacklog(t, gap) })
+	}
+}
+
+func testRestartedServerAppliesRecoveredBacklog(t *testing.T, gap bool) {
 	src := newReplSource(t)
 	src.workload(t, 60, 0)
 	want := src.maxSeq(t)
@@ -112,16 +137,30 @@ func TestRestartedServerAppliesRecoveredBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := replica.Integrator.Applied.MaxSeq(); got != 0 {
-		t.Fatalf("applied MaxSeq = %d before the restart", got)
+	ops, err := src.log.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := want // the op the restarted server must apply last
+	if gap {
+		k := lastUntouchedOp(t, src, ops)
+		missing = ops[k].Seq
+		rest := append(append([]*opdelta.Op(nil), ops[:k]...), ops[k+1:]...)
+		if _, err := replica.Integrator.Apply(rest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	applied := replica.Integrator.Applied
+	if got, _ := applied.MaxSeq(); gap != (got == want) {
+		t.Fatalf("applied MaxSeq = %d before the restart (topic ends at %d)", got, want)
 	}
 	srv2 := startServer(t, fault.NewNet(fault.NetProfile{Seed: 13}), ServerConfig{
 		Dir: "/topics", FS: fs,
 		Replica: func(string) (*Replica, error) { return replica, nil },
 	})
-	waitFor(t, 10*time.Second, "backlog applied", func() bool {
-		got, err := replica.Integrator.Applied.MaxSeq()
-		return err == nil && got == want
+	waitFor(t, 10*time.Second, fmt.Sprintf("op %d applied", missing), func() bool {
+		seen, err := applied.Seen(nil, missing)
+		return err == nil && seen
 	})
 	if err := srv2.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -129,6 +168,69 @@ func TestRestartedServerAppliesRecoveredBacklog(t *testing.T) {
 	if !sameRows(tableRows(t, src.db, "parts"), tableRows(t, wh.db, "parts")) {
 		t.Fatal("replica differs from the source after applying the recovered backlog")
 	}
+	// One AppliedLog row per op; the ops after the gap reach the
+	// integrator again and are skipped.
+	var opSeqs []uint64
+	var redelivered float64
+	for _, op := range ops {
+		opSeqs = append(opSeqs, op.Seq)
+		if gap && op.Seq > missing {
+			redelivered++
+		}
+	}
+	if seqs, err := applied.Seqs(); err != nil || !slices.Equal(seqs, opSeqs) {
+		t.Fatalf("AppliedLog holds %v (%v), want one row per op: %v", seqs, err, opSeqs)
+	}
+	dup := wh.db.Obs().Snapshot().Get("warehouse_apply_skipped_duplicate_total", obs.L("integrator", "parallel"))
+	if dup == nil || dup.Value != redelivered {
+		t.Fatalf("skipped duplicates = %+v, want %v", dup, redelivered)
+	}
+	if _, err := fs.ReadFile("/topics/src/queue.ack"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the replication server wrote a queue ack file (%v)", err)
+	}
+}
+
+// TestApplierNeedsAppliedLog: the applier keeps no consumer position of
+// its own, so Run refuses an integrator without an AppliedLog.
+func TestApplierNeedsAppliedLog(t *testing.T) {
+	src := newReplSource(t)
+	wh := newReplWarehouse(t, src.schema)
+	srv := NewServer(ServerConfig{Dir: t.TempDir()})
+	defer srv.Shutdown()
+	topic, err := srv.Topic("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := &Applier{Topic: topic, Integrator: &warehouse.ParallelIntegrator{W: wh.wh}}
+	if err := ap.Run(make(chan struct{})); !errors.Is(err, ErrNoAppliedLog) {
+		t.Fatalf("Run without an AppliedLog = %v, want ErrNoAppliedLog", err)
+	}
+}
+
+// lastUntouchedOp returns the index of the latest op below the last one
+// whose key no later op touches — leaving it out of an apply is a state
+// the parallel integrator can commit.
+func lastUntouchedOp(t *testing.T, src *replSource, ops []*opdelta.Op) int {
+	t.Helper()
+	fps := make([]keyset.Footprint, len(ops))
+	for i, op := range ops {
+		stmt, err := op.Statement()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[i] = keyset.StatementFootprint(stmt, src.schema, "part_id")
+	}
+	for k := len(ops) - 2; k >= 0 && k >= len(ops)-applyBatchOps; k-- {
+		touched := fps[k].Whole
+		for _, fp := range fps[k+1:] {
+			touched = touched || fp.Overlaps(fps[k])
+		}
+		if !touched {
+			return k
+		}
+	}
+	t.Fatal("every op among the last batch shares a key with a later one")
+	return 0
 }
 
 // TestConcurrentHellosResolveReplicaOnce sends HELLOs for one source on

@@ -131,7 +131,9 @@ func NewServer(cfg ServerConfig) *Server {
 
 // Topic is one source's durable op stream at the warehouse side: a
 // persistent queue plus the dedup high-water mark. The queue is the
-// durable record; lastSeq is recovered from it on open.
+// durable record; lastSeq is recovered from it on open. Nothing acks
+// the queue: the consumer position is the replica's AppliedLog, and a
+// restarted applier reads the topic from its first message.
 type Topic struct {
 	Source string
 	Q      *transport.Queue

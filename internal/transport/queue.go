@@ -111,7 +111,7 @@ func OpenQueueObs(fsys fault.FS, dir string, reg *obs.Registry, labels ...obs.La
 	q.appendSeconds = reg.Histogram("transport_queue_append_seconds", obs.DurationBuckets, labels...)
 	q.ackSeconds = reg.Histogram("transport_queue_ack_seconds", obs.DurationBuckets, labels...)
 	reg.GaugeFunc("transport_queue_depth_bytes", func() float64 {
-		return float64(q.endPos.Load() - q.ackPos.Load())
+		return float64(q.Depth())
 	}, labels...)
 	return q, nil
 }
@@ -320,9 +320,11 @@ func (q *Queue) AckPos() int64 { return q.ackPos.Load() }
 // read from, and the position the next Ack would persist.
 func (q *Queue) ReadPos() int64 { return q.readPos.Load() }
 
-// Depth returns the bytes appended but not yet durably acknowledged —
-// the consumer's backlog, also published as transport_queue_depth_bytes.
-func (q *Queue) Depth() int64 { return q.endPos.Load() - q.ackPos.Load() }
+// Depth returns the bytes appended but not yet read by Next — the
+// consumer's backlog, also published as transport_queue_depth_bytes. It
+// is measured from the read cursor, not the ack position, so a consumer
+// that keeps its durable position elsewhere and never acks reads true.
+func (q *Queue) Depth() int64 { return q.endPos.Load() - q.readPos.Load() }
 
 // ForEach calls fn for every complete message in the queue, acked or
 // not, without moving the consumer cursor. A restarting replication

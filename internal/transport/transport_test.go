@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"opdelta/internal/obs"
 )
 
 func TestLinkChargesLatencyAndBandwidth(t *testing.T) {
@@ -85,6 +87,52 @@ func TestQueueFIFOAndAck(t *testing.T) {
 	if err != nil || string(msg) != "msg-5" {
 		t.Fatalf("after reset: %q, %v", msg, err)
 	}
+}
+
+// TestQueueDepthFollowsReadCursor: depth is what was appended but not
+// yet read, so it rises with Append, falls with Next and ignores Ack —
+// a consumer that keeps its position elsewhere never acks — and the
+// transport_queue_depth_bytes gauge reads the same value.
+func TestQueueDepthFollowsReadCursor(t *testing.T) {
+	reg := obs.NewRegistry()
+	q, err := OpenQueueObs(nil, t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	check := func(step string, want int64) {
+		t.Helper()
+		if got := q.Depth(); got != want {
+			t.Fatalf("%s: Depth = %d, want %d", step, got, want)
+		}
+		if m := reg.Snapshot().Get("transport_queue_depth_bytes"); m == nil || m.Value != float64(want) {
+			t.Fatalf("%s: transport_queue_depth_bytes = %+v, want %d", step, m, want)
+		}
+	}
+	check("empty", 0)
+	var want int64
+	for _, msg := range []string{"a", "bb", "ccc"} {
+		if err := q.Append([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		want += 8 + int64(len(msg)) // frame header + payload
+		check("append "+msg, want)
+	}
+	for _, msg := range []string{"a", "bb"} {
+		if _, err := q.Next(); err != nil {
+			t.Fatal(err)
+		}
+		want -= 8 + int64(len(msg))
+		check("next "+msg, want)
+	}
+	if err := q.Ack(); err != nil {
+		t.Fatal(err)
+	}
+	check("ack", want)
+	if _, err := q.Next(); err != nil {
+		t.Fatal(err)
+	}
+	check("drained", 0)
 }
 
 func TestQueueSurvivesReopen(t *testing.T) {

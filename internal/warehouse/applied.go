@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"fmt"
+	"slices"
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
@@ -81,8 +82,8 @@ func (a *AppliedLog) Record(tx *engine.Tx, ops []*opdelta.Op) error {
 	return nil
 }
 
-// MaxSeq returns the highest applied seq (0 when none) — the resume
-// hint a replication server acks to shippers after a restart.
+// MaxSeq returns the highest applied seq (0 when none). It is not a
+// resume point: a seq below it may still be unapplied (see above).
 func (a *AppliedLog) MaxSeq() (uint64, error) {
 	var max int64
 	err := a.W.DB.ScanTable(nil, AppliedLogName, func(row catalog.Tuple) error {
@@ -95,6 +96,22 @@ func (a *AppliedLog) MaxSeq() (uint64, error) {
 		return 0, err
 	}
 	return uint64(max), nil
+}
+
+// Seqs returns every applied seq in ascending order, from one scan —
+// what a restarting consumer needs to find the first op of its stream
+// that is not yet applied, which MaxSeq cannot tell it.
+func (a *AppliedLog) Seqs() ([]uint64, error) {
+	var seqs []uint64
+	err := a.W.DB.ScanTable(nil, AppliedLogName, func(row catalog.Tuple) error {
+		seqs = append(seqs, uint64(row[0].Int()))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	slices.Sort(seqs)
+	return seqs, nil
 }
 
 // ranges returns the lock ranges covering ops' dedup rows, for
