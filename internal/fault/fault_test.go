@@ -257,10 +257,10 @@ func TestSimFSCrashBeforeVsAfter(t *testing.T) {
 		fs := NewSimFS(1)
 		fs.SetScript(&Script{CrashOp: 4, CrashBefore: before})
 		RunToCrash(func() {
-			f, _ := fs.Create("x")       // op 1
-			f.Write([]byte("one"))       // op 2
-			f.Sync()                     // op 3
-			f.Write([]byte("-two"))      // op 4: crash point
+			f, _ := fs.Create("x")  // op 1
+			f.Write([]byte("one"))  // op 2
+			f.Sync()                // op 3
+			f.Write([]byte("-two")) // op 4: crash point
 			t.Fatal("unreachable")
 		})
 		got, err := fs.Reboot().ReadFile("x")
@@ -279,8 +279,8 @@ func TestSimFSCrashBeforeVsAfter(t *testing.T) {
 func TestSimFSSyncErrorInjection(t *testing.T) {
 	fs := NewSimFS(1)
 	fs.SetScript(&Script{SyncErrOp: 3})
-	f, _ := fs.Create("x") // op 1
-	f.Write([]byte("a"))   // op 2
+	f, _ := fs.Create("x")                             // op 1
+	f.Write([]byte("a"))                               // op 2
 	if err := f.Sync(); !errors.Is(err, ErrInjected) { // op 3
 		t.Fatalf("Sync = %v, want injected error", err)
 	}

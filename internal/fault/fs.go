@@ -70,15 +70,15 @@ type osFS struct{}
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osFS) Open(name string) (File, error)     { return os.Open(name) }
-func (osFS) Create(name string) (File, error)   { return os.Create(name) }
+func (osFS) Open(name string) (File, error)       { return os.Open(name) }
+func (osFS) Create(name string) (File, error)     { return os.Create(name) }
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
-func (osFS) Rename(oldpath, newpath string) error     { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                 { return os.Remove(name) }
-func (osFS) Truncate(name string, size int64) error   { return os.Truncate(name, size) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }

@@ -183,10 +183,10 @@ type tracker struct {
 	base map[int64]string // state after all definitely-committed txns
 	txns []*txnRec
 
-	shipped    [][]byte // queue payloads whose Append returned
-	shipInFly  []byte   // payload whose Append was in flight at crash
-	acks       []int64  // positions whose Ack returned
-	ackInFly   int64    // position whose Ack was in flight, -1 none
+	shipped    [][]byte         // queue payloads whose Append returned
+	shipInFly  []byte           // payload whose Append was in flight at crash
+	acks       []int64          // positions whose Ack returned
+	ackInFly   int64            // position whose Ack was in flight, -1 none
 	warehouse  map[int64]string // clean-pass consumer state
 	appliedSeq map[uint64]bool
 }

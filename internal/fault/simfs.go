@@ -668,8 +668,8 @@ type simFileInfo struct {
 	dir  bool
 }
 
-func (i simFileInfo) Name() string       { return i.name }
-func (i simFileInfo) Size() int64        { return i.size }
+func (i simFileInfo) Name() string { return i.name }
+func (i simFileInfo) Size() int64  { return i.size }
 func (i simFileInfo) Mode() iofs.FileMode {
 	if i.dir {
 		return iofs.ModeDir | 0o755
@@ -685,9 +685,9 @@ type simDirEntry struct {
 	dir  bool
 }
 
-func (e simDirEntry) Name() string               { return e.name }
-func (e simDirEntry) IsDir() bool                { return e.dir }
-func (e simDirEntry) Type() iofs.FileMode        { return simFileInfo{dir: e.dir}.Mode().Type() }
+func (e simDirEntry) Name() string                 { return e.name }
+func (e simDirEntry) IsDir() bool                  { return e.dir }
+func (e simDirEntry) Type() iofs.FileMode          { return simFileInfo{dir: e.dir}.Mode().Type() }
 func (e simDirEntry) Info() (iofs.FileInfo, error) { return simFileInfo{name: e.name, dir: e.dir}, nil }
 
 // CrashPoint marks a place inside an operation where a power loss may

@@ -124,12 +124,8 @@ type SpanTracer struct {
 	stage       map[string]*Histogram
 	sampleEvery uint64
 	slowNs      int64
-	ring        []SpanRecord
-	next        int
-	full        bool
-	slow        []SlowRecord
-	slowNext    int
-	slowFull    bool
+	ring        ring[SpanRecord]
+	slow        ring[SlowRecord]
 }
 
 // NewSpanTracer builds a span tracer over the registry with a
@@ -150,8 +146,8 @@ func NewSpanTracer(reg *Registry, ringSize int) *SpanTracer {
 		slowTotal:   reg.Counter("spans_slow_total"),
 		stage:       make(map[string]*Histogram),
 		sampleEvery: 1,
-		ring:        make([]SpanRecord, ringSize),
-		slow:        make([]SlowRecord, slowSize),
+		ring:        newRing[SpanRecord](ringSize),
+		slow:        newRing[SlowRecord](slowSize),
 	}
 }
 
@@ -210,12 +206,7 @@ func (st *SpanTracer) Record(rec SpanRecord) {
 		h = st.reg.Histogram("span_stage_seconds", DurationBuckets, Label{Key: "stage", Value: rec.Name})
 		st.stage[rec.Name] = h
 	}
-	st.ring[st.next] = rec
-	st.next++
-	if st.next == len(st.ring) {
-		st.next = 0
-		st.full = true
-	}
+	st.ring.push(rec)
 	st.mu.Unlock()
 	h.Observe(float64(rec.DurationNs()) / 1e9)
 	st.recorded.Inc()
@@ -243,12 +234,7 @@ func (st *SpanTracer) ObserveE2E(traceID uint64, source string, seq uint64, lagN
 	rec := SlowRecord{TraceID: traceID, Source: source, Seq: seq, LagNs: lagNs,
 		AtUnixNs: time.Now().UnixNano(), Spans: spans}
 	st.mu.Lock()
-	st.slow[st.slowNext] = rec
-	st.slowNext++
-	if st.slowNext == len(st.slow) {
-		st.slowNext = 0
-		st.slowFull = true
-	}
+	st.slow.push(rec)
 	logf := st.Logf
 	st.mu.Unlock()
 	st.slowTotal.Inc()
@@ -269,22 +255,7 @@ func (st *SpanTracer) Recent(n int) []SpanRecord {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	size := st.next
-	if st.full {
-		size = len(st.ring)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]SpanRecord, 0, n)
-	for i := 0; i < n; i++ {
-		idx := st.next - 1 - i
-		if idx < 0 {
-			idx += len(st.ring)
-		}
-		out = append(out, st.ring[idx])
-	}
-	return out
+	return st.ring.newest(n)
 }
 
 // TraceSpans returns this process's spans for one trace, ordered by
@@ -294,14 +265,10 @@ func (st *SpanTracer) TraceSpans(traceID uint64) []SpanRecord {
 		return nil
 	}
 	st.mu.Lock()
-	size := st.next
-	if st.full {
-		size = len(st.ring)
-	}
 	var out []SpanRecord
-	for i := 0; i < size; i++ {
-		if st.ring[i].TraceID == traceID {
-			out = append(out, st.ring[i])
+	for _, rec := range st.ring.held() {
+		if rec.TraceID == traceID {
+			out = append(out, rec)
 		}
 	}
 	st.mu.Unlock()
@@ -316,22 +283,7 @@ func (st *SpanTracer) Slow(n int) []SlowRecord {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	size := st.slowNext
-	if st.slowFull {
-		size = len(st.slow)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]SlowRecord, 0, n)
-	for i := 0; i < n; i++ {
-		idx := st.slowNext - 1 - i
-		if idx < 0 {
-			idx += len(st.slow)
-		}
-		out = append(out, st.slow[idx])
-	}
-	return out
+	return st.slow.newest(n)
 }
 
 // SpanTrace is one trace's spans grouped for rendering.

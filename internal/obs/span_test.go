@@ -83,6 +83,29 @@ func TestSpanRingEviction(t *testing.T) {
 	}
 }
 
+// TestSlowRingEviction: the slow ring (16 records at the smallest span
+// ring) keeps the newest slow traces once it wraps.
+func TestSlowRingEviction(t *testing.T) {
+	st := NewSpanTracer(NewRegistry(), 4)
+	st.SetSlowThreshold(time.Millisecond)
+	for i := 1; i <= 20; i++ {
+		st.ObserveE2E(uint64(i), "src", uint64(i), int64(2*time.Millisecond))
+	}
+	seqs := func(recs []SlowRecord) []uint64 {
+		var out []uint64
+		for _, r := range recs {
+			out = append(out, r.Seq)
+		}
+		return out
+	}
+	if got := seqs(st.Slow(0)); len(got) != 16 || got[0] != 20 || got[15] != 5 {
+		t.Fatalf("slow ring after wrap = seqs %v, want 20 down to 5", got)
+	}
+	if got := seqs(st.Slow(3)); len(got) != 3 || got[0] != 20 || got[2] != 18 {
+		t.Fatalf("Slow(3) = seqs %v, want 20, 19, 18", got)
+	}
+}
+
 func TestObserveE2ESlowLog(t *testing.T) {
 	reg := NewRegistry()
 	st := NewSpanTracer(reg, 16)

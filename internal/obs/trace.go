@@ -55,9 +55,7 @@ type Tracer struct {
 	completed *Counter
 
 	mu   sync.Mutex
-	ring []TraceRecord
-	next int
-	full bool
+	ring ring[TraceRecord]
 }
 
 // NewTracer registers the tracer's metrics on reg and keeps up to size
@@ -70,7 +68,7 @@ func NewTracer(reg *Registry, size int) *Tracer {
 		freshness: reg.Histogram("delta_freshness_lag_seconds", DurationBuckets),
 		stage:     make(map[string]*Histogram, len(stages)),
 		completed: reg.Counter("delta_traces_total"),
-		ring:      make([]TraceRecord, size),
+		ring:      newRing[TraceRecord](size),
 	}
 	for _, s := range stages {
 		t.stage[s] = reg.Histogram("delta_stage_seconds", DurationBuckets, L("stage", s))
@@ -95,19 +93,7 @@ func (t *Tracer) Recent(n int) []TraceRecord {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	total := t.next
-	if t.full {
-		total = len(t.ring)
-	}
-	if n <= 0 || n > total {
-		n = total
-	}
-	out := make([]TraceRecord, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (t.next - 1 - i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
-	}
-	return out
+	return t.ring.newest(n)
 }
 
 // Trace is one in-flight delta lifecycle. Stamps are atomic int64 unix
@@ -231,12 +217,7 @@ func (tr *Trace) Done() {
 	tr.t.completed.Inc()
 
 	tr.t.mu.Lock()
-	tr.t.ring[tr.t.next] = rec
-	tr.t.next++
-	if tr.t.next == len(tr.t.ring) {
-		tr.t.next = 0
-		tr.t.full = true
-	}
+	tr.t.ring.push(rec)
 	tr.t.mu.Unlock()
 
 	tr.mu.Lock()

@@ -59,6 +59,8 @@ var ErrNoAppliedLog = errors.New("netrepl: applier needs an integrator with an A
 // encoding — so the warehouse-side tracer measures true end-to-end
 // freshness across the wire. A server with ServerConfig.Replica runs
 // one per topic; only a server without it leaves Run to the caller.
+// An idle applier waits on its topic's wake, which a durable append or
+// a buffered bootstrap frame fires, not on a timer.
 type Applier struct {
 	Topic *Topic
 	// Integrator applies batches; its Applied log must be set.
@@ -76,13 +78,12 @@ type Applier struct {
 	Spans *obs.SpanTracer
 	// Bootstrap, when set, is this source's snapshot-bootstrap
 	// coordinator: the applier feeds it every applied batch (footprints
-	// + cursor) and polls it when idle, so chunk reconciliation runs on
-	// this goroutine, strictly serialized with delta application.
+	// + cursor), and an empty one each time the queue runs dry — a
+	// delivered chunk frame wakes it for that — so chunk reconciliation
+	// runs on this goroutine, strictly serialized with delta application.
 	Bootstrap *Bootstrapper
 	// Obs receives the applier's metrics; nil keeps a private registry.
 	Obs *obs.Registry
-	// PollEvery paces the empty-queue wait. Default 5ms.
-	PollEvery time.Duration
 }
 
 // Run applies until stop closes, then drains: it returns once the
@@ -99,10 +100,6 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	reg := a.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	poll := a.PollEvery
-	if poll <= 0 {
-		poll = 5 * time.Millisecond
 	}
 	l := obs.L("source", a.Topic.Source)
 	applied := reg.Counter("netrepl_applied_ops_total", l)
@@ -151,7 +148,8 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 			batch = append(batch, op)
 		}
 		if len(batch) == 0 {
-			if err := a.Bootstrap.Poll(); err != nil {
+			// A chunk whose high watermark the cursor passed settles here.
+			if err := a.Bootstrap.Observe(nil); err != nil {
 				return err
 			}
 			if stopping {
@@ -160,10 +158,10 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 			select {
 			case <-stop:
 				// Look at the queue once more before leaving: ops enqueued
-				// (and acked to their shipper) since the last poll came up
+				// (and acked to their shipper) since the last read came up
 				// empty belong to this run.
 				stopping = true
-			case <-time.After(poll):
+			case <-a.Topic.wake:
 			}
 			continue
 		}

@@ -236,9 +236,10 @@ func TestShippingStepsOverAbortedSeqs(t *testing.T) {
 	}
 }
 
-// TestApplierDrainsQueueOnStop: ops enqueued while the applier sleeps
-// between polls, followed at once by a graceful stop, are applied before
-// Run returns — the server has acked them to their shipper, and a
+// TestApplierDrainsQueueOnStop: ops enqueued while the applier waits
+// on its idle topic, followed at once by a graceful stop, are applied
+// before Run returns — whether its wait ends on the append's wake or on
+// stop — because the server has acked them to their shipper, and a
 // drained shutdown promises the warehouse holds everything acked.
 func TestApplierDrainsQueueOnStop(t *testing.T) {
 	src := newReplSource(t)
@@ -253,11 +254,11 @@ func TestApplierDrainsQueueOnStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	wh := newReplWarehouse(t, src.schema)
-	ap := &Applier{Topic: topic, Integrator: wh.integ, SchemaOf: src.schemaOf, PollEvery: time.Minute}
+	ap := &Applier{Topic: topic, Integrator: wh.integ, SchemaOf: src.schemaOf}
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() { done <- ap.Run(stop) }()
-	time.Sleep(20 * time.Millisecond) // let it find the queue empty and go to sleep
+	time.Sleep(20 * time.Millisecond) // let it find the queue empty and wait
 
 	if ack, err := srv.enqueue(topic, deltaPayload(0, encs), obs.TraceContext{}, 0); err != nil || ack != want {
 		t.Fatalf("enqueue acked %d, %v; want %d", ack, err, want)
@@ -273,6 +274,67 @@ func TestApplierDrainsQueueOnStop(t *testing.T) {
 	}
 	if got, err := wh.integ.Applied.MaxSeq(); err != nil || got != want {
 		t.Fatalf("applied through seq %d, %v; the server acked %d", got, err, want)
+	}
+}
+
+// TestServerQueueDepthPerSource: the server exports each topic's
+// backlog as transport_queue_depth_bytes{source=…}. With no applier
+// running, a DELTA's ops stay in the topic, so its gauge reads exactly
+// the appended bytes (an 8-byte frame header per op) while another
+// source's reads 0; once an applier has applied them it reads 0.
+func TestServerQueueDepthPerSource(t *testing.T) {
+	src := newReplSource(t)
+	src.workload(t, 12, 0)
+	want := src.maxSeq(t)
+	encs, _ := encodedOps(t, src)
+
+	reg := obs.NewRegistry()
+	srv := NewServer(ServerConfig{Dir: t.TempDir(), Obs: reg})
+	defer srv.Shutdown()
+	topic, err := srv.Topic("src-d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Topic("src-e"); err != nil {
+		t.Fatal(err)
+	}
+	depth := func(source string) float64 {
+		t.Helper()
+		m := reg.Snapshot().Get("transport_queue_depth_bytes", obs.L("source", source))
+		if m == nil {
+			t.Fatalf("no transport_queue_depth_bytes series for source %q", source)
+		}
+		return m.Value
+	}
+	if ack, err := srv.enqueue(topic, deltaPayload(0, encs), obs.TraceContext{}, 0); err != nil || ack != want {
+		t.Fatalf("enqueue acked %d, %v; want %d", ack, err, want)
+	}
+	var appended float64
+	for _, e := range encs {
+		appended += float64(8 + len(e))
+	}
+	if got := depth("src-d"); got != appended || got <= 0 {
+		t.Fatalf("src-d depth = %v, want the %v bytes appended", got, appended)
+	}
+	if got := depth("src-e"); got != 0 {
+		t.Fatalf("src-e depth = %v, want 0: nothing was sent to it", got)
+	}
+
+	wh := newReplWarehouse(t, src.schema)
+	ap := &Applier{Topic: topic, Integrator: wh.integ, SchemaOf: src.schemaOf}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- ap.Run(stop) }()
+	waitFor(t, 10*time.Second, "ops applied", func() bool {
+		got, err := wh.integ.Applied.MaxSeq()
+		return err == nil && got == want
+	})
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := depth("src-d"); got != 0 {
+		t.Fatalf("src-d depth = %v after the applier read every op, want 0", got)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/keyset"
-	"opdelta/internal/opdelta"
 	"opdelta/internal/obs"
+	"opdelta/internal/opdelta"
 	"opdelta/internal/warehouse"
 )
 
@@ -238,9 +238,10 @@ func (b *Bootstrapper) Active() bool {
 
 // Deliver buffers a WATERMARK or SNAPSHOT_CHUNK frame from the
 // connection goroutine. Evaluation happens only on the applier
-// goroutine (Observe/Poll), which serializes reconciliation against
-// delta application. An error means the payload is malformed; stale or
-// unexpected frames are dropped silently (duplication is normal).
+// goroutine (Observe), which serializes reconciliation against delta
+// application; the connection wakes the applier after each frame. An
+// error means the payload is malformed; stale or unexpected frames are
+// dropped silently (duplication is normal).
 // tc/recvNs carry a traced chunk's wire span context (zero when the
 // frame was untraced).
 func (b *Bootstrapper) Deliver(typ byte, payload []byte, tc obs.TraceContext, recvNs int64) error {
@@ -319,7 +320,9 @@ func (b *Bootstrapper) pendFor(chunkID, round uint64) *pendChunk {
 // Observe records a batch of just-applied ops (footprints for the
 // collision rule, cursor for the high-watermark gate) and then tries to
 // settle the pending chunk. The applier calls it after the batch is
-// applied, so the cursor is exact at batch boundaries.
+// applied, so the cursor is exact at batch boundaries, and with no ops
+// whenever its queue runs dry, which settles a chunk whose high
+// watermark the cursor had already passed when it arrived.
 func (b *Bootstrapper) Observe(ops []*opdelta.Op) error {
 	if b == nil {
 		return nil
@@ -343,19 +346,6 @@ func (b *Bootstrapper) Observe(ops []*opdelta.Op) error {
 			b.cursor = op.Seq
 		}
 	}
-	return b.evaluate()
-}
-
-// Poll tries to settle the pending chunk with no new deltas — the
-// applier calls it from its idle loop, covering chunks whose high
-// watermark the cursor had already passed when they arrived.
-func (b *Bootstrapper) Poll() error {
-	if b == nil {
-		return nil
-	}
-	b.init()
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.evaluate()
 }
 

@@ -2,7 +2,9 @@ package netrepl
 
 import (
 	"fmt"
+	"net"
 	"testing"
+	"time"
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/obs"
@@ -194,7 +196,7 @@ func TestBootstrapReconciliationUnit(t *testing.T) {
 	deliver(FrameWatermark, watermarkPayload(wmLow, 1, 2, 12))
 	deliver(FrameSnapshotChunk, chunkPayload(1, 2, chunkFinal|chunkRunDone|chunkChase, "parts", lastKey, chaseRows))
 	deliver(FrameWatermark, watermarkPayload(wmHigh, 1, 2, 12))
-	if err := rig.boot.Poll(); err != nil {
+	if err := rig.boot.Observe(nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -281,5 +283,111 @@ func TestBootstrapReconciliationUnitBroken(t *testing.T) {
 	}
 	if sameRows(tableRows(t, src.db, "parts"), tableRows(t, rig.wh.db, "parts")) {
 		t.Fatal("broken variant converged; the lost-update/resurrection demonstration is inert")
+	}
+}
+
+// TestQuietChunkSettlesOnDeliveryWake: with no delta flowing, a chunk
+// whose high watermark the applied cursor has already passed gets its
+// CHUNK_ACK as soon as its frames are buffered — the connection wakes
+// the idle applier after each delivered frame. The second chunk's
+// frames follow the first CHUNK_ACK, which the applier sends from its
+// idle pass, so by then nothing but the delivery wake can settle it.
+func TestQuietChunkSettlesOnDeliveryWake(t *testing.T) {
+	src := newReplSource(t)
+	src.workload(t, 12, 0)
+	ops, err := src.log.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replica has applied every op the source logged; the source
+	// then drops its log, so the next HELLO negotiates a bootstrap with
+	// the applied cursor already at the last op.
+	wh := newReplWarehouse(t, src.schema)
+	if _, err := wh.integ.Apply(opdelta.CloneOps(ops)); err != nil {
+		t.Fatal(err)
+	}
+	cursor := ops[len(ops)-1].Seq
+	replica, err := NewReplica(wh.wh, "src", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerConfig{
+		Dir:     t.TempDir(),
+		Replica: func(string) (*Replica, error) { return replica, nil },
+	})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go srv.Serve(lis)
+	defer srv.Shutdown()
+
+	c, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := WriteFrame(c, FrameHello, 0, helloPayload("src", cursor+1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	typ, _, payload, err := ReadFrame(c)
+	if err != nil || typ != FrameWelcome {
+		t.Fatalf("handshake: %s, %v", frameName(typ), err)
+	}
+	if _, mode, _, _, err := parseWelcome(payload); err != nil || mode != ModeBootstrap {
+		t.Fatalf("welcome mode %d, %v; want a bootstrap", mode, err)
+	}
+
+	rows, lastKey := rowsInOrder(t, src)
+	half := len(rows) / 2
+	tbl, err := src.db.Table("parts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := catalog.DecodeTuple(tbl.Schema, rows[half-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	midKey, err := opdelta.NewKeyCodec(tbl.Schema.Column(tbl.PKCol)).Encode(mid[tbl.PKCol])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range []struct {
+		id      uint64
+		flags   byte
+		lastKey []byte
+		rows    [][]byte
+	}{
+		{1, 0, midKey, rows[:half]},
+		{2, chunkFinal | chunkRunDone, lastKey, rows[half:]},
+	} {
+		for _, f := range []struct {
+			typ     byte
+			payload []byte
+		}{
+			{FrameWatermark, watermarkPayload(wmLow, ch.id, 1, cursor)},
+			{FrameSnapshotChunk, chunkPayload(ch.id, 1, ch.flags, "parts", ch.lastKey, ch.rows)},
+			{FrameWatermark, watermarkPayload(wmHigh, ch.id, 1, cursor)},
+		} {
+			if err := WriteFrame(c, f.typ, 0, f.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		typ, _, payload, err := ReadFrame(c)
+		if err != nil || typ != FrameChunkAck {
+			t.Fatalf("chunk %d: got %s, %v; want its CHUNK_ACK with no delta after it", ch.id, frameName(typ), err)
+		}
+		if id, _, status, _, err := parseChunkAck(payload); err != nil || id != ch.id || status != chunkDone {
+			t.Fatalf("chunk %d: ack for chunk %d status %d, %v; want done", ch.id, id, status, err)
+		}
+	}
+	if replica.Bootstrap.Active() {
+		t.Fatal("bootstrapper still active after the run-done chunk settled")
+	}
+	if !sameRows(tableRows(t, src.db, "parts"), tableRows(t, wh.db, "parts")) {
+		t.Fatalf("replica diverged:\nsource    %v\nwarehouse %v",
+			tableRows(t, src.db, "parts"), tableRows(t, wh.db, "parts"))
 	}
 }

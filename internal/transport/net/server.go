@@ -139,6 +139,9 @@ type Topic struct {
 	Q      *transport.Queue
 
 	replica *Replica // nil unless the server has ServerConfig.Replica
+	// wake holds one token while work has arrived that the applier has
+	// not yet woken for (signal).
+	wake chan struct{}
 
 	mu      sync.Mutex
 	lastSeq uint64
@@ -191,6 +194,17 @@ func (t *Topic) LastSeq() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.lastSeq
+}
+
+// signal wakes the topic's applier: a durable append, or a bootstrap
+// frame buffered for its Bootstrapper. A token sent while the applier
+// is busy stays buffered, so the applier's next empty read does not
+// wait; it costs at most one extra pass.
+func (t *Topic) signal() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
 }
 
 // SetSkew records the shipper-reported clock offset for this source.
@@ -283,7 +297,7 @@ func (s *Server) topicLocked(source string) (*Topic, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Topic{Source: source, Q: q}
+	t := &Topic{Source: source, Q: q, wake: make(chan struct{}, 1)}
 	// Recover the dedup mark from the queue itself: every message is an
 	// encoded op with its seq in the first 8 bytes, and appends are in
 	// seq order, so the maximum over the file is the high-water mark.
@@ -517,12 +531,13 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			// Buffer only: reconciliation runs on the applier goroutine
-			// (Observe/Poll), serialized against delta application. The
-			// verdict is pushed later through send as a CHUNK_ACK.
+			// (Observe), serialized against delta application, so wake it.
+			// The verdict is pushed later through send as a CHUNK_ACK.
 			if err := boot.Deliver(typ, body, tc, recvNs); err != nil {
 				s.badFrames.Inc()
 				return
 			}
+			topic.signal()
 		case FrameHeartbeat:
 			// A probe carries the shipper's send time and its current
 			// offset estimate: store the estimate on the topic for the
@@ -554,7 +569,7 @@ func (s *Server) handle(conn net.Conn) {
 // replacement) cannot interleave appends out of seq order.
 //
 // Every batch with fresh ops pushes a batch mark (receive time, trace
-// context) BEFORE the append — the applier polls the queue concurrently
+// context) BEFORE the append — the applier reads the queue concurrently
 // and could dequeue an op the instant the write lands, so pushing after
 // would leave it without its mark.
 func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recvNs int64) (uint64, error) {
@@ -610,6 +625,7 @@ func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recv
 		return 0, err
 	}
 	topic.lastSeq = last
+	topic.signal()
 	end := time.Now().UnixNano()
 	mark.persistEnd.Store(end)
 	if !tc.Zero() {

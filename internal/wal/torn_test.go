@@ -162,9 +162,9 @@ func TestCorruptMiddleRecordStopsThere(t *testing.T) {
 func TestOpenResumesPastEmptySegments(t *testing.T) {
 	_, data, _ := buildTornFixture(t, 3) // segment 1 holds LSN 1..3
 	for _, tail := range [][]byte{
-		nil,          // newest segment empty
-		{0x01},       // torn inside the frame header
-		data[:7],     // torn mid-header of its first record
+		nil,                                  // newest segment empty
+		{0x01},                               // torn inside the frame header
+		data[:7],                             // torn mid-header of its first record
 		{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, // absurd length, incomplete
 	} {
 		fs := tornDir(t, data)
