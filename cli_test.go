@@ -118,6 +118,109 @@ func TestCLIPipeline(t *testing.T) {
 	}
 }
 
+// TestCLIOpDeltaPerTable: the op log holds every captured table's ops,
+// and `opdeltad -method opdelta -table T` must write only T's into its
+// op file while its cursor still moves past every op it read, including
+// a pass that read none of T's. dwctl must refuse an op file cut inside
+// a frame and name the offset where the whole frames end.
+func TestCLIOpDeltaPerTable(t *testing.T) {
+	_, opdeltad, dwctl := buildCLIs(t)
+	work := t.TempDir()
+	srcDir := filepath.Join(work, "src")
+	outDir := filepath.Join(work, "out")
+	whDir := filepath.Join(work, "wh")
+	const otherDDL = `CREATE TABLE other (id BIGINT NOT NULL, note VARCHAR) PRIMARY KEY (id)`
+
+	capture := func(stmts ...string) {
+		t.Helper()
+		src, err := opdelta.Open(srcDir, opdelta.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		oplog, err := opdelta.NewTableLog(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &opdelta.Capture{DB: src, Log: oplog}
+		for _, stmt := range stmts {
+			if _, err := c.Exec(nil, stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	src, err := opdelta.Open(srcDir, opdelta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range []string{cliDDL, otherDDL} {
+		if _, err := src.Exec(nil, ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	capture(
+		`INSERT INTO other (id, note) VALUES (1, 'a')`,
+		`INSERT INTO parts (part_id, status, qty) VALUES (1, 'new', 10)`,
+		`INSERT INTO other (id, note) VALUES (2, 'b')`,
+	)
+
+	out := run(t, opdeltad, "-src", srcDir, "-out", outDir, "-table", "parts", "-method", "opdelta")
+	if !strings.Contains(out, "parts: extracted 1 deltas") {
+		t.Fatalf("parts pass: %q", out)
+	}
+	cursor := func() string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(outDir, "parts.opdelta.cursor"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if c := cursor(); c != "3" {
+		t.Fatalf("parts cursor after the first pass = %q, want 3", c)
+	}
+	// A pass that reads only other's ops writes no file but still moves
+	// the cursor past them.
+	capture(`INSERT INTO other (id, note) VALUES (3, 'c')`)
+	out = run(t, opdeltad, "-src", srcDir, "-out", outDir, "-table", "parts", "-method", "opdelta")
+	if !strings.Contains(out, "parts: no changes") {
+		t.Fatalf("parts pass over other's op: %q", out)
+	}
+	if c := cursor(); c != "4" {
+		t.Fatalf("parts cursor after a pass with none of its ops = %q, want 4", c)
+	}
+	if _, err := os.Stat(filepath.Join(outDir, "parts.000002.ops")); !os.IsNotExist(err) {
+		t.Fatalf("a pass with none of the table's ops wrote an op file (stat: %v)", err)
+	}
+	out = run(t, opdeltad, "-src", srcDir, "-out", outDir, "-table", "other", "-method", "opdelta")
+	if !strings.Contains(out, "other: extracted 3 deltas") {
+		t.Fatalf("other pass: %q", out)
+	}
+
+	run(t, dwctl, "-dir", whDir, "init", "-ddl", cliDDL)
+	opsFile := filepath.Join(outDir, "parts.000001.ops")
+	out = run(t, dwctl, "-dir", whDir, "apply-ops", "-table", "parts", "-file", opsFile)
+	if !strings.Contains(out, "applied 1 ops") {
+		t.Fatalf("apply-ops output: %q", out)
+	}
+
+	data, err := os.ReadFile(opsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(work, "torn.ops")
+	if err := os.WriteFile(torn, data[:len(data)-2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := exec.Command(dwctl, "-dir", whDir, "apply-ops", "-table", "parts", "-file", torn).CombinedOutput()
+	if err == nil || !strings.Contains(string(b), "truncated ops file at offset 0") {
+		t.Fatalf("apply-ops of a torn file: err=%v output=%q", err, b)
+	}
+}
+
 // TestCLIValueDeltaPath drives the trigger-capture + apply-deltas path.
 func TestCLIValueDeltaPath(t *testing.T) {
 	_, opdeltad, dwctl := buildCLIs(t)

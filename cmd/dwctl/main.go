@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -148,19 +147,17 @@ func readOpsFile(path string, tbl *engine.Table) ([]*opdelta.Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ops []*opdelta.Op
-	pos := 0
-	for pos+4 <= len(data) {
-		sz := int(binary.LittleEndian.Uint32(data[pos:]))
-		if pos+4+sz > len(data) {
-			return nil, fmt.Errorf("truncated ops file at offset %d", pos)
-		}
-		op, _, err := opdelta.DecodeOp(data[pos+4:pos+4+sz], tbl.Schema)
+	frames, end := opdelta.SplitOpFrames(data)
+	if end != len(data) {
+		return nil, fmt.Errorf("truncated ops file at offset %d", end)
+	}
+	ops := make([]*opdelta.Op, 0, len(frames))
+	for _, frame := range frames {
+		op, _, err := opdelta.DecodeOp(frame, tbl.Schema)
 		if err != nil {
 			return nil, err
 		}
 		ops = append(ops, op)
-		pos += 4 + sz
 	}
 	return ops, nil
 }

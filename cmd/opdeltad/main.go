@@ -85,8 +85,6 @@ func main() {
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/ on the metrics address")
 		traceSmpl  = flag.Int("tracesample", 1, "serve/ship/live mode: head-sample one in N replication traces by trace ID (0 disables span tracing)")
 		slowSpan   = flag.Duration("slowspan", 0, "serve/live mode: log a per-stage breakdown for traces whose end-to-end lag exceeds this (0 = off)")
-		faultDelay = flag.Float64("faultdelayprob", 0, "ship mode: probability of delaying each outgoing frame through an injected fault link (testing)")
-		faultMax   = flag.Duration("faultmaxdelay", 2*time.Millisecond, "ship mode: maximum injected per-frame delay")
 	)
 	flag.Parse()
 	diag := diagOpts{pprof: *pprofOn, traceSample: *traceSmpl, slowSpan: *slowSpan}
@@ -106,7 +104,7 @@ func main() {
 			os.Exit(2)
 		}
 		o := shipOpts{srcDir: *srcDir, source: *source, rate: *loadgen, chunkRows: *chunkRows,
-			chunkDelay: *chunkDelay, truncate: *truncLog, faultDelayProb: *faultDelay, faultMaxDelay: *faultMax}
+			chunkDelay: *chunkDelay, truncate: *truncLog}
 		if err := runShip(*ship, *metrics, o, *runFor, diag); err != nil {
 			fatal(err)
 		}
@@ -271,14 +269,27 @@ func runPass(db *engine.DB, method, table, outDir string, window int, archive bo
 		if len(ops) == 0 {
 			return 0, "", nil
 		}
+		// The log holds every table's ops; the file takes this table's,
+		// and the cursor moves past all of them. ops is shared with the
+		// log's tail, so filter into a new slice.
+		next := ops[len(ops)-1].Seq
+		var mine []*opdelta.Op
+		for _, op := range ops {
+			if strings.EqualFold(op.Table, table) {
+				mine = append(mine, op)
+			}
+		}
+		if len(mine) == 0 {
+			return 0, "", saveCursor(cpath, next)
+		}
 		out, err := nextOutputPath(outDir, table, "ops")
 		if err != nil {
 			return 0, "", err
 		}
-		if err := writeOpsFile(out, ops, tbl.Schema); err != nil {
+		if err := writeOpsFile(out, mine, tbl.Schema); err != nil {
 			return 0, "", err
 		}
-		return len(ops), out, saveCursor(cpath, ops[len(ops)-1].Seq)
+		return len(mine), out, saveCursor(cpath, next)
 	default:
 		return 0, "", fmt.Errorf("unknown method %q", method)
 	}
@@ -310,29 +321,20 @@ func extractToFile(ex extract.Extractor, schema *catalog.Schema, outDir, table s
 // writeOpsFile serializes ops in the FileLog framing so dwctl apply-ops
 // can read them back.
 func writeOpsFile(path string, ops []*opdelta.Op, schema *catalog.Schema) error {
+	var data []byte
+	for _, op := range ops {
+		var err error
+		if data, err = opdelta.AppendOpFrame(data, op, schema); err != nil {
+			return err
+		}
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	for _, op := range ops {
-		payload, err := op.Encode(nil, schema)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		var hdr [4]byte
-		hdr[0] = byte(len(payload))
-		hdr[1] = byte(len(payload) >> 8)
-		hdr[2] = byte(len(payload) >> 16)
-		hdr[3] = byte(len(payload) >> 24)
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.Write(payload); err != nil {
-			f.Close()
-			return err
-		}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

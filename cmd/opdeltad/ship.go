@@ -2,14 +2,12 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/engine"
-	"opdelta/internal/fault"
 	"opdelta/internal/obs"
 	"opdelta/internal/opdelta"
 	netrepl "opdelta/internal/transport/net"
@@ -58,8 +56,6 @@ type shipOpts struct {
 	rate, chunkRows int
 	chunkDelay      time.Duration
 	truncate        bool
-	faultDelayProb  float64
-	faultMaxDelay   time.Duration
 }
 
 // source is the running source side: the source engine, its load
@@ -113,37 +109,6 @@ func startSource(serverAddr string, o shipOpts, reg *obs.Registry, spans *obs.Sp
 	}
 
 	dial := func() (net.Conn, error) { return net.DialTimeout("tcp", serverAddr, 2*time.Second) }
-	if o.faultDelayProb > 0 {
-		// Route every connection through a seeded fault link that delays
-		// frames per the schedule: bytes the shipper writes cross the
-		// fault net, then a goroutine bridge relays them onto the real
-		// TCP connection (and the reverse for reads). Exercises the
-		// slow-span diagnostics against genuine wire latency.
-		nw := fault.NewNet(fault.NetProfile{Seed: 1, DelayProb: o.faultDelayProb, MaxDelay: o.faultMaxDelay})
-		lis := nw.Listener()
-		tcpDial := dial
-		dial = func() (net.Conn, error) {
-			tcp, err := tcpDial()
-			if err != nil {
-				return nil, err
-			}
-			local, err := nw.Dial()
-			if err != nil {
-				tcp.Close()
-				return nil, err
-			}
-			far, err := lis.Accept()
-			if err != nil {
-				tcp.Close()
-				local.Close()
-				return nil, err
-			}
-			bridgeConns(far, tcp)
-			return local, nil
-		}
-		fmt.Printf("opdeltad: fault link enabled: delayprob=%g maxdelay=%s\n", o.faultDelayProb, o.faultMaxDelay)
-	}
-
 	// Resume load generation past any id a previous run issued: ids are
 	// issued in increasing order and deletes only target ids at least 8
 	// behind the head, so the surviving max part_id is within 2 of the
@@ -230,17 +195,4 @@ func loadgen(capture *opdelta.Capture, id, rate int, stop <-chan struct{}) error
 			return err
 		}
 	}
-}
-
-// bridgeConns relays bytes between two connections until either side
-// closes, then closes both. Writes onto a fault NetConn run the fault
-// schedule, so frames relayed through the bridge inherit its delays.
-func bridgeConns(a, b net.Conn) {
-	relay := func(dst, src net.Conn) {
-		io.Copy(dst, src)
-		dst.Close()
-		src.Close()
-	}
-	go relay(a, b)
-	go relay(b, a)
 }

@@ -44,11 +44,13 @@ type BootstrapConfig struct {
 	// DisableRestart forces a single uninterrupted pass (the property
 	// test's clean-schedule mode).
 	DisableRestart bool
-	// BrokenChunkWins opens the reconciliation hole: chunk rows are never
-	// dropped for colliding deltas. Runs with it set may (and with
-	// InjectCollisions must) end with Converged=false — that divergence
-	// is the point, à la UnsafeAcceptOutOfOrder.
-	BrokenChunkWins bool
+	// Wire, when set, rewrites the payload of every frame the shipper
+	// sends before the network sees it (Config.Wire). A low WATERMARK
+	// raised to math.MaxUint64 opens the reconciliation hole: no chunk
+	// row is dropped for a colliding delta. Runs with it set may (and
+	// with InjectCollisions must) end with Converged=false — that
+	// divergence is the point.
+	Wire func(typ byte, payload []byte) []byte
 	// InjectCollisions plants two sentinel rows below every workload key
 	// and, right after the first chunk read's transaction commits (before
 	// the shipper samples the fence), updates one and deletes the other.
@@ -104,8 +106,8 @@ type bootReplica struct {
 
 // RunBootstrap executes one seeded bootstrap soak and reports the
 // verdict. A run that fails to converge returns a non-nil error unless
-// the chunk-wins hole is open (then divergence is reported, not failed,
-// so the regression sweep can count it).
+// cfg.Wire opens a hole (then divergence is reported, not failed, so
+// the regression sweep can count it).
 func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 	if cfg.PreTxns <= 0 {
 		cfg.PreTxns = 40
@@ -236,7 +238,6 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 		if r.db, r.replica, err = openReplica(whDir, src.schema, r.reg, nil); err != nil {
 			return nil, err
 		}
-		r.replica.Bootstrap.BrokenChunkWins = cfg.BrokenChunkWins
 		r.srv = netrepl.NewServer(netrepl.ServerConfig{
 			Dir: topicDir, Obs: r.reg,
 			Replica: func(string) (*netrepl.Replica, error) { return r.replica, nil },
@@ -344,7 +345,7 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 		}
 		rep.WritesDuringBootstrap = int(writesDuring.Load())
 		rep.Converged = met && rep.WarehouseDigest == rep.SourceDigest
-		if !rep.Converged && !cfg.BrokenChunkWins {
+		if !rep.Converged && cfg.Wire == nil {
 			if !met {
 				return fmt.Errorf("simboot seed %d: timed out before convergence (source %s, warehouse %s)",
 					cfg.Seed, rep.SourceDigest, rep.WarehouseDigest)
@@ -360,7 +361,7 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	ship1 := startShipper(nw1, src, snap, nil)
+	ship1 := startShipper(nw1, src, snap, nil, cfg.Wire)
 	startLive()
 
 	if !rep.Restarted {
@@ -394,7 +395,7 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 		<-r1.served // Serve returned when nw1's listener died
 		nw2 := fault.NewNet(withSeed(profile, cfg.Seed+1_000_003))
 		r1.served = serve(r1.srv, nw2)
-		ship2 := startShipper(nw2, src, snap, nil)
+		ship2 := startShipper(nw2, src, snap, nil, cfg.Wire)
 		met := waitUntil(converged(r1))
 		return rep, finish(r1, nw2, ship2, met)
 	}
@@ -414,7 +415,7 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	ship2 := startShipper(nw2, src, snap, nil)
+	ship2 := startShipper(nw2, src, snap, nil, cfg.Wire)
 	met := waitUntil(converged(r2))
 	return rep, finish(r2, nw2, ship2, met)
 }

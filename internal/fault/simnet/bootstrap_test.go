@@ -1,11 +1,14 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"flag"
+	"math"
 	"testing"
 	"time"
 
 	"opdelta/internal/fault"
+	netrepl "opdelta/internal/transport/net"
 )
 
 // bootseeds bounds the randomized bootstrap sweep. CI soak runs raise
@@ -137,6 +140,30 @@ func TestBootstrapNoWriteOutage(t *testing.T) {
 	t.Logf("%d live writes committed during bootstrap (%d chunks)", rep.WritesDuringBootstrap, rep.ChunksApplied)
 }
 
+// chunkWins raises every low WATERMARK's seq to math.MaxUint64. The
+// delta-wins rule drops a chunk row only for an applied op above the
+// chunk's low watermark, so no row is ever dropped and every chunk
+// lands as read.
+func chunkWins(typ byte, payload []byte) []byte {
+	if typ != netrepl.FrameWatermark || len(payload) == 0 || payload[0] != 0 { // kind 0: low
+		return payload
+	}
+	out := []byte{payload[0]}
+	pos := 1
+	for i := 0; i < 3; i++ { // chunk id, round, seq
+		v, k := binary.Uvarint(payload[pos:])
+		if k <= 0 {
+			return payload
+		}
+		if i == 2 {
+			v = math.MaxUint64
+		}
+		out = binary.AppendUvarint(out, v)
+		pos += k
+	}
+	return append(out, payload[pos:]...)
+}
+
 // TestBootstrapReconciliationRegression pins the chunk-vs-delta
 // reconciliation semantics with a deterministic collision: right after
 // the first chunk read's transaction commits (and before the shipper
@@ -147,18 +174,23 @@ func TestBootstrapNoWriteOutage(t *testing.T) {
 // replayed against the stale row would diverge, the delete because
 // landing the chunk row would resurrect it. The fixed protocol
 // converges with both drops visible in the counters; the broken variant
-// (chunk wins, à la the pre-fix out-of-order server) must diverge —
-// every run, not just unlucky ones.
+// (chunk wins: every low watermark raised to math.MaxUint64 on the
+// wire, à la the pre-fix out-of-order server) must diverge — every run,
+// not just unlucky ones.
 func TestBootstrapReconciliationRegression(t *testing.T) {
 	clean := fault.NetProfile{}
 	run := func(broken bool) *BootstrapReport {
 		t.Helper()
+		var wire func(byte, []byte) []byte
+		if broken {
+			wire = chunkWins
+		}
 		rep, err := RunBootstrap(BootstrapConfig{
 			Seed: 19, Profile: &clean,
 			ChunkRows: 4, ChunkDelay: time.Millisecond,
 			DisableRestart:   true,
 			InjectCollisions: true,
-			BrokenChunkWins:  broken,
+			Wire:             wire,
 			Timeout:          20 * time.Second,
 		})
 		if err != nil && !broken {

@@ -35,16 +35,18 @@
 //
 // The workload, fault schedule, and restart decision are deterministic
 // per seed; delivery timing is not (goroutines race), but the verdict
-// must be convergence for every seed. Config.UnsafeAcceptOutOfOrder
-// re-opens a pre-fix protocol hole (accepting DELTA batches that do
-// not chain onto the durable watermark) so the sweep can demonstrate
-// the silent-loss failure mode the chain check closes.
+// must be convergence for every seed. Config.Wire rewrites the frames
+// the shipper sends, so a demonstration can re-open a hole a protocol
+// rule closes (a DELTA whose prevSeq is 0 skips the chain check) and
+// show the failure mode that rule prevents.
 package simnet
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,11 +75,11 @@ type Config struct {
 	Timeout time.Duration
 	// Profile overrides the seed-derived fault profile when non-nil.
 	Profile *fault.NetProfile
-	// UnsafeAcceptOutOfOrder re-opens the pre-fix server hole: DELTA
-	// batches are accepted even when they do not chain onto the durable
-	// watermark. Runs with it set may (and for reorder-heavy profiles
-	// do) end with Converged=false — that divergence is the point.
-	UnsafeAcceptOutOfOrder bool
+	// Wire, when set, rewrites the payload of every frame the shipper
+	// sends before the network sees it. A demonstration uses it to
+	// re-open a protocol hole; runs with it set may end with
+	// Converged=false — that divergence is the point.
+	Wire func(typ byte, payload []byte) []byte
 }
 
 // Report summarizes one run.
@@ -124,8 +126,8 @@ func profileFor(seed int64, rng *rand.Rand) fault.NetProfile {
 }
 
 // Run executes one seeded soak and reports the verdict. A run that
-// fails to converge returns a non-nil error unless the pre-fix hole is
-// open (then divergence is reported, not failed, so the sweep can
+// fails to converge returns a non-nil error unless cfg.Wire opens a
+// hole (then divergence is reported, not failed, so the sweep can
 // count it).
 func Run(cfg Config) (*Report, error) {
 	if cfg.Txns <= 0 {
@@ -189,8 +191,7 @@ func Run(cfg Config) (*Report, error) {
 	runPhase := func(seedShift int64, target func(acked func() uint64) bool) (fault.NetStats, error) {
 		nw := fault.NewNet(withSeed(profile, cfg.Seed+seedShift))
 		srv := netrepl.NewServer(netrepl.ServerConfig{
-			Dir: topicDir, UnsafeAcceptOutOfOrder: cfg.UnsafeAcceptOutOfOrder,
-			Spans:   spans,
+			Dir: topicDir, Spans: spans,
 			Replica: func(string) (*netrepl.Replica, error) { return replica, nil },
 		})
 		served := serve(srv, nw)
@@ -198,7 +199,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nw.Stats(), err
 		}
-		sh := startShipper(nw, src, nil, spans)
+		sh := startShipper(nw, src, nil, spans, cfg.Wire)
 		met := target == nil
 		for target != nil && time.Now().Before(deadline) {
 			if target(sh.Acked) {
@@ -246,7 +247,7 @@ func Run(cfg Config) (*Report, error) {
 	})
 	rep.Faults.Add(stats)
 	if err != nil {
-		if cfg.UnsafeAcceptOutOfOrder {
+		if cfg.Wire != nil {
 			// With the hole open, acks can stall behind dropped-and-skipped
 			// ops or the run can wedge; either way it is a demonstration of
 			// non-convergence, not a harness failure.
@@ -269,7 +270,7 @@ func Run(cfg Config) (*Report, error) {
 		return rep, err
 	}
 	rep.Converged = rep.WarehouseDigest == rep.SourceDigest
-	if !rep.Converged && !cfg.UnsafeAcceptOutOfOrder {
+	if !rep.Converged && cfg.Wire == nil {
 		return rep, fmt.Errorf("simnet seed %d: replica diverged: source %s, warehouse %s",
 			cfg.Seed, rep.SourceDigest, rep.WarehouseDigest)
 	}
@@ -354,11 +355,22 @@ type shipper struct {
 }
 
 // startShipper ships src's op log over nw on the soak's tight timers;
-// snap, when set, serves snapshot bootstraps.
-func startShipper(nw *fault.Net, src *source, snap *opdelta.Snapshotter, spans *obs.SpanTracer) *shipper {
+// snap, when set, serves snapshot bootstraps, and wire, when set,
+// rewrites every frame the shipper sends.
+func startShipper(nw *fault.Net, src *source, snap *opdelta.Snapshotter, spans *obs.SpanTracer, wire func(byte, []byte) []byte) *shipper {
+	dial := nw.Dial
+	if wire != nil {
+		dial = func() (net.Conn, error) {
+			c, err := nw.Dial()
+			if err != nil {
+				return nil, err
+			}
+			return wireConn{Conn: c, wire: wire}, nil
+		}
+	}
 	sh := &shipper{
 		Shipper: netrepl.NewShipper(netrepl.ShipperConfig{
-			Source: "src", Dial: nw.Dial,
+			Source: "src", Dial: dial,
 			Fetch: src.oplog.Read, SchemaOf: src.db.Schema,
 			Snapshot: snap,
 			BatchOps: 3, Window: 3,
@@ -372,6 +384,25 @@ func startShipper(nw *fault.Net, src *source, snap *opdelta.Snapshotter, spans *
 	}
 	go func() { sh.done <- sh.Run(sh.stop) }()
 	return sh
+}
+
+// wireConn rewrites each frame written on it through wire.
+// netrepl.WriteFrame makes one Write per frame, so a Write is one
+// whole frame.
+type wireConn struct {
+	net.Conn
+	wire func(typ byte, payload []byte) []byte
+}
+
+func (c wireConn) Write(p []byte) (int, error) {
+	typ, flags, payload, err := netrepl.ReadFrame(bytes.NewReader(p))
+	if err != nil {
+		return 0, err
+	}
+	if _, err := c.Conn.Write(netrepl.AppendFrame(nil, typ, flags, c.wire(typ, payload))); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // kill cuts nw — nothing graceful can be delivered — then stops the

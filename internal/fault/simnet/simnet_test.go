@@ -1,11 +1,13 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"flag"
 	"testing"
 	"time"
 
 	"opdelta/internal/fault"
+	netrepl "opdelta/internal/transport/net"
 )
 
 // netseeds bounds the randomized network-fault sweep. CI soak runs
@@ -64,13 +66,28 @@ func TestWorkloadDeterminism(t *testing.T) {
 	}
 }
 
+// unchained rewrites every DELTA's prevSeq to 0. The server reads
+// prevSeq only for the chain check, which a batch chaining onto 0 always
+// passes, so the server behaves as the pre-fix one that had no check.
+func unchained(typ byte, payload []byte) []byte {
+	if typ != netrepl.FrameDelta {
+		return payload
+	}
+	_, k := binary.Uvarint(payload)
+	if k <= 0 {
+		return payload
+	}
+	return append([]byte{0}, payload[k:]...) // uvarint 0 is one zero byte
+}
+
 // TestPreFixOutOfOrderLoss demonstrates the failure mode the DELTA
-// chain check closes: with the check disabled (the pre-fix server) and
-// a reorder-heavy network, at least one seed must lose ops — the
-// watermark jumps over a batch that never arrived, the skipped ops are
-// later dropped as replays, and the replica silently diverges under a
-// clean ack stream. The same seeds with the check enabled all converge
-// (covered by TestNetworkFaultSeeds).
+// chain check closes: with every DELTA's prevSeq rewritten to 0 on the
+// wire (the pre-fix server, which had no check) and a reorder-heavy
+// network, at least one seed must lose ops — the watermark jumps over a
+// batch that never arrived, the skipped ops are later dropped as
+// replays, and the replica silently diverges under a clean ack stream.
+// The same seeds without the rewrite all converge (covered by
+// TestNetworkFaultSeeds).
 func TestPreFixOutOfOrderLoss(t *testing.T) {
 	profile := fault.NetProfile{
 		ReorderProb: 0.5,
@@ -80,8 +97,8 @@ func TestPreFixOutOfOrderLoss(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rep, err := Run(Config{
 			Seed: seed, Profile: &profile,
-			UnsafeAcceptOutOfOrder: true,
-			Timeout:                15 * time.Second,
+			Wire:    unchained,
+			Timeout: 15 * time.Second,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: harness error: %v", seed, err)

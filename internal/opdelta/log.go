@@ -517,6 +517,7 @@ func (l *FileLog) takePending(tx *engine.Tx) []*Op {
 func (l *FileLog) writeOps(ops []*Op) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	var frame []byte
 	for _, op := range ops {
 		var schema *catalog.Schema
 		if len(op.Before) > 0 {
@@ -528,16 +529,11 @@ func (l *FileLog) writeOps(ops []*Op) error {
 				return err
 			}
 		}
-		payload, err := op.Encode(nil, schema)
-		if err != nil {
+		var err error
+		if frame, err = AppendOpFrame(frame[:0], op, schema); err != nil {
 			return err
 		}
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-		if _, err := l.bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := l.bw.Write(payload); err != nil {
+		if _, err := l.bw.Write(frame); err != nil {
 			return err
 		}
 	}
@@ -575,14 +571,8 @@ func (l *FileLog) readFile(from, upto uint64) ([]*Op, error) {
 		return nil, err
 	}
 	var out []*Op
-	pos := 0
-	for pos+4 <= len(data) {
-		sz := int(binary.LittleEndian.Uint32(data[pos:]))
-		if pos+4+sz > len(data) {
-			break // torn tail
-		}
-		frame := data[pos+4 : pos+4+sz]
-		pos += 4 + sz
+	frames, _ := SplitOpFrames(data) // a torn tail ends the log
+	for _, frame := range frames {
 		op, _, err := l.decodeFrame(frame)
 		if err != nil {
 			return nil, err

@@ -177,6 +177,34 @@ func DecodeOp(data []byte, schema *catalog.Schema) (*Op, int, error) {
 	return o, pos, nil
 }
 
+// AppendOpFrame appends op to dst as one op-file frame: the 4-byte
+// little-endian length of the encoded op, then Encode's bytes. FileLog
+// and the op files `opdeltad -method opdelta` writes use this framing.
+func AppendOpFrame(dst []byte, op *Op, schema *catalog.Schema) ([]byte, error) {
+	start := len(dst)
+	dst, err := op.Encode(append(dst, 0, 0, 0, 0), schema)
+	if err != nil {
+		return dst[:start], err
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst, nil
+}
+
+// SplitOpFrames splits op-file data into its frames' encoded ops, in
+// file order. end is the offset just past the last whole frame; a file
+// that ends inside a frame (a torn or truncated tail) has end < len(data).
+func SplitOpFrames(data []byte) (frames [][]byte, end int) {
+	for end+4 <= len(data) {
+		sz := int(binary.LittleEndian.Uint32(data[end:]))
+		if sz > len(data)-end-4 {
+			break
+		}
+		frames = append(frames, data[end+4:end+4+sz])
+		end += 4 + sz
+	}
+	return frames, end
+}
+
 func appendBlob(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)

@@ -62,10 +62,6 @@ type Bootstrapper struct {
 	Source string
 	// Obs receives bootstrap metrics; nil keeps a private registry.
 	Obs *obs.Registry
-	// BrokenChunkWins disables the delta-wins drop rule so the
-	// resurrection/lost-update failure mode stays demonstrable (à la
-	// UnsafeAcceptOutOfOrder). Never set outside tests.
-	BrokenChunkWins bool
 	// Spans, when set, closes a traced chunk's span chain: its commit
 	// records a "chunk-settle" span from frame receipt to durable
 	// apply, parented under the shipper's wire span. Nil disables it.
@@ -370,9 +366,6 @@ func (b *Bootstrapper) footMetaFor(table string) (footMeta, error) {
 // collides reports whether any op applied since the handshake with
 // seq > low touches key on table.
 func (b *Bootstrapper) collides(table string, key catalog.Value, low uint64) bool {
-	if b.BrokenChunkWins {
-		return false
-	}
 	pt := keyset.Footprint{Ranges: []keyset.KeyRange{keyset.Point(key)}}
 	for _, r := range b.recs {
 		if r.seq > low && r.table == table && r.fp.Overlaps(pt) {

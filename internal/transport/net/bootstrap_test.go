@@ -2,6 +2,7 @@ package netrepl
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ type bootRig struct {
 	acks []bootAck
 }
 
-func newBootRig(t *testing.T, schema *catalog.Schema, broken bool) *bootRig {
+func newBootRig(t *testing.T, schema *catalog.Schema) *bootRig {
 	t.Helper()
 	wh := newReplWarehouse(t, schema)
 	blog, err := warehouse.EnsureBootstrapLog(wh.wh)
@@ -40,7 +41,7 @@ func newBootRig(t *testing.T, schema *catalog.Schema, broken bool) *bootRig {
 	r := &bootRig{wh: wh, blog: blog, reg: obs.NewRegistry()}
 	r.boot = &Bootstrapper{
 		Log: blog, Applied: wh.integ.Applied,
-		Source: "src", Obs: r.reg, BrokenChunkWins: broken,
+		Source: "src", Obs: r.reg,
 	}
 	return r
 }
@@ -144,7 +145,7 @@ func TestBootstrapReconciliationUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rig := newBootRig(t, src.schema, false)
+	rig := newBootRig(t, src.schema)
 	mode, prog, err := rig.boot.Handshake(10, 0, rig.send)
 	if err != nil {
 		t.Fatal(err)
@@ -232,9 +233,11 @@ func TestBootstrapReconciliationUnit(t *testing.T) {
 }
 
 // TestBootstrapReconciliationUnitBroken keeps the failure mode
-// demonstrable, à la TestPreFixOutOfOrderLoss: with the delta-wins rule
-// disabled, the same frames commit the stale chunk verbatim on round 1
-// — the update to key 1 is lost and deleted key 3 is resurrected.
+// demonstrable, à la TestPreFixOutOfOrderLoss: the same frames with the
+// low watermark raised to math.MaxUint64 leave no applied op above low,
+// so the delta-wins rule drops nothing and round 1 commits the stale
+// chunk verbatim — the update to key 1 is lost and deleted key 3 is
+// resurrected.
 func TestBootstrapReconciliationUnitBroken(t *testing.T) {
 	src := newReplSource(t)
 	for id := 1; id <= 3; id++ {
@@ -251,7 +254,7 @@ func TestBootstrapReconciliationUnitBroken(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rig := newBootRig(t, src.schema, true)
+	rig := newBootRig(t, src.schema)
 	if mode, _, err := rig.boot.Handshake(10, 0, rig.send); err != nil || mode != ModeBootstrap {
 		t.Fatalf("handshake: mode=%d err=%v", mode, err)
 	}
@@ -259,7 +262,7 @@ func TestBootstrapReconciliationUnitBroken(t *testing.T) {
 		typ     byte
 		payload []byte
 	}{
-		{FrameWatermark, watermarkPayload(wmLow, 1, 1, 5)},
+		{FrameWatermark, watermarkPayload(wmLow, 1, 1, math.MaxUint64)},
 		{FrameSnapshotChunk, chunkPayload(1, 1, chunkFinal|chunkRunDone, "parts", lastKey, staleRows)},
 		{FrameWatermark, watermarkPayload(wmHigh, 1, 1, 12)},
 	} {

@@ -552,6 +552,85 @@ func TestServerDedupReplayedBatch(t *testing.T) {
 	}
 }
 
+// TestServerChainCheck pins the DELTA chain check on its own: on a
+// fresh topic, a batch chaining onto seq 5 (ops 6–8, as if the batch
+// carrying ops 1–5 were reordered behind it) must be duplicate-acked at
+// 0 with nothing appended and counted as out of order. Accepting it
+// would move the watermark to 8, and ops 1–5 would then be dropped as
+// replays. The in-order resend (ops 1–5, then 6–8) lands all 8 ops.
+func TestServerChainCheck(t *testing.T) {
+	nw := fault.NewNet(fault.NetProfile{Seed: 6})
+	reg := obs.NewRegistry()
+	srv := startServer(t, nw, ServerConfig{Dir: t.TempDir(), Obs: reg, Lease: time.Second})
+
+	conn, err := nw.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, FrameHello, 0, helloPayload("chain-src", 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := ReadFrame(conn); err != nil || typ != FrameWelcome {
+		t.Fatalf("handshake: %v", err)
+	}
+	ops := make([][]byte, 8)
+	for i := range ops {
+		op := &opdelta.Op{Seq: uint64(i + 1), Txn: uint64(i + 1), Kind: opdelta.OpInsert, Table: "parts",
+			Stmt: fmt.Sprintf("INSERT INTO parts (part_id) VALUES (%d)", i+1), Time: time.Now()}
+		if ops[i], err = op.Encode(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send := func(prevSeq uint64, batch [][]byte) uint64 {
+		t.Helper()
+		if err := WriteFrame(conn, FrameDelta, 0, deltaPayload(prevSeq, batch)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		typ, _, payload, err := ReadFrame(conn)
+		if err != nil || typ != FrameAck {
+			t.Fatalf("ack: %s, %v", frameName(typ), err)
+		}
+		seq, err := parseSeq(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	topic, err := srv.Topic("chain-src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onTopic := func() int {
+		t.Helper()
+		n := 0
+		if err := topic.Q.ForEach(func([]byte) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	if seq := send(5, ops[5:]); seq != 0 {
+		t.Fatalf("batch ahead of the watermark acked %d, want duplicate-ack 0", seq)
+	}
+	if n := onTopic(); n != 0 {
+		t.Fatalf("topic holds %d ops after the batch ahead, want 0", n)
+	}
+	if n := reg.Counter("netrepl_server_out_of_order_batches_total").Value(); n != 1 {
+		t.Fatalf("out-of-order batches = %d, want 1", n)
+	}
+	if seq := send(0, ops[:5]); seq != 5 {
+		t.Fatalf("first in-order batch acked %d, want 5", seq)
+	}
+	if seq := send(5, ops[5:]); seq != 8 {
+		t.Fatalf("second in-order batch acked %d, want 8", seq)
+	}
+	if n := onTopic(); n != 8 {
+		t.Fatalf("topic holds %d ops after the in-order resend, want 8", n)
+	}
+}
+
 // TestShipperFatalOnReject: a REJECT must stop the shipper with an
 // error, not loop through backoff forever.
 func TestShipperFatalOnReject(t *testing.T) {

@@ -49,13 +49,6 @@ type ServerConfig struct {
 	// gets a "persist" span; its batch mark hands the context to the applier.
 	// Nil disables tracing (trailers are still stripped and ignored).
 	Spans *obs.SpanTracer
-	// UnsafeAcceptOutOfOrder disables the DELTA chain check (prevSeq
-	// must equal the topic watermark). With it off, a reordered batch
-	// advances the watermark past ops that never arrived and the skipped
-	// ops are later dropped as replays — silent loss under a clean ack.
-	// It exists only so the simnet harness can demonstrate that failure
-	// mode; never set it in real deployments.
-	UnsafeAcceptOutOfOrder bool
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -579,7 +572,7 @@ func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recv
 	}
 	topic.mu.Lock()
 	defer topic.mu.Unlock()
-	if prevSeq > topic.lastSeq && !s.cfg.UnsafeAcceptOutOfOrder {
+	if prevSeq > topic.lastSeq {
 		// The batch chains onto a seq we have not made durable: a
 		// reordered segment jumped ahead of its predecessor. Accepting it
 		// would advance the watermark past ops that never arrived — the

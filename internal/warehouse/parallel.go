@@ -49,8 +49,10 @@ type ParallelIntegrator struct {
 	Workers int
 	// TableLocks forces whole-table lock plans (the pre-range-lock
 	// behavior): workers still pipeline commits, but same-table groups
-	// serialize their apply phases. Benchmarks use it as the baseline
-	// against key-range locking, and the equivalence sweep runs both.
+	// serialize their apply phases. It is not a failure switch: it is the
+	// reference key-range locking is measured and checked against — the
+	// E9 table-lock rows (internal/bench) and TestParallelApplyEquivalence
+	// run both modes — so it stays on the production type.
 	TableLocks bool
 	// Applied, when set, makes Apply idempotent under at-least-once
 	// redelivery: ops recorded in the AppliedLog are skipped, and each
