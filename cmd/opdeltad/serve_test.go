@@ -356,7 +356,7 @@ func TestServeShipMetricsScrape(t *testing.T) {
 		}
 	}
 	for _, source := range []string{"src-a", "src-b"} {
-		name := fmt.Sprintf("netrepl_freshness_lag_us{source=%q}", source)
+		name := fmt.Sprintf("netrepl_replication_lag_ns{source=%q}", source)
 		if _, ok := sampleValue(body, name); !ok {
 			t.Errorf("server series %s missing", name)
 		}

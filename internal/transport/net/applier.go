@@ -103,16 +103,14 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	}
 	l := obs.L("source", a.Topic.Source)
 	applied := reg.Counter("netrepl_applied_ops_total", l)
-	// Freshness lag of this source's replica: capture→durable latency of
-	// the most recently applied op. A scrape between batches sees the
-	// lag the pipeline actually delivered, not a value that grows while
-	// the source is simply quiet.
-	freshness := reg.Gauge("netrepl_freshness_lag_us", l)
 	// Replication lag, raw and skew-corrected. Raw subtracts the
 	// source's capture timestamp from our clock — it silently includes
 	// the clock offset between the machines. Corrected subtracts the
 	// per-connection offset the shipper's NTP-style estimator reported
 	// (Topic.Skew), bounding the residual error by half the probe RTT.
+	// The gauge holds the corrected lag of the most recently applied op:
+	// a scrape between batches sees the lag the pipeline delivered, not
+	// a value that grows while the source is simply quiet.
 	lagRaw := reg.Histogram("netrepl_replication_lag_raw_seconds", obs.DurationBuckets, l)
 	lagCorrected := reg.Histogram("netrepl_replication_lag_seconds", obs.DurationBuckets, l)
 	lagGauge := reg.Gauge("netrepl_replication_lag_ns", l)
@@ -174,7 +172,6 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 		applied.Add(uint64(len(batch)))
 		last := batch[len(batch)-1]
 		raw := time.Since(last.Time)
-		freshness.Set(raw.Microseconds())
 		lagRaw.ObserveDuration(raw)
 		corrected := raw
 		if off, _, ok := a.Topic.Skew(); ok {

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"opdelta/internal/catalog"
 	"opdelta/internal/fault"
 	"opdelta/internal/obs"
 	"opdelta/internal/opdelta"
@@ -378,5 +380,93 @@ func TestShipperPacesBacklog(t *testing.T) {
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hybridOps returns hybrid UPDATE ops with seqs 1, 2, … whose before
+// image carries a status of each given size: a source's wide rows make
+// an op any size.
+func hybridOps(sizes ...int) []*opdelta.Op {
+	ops := make([]*opdelta.Op, len(sizes))
+	for i, n := range sizes {
+		id := int64(i + 1)
+		img := catalog.Tuple{catalog.NewInt(id), catalog.NewString(strings.Repeat("s", n)), catalog.NewInt(0), catalog.NewTime(fixedNow())}
+		ops[i] = &opdelta.Op{Seq: uint64(id), Txn: uint64(id), Kind: opdelta.OpUpdate, Table: "parts",
+			Stmt: fmt.Sprintf("UPDATE parts SET qty = 1 WHERE part_id = %d", id), Hybrid: true,
+			Before: []catalog.Tuple{img}, Time: fixedNow()}
+	}
+	return ops
+}
+
+// fetchOps serves ops the way an op log's Read does.
+func fetchOps(ops []*opdelta.Op) func(uint64) ([]*opdelta.Op, error) {
+	return func(from uint64) ([]*opdelta.Op, error) {
+		for i, op := range ops {
+			if op.Seq > from {
+				return ops[i:], nil
+			}
+		}
+		return nil, nil
+	}
+}
+
+// TestShipperSplitsDeltaAtMaxPayload: two 5 MiB ops do not fit one
+// DELTA, so they leave in two, over one connection. A shipper that
+// bounds a DELTA by op count alone writes 10 MiB, WriteFrame refuses
+// it, and every reconnect fetches the same batch again.
+func TestShipperSplitsDeltaAtMaxPayload(t *testing.T) {
+	src := newReplSource(t)
+	nw := fault.NewNet(fault.NetProfile{Seed: 13})
+	reg := obs.NewRegistry()
+	startServer(t, nw, ServerConfig{Dir: t.TempDir(), Obs: reg})
+	sh := NewShipper(ShipperConfig{Source: "src-big", Dial: nw.Dial, Fetch: fetchOps(hybridOps(5<<20, 5<<20)),
+		SchemaOf: src.schemaOf, Obs: reg, Retry: fastPolicy})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- sh.Run(stop) }()
+	waitFor(t, 20*time.Second, "both ops acked", func() bool { return sh.Acked() == 2 })
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	l := obs.L("source", "src-big")
+	if n := reg.Counter("netrepl_shipper_batches_sent_total", l).Value(); n != 2 {
+		t.Fatalf("shipper sent %d DELTAs, want 2", n)
+	}
+	if n := reg.Counter("netrepl_shipper_reconnects_total", l).Value(); n != 1 {
+		t.Fatalf("shipper connected %d times, want 1", n)
+	}
+}
+
+// TestShipperFailsOnOpLargerThanAnyFrame: an op no DELTA can carry
+// stops the shipper with an error naming the op, its size and
+// MaxPayload, instead of reconnecting forever.
+func TestShipperFailsOnOpLargerThanAnyFrame(t *testing.T) {
+	src := newReplSource(t)
+	nw := fault.NewNet(fault.NetProfile{Seed: 14})
+	startServer(t, nw, ServerConfig{Dir: t.TempDir()})
+	ops := hybridOps(9 << 20)
+	enc, err := ops[0].Encode(nil, src.schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShipper(ShipperConfig{Source: "src-huge", Dial: nw.Dial, Fetch: fetchOps(ops),
+		SchemaOf: src.schemaOf, Retry: fastPolicy})
+	stop := make(chan struct{})
+	defer close(stop)
+	done := make(chan error, 1)
+	go func() { done <- sh.Run(stop) }()
+	select {
+	case err := <-done:
+		for _, want := range []string{"op 1 ", fmt.Sprint(len(enc)), fmt.Sprint(MaxPayload)} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run = %v, want an error naming %q", err, want)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Run still running 20 s after the oversized op")
+	}
+	if n := sh.Acked(); n != 0 {
+		t.Fatalf("acked %d, want 0", n)
 	}
 }

@@ -277,19 +277,15 @@ func helloPayload(source string, base uint64, sendUnixNs int64) []byte {
 // Version fails with an error that names it, and one without a source
 // id fails too; the server sends either error back as its REJECT.
 func parseHello(p []byte) (base uint64, sendUnixNs int64, source string, err error) {
-	if len(p) == 0 {
-		return 0, 0, "", fmt.Errorf("%w: empty HELLO", ErrBadFrame)
+	r := fieldReader{frame: "HELLO", p: p}
+	if v := r.u8(); r.err == nil && v != Version {
+		return 0, 0, "", fmt.Errorf("unsupported version %d (want %d)", v, Version)
 	}
-	if p[0] != Version {
-		return 0, 0, "", fmt.Errorf("unsupported version %d (want %d)", p[0], Version)
+	base, sendUnixNs, source = r.uvarint(), int64(r.u64()), string(r.rest())
+	if err := r.end(); err != nil {
+		return 0, 0, "", err
 	}
-	base, k := binary.Uvarint(p[1:])
-	if k <= 0 || len(p) < 1+k+8 {
-		return 0, 0, "", fmt.Errorf("%w: HELLO base or timestamp", ErrBadFrame)
-	}
-	pos := 1 + k
-	sendUnixNs = int64(binary.LittleEndian.Uint64(p[pos : pos+8]))
-	if source = string(p[pos+8:]); source == "" {
+	if source == "" {
 		return 0, 0, "", errors.New("missing source id")
 	}
 	return base, sendUnixNs, source, nil
@@ -301,15 +297,85 @@ func appendBlob(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// takeBlob reads a uvarint-length-prefixed byte string at pos. The
-// returned slice aliases p.
-func takeBlob(p []byte, pos int) ([]byte, int, error) {
-	l, k := binary.Uvarint(p[pos:])
-	if k <= 0 || uint64(len(p)-pos-k) < l {
-		return nil, 0, fmt.Errorf("%w: truncated blob", ErrBadFrame)
+// fieldReader reads a payload's fields in order; every payload decoder
+// reads through one. The first field that does not fit sets a sticky
+// error wrapping ErrBadFrame, and every later read returns zero, so a
+// decoder reads all its fields and checks once, at end. Byte strings
+// alias the payload.
+type fieldReader struct {
+	frame string // frame name, for errors
+	p     []byte // unread bytes
+	off   int    // bytes read, for errors
+	err   error
+}
+
+// failf records the first failure and drops the unread bytes.
+func (r *fieldReader) failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s at byte %d: %s", ErrBadFrame, r.frame, r.off, fmt.Sprintf(format, args...))
 	}
-	pos += k
-	return p[pos : pos+int(l)], pos + int(l), nil
+	r.p = nil
+}
+
+// take reads the next n bytes.
+func (r *fieldReader) take(n int) []byte {
+	if n > len(r.p) {
+		r.failf("%d bytes wanted, %d left", n, len(r.p))
+		return nil
+	}
+	b := r.p[:n]
+	r.p, r.off = r.p[n:], r.off+n
+	return b
+}
+
+func (r *fieldReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *fieldReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *fieldReader) uvarint() uint64 {
+	v, k := binary.Uvarint(r.p)
+	if k <= 0 {
+		r.failf("bad uvarint")
+		return 0
+	}
+	r.p, r.off = r.p[k:], r.off+k
+	return v
+}
+
+// count reads a uvarint element count or byte length. Every element
+// takes at least one byte, so a count above the bytes left is corrupt;
+// only a count that passed this check may size a slice.
+func (r *fieldReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.p)) {
+		r.failf("count %d exceeds the %d bytes left", n, len(r.p))
+		return 0
+	}
+	return int(n)
+}
+
+// blob reads a uvarint-length-prefixed byte string.
+func (r *fieldReader) blob() []byte { return r.take(r.count()) }
+
+// rest reads every byte left: a payload's unbounded tail.
+func (r *fieldReader) rest() []byte { return r.take(len(r.p)) }
+
+// end returns the first failure, or an error when bytes are left.
+func (r *fieldReader) end() error {
+	if len(r.p) > 0 {
+		r.failf("%d trailing bytes", len(r.p))
+	}
+	return r.err
 }
 
 // skewTimes carries one NTP-style timestamp exchange: t0 the client's
@@ -328,24 +394,13 @@ func appendSkewTimes(out []byte, ts skewTimes) []byte {
 
 const skewTimesLen = 24
 
-func parseSkewTimes(p []byte) skewTimes {
-	return skewTimes{
-		T0: int64(binary.LittleEndian.Uint64(p[0:8])),
-		T1: int64(binary.LittleEndian.Uint64(p[8:16])),
-		T2: int64(binary.LittleEndian.Uint64(p[16:24])),
-	}
-}
-
 // welcomePayload encodes WELCOME: 8-byte resume seq, mode byte, in
 // ModeBootstrap a uvarint table count followed by per-table progress
 // (blob table name, state byte 0=in-progress 1=done, blob last key),
 // and a fixed 24-byte timestamp exchange completing the HELLO's skew
 // probe.
 func welcomePayload(seq uint64, mode byte, progress []BootstrapProgress, ts skewTimes) []byte {
-	out := make([]byte, 0, 16)
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], seq)
-	out = append(out, buf[:]...)
+	out := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), seq)
 	out = append(out, mode)
 	if mode == ModeBootstrap {
 		out = binary.AppendUvarint(out, uint64(len(progress)))
@@ -364,42 +419,22 @@ func welcomePayload(seq uint64, mode byte, progress []BootstrapProgress, ts skew
 
 // parseWelcome decodes a WELCOME payload.
 func parseWelcome(p []byte) (seq uint64, mode byte, progress []BootstrapProgress, ts skewTimes, err error) {
-	if len(p) < 9 {
-		return 0, 0, nil, ts, fmt.Errorf("%w: WELCOME %d bytes", ErrBadFrame, len(p))
-	}
-	seq = binary.LittleEndian.Uint64(p[:8])
-	mode = p[8]
-	pos := 9
+	r := fieldReader{frame: "WELCOME", p: p}
+	seq, mode = r.u64(), r.u8()
 	if mode == ModeBootstrap {
-		n, k := binary.Uvarint(p[pos:])
-		if k <= 0 {
-			return 0, 0, nil, ts, fmt.Errorf("%w: WELCOME table count", ErrBadFrame)
-		}
-		pos += k
-		for i := uint64(0); i < n; i++ {
-			var table, key []byte
-			if table, pos, err = takeBlob(p, pos); err != nil {
-				return 0, 0, nil, ts, err
-			}
-			if pos >= len(p) {
-				return 0, 0, nil, ts, fmt.Errorf("%w: WELCOME progress state", ErrBadFrame)
-			}
-			state := p[pos]
-			pos++
-			if key, pos, err = takeBlob(p, pos); err != nil {
-				return 0, 0, nil, ts, err
-			}
-			pr := BootstrapProgress{Table: string(table), Done: state == 1}
-			if len(key) > 0 {
+		for n := r.count(); n > 0; n-- {
+			pr := BootstrapProgress{Table: string(r.blob()), Done: r.u8() == 1}
+			if key := r.blob(); len(key) > 0 {
 				pr.LastKey = append([]byte(nil), key...)
 			}
 			progress = append(progress, pr)
 		}
 	}
-	if len(p)-pos != skewTimesLen {
-		return 0, 0, nil, ts, fmt.Errorf("%w: WELCOME timestamps", ErrBadFrame)
+	ts = skewTimes{T0: int64(r.u64()), T1: int64(r.u64()), T2: int64(r.u64())}
+	if err := r.end(); err != nil {
+		return 0, 0, nil, skewTimes{}, err
 	}
-	return seq, mode, progress, parseSkewTimes(p[pos:]), nil
+	return seq, mode, progress, ts, nil
 }
 
 // Heartbeat payloads. A probe carries the client's send time plus its
@@ -423,17 +458,15 @@ func probePayload(sendUnixNs, offsetNs, rttNs int64, hasEstimate bool) []byte {
 	return out
 }
 
-const probeLen = 25
-
 // parseProbe decodes a HEARTBEAT probe.
 func parseProbe(p []byte) (sendUnixNs, offsetNs, rttNs int64, hasEstimate bool, err error) {
-	if len(p) != probeLen {
-		return 0, 0, 0, false, fmt.Errorf("%w: HEARTBEAT probe %d bytes", ErrBadFrame, len(p))
+	r := fieldReader{frame: "HEARTBEAT probe", p: p}
+	sendUnixNs, offsetNs, rttNs = int64(r.u64()), int64(r.u64()), int64(r.u64())
+	hasEstimate = r.u8() == 1
+	if err := r.end(); err != nil {
+		return 0, 0, 0, false, err
 	}
-	return int64(binary.LittleEndian.Uint64(p[0:8])),
-		int64(binary.LittleEndian.Uint64(p[8:16])),
-		int64(binary.LittleEndian.Uint64(p[16:24])),
-		p[24] == 1, nil
+	return sendUnixNs, offsetNs, rttNs, hasEstimate, nil
 }
 
 // echoPayload encodes a HEARTBEAT echo: the probe's timestamp
@@ -444,10 +477,12 @@ func echoPayload(ts skewTimes) []byte {
 
 // parseEcho decodes a HEARTBEAT echo.
 func parseEcho(p []byte) (skewTimes, error) {
-	if len(p) != skewTimesLen {
-		return skewTimes{}, fmt.Errorf("%w: HEARTBEAT echo %d bytes", ErrBadFrame, len(p))
+	r := fieldReader{frame: "HEARTBEAT echo", p: p}
+	ts := skewTimes{T0: int64(r.u64()), T1: int64(r.u64()), T2: int64(r.u64())}
+	if err := r.end(); err != nil {
+		return skewTimes{}, err
 	}
-	return parseSkewTimes(p), nil
+	return ts, nil
 }
 
 // Watermark kinds.
@@ -469,24 +504,13 @@ func watermarkPayload(kind byte, chunkID, round, seq uint64) []byte {
 
 // parseWatermark decodes a WATERMARK payload.
 func parseWatermark(p []byte) (kind byte, chunkID, round, seq uint64, err error) {
-	if len(p) < 4 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: WATERMARK %d bytes", ErrBadFrame, len(p))
+	r := fieldReader{frame: "WATERMARK", p: p}
+	kind, chunkID, round, seq = r.u8(), r.uvarint(), r.uvarint(), r.uvarint()
+	if err := r.end(); err != nil {
+		return 0, 0, 0, 0, err
 	}
-	kind = p[0]
 	if kind != wmLow && kind != wmHigh {
 		return 0, 0, 0, 0, fmt.Errorf("%w: WATERMARK kind %d", ErrBadFrame, kind)
-	}
-	pos := 1
-	for _, dst := range []*uint64{&chunkID, &round, &seq} {
-		v, k := binary.Uvarint(p[pos:])
-		if k <= 0 {
-			return 0, 0, 0, 0, fmt.Errorf("%w: WATERMARK varint", ErrBadFrame)
-		}
-		*dst = v
-		pos += k
-	}
-	if pos != len(p) {
-		return 0, 0, 0, 0, fmt.Errorf("%w: WATERMARK trailing bytes", ErrBadFrame)
 	}
 	return kind, chunkID, round, seq, nil
 }
@@ -522,46 +546,18 @@ func chunkPayload(chunkID, round uint64, flags byte, table string, lastKey []byt
 
 // parseChunk decodes a SNAPSHOT_CHUNK payload. Row slices alias p.
 func parseChunk(p []byte) (chunkID, round uint64, flags byte, table string, lastKey []byte, rows [][]byte, err error) {
-	pos := 0
-	var k int
-	chunkID, k = binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK id", ErrBadFrame)
+	r := fieldReader{frame: "SNAPSHOT_CHUNK", p: p}
+	chunkID, round, flags = r.uvarint(), r.uvarint(), r.u8()
+	table, lastKey = string(r.blob()), r.blob()
+	rows = make([][]byte, r.count())
+	for i := range rows {
+		rows[i] = r.blob()
 	}
-	pos += k
-	round, k = binary.Uvarint(p[pos:])
-	if k <= 0 || pos+k >= len(p) {
-		return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK round", ErrBadFrame)
-	}
-	pos += k
-	flags = p[pos]
-	pos++
-	var tb []byte
-	if tb, pos, err = takeBlob(p, pos); err != nil {
-		return 0, 0, 0, "", nil, nil, err
-	}
-	table = string(tb)
-	if lastKey, pos, err = takeBlob(p, pos); err != nil {
+	if err := r.end(); err != nil {
 		return 0, 0, 0, "", nil, nil, err
 	}
 	if len(lastKey) == 0 {
 		lastKey = nil
-	}
-	n, k := binary.Uvarint(p[pos:])
-	if k <= 0 {
-		return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK row count", ErrBadFrame)
-	}
-	pos += k
-	rows = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var r []byte
-		if r, pos, err = takeBlob(p, pos); err != nil {
-			return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK row %d", ErrBadFrame, i)
-		}
-		rows = append(rows, r)
-	}
-	if pos != len(p) {
-		return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK trailing bytes", ErrBadFrame)
 	}
 	return chunkID, round, flags, table, lastKey, rows, nil
 }
@@ -592,66 +588,45 @@ func chunkAckPayload(chunkID, round uint64, status byte, keys [][]byte) []byte {
 
 // parseChunkAck decodes a CHUNK_ACK payload. Key slices alias p.
 func parseChunkAck(p []byte) (chunkID, round uint64, status byte, keys [][]byte, err error) {
-	pos := 0
-	var k int
-	chunkID, k = binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK id", ErrBadFrame)
+	r := fieldReader{frame: "CHUNK_ACK", p: p}
+	chunkID, round, status = r.uvarint(), r.uvarint(), r.u8()
+	keys = make([][]byte, r.count())
+	for i := range keys {
+		keys[i] = r.blob()
 	}
-	pos += k
-	round, k = binary.Uvarint(p[pos:])
-	if k <= 0 || pos+k >= len(p) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK round", ErrBadFrame)
-	}
-	pos += k
-	status = p[pos]
-	pos++
-	n, k := binary.Uvarint(p[pos:])
-	if k <= 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK key count", ErrBadFrame)
-	}
-	pos += k
-	keys = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var key []byte
-		if key, pos, err = takeBlob(p, pos); err != nil {
-			return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK key %d", ErrBadFrame, i)
-		}
-		keys = append(keys, key)
-	}
-	if pos != len(p) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK trailing bytes", ErrBadFrame)
+	if err := r.end(); err != nil {
+		return 0, 0, 0, nil, err
 	}
 	return chunkID, round, status, keys, nil
 }
 
 // seqPayload encodes the 8-byte seq payload of an ACK frame.
 func seqPayload(seq uint64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], seq)
-	return buf[:]
+	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), seq)
 }
 
 // parseSeq decodes an ACK payload.
 func parseSeq(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("%w: seq payload %d bytes", ErrBadFrame, len(p))
+	r := fieldReader{frame: "ACK", p: p}
+	seq := r.u64()
+	if err := r.end(); err != nil {
+		return 0, err
 	}
-	return binary.LittleEndian.Uint64(p), nil
+	return seq, nil
 }
 
 // deltaPayload frames a batch of already-encoded ops: uvarint prevSeq
 // (the sender's cursor immediately before this batch — the seq the
-// batch chains onto), uvarint count, then uvarint length + bytes per
-// op. Each op's own encoding carries its seq (bytes 0:8), so the batch
-// needs no further seq fields.
+// batch chains onto), uvarint count, then one blob per op. Each op's
+// own encoding carries its seq (bytes 0:8), so the batch needs no
+// further seq fields.
 //
 // prevSeq is what makes delivery loss-proof under segment reordering:
 // the server accepts a batch only when prevSeq matches its durable
 // watermark, so a batch that jumped the queue cannot advance the
 // watermark past ops that never arrived.
 func deltaPayload(prevSeq uint64, encOps [][]byte) []byte {
-	size := 2 * binary.MaxVarintLen64
+	size := deltaHeaderMax
 	for _, e := range encOps {
 		size += binary.MaxVarintLen64 + len(e)
 	}
@@ -659,39 +634,27 @@ func deltaPayload(prevSeq uint64, encOps [][]byte) []byte {
 	out = binary.AppendUvarint(out, prevSeq)
 	out = binary.AppendUvarint(out, uint64(len(encOps)))
 	for _, e := range encOps {
-		out = binary.AppendUvarint(out, uint64(len(e)))
-		out = append(out, e...)
+		out = appendBlob(out, e)
 	}
 	return out
 }
 
+// deltaHeaderMax is the most bytes a DELTA's prevSeq and count take.
+const deltaHeaderMax = 2 * binary.MaxVarintLen64
+
 // parseDelta splits a DELTA payload back into its chain seq and the
 // encoded ops. The returned slices alias p.
 func parseDelta(p []byte) (prevSeq uint64, encOps [][]byte, err error) {
-	prevSeq, k := binary.Uvarint(p)
-	if k <= 0 {
-		return 0, nil, fmt.Errorf("%w: DELTA prev seq", ErrBadFrame)
+	r := fieldReader{frame: "DELTA", p: p}
+	prevSeq = r.uvarint()
+	encOps = make([][]byte, r.count())
+	for i := range encOps {
+		encOps[i] = r.blob()
 	}
-	pos := k
-	count, k := binary.Uvarint(p[pos:])
-	if k <= 0 {
-		return 0, nil, fmt.Errorf("%w: DELTA count", ErrBadFrame)
+	if err := r.end(); err != nil {
+		return 0, nil, err
 	}
-	pos += k
-	out := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, k := binary.Uvarint(p[pos:])
-		if k <= 0 || uint64(len(p)-pos-k) < l {
-			return 0, nil, fmt.Errorf("%w: DELTA op %d truncated", ErrBadFrame, i)
-		}
-		pos += k
-		out = append(out, p[pos:pos+int(l)])
-		pos += int(l)
-	}
-	if pos != len(p) {
-		return 0, nil, fmt.Errorf("%w: DELTA trailing bytes", ErrBadFrame)
-	}
-	return prevSeq, out, nil
+	return prevSeq, encOps, nil
 }
 
 // opSeq peeks the seq from an encoded op (bytes 0:8 of the op

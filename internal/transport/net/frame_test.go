@@ -2,10 +2,13 @@ package netrepl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,5 +316,209 @@ func TestShipperSurvivesDeadlineInsideEveryFrame(t *testing.T) {
 	}
 	if n := reg.Counter("netrepl_server_bad_frames_total").Value(); n != 0 {
 		t.Fatalf("server saw %d bad frames", n)
+	}
+}
+
+// payloadCase is one payload decoder under test: an encoder's output,
+// the values it must decode to, and payloads whose count or length
+// field claims 1<<62 elements or bytes.
+type payloadCase struct {
+	name    string
+	payload []byte
+	want    []any
+	decode  func([]byte) ([]any, error)
+	hostile [][]byte
+	// tail is how many bytes at the end are an unbounded field (HELLO's
+	// source id): cutting into it or appending to it changes the value,
+	// not the payload's validity.
+	tail int
+}
+
+func payloadCases() []payloadCase {
+	huge := func(prefix ...byte) []byte { return binary.AppendUvarint(prefix, 1<<62) }
+	ts := skewTimes{T0: 1, T1: -2, T2: 3}
+	tsBytes := appendSkewTimes(nil, ts)
+	prog := []BootstrapProgress{{Table: "parts", Done: true}, {Table: "other", LastKey: []byte("k7")}}
+	ops := [][]byte{append(seqPayload(7), "op-seven"...), seqPayload(8), {}}
+	rows := [][]byte{[]byte("row-a"), {}, []byte("row-c")}
+	keys := [][]byte{[]byte("k1"), []byte("k22")}
+	return []payloadCase{
+		{
+			name: "HELLO", payload: helloPayload("src-a", 1<<40, -5), want: []any{uint64(1 << 40), int64(-5), "src-a"},
+			decode: func(p []byte) ([]any, error) { b, n, s, err := parseHello(p); return []any{b, n, s}, err },
+			tail:   len("src-a"),
+		},
+		{
+			name: "WELCOME stream", payload: welcomePayload(9, ModeStream, nil, ts),
+			want:   []any{uint64(9), ModeStream, []BootstrapProgress(nil), ts},
+			decode: decodeWelcome,
+		},
+		{
+			name: "WELCOME bootstrap", payload: welcomePayload(9, ModeBootstrap, prog, ts),
+			want:   []any{uint64(9), ModeBootstrap, prog, ts},
+			decode: decodeWelcome,
+			hostile: [][]byte{
+				append(huge(append(seqPayload(9), ModeBootstrap)...), tsBytes...),
+				append(huge(append(seqPayload(9), ModeBootstrap, 1)...), tsBytes...),
+			},
+		},
+		{
+			name: "HEARTBEAT probe", payload: probePayload(100, -7, 42, true), want: []any{int64(100), int64(-7), int64(42), true},
+			decode: func(p []byte) ([]any, error) { a, b, c, d, err := parseProbe(p); return []any{a, b, c, d}, err },
+		},
+		{
+			name: "HEARTBEAT echo", payload: echoPayload(ts), want: []any{ts},
+			decode: func(p []byte) ([]any, error) { ts, err := parseEcho(p); return []any{ts}, err },
+		},
+		{
+			name: "WATERMARK", payload: watermarkPayload(wmHigh, 3, 2, 1<<50), want: []any{wmHigh, uint64(3), uint64(2), uint64(1 << 50)},
+			decode: func(p []byte) ([]any, error) { k, c, r, s, err := parseWatermark(p); return []any{k, c, r, s}, err },
+		},
+		{
+			name:    "SNAPSHOT_CHUNK",
+			payload: chunkPayload(4, 1, chunkFinal|chunkChase, "parts", []byte("last"), rows),
+			want:    []any{uint64(4), uint64(1), chunkFinal | chunkChase, "parts", []byte("last"), rows},
+			decode: func(p []byte) ([]any, error) {
+				c, r, f, tb, lk, rs, err := parseChunk(p)
+				return []any{c, r, f, tb, lk, rs}, err
+			},
+			hostile: [][]byte{
+				huge(4, 1, 0, 1, 't', 0),
+				append(huge(4, 1, 0), 't'),
+				append(huge(4, 1, 0, 1, 't', 0, 1), 'r'),
+			},
+		},
+		{
+			name: "CHUNK_ACK", payload: chunkAckPayload(4, 2, chunkResend, keys), want: []any{uint64(4), uint64(2), chunkResend, keys},
+			decode:  func(p []byte) ([]any, error) { c, r, s, ks, err := parseChunkAck(p); return []any{c, r, s, ks}, err },
+			hostile: [][]byte{huge(4, 2, chunkResend), append(huge(4, 2, chunkResend, 1), 'k')},
+		},
+		{
+			name: "ACK", payload: seqPayload(1 << 40), want: []any{uint64(1 << 40)},
+			decode: func(p []byte) ([]any, error) { s, err := parseSeq(p); return []any{s}, err },
+		},
+		{
+			name: "DELTA", payload: deltaPayload(6, ops), want: []any{uint64(6), ops},
+			decode:  func(p []byte) ([]any, error) { prev, ops, err := parseDelta(p); return []any{prev, ops}, err },
+			hostile: [][]byte{huge(0), append(huge(0, 1), 'o'), append(huge(0, 2, 1, 'o'), 'p')},
+		},
+	}
+}
+
+func decodeWelcome(p []byte) ([]any, error) {
+	seq, mode, prog, ts, err := parseWelcome(p)
+	return []any{seq, mode, prog, ts}, err
+}
+
+// helloRejectReason reports whether err is one of the two HELLO errors
+// the server sends back as its REJECT reason instead of counting a bad
+// frame.
+func helloRejectReason(err error) bool {
+	return strings.HasPrefix(err.Error(), "unsupported version") || err.Error() == "missing source id"
+}
+
+// TestFramePayloadDecoders: every payload decoder round-trips its
+// encoder's output, fails every truncation and a trailing byte with
+// ErrBadFrame, and fails a count or length of 1<<62 with ErrBadFrame
+// instead of sizing a slice by it.
+func TestFramePayloadDecoders(t *testing.T) {
+	for _, c := range payloadCases() {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := c.decode(c.payload)
+			if err != nil {
+				t.Fatalf("round trip: %v", err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("round trip = %#v, want %#v", got, c.want)
+			}
+			for cut := 0; cut < len(c.payload)-c.tail; cut++ {
+				if _, err := c.decode(c.payload[:cut]); !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("cut to %d of %d bytes: err = %v, want ErrBadFrame", cut, len(c.payload), err)
+				}
+			}
+			if c.tail == 0 {
+				if _, err := c.decode(append(c.payload[:len(c.payload):len(c.payload)], 0)); !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("one trailing byte: err = %v, want ErrBadFrame", err)
+				}
+			}
+			for i, p := range c.hostile {
+				if _, err := c.decode(p); !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("hostile payload %d (% x): err = %v, want ErrBadFrame", i, p, err)
+				}
+			}
+		})
+	}
+	// HELLO's fixed fields end where its source id starts: a HELLO cut
+	// there has no source, which is a REJECT reason, not a bad frame.
+	if _, _, _, err := parseHello(helloPayload("", 1, 2)); err == nil || !helloRejectReason(err) {
+		t.Fatalf("HELLO without source: err = %v, want the missing source id reason", err)
+	}
+}
+
+// FuzzFramePayloads: no payload panics a decoder, and every error but
+// HELLO's two REJECT reasons wraps ErrBadFrame. Its seed corpus is every
+// encoder's output and the hostile counts, so plain `go test` runs them.
+func FuzzFramePayloads(f *testing.F) {
+	cases := payloadCases()
+	for i, c := range cases {
+		f.Add(uint8(i), c.payload)
+		for _, p := range c.hostile {
+			f.Add(uint8(i), p)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, p []byte) {
+		c := cases[int(which)%len(cases)]
+		_, err := c.decode(p)
+		if err != nil && !errors.Is(err, ErrBadFrame) && !(c.name == "HELLO" && helloRejectReason(err)) {
+			t.Fatalf("%s decoder: err = %v, want ErrBadFrame", c.name, err)
+		}
+	})
+}
+
+// TestServerSurvivesHostileCount: a CRC-valid DELTA whose op count is
+// 1<<62 costs its connection and one bad-frame count, not the server:
+// a fresh shipper still replicates through it afterwards.
+func TestServerSurvivesHostileCount(t *testing.T) {
+	nw := fault.NewNet(fault.NetProfile{Seed: 12})
+	reg := obs.NewRegistry()
+	startServer(t, nw, ServerConfig{Dir: t.TempDir(), Obs: reg, Lease: 5 * time.Second})
+
+	conn, err := nw.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, FrameHello, 0, helloPayload("src-h", 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := ReadFrame(conn); err != nil || typ != FrameWelcome {
+		t.Fatalf("handshake: %s, %v", frameName(typ), err)
+	}
+	if err := WriteFrame(conn, FrameDelta, 0, binary.AppendUvarint([]byte{0}, 1<<62)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, _, err := ReadFrame(conn); err == nil {
+		t.Fatalf("server answered the hostile DELTA with %s, want a closed connection", frameName(typ))
+	}
+	if n := reg.Counter("netrepl_server_bad_frames_total").Value(); n != 1 {
+		t.Fatalf("bad frames = %d, want 1", n)
+	}
+
+	src := newReplSource(t)
+	src.workload(t, 20, 0)
+	want := src.maxSeq(t)
+	sh := NewShipper(ShipperConfig{Source: "src-h", Dial: nw.Dial, Fetch: src.log.Read, SchemaOf: src.schemaOf,
+		Obs: reg, Retry: fastPolicy})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- sh.Run(stop) }()
+	waitFor(t, 20*time.Second, "the fresh shipper's ack", func() bool { return sh.Acked() == want })
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("netrepl_server_bad_frames_total").Value(); n != 1 {
+		t.Fatalf("bad frames after the fresh shipper = %d, want 1", n)
 	}
 }

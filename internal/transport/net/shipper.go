@@ -1,6 +1,7 @@
 package netrepl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -293,11 +294,16 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 			if len(ops) == 0 {
 				break
 			}
+			drained := len(ops) < sh.cfg.BatchOps
 			if len(ops) > sh.cfg.BatchOps {
 				ops = ops[:sh.cfg.BatchOps]
 			}
-			encOps := make([][]byte, len(ops))
-			for i, op := range ops {
+			// A DELTA ends at BatchOps ops or before the op that would
+			// take its payload past MaxPayload, whichever comes first:
+			// hybrid before images make an op any size.
+			encOps := make([][]byte, 0, len(ops))
+			size := deltaHeaderMax + traceTrailerLen
+			for _, op := range ops {
 				var schema *catalog.Schema
 				if len(op.Before) > 0 {
 					if sh.cfg.SchemaOf == nil {
@@ -307,10 +313,19 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 						return err
 					}
 				}
-				if encOps[i], err = op.Encode(nil, schema); err != nil {
+				enc, err := op.Encode(nil, schema)
+				if err != nil {
 					return err
 				}
+				if size += binary.MaxVarintLen64 + len(enc); size > MaxPayload {
+					if len(encOps) == 0 {
+						return fmt.Errorf("netrepl: op %d encodes to %d bytes, too large for any DELTA frame (MaxPayload %d)", op.Seq, len(enc), MaxPayload)
+					}
+					break
+				}
+				encOps = append(encOps, enc)
 			}
+			ops = ops[:len(encOps)]
 			now := time.Now()
 			last := ops[len(ops)-1].Seq
 			pb := pendingBatch{lastSeq: last, sentAt: now, firstSent: now}
@@ -359,7 +374,7 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 			sh.inflight.Set(int64(len(pending)))
 			sh.batchesSent.Inc()
 			sh.opsSent.Add(uint64(len(ops)))
-			if len(ops) < sh.cfg.BatchOps {
+			if drained {
 				stalled = true // drained the log; don't spin Fetch
 			}
 		}
