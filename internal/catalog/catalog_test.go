@@ -279,6 +279,21 @@ func TestDecodeRejectsTrailingAndTruncated(t *testing.T) {
 			t.Errorf("truncation at %d must be rejected", cut)
 		}
 	}
+	// What EncodeTuple never writes is refused, so a tuple that decodes
+	// re-encodes to the same bytes. enc is: bitmap [0], id [1:9], name's
+	// length and byte [9:11], weight [11:19], blob [19:21], ts [21:29],
+	// ok [29].
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), enc...)) }
+	for name, bad := range map[string][]byte{
+		"padding bit":          edit(func(b []byte) []byte { b[0] |= 1 << 6; return b }),
+		"NULL in NOT NULL":     edit(func(b []byte) []byte { b[0] |= 1; return append(b[:1], b[9:]...) }),
+		"bool byte 2":          edit(func(b []byte) []byte { b[29] = 2; return b }),
+		"overlong length of 1": edit(func(b []byte) []byte { return append(append(b[:9:9], 0x81, 0x00), b[10:]...) }),
+	} {
+		if got, err := DecodeTuple(s, bad); err == nil {
+			t.Errorf("%s: decoded to %v", name, got)
+		}
+	}
 }
 
 func TestDecodeTuplePrefixConsumesExactly(t *testing.T) {

@@ -71,7 +71,11 @@ func (t Tuple) String() string {
 //	  STRING/BYTES: uvarint length + payload
 //
 // The encoding is self-delimiting given the schema, which is how slotted
-// pages, WAL records, export files and snapshots all store rows.
+// pages, WAL records, export files and snapshots all store rows. It is
+// also canonical: the decoder refuses what EncodeTuple never writes —
+// set bitmap padding bits, a NULL in a NOT NULL column, a bool byte
+// other than 0 or 1, an overlong length — so a tuple that decodes
+// re-encodes to the same bytes.
 
 // EncodeTuple appends the binary encoding of t (validated against s)
 // to dst and returns the extended slice.
@@ -135,11 +139,17 @@ func DecodeTuplePrefix(s *Schema, data []byte) (Tuple, int, error) {
 		return nil, 0, fmt.Errorf("catalog: tuple data truncated in null bitmap")
 	}
 	bitmap := data[:nb]
+	if ncols%8 != 0 && bitmap[nb-1]>>(ncols%8) != 0 {
+		return nil, 0, fmt.Errorf("catalog: null bitmap marks columns past the last")
+	}
 	pos := nb
 	t := make(Tuple, ncols)
 	for i := 0; i < ncols; i++ {
 		c := s.Column(i)
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
+			if c.NotNull {
+				return nil, 0, fmt.Errorf("catalog: NULL in NOT NULL column %q", c.Name)
+			}
 			t[i] = NewNull(c.Type)
 			continue
 		}
@@ -166,12 +176,18 @@ func DecodeTuplePrefix(s *Schema, data []byte) (Tuple, int, error) {
 			if len(data)-pos < 1 {
 				return nil, 0, truncErr(c)
 			}
-			t[i] = NewBool(data[pos] != 0)
+			if data[pos] > 1 {
+				return nil, 0, fmt.Errorf("catalog: bool byte %#x in column %q", data[pos], c.Name)
+			}
+			t[i] = NewBool(data[pos] == 1)
 			pos++
 		case TypeString, TypeBytes:
 			l, n := binary.Uvarint(data[pos:])
 			if n <= 0 || uint64(len(data)-pos-n) < l {
 				return nil, 0, truncErr(c)
+			}
+			if n > 1 && data[pos+n-1] == 0 {
+				return nil, 0, fmt.Errorf("catalog: overlong length in column %q", c.Name)
 			}
 			pos += n
 			payload := data[pos : pos+int(l)]

@@ -2,10 +2,11 @@ package opdelta
 
 import (
 	"bufio"
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,6 +14,7 @@ import (
 	"opdelta/internal/engine"
 	"opdelta/internal/fault"
 	"opdelta/internal/sqlmini"
+	"opdelta/internal/storage"
 )
 
 // Log stores captured ops. Two implementations mirror the paper's §4.2
@@ -42,20 +44,26 @@ type Log interface {
 // TableLogName is the capture table used by TableLog.
 const TableLogName = "opdelta__log"
 
-// tableLogSchema stores one op per row.
+// tableLogSchema stores each op as its encoding (Op.Encode), cut into
+// chunks of at most opChunk bytes, one row per chunk: o_part numbers an
+// op's chunks from 0. A BASE marker (see Truncate) is a row with o_part
+// basePart and a NULL o_op.
 func tableLogSchema() *catalog.Schema {
 	return catalog.NewSchema(
 		catalog.Column{Name: "o_seq", Type: catalog.TypeInt64, NotNull: true},
-		catalog.Column{Name: "o_txn", Type: catalog.TypeInt64, NotNull: true},
-		catalog.Column{Name: "o_kind", Type: catalog.TypeString, NotNull: true},
-		catalog.Column{Name: "o_table", Type: catalog.TypeString, NotNull: true},
-		catalog.Column{Name: "o_stmt", Type: catalog.TypeString, NotNull: true},
-		catalog.Column{Name: "o_time", Type: catalog.TypeTime, NotNull: true},
-		catalog.Column{Name: "o_hybrid", Type: catalog.TypeBool, NotNull: true},
 		catalog.Column{Name: "o_part", Type: catalog.TypeInt64, NotNull: true},
-		catalog.Column{Name: "o_before", Type: catalog.TypeBytes}, // encoded hybrid images (chunked)
+		catalog.Column{Name: "o_op", Type: catalog.TypeBytes},
 	)
 }
+
+// opChunk is the most encoded-op bytes one op-log row carries: a row
+// with a full chunk — its null bitmap, o_seq, o_part, the chunk's
+// 2-byte length and the chunk — is the largest record a page holds.
+// The engine has no LOB column, so the log plays the role of one.
+const opChunk = storage.MaxRecord - (1 + 8 + 8 + 2)
+
+// basePart is the o_part of a BASE marker row.
+const basePart = -1
 
 // TableLog stores ops in a table of the source database, inside the
 // capturing transaction — an op of an aborted transaction rolls back
@@ -86,6 +94,10 @@ func NewTableLog(db *engine.DB) (*TableLog, error) {
 		if t, err = db.CreateTable(engine.TableDef{Name: TableLogName, Schema: tableLogSchema()}); err != nil {
 			return nil, err
 		}
+	}
+	if want := tableLogSchema(); !t.Schema.Equal(want) {
+		return nil, fmt.Errorf("opdelta: %s has the layout %s, not this op log's %s: ship its ops with the build that wrote them, then drop the table",
+			TableLogName, t.Schema, want)
 	}
 	indexed := false
 	for _, col := range t.SecondaryIndexes() {
@@ -124,7 +136,7 @@ func (l *TableLog) recoverSeqs() (maxSeq, base uint64, err error) {
 			return 0, 0, err
 		}
 		markers := 0
-		for markers < len(rows) && rows[markers][2].Str() == "BASE" {
+		for markers < len(rows) && rows[markers][1].Int() == basePart {
 			base = max(base, uint64(rows[markers][0].Int()))
 			markers++
 		}
@@ -156,24 +168,23 @@ func (l *TableLog) resolveTx(tx *engine.Tx, committed bool) {
 	l.tail.resolve(committed, ops...)
 }
 
-// beforeChunk bounds the per-row before-image payload so op rows stay
-// within page capacity; larger hybrid payloads continue in extra rows
-// (the engine has no LOB column type, so the log plays the role of one).
-const beforeChunk = 6 << 10
-
-// Append writes the op row (plus continuation rows for large hybrid
-// payloads) within tx. The op reaches readers from tx's commit hook —
-// after the commit record is durable — and is shared with them from
-// then on: the caller must not modify it after Append.
+// Append writes the op's rows within tx, or within a transaction of
+// its own when tx is nil. The op reaches readers from the transaction's
+// commit hook — after the commit record is durable — and is shared
+// with them from then on: the caller must not modify it after Append.
 func (l *TableLog) Append(tx *engine.Tx, op *Op) error {
+	if tx == nil {
+		tx = l.DB.Begin()
+		if err := l.Append(tx, op); err != nil {
+			tx.Abort()
+			return err
+		}
+		return tx.Commit()
+	}
 	op.Seq = l.tail.assign()
 	if err := l.appendRows(tx, op); err != nil {
 		l.tail.resolve(false, op)
 		return err
-	}
-	if tx == nil {
-		l.tail.resolve(true, op)
-		return nil
 	}
 	l.pmu.Lock()
 	ops := l.pending[tx]
@@ -187,56 +198,26 @@ func (l *TableLog) Append(tx *engine.Tx, op *Op) error {
 	return nil
 }
 
+// appendRows writes op's encoding as one row per opChunk bytes.
 func (l *TableLog) appendRows(tx *engine.Tx, op *Op) error {
-	var beforeEnc []byte
+	var schema *catalog.Schema
 	if len(op.Before) > 0 {
-		t, err := l.DB.Table(op.Table)
-		if err != nil {
+		var err error
+		if schema, err = l.DB.Schema(op.Table); err != nil {
 			return err
 		}
-		for _, img := range op.Before {
-			enc, err := catalog.EncodeTuple(nil, t.Schema, img)
-			if err != nil {
-				return err
-			}
-			beforeEnc = binary.AppendUvarint(beforeEnc, uint64(len(enc)))
-			beforeEnc = append(beforeEnc, enc...)
-		}
 	}
-	chunk := func(part int) catalog.Value {
-		lo := part * beforeChunk
-		if lo >= len(beforeEnc) {
-			return catalog.NewNull(catalog.TypeBytes)
-		}
-		hi := lo + beforeChunk
-		if hi > len(beforeEnc) {
-			hi = len(beforeEnc)
-		}
-		return catalog.NewBytes(beforeEnc[lo:hi])
+	enc, err := op.Encode(make([]byte, 0, op.EncodedSize(schema)), schema)
+	if err != nil {
+		return err
 	}
-	nparts := 1
-	if len(beforeEnc) > beforeChunk {
-		nparts = (len(beforeEnc) + beforeChunk - 1) / beforeChunk
-	}
-	for part := 0; part < nparts; part++ {
-		stmt, kind := op.Stmt, op.Kind.String()
-		if part > 0 {
-			stmt, kind = "", "CONT"
-		}
-		row := catalog.Tuple{
-			catalog.NewInt(int64(op.Seq)),
-			catalog.NewInt(int64(op.Txn)),
-			catalog.NewString(kind),
-			catalog.NewString(op.Table),
-			catalog.NewString(stmt),
-			catalog.NewTime(op.Time),
-			catalog.NewBool(op.Hybrid),
-			catalog.NewInt(int64(part)),
-			chunk(part),
-		}
+	for part := 0; len(enc) > 0; part++ {
+		n := min(len(enc), opChunk)
+		row := catalog.Tuple{catalog.NewInt(int64(op.Seq)), catalog.NewInt(int64(part)), catalog.NewBytes(enc[:n])}
 		if err := l.DB.InsertTuple(tx, TableLogName, row); err != nil {
 			return err
 		}
+		enc = enc[n:]
 	}
 	return nil
 }
@@ -257,70 +238,62 @@ func (l *TableLog) Read(fromSeq uint64) ([]*Op, error) {
 	return append(cold, ops...), nil
 }
 
-// readRows decodes the ops with from < Seq <= upto from the table,
-// reassembling chunked hybrid payloads. The o_seq index delivers rows
-// in seq order, an op's continuation rows next to its head row, so one
-// op is assembled at a time. upto never exceeds the tail's floor, which
-// never exceeds the resolved horizon: every row in range is committed.
+// readRows decodes the ops with from < Seq <= upto from the table. The
+// o_seq index delivers rows in seq order, an op's chunks next to each
+// other, so one op is assembled at a time: its chunks joined in o_part
+// order and decoded by DecodeOpResolve. upto never exceeds the tail's
+// floor, which never exceeds the resolved horizon: every row in range
+// is committed.
 func (l *TableLog) readRows(from, upto uint64) ([]*Op, error) {
 	seqCol := &sqlmini.ColRef{Name: seqColumn}
 	where := &sqlmini.Binary{Op: sqlmini.OpAnd,
 		L: &sqlmini.Binary{Op: sqlmini.OpGt, L: seqCol, R: &sqlmini.Literal{Val: catalog.NewInt(int64(from))}},
 		R: &sqlmini.Binary{Op: sqlmini.OpLe, L: seqCol, R: &sqlmini.Literal{Val: catalog.NewInt(int64(upto))}},
 	}
+	type chunk struct {
+		part int64
+		b    []byte
+	}
 	var (
 		out    []*Op
-		cur    *Op            // op being assembled; nil before the first row
-		chunks map[int][]byte // cur's before-image payload by part
+		seq    uint64  // op being assembled
+		chunks []chunk // its rows so far
 	)
 	finish := func() error {
-		if cur == nil {
+		if len(chunks) == 0 {
 			return nil
 		}
-		if cur.Kind == OpInvalid {
-			return fmt.Errorf("opdelta: op %d has continuation rows but no head row", cur.Seq)
+		slices.SortFunc(chunks, func(a, b chunk) int { return cmp.Compare(a.part, b.part) })
+		var enc []byte
+		for i, c := range chunks {
+			if c.part != int64(i) {
+				return fmt.Errorf("opdelta: op %d lacks part %d", seq, i)
+			}
+			enc = append(enc, c.b...)
 		}
-		if err := l.decodeBefore(cur, chunks); err != nil {
-			return err
+		op, n, err := DecodeOpResolve(enc, l.DB.Schema)
+		if err != nil {
+			return fmt.Errorf("opdelta: op %d: %w", seq, err)
 		}
-		out = append(out, cur)
+		if op.Seq != seq || n != len(enc) {
+			return fmt.Errorf("opdelta: op-log rows of seq %d hold op %d and %d stray bytes", seq, op.Seq, len(enc)-n)
+		}
+		out = append(out, op)
+		chunks = chunks[:0]
 		return nil
 	}
 	_, err := l.DB.IterateSelect(nil, &sqlmini.Select{Table: TableLogName, Where: where}, func(row catalog.Tuple) error {
-		kind := row[2].Str()
-		if kind == "BASE" {
+		part := row[1].Int()
+		if part == basePart {
 			return nil
 		}
-		if seq := uint64(row[0].Int()); cur == nil || cur.Seq != seq {
+		if s := uint64(row[0].Int()); s != seq {
 			if err := finish(); err != nil {
 				return err
 			}
-			cur, chunks = &Op{Seq: seq}, nil
+			seq = s
 		}
-		if !row[8].IsNull() {
-			if chunks == nil {
-				chunks = make(map[int][]byte)
-			}
-			chunks[int(row[7].Int())] = row[8].BytesVal()
-		}
-		if kind == "CONT" {
-			return nil // continuation rows carry only payload
-		}
-		cur.Txn = uint64(row[1].Int())
-		cur.Table = row[3].Str()
-		cur.Stmt = row[4].Str()
-		cur.Time = row[5].Time()
-		cur.Hybrid = row[6].Bool()
-		switch kind {
-		case "INSERT":
-			cur.Kind = OpInsert
-		case "UPDATE":
-			cur.Kind = OpUpdate
-		case "DELETE":
-			cur.Kind = OpDelete
-		default:
-			return fmt.Errorf("opdelta: bad op kind %q", kind)
-		}
+		chunks = append(chunks, chunk{part, row[2].BytesVal()})
 		return nil
 	})
 	if err != nil {
@@ -330,40 +303,6 @@ func (l *TableLog) readRows(from, upto uint64) ([]*Op, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// decodeBefore reassembles op's chunked before-image payload and
-// decodes the images against the op's table schema.
-func (l *TableLog) decodeBefore(op *Op, chunks map[int][]byte) error {
-	if len(chunks) == 0 {
-		return nil
-	}
-	var data []byte
-	for part := 0; ; part++ {
-		chunk, ok := chunks[part]
-		if !ok {
-			break
-		}
-		data = append(data, chunk...)
-	}
-	t, err := l.DB.Table(op.Table)
-	if err != nil {
-		return err
-	}
-	for pos := 0; pos < len(data); {
-		sz, k := binary.Uvarint(data[pos:])
-		if k <= 0 || uint64(len(data)-pos-k) < sz {
-			return fmt.Errorf("opdelta: corrupt before images for seq %d", op.Seq)
-		}
-		pos += k
-		img, err := catalog.DecodeTuple(t.Schema, data[pos:pos+int(sz)])
-		if err != nil {
-			return err
-		}
-		op.Before = append(op.Before, img)
-		pos += int(sz)
-	}
-	return nil
 }
 
 // Truncate removes shipped ops (Seq <= upto) and records the new
@@ -382,17 +321,7 @@ func (l *TableLog) Truncate(upto uint64) error {
 	if _, err := l.DB.Exec(nil, fmt.Sprintf("DELETE FROM %s WHERE %s <= %d", TableLogName, seqColumn, upto)); err != nil {
 		return err
 	}
-	marker := catalog.Tuple{
-		catalog.NewInt(int64(upto)),
-		catalog.NewInt(0),
-		catalog.NewString("BASE"),
-		catalog.NewString(""),
-		catalog.NewString(""),
-		catalog.NewTime(l.DB.Now()),
-		catalog.NewBool(false),
-		catalog.NewInt(0),
-		catalog.NewNull(catalog.TypeBytes),
-	}
+	marker := catalog.Tuple{catalog.NewInt(int64(upto)), catalog.NewInt(basePart), catalog.NewNull(catalog.TypeBytes)}
 	if err := l.DB.InsertTuple(nil, TableLogName, marker); err != nil {
 		return err
 	}
@@ -573,7 +502,7 @@ func (l *FileLog) readFile(from, upto uint64) ([]*Op, error) {
 	var out []*Op
 	frames, _ := SplitOpFrames(data) // a torn tail ends the log
 	for _, frame := range frames {
-		op, _, err := l.decodeFrame(frame)
+		op, _, err := DecodeOpResolve(frame, l.SchemaOf)
 		if err != nil {
 			return nil, err
 		}
@@ -583,41 +512,6 @@ func (l *FileLog) readFile(from, upto uint64) ([]*Op, error) {
 	}
 	sortOps(out) // file order is commit order
 	return out, nil
-}
-
-func (l *FileLog) decodeFrame(frame []byte) (*Op, int, error) {
-	return DecodeOpResolve(frame, l.SchemaOf)
-}
-
-// DecodeOpResolve decodes one encoded op, resolving the schema needed
-// for hybrid before images on demand: plain ops decode schema-free, and
-// only when that fails is the table name peeked from the frame and
-// schemaOf consulted. Both the file log and the wire-protocol applier
-// decode with it — anything that receives encoded ops without knowing
-// in advance which tables carry images.
-func DecodeOpResolve(frame []byte, schemaOf func(table string) (*catalog.Schema, error)) (*Op, int, error) {
-	op, n, err := DecodeOp(frame, nil)
-	if err == nil {
-		return op, n, nil
-	}
-	// Retry with a schema: the frame may carry before images.
-	if schemaOf == nil {
-		return nil, 0, err
-	}
-	// The table name blob sits after the fixed 26-byte header; peek it
-	// to ask schemaOf which schema decodes the images.
-	if len(frame) < 26 {
-		return nil, 0, err
-	}
-	tbl, _, berr := readBlob(frame, 26)
-	if berr != nil {
-		return nil, 0, err
-	}
-	schema, serr := schemaOf(string(tbl))
-	if serr != nil {
-		return nil, 0, serr
-	}
-	return DecodeOp(frame, schema)
 }
 
 // Seq returns the last sequence number assigned (0 before any append).

@@ -14,6 +14,7 @@ package opdelta
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -107,8 +108,10 @@ func (o *Op) Statement() (sqlmini.Statement, error) {
 	return sqlmini.Parse(o.Stmt)
 }
 
-// Encode serializes the op for file logs and transport. Before images
-// are encoded against schema (which may be nil when Before is empty).
+// Encode serializes the op. Its bytes are the op's one persistent form:
+// the op-log table, the file log, op files and the wire all carry them.
+// Before images are encoded against schema (which may be nil when
+// Before is empty).
 func (o *Op) Encode(dst []byte, schema *catalog.Schema) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, o.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, o.Txn)
@@ -132,19 +135,44 @@ func (o *Op) Encode(dst []byte, schema *catalog.Schema) ([]byte, error) {
 	return dst, nil
 }
 
+// opHeaderSize is the fixed part of an encoded op: seq, txn, kind,
+// flags and capture time.
+const opHeaderSize = 8 + 8 + 1 + 1 + 8
+
 // DecodeOp deserializes one op from data, returning bytes consumed.
+// Before images are decoded against schema, which may be nil for an op
+// that carries none.
 func DecodeOp(data []byte, schema *catalog.Schema) (*Op, int, error) {
-	if len(data) < 8+8+1+1+8 {
+	return DecodeOpResolve(data, func(string) (*catalog.Schema, error) { return schema, nil })
+}
+
+// DecodeOpResolve deserializes one op from data, returning bytes
+// consumed. It asks schemaOf for the op's table schema only when the op
+// carries before images, so plain ops decode without one (schemaOf may
+// be nil). It is the one op decoder: the file and table logs, the
+// wire-protocol applier and the op-file readers all decode with it.
+//
+// It accepts only what Encode emits — a known kind, no flag but the
+// hybrid bit, minimal varints — so any op it returns re-encodes to the
+// bytes it consumed.
+func DecodeOpResolve(data []byte, schemaOf func(table string) (*catalog.Schema, error)) (*Op, int, error) {
+	if len(data) < opHeaderSize {
 		return nil, 0, fmt.Errorf("opdelta: op truncated")
 	}
-	o := &Op{}
-	o.Seq = binary.LittleEndian.Uint64(data[0:8])
-	o.Txn = binary.LittleEndian.Uint64(data[8:16])
-	o.Kind = OpKind(data[16])
-	o.Hybrid = data[17]&1 != 0
-	o.Time = time.Unix(0, int64(binary.LittleEndian.Uint64(data[18:26])))
-	pos := 26
-	tbl, pos, err := readBlob(data, pos)
+	o := &Op{
+		Seq:    binary.LittleEndian.Uint64(data[0:8]),
+		Txn:    binary.LittleEndian.Uint64(data[8:16]),
+		Kind:   OpKind(data[16]),
+		Hybrid: data[17] == 1,
+		Time:   time.Unix(0, int64(binary.LittleEndian.Uint64(data[18:26]))),
+	}
+	if o.Kind < OpInsert || o.Kind > OpDelete {
+		return nil, 0, fmt.Errorf("opdelta: bad op kind %d", data[16])
+	}
+	if data[17] > 1 {
+		return nil, 0, fmt.Errorf("opdelta: bad op flags %#x", data[17])
+	}
+	tbl, pos, err := readBlob(data, opHeaderSize)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -154,19 +182,30 @@ func DecodeOp(data []byte, schema *catalog.Schema) (*Op, int, error) {
 		return nil, 0, err
 	}
 	o.Stmt = string(stmt)
-	nimg, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
-		return nil, 0, fmt.Errorf("opdelta: bad image count")
+	nimg, pos, err := readUvarint(data, pos)
+	if err != nil {
+		return nil, 0, err
 	}
-	pos += k
-	for i := uint64(0); i < nimg; i++ {
-		var enc []byte
-		enc, pos, err = readBlob(data, pos)
-		if err != nil {
+	if nimg == 0 {
+		return o, pos, nil
+	}
+	if nimg > uint64(len(data)-pos) { // every image takes a length byte at least
+		return nil, 0, fmt.Errorf("opdelta: %d before images in %d bytes", nimg, len(data)-pos)
+	}
+	var schema *catalog.Schema
+	if schemaOf != nil {
+		if schema, err = schemaOf(o.Table); err != nil {
 			return nil, 0, err
 		}
-		if schema == nil {
-			return nil, 0, fmt.Errorf("opdelta: op has before images but no schema to decode them")
+	}
+	if schema == nil {
+		return nil, 0, fmt.Errorf("opdelta: op has before images but no schema to decode them")
+	}
+	o.Before = make([]catalog.Tuple, 0, nimg)
+	for i := uint64(0); i < nimg; i++ {
+		var enc []byte
+		if enc, pos, err = readBlob(data, pos); err != nil {
+			return nil, 0, err
 		}
 		img, err := catalog.DecodeTuple(schema, enc)
 		if err != nil {
@@ -210,12 +249,25 @@ func appendBlob(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-func readBlob(data []byte, pos int) ([]byte, int, error) {
-	l, k := binary.Uvarint(data[pos:])
-	if k <= 0 || uint64(len(data)-pos-k) < l {
-		return nil, 0, fmt.Errorf("opdelta: blob truncated")
+var (
+	errBadVarint = errors.New("opdelta: bad varint")
+	errBadBlob   = errors.New("opdelta: blob truncated")
+)
+
+// readUvarint reads the minimal uvarint at pos: a longer form of the
+// same value (a zero final byte) is refused, as Encode never writes one.
+func readUvarint(data []byte, pos int) (uint64, int, error) {
+	v, k := binary.Uvarint(data[pos:])
+	if k <= 0 || (k > 1 && data[pos+k-1] == 0) {
+		return 0, 0, errBadVarint
 	}
-	pos += k
-	out := data[pos : pos+int(l)]
-	return out, pos + int(l), nil
+	return v, pos + k, nil
+}
+
+func readBlob(data []byte, pos int) ([]byte, int, error) {
+	l, pos, err := readUvarint(data, pos)
+	if err != nil || uint64(len(data)-pos) < l {
+		return nil, 0, errBadBlob
+	}
+	return data[pos : pos+int(l)], pos + int(l), nil
 }

@@ -3,6 +3,7 @@ package opdelta
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +89,40 @@ func TestOpEncodeDecodeRoundtrip(t *testing.T) {
 			if !in.Before[i].Equal(out.Before[i]) {
 				t.Fatalf("image %d mismatch", i)
 			}
+		}
+	}
+	// A kind byte outside INSERT/UPDATE/DELETE is not an op.
+	for _, kind := range []OpKind{OpInvalid, 9} {
+		bad := *ops[0]
+		bad.Kind = kind
+		enc, err := bad.Encode(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := DecodeOp(enc, tbl.Schema); err == nil || !strings.Contains(err.Error(), "bad op kind") {
+			t.Errorf("kind %d decoded: err = %v", kind, err)
+		}
+	}
+}
+
+// TestTableLogRefusesOtherLayout opens a TableLog over an op-log table
+// laid out one column per op field, as earlier versions wrote it: the
+// log must refuse it, naming both layouts, rather than misread its rows.
+func TestTableLogRefusesOtherLayout(t *testing.T) {
+	db := openDB(t)
+	if _, err := db.Exec(nil, `CREATE TABLE opdelta__log (
+		o_seq BIGINT NOT NULL, o_txn BIGINT NOT NULL, o_kind VARCHAR NOT NULL,
+		o_table VARCHAR NOT NULL, o_stmt VARCHAR NOT NULL, o_time TIMESTAMP NOT NULL,
+		o_hybrid BOOLEAN NOT NULL, o_part BIGINT NOT NULL, o_before VARBINARY)`); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewTableLog(db)
+	if err == nil {
+		t.Fatal("NewTableLog accepted a nine-column op-log table")
+	}
+	for _, want := range []string{"o_kind VARCHAR", "o_before VARBINARY", "o_op VARBINARY"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
 }
@@ -393,7 +428,7 @@ func TestTableLogChunksLargeHybridPayloads(t *testing.T) {
 	if len(seen) != 500 {
 		t.Fatalf("distinct images = %d", len(seen))
 	}
-	// Truncate removes continuation rows too.
+	// Truncate removes every row of a chunked op.
 	if err := log.Truncate(ops[0].Seq); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package opdelta
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -14,82 +13,42 @@ import (
 )
 
 // readFullScan is TableLog.Read as it was before the committed-op tail:
-// scan the whole op-log table, decode every row past the cursor. It is
+// scan the whole op-log table, decode every op past the cursor. It is
 // the reference the tail and the indexed cold path are checked against.
 func (l *TableLog) readFullScan(fromSeq uint64) ([]*Op, error) {
-	type partial struct {
-		op     *Op
-		chunks map[int][]byte
-	}
-	partials := map[uint64]*partial{}
+	parts := map[uint64]map[int64][]byte{}
 	err := l.DB.ScanTable(nil, TableLogName, func(row catalog.Tuple) error {
-		seq := uint64(row[0].Int())
-		if seq <= fromSeq || row[2].Str() == "BASE" {
+		seq, part := uint64(row[0].Int()), row[1].Int()
+		if seq <= fromSeq || part == basePart {
 			return nil
 		}
-		p := partials[seq]
-		if p == nil {
-			p = &partial{op: &Op{Seq: seq}, chunks: map[int][]byte{}}
-			partials[seq] = p
+		if parts[seq] == nil {
+			parts[seq] = map[int64][]byte{}
 		}
-		part := int(row[7].Int())
-		if !row[8].IsNull() {
-			p.chunks[part] = append([]byte(nil), row[8].BytesVal()...)
-		}
-		if row[2].Str() == "CONT" {
-			return nil // continuation rows carry only payload
-		}
-		p.op.Txn = uint64(row[1].Int())
-		p.op.Table = row[3].Str()
-		p.op.Stmt = row[4].Str()
-		p.op.Time = row[5].Time()
-		p.op.Hybrid = row[6].Bool()
-		switch row[2].Str() {
-		case "INSERT":
-			p.op.Kind = OpInsert
-		case "UPDATE":
-			p.op.Kind = OpUpdate
-		case "DELETE":
-			p.op.Kind = OpDelete
-		default:
-			return fmt.Errorf("opdelta: bad op kind %q", row[2].Str())
-		}
+		parts[seq][part] = append([]byte(nil), row[2].BytesVal()...)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var out []*Op
-	for seq, p := range partials {
-		var data []byte
-		for part := 0; ; part++ {
-			chunk, ok := p.chunks[part]
+	for seq, p := range parts {
+		var enc []byte
+		for part := int64(0); part < int64(len(p)); part++ {
+			chunk, ok := p[part]
 			if !ok {
-				break
+				return nil, fmt.Errorf("op %d lacks part %d", seq, part)
 			}
-			data = append(data, chunk...)
+			enc = append(enc, chunk...)
 		}
-		if len(data) > 0 {
-			t, err := l.DB.Table(p.op.Table)
-			if err != nil {
-				return nil, err
-			}
-			pos := 0
-			for pos < len(data) {
-				sz, k := binary.Uvarint(data[pos:])
-				if k <= 0 || uint64(len(data)-pos-k) < sz {
-					return nil, fmt.Errorf("opdelta: corrupt before images for seq %d", seq)
-				}
-				pos += k
-				img, err := catalog.DecodeTuple(t.Schema, data[pos:pos+int(sz)])
-				if err != nil {
-					return nil, err
-				}
-				p.op.Before = append(p.op.Before, img)
-				pos += int(sz)
-			}
+		op, n, err := DecodeOpResolve(enc, l.DB.Schema)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, p.op)
+		if op.Seq != seq || n != len(enc) {
+			return nil, fmt.Errorf("rows of seq %d hold op %d and %d stray bytes", seq, op.Seq, len(enc)-n)
+		}
+		out = append(out, op)
 	}
 	sortOps(out)
 	return out, nil
@@ -143,8 +102,8 @@ func testOp(rng *rand.Rand, i int) *Op {
 }
 
 // TestTableLogReadMatchesFullScan drives a TableLog through random
-// appends (plain ops, and hybrid ops whose before images span several
-// continuation rows), aborted transactions, truncations — including one
+// appends (plain ops, and hybrid ops whose before images spread the
+// encoding over several rows), aborted transactions, truncations — including one
 // past the head —, reopens and forced tail evictions, and checks after
 // every few steps that Read(k) equals the full-scan reference for every
 // cursor k.
@@ -197,7 +156,7 @@ func TestTableLogReadMatchesFullScan(t *testing.T) {
 					tx := db.Begin()
 					for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 						op := testOp(rng, step)
-						if rng.Intn(4) == 0 { // > 6 KB of before images: CONT rows
+						if rng.Intn(4) == 0 { // 4-20 KB of before images: several rows
 							op.Kind, op.Hybrid = OpDelete, true
 							for j, m := 0, 2+rng.Intn(3); j < m; j++ {
 								op.Before = append(op.Before, bigImage())

@@ -40,6 +40,10 @@ const (
 	slotSize       = 4
 )
 
+// MaxRecord is the largest record a page holds: an empty page less its
+// header and one slot.
+const MaxRecord = PageSize - pageHeaderSize - slotSize
+
 // ErrPageFull reports that the record does not fit in the page.
 var ErrPageFull = errors.New("storage: page full")
 
@@ -104,7 +108,7 @@ func CheckRecordSize(n int) error {
 	if n == 0 {
 		return errors.New("storage: empty record")
 	}
-	if n > PageSize-pageHeaderSize-slotSize {
+	if n > MaxRecord {
 		return fmt.Errorf("storage: record of %d bytes exceeds page capacity", n)
 	}
 	return nil
