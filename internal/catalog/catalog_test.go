@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func testSchema() *Schema {
@@ -99,6 +100,12 @@ func TestCompare(t *testing.T) {
 		{NewNull(TypeInt64), NewNull(TypeInt64), 0},
 		{NewBytes([]byte{1}), NewBytes([]byte{1, 0}), -1},
 		{NewBytes([]byte{2}), NewBytes([]byte{1, 9}), 1},
+		{NewBytes([]byte{0xff}), NewBytes([]byte{0x00, 0xff}), 1}, // bytes are unsigned
+		{NewBytes(nil), NewBytes([]byte{}), 0},
+		{NewBytes(nil), NewBytes([]byte{0}), -1},
+		{NewFloat(math.Copysign(0, -1)), NewFloat(0), 0},
+		{NewFloat(math.Inf(-1)), NewFloat(-math.MaxFloat64), -1},
+		{NewFloat(-1), NewFloat(math.Copysign(0, -1)), -1},
 		{NewBool(false), NewBool(true), -1},
 		{NewTime(time.Unix(1, 0)), NewTime(time.Unix(2, 0)), -1},
 	}
@@ -113,6 +120,40 @@ func TestCompare(t *testing.T) {
 	}
 	if _, err := Compare(NewInt(1), NewString("x")); err == nil {
 		t.Error("expected type-mismatch error")
+	}
+}
+
+// TestValueLayout pins a Value at 32 bytes, and the payloads that live
+// in its shared fields: a Float64 keeps its exact bits (−0, NaN) and a
+// Bytes value shares, not copies, its slice.
+func TestValueLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("Value is %d bytes, want 32", n)
+	}
+	s := NewSchema(Column{Name: "f", Type: TypeFloat64})
+	for _, f := range []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(-1)} {
+		v := NewFloat(f)
+		if math.Float64bits(v.Float()) != math.Float64bits(f) {
+			t.Fatalf("NewFloat(%v) holds bits %#x", f, math.Float64bits(v.Float()))
+		}
+		enc, err := EncodeTuple(nil, s, Tuple{v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := DecodeTuple(s, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(out[0].Float()) != math.Float64bits(f) {
+			t.Fatalf("%v round-tripped to bits %#x", f, math.Float64bits(out[0].Float()))
+		}
+	}
+	raw := []byte{1, 2, 3}
+	if b := NewBytes(raw).BytesVal(); &b[0] != &raw[0] || len(b) != 3 {
+		t.Fatal("NewBytes copied its slice")
+	}
+	if NewBytes(nil).BytesVal() != nil {
+		t.Fatal("NewBytes(nil) no longer reads back nil")
 	}
 }
 

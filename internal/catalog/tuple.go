@@ -3,20 +3,19 @@ package catalog
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"time"
+	"unsafe"
 )
 
 // Tuple is one row: a slice of values, positionally matching a schema.
 type Tuple []Value
 
-// Clone returns a deep-enough copy of the tuple (Bytes payloads are
-// copied so the clone is safe to retain across page reuse).
+// Clone returns a deep-enough copy of the tuple: Bytes payloads are
+// copied, so the clone shares no slice with its caller.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))
 	for i, v := range t {
 		if v.typ == TypeBytes && !v.IsNull() {
-			out[i] = NewBytes(append([]byte(nil), v.b...))
+			out[i] = NewBytes([]byte(v.s))
 		} else {
 			out[i] = v
 		}
@@ -98,17 +97,13 @@ func EncodeTuple(dst []byte, s *Schema, t Tuple) ([]byte, error) {
 		case TypeInt64, TypeTime:
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
 		case TypeFloat64:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
 		case TypeBool:
 			dst = append(dst, byte(v.i))
-		case TypeString:
+		case TypeString, TypeBytes:
 			n := binary.PutUvarint(scratch[:], uint64(len(v.s)))
 			dst = append(dst, scratch[:n]...)
 			dst = append(dst, v.s...)
-		case TypeBytes:
-			n := binary.PutUvarint(scratch[:], uint64(len(v.b)))
-			dst = append(dst, scratch[:n]...)
-			dst = append(dst, v.b...)
 		default:
 			return nil, fmt.Errorf("catalog: cannot encode type %s", v.typ)
 		}
@@ -131,77 +126,95 @@ func DecodeTuple(s *Schema, data []byte) (Tuple, error) {
 }
 
 // DecodeTuplePrefix decodes one tuple from the front of data and returns
-// it along with the number of bytes consumed.
+// it along with the number of bytes consumed. The tuple's String and
+// Bytes values are copies: data may be reused afterwards.
 func DecodeTuplePrefix(s *Schema, data []byte) (Tuple, int, error) {
+	t := make(Tuple, s.NumColumns())
+	n, err := decodeInto(s, data, t, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, n, nil
+}
+
+// DecodeTupleShared decodes the one tuple of schema s in data into dst,
+// which must hold s.NumColumns() values, as DecodeTuple does, except
+// that its String and Bytes values share data's bytes instead of
+// copying them. data must therefore be a record copy that nobody writes
+// again for as long as the values live — never a page buffer.
+func DecodeTupleShared(s *Schema, data []byte, dst Tuple) error {
+	if len(dst) != s.NumColumns() {
+		return fmt.Errorf("catalog: decoding %d columns into %d values", s.NumColumns(), len(dst))
+	}
+	n, err := decodeInto(s, data, dst, true)
+	if err == nil && n != len(data) {
+		err = fmt.Errorf("catalog: %d trailing bytes after tuple", len(data)-n)
+	}
+	return err
+}
+
+// decodeInto decodes one tuple from the front of data into t and
+// returns the number of bytes consumed. With share set, String and
+// Bytes values alias data; otherwise they are copied.
+func decodeInto(s *Schema, data []byte, t Tuple, share bool) (int, error) {
 	ncols := s.NumColumns()
 	nb := (ncols + 7) / 8
 	if len(data) < nb {
-		return nil, 0, fmt.Errorf("catalog: tuple data truncated in null bitmap")
+		return 0, fmt.Errorf("catalog: tuple data truncated in null bitmap")
 	}
 	bitmap := data[:nb]
 	if ncols%8 != 0 && bitmap[nb-1]>>(ncols%8) != 0 {
-		return nil, 0, fmt.Errorf("catalog: null bitmap marks columns past the last")
+		return 0, fmt.Errorf("catalog: null bitmap marks columns past the last")
 	}
 	pos := nb
-	t := make(Tuple, ncols)
 	for i := 0; i < ncols; i++ {
 		c := s.Column(i)
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
 			if c.NotNull {
-				return nil, 0, fmt.Errorf("catalog: NULL in NOT NULL column %q", c.Name)
+				return 0, fmt.Errorf("catalog: NULL in NOT NULL column %q", c.Name)
 			}
 			t[i] = NewNull(c.Type)
 			continue
 		}
 		switch c.Type {
-		case TypeInt64:
+		case TypeInt64, TypeTime, TypeFloat64:
 			if len(data)-pos < 8 {
-				return nil, 0, truncErr(c)
+				return 0, truncErr(c)
 			}
-			t[i] = NewInt(int64(binary.LittleEndian.Uint64(data[pos:])))
-			pos += 8
-		case TypeTime:
-			if len(data)-pos < 8 {
-				return nil, 0, truncErr(c)
-			}
-			t[i] = NewTime(time.Unix(0, int64(binary.LittleEndian.Uint64(data[pos:]))))
-			pos += 8
-		case TypeFloat64:
-			if len(data)-pos < 8 {
-				return nil, 0, truncErr(c)
-			}
-			t[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])))
+			t[i] = Value{typ: c.Type, i: int64(binary.LittleEndian.Uint64(data[pos:])), valid: true}
 			pos += 8
 		case TypeBool:
 			if len(data)-pos < 1 {
-				return nil, 0, truncErr(c)
+				return 0, truncErr(c)
 			}
 			if data[pos] > 1 {
-				return nil, 0, fmt.Errorf("catalog: bool byte %#x in column %q", data[pos], c.Name)
+				return 0, fmt.Errorf("catalog: bool byte %#x in column %q", data[pos], c.Name)
 			}
 			t[i] = NewBool(data[pos] == 1)
 			pos++
 		case TypeString, TypeBytes:
 			l, n := binary.Uvarint(data[pos:])
 			if n <= 0 || uint64(len(data)-pos-n) < l {
-				return nil, 0, truncErr(c)
+				return 0, truncErr(c)
 			}
 			if n > 1 && data[pos+n-1] == 0 {
-				return nil, 0, fmt.Errorf("catalog: overlong length in column %q", c.Name)
+				return 0, fmt.Errorf("catalog: overlong length in column %q", c.Name)
 			}
 			pos += n
 			payload := data[pos : pos+int(l)]
-			if c.Type == TypeString {
-				t[i] = NewString(string(payload))
+			v := Value{typ: c.Type, valid: true}
+			if share {
+				v.s = unsafe.String(unsafe.SliceData(payload), len(payload))
 			} else {
-				t[i] = NewBytes(append([]byte(nil), payload...))
+				v.s = string(payload)
 			}
+			t[i] = v
 			pos += int(l)
 		default:
-			return nil, 0, fmt.Errorf("catalog: cannot decode type %s", c.Type)
+			return 0, fmt.Errorf("catalog: cannot decode type %s", c.Type)
 		}
 	}
-	return t, pos, nil
+	return pos, nil
 }
 
 func truncErr(c Column) error {
@@ -225,10 +238,8 @@ func EncodedSize(s *Schema, t Tuple) (int, error) {
 			n += 8
 		case TypeBool:
 			n++
-		case TypeString:
+		case TypeString, TypeBytes:
 			n += uvarintLen(uint64(len(v.s))) + len(v.s)
-		case TypeBytes:
-			n += uvarintLen(uint64(len(v.b))) + len(v.b)
 		default:
 			return 0, fmt.Errorf("catalog: cannot encode type %s", v.typ)
 		}

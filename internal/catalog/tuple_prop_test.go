@@ -3,9 +3,11 @@ package catalog
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // propSchema covers every column type, with one NOT NULL column so the
@@ -75,8 +77,9 @@ func randTuple(r *rand.Rand, s *Schema) Tuple {
 }
 
 // TestTupleRoundTripProperty is the seeded encode/decode property: for
-// any schema-valid tuple, DecodeTuple(EncodeTuple(t)) == t and
-// EncodedSize matches the actual encoding.
+// any schema-valid tuple, DecodeTuple(EncodeTuple(t)) == t, EncodedSize
+// matches the actual encoding, and DecodeTupleShared decodes the very
+// same values (payload bits included) as views of the encoding.
 func TestTupleRoundTripProperty(t *testing.T) {
 	s := propSchema()
 	r := rand.New(rand.NewSource(20260805))
@@ -96,7 +99,26 @@ func TestTupleRoundTripProperty(t *testing.T) {
 		if !in.Equal(out) {
 			t.Fatalf("iter %d: round trip mismatch:\n in: %v\nout: %v", i, in, out)
 		}
+		shared := make(Tuple, s.NumColumns())
+		if err := DecodeTupleShared(s, enc, shared); err != nil {
+			t.Fatalf("iter %d: shared decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(shared, out) {
+			t.Fatalf("iter %d: shared decode differs:\n   copied: %v\n   shared: %v", i, out, shared)
+		}
+		for c, v := range shared {
+			if len(v.s) > 0 && !sharesBytes(v.s, enc) {
+				t.Fatalf("iter %d: column %d was copied, not shared", i, c)
+			}
+		}
 	}
+}
+
+// sharesBytes reports whether s's bytes lie inside buf.
+func sharesBytes(s string, buf []byte) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(buf))
 }
 
 // TestTuplePrefixDecodeConcatenated checks the self-delimiting property
@@ -172,7 +194,12 @@ func TestTupleAllNullsAndEmptyDistinct(t *testing.T) {
 		NewNull(TypeBytes), NewNull(TypeTime), NewNull(TypeBool)}
 	empties := Tuple{NewInt(0), NewNull(TypeFloat64), NewString(""),
 		NewBytes(nil), NewNull(TypeTime), NewNull(TypeBool)}
-	for _, in := range []Tuple{nulls, empties} {
+	nonNil := Tuple{NewInt(0), NewNull(TypeFloat64), NewString(""),
+		NewBytes([]byte{}), NewNull(TypeTime), NewNull(TypeBool)}
+	if !empties.Equal(nonNil) {
+		t.Fatal("nil and empty Bytes must compare equal")
+	}
+	for _, in := range []Tuple{nulls, empties, nonNil} {
 		enc, err := EncodeTuple(nil, s, in)
 		if err != nil {
 			t.Fatal(err)
@@ -202,13 +229,23 @@ func TestTupleTruncationAlwaysErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dst := make(Tuple, s.NumColumns())
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := DecodeTuple(s, enc[:cut]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded successfully", cut, len(enc))
 		}
+		if err := DecodeTupleShared(s, enc[:cut], dst); err == nil {
+			t.Fatalf("shared: truncation to %d/%d bytes decoded successfully", cut, len(enc))
+		}
 	}
 	if _, err := DecodeTuple(s, append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+	if err := DecodeTupleShared(s, append(append([]byte(nil), enc...), 0), dst); err == nil {
+		t.Fatal("shared: trailing byte accepted")
+	}
+	if err := DecodeTupleShared(s, enc, dst[1:]); err == nil {
+		t.Fatal("shared: decoded into too few values")
 	}
 }
 

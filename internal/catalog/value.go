@@ -10,6 +10,7 @@ import (
 	"math"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Type identifies the storage type of a column.
@@ -69,30 +70,38 @@ func TypeFromName(name string) (Type, error) {
 }
 
 // Value is a dynamically typed runtime value. The zero Value is NULL of
-// invalid type; use the New* constructors. Values are immutable by
-// convention: Bytes values share the underlying slice, so callers must
-// not mutate it after construction.
+// invalid type; use the New* constructors.
+//
+// A Value is 32 bytes: one int64 holds the Int64, Time (unix nanos),
+// Bool (0/1) and Float64 (IEEE-754 bits) payloads, and one string holds
+// the String and Bytes payloads. A Bytes value's string shares the
+// caller's slice rather than copying it, so Values are immutable by
+// contract: neither the slice passed to NewBytes nor the record a value
+// was decoded from with DecodeTupleShared may be written afterwards.
 type Value struct {
 	typ   Type
 	null  bool
-	i     int64 // Int64, Time (unix nanos), Bool (0/1)
-	f     float64
-	s     string // String
-	b     []byte // Bytes
 	valid bool   // distinguishes zero Value from explicit NULL
+	i     int64  // Int64, Time, Bool, Float64 bits
+	s     string // String, Bytes
 }
 
 // NewInt returns an Int64 value.
 func NewInt(v int64) Value { return Value{typ: TypeInt64, i: v, valid: true} }
 
 // NewFloat returns a Float64 value.
-func NewFloat(v float64) Value { return Value{typ: TypeFloat64, f: v, valid: true} }
+func NewFloat(v float64) Value {
+	return Value{typ: TypeFloat64, i: int64(math.Float64bits(v)), valid: true}
+}
 
 // NewString returns a String value.
 func NewString(v string) Value { return Value{typ: TypeString, s: v, valid: true} }
 
-// NewBytes returns a Bytes value. The slice is not copied.
-func NewBytes(v []byte) Value { return Value{typ: TypeBytes, b: v, valid: true} }
+// NewBytes returns a Bytes value. The slice is not copied, and must not
+// be written afterwards.
+func NewBytes(v []byte) Value {
+	return Value{typ: TypeBytes, s: unsafe.String(unsafe.SliceData(v), len(v)), valid: true}
+}
 
 // NewTime returns a Time value with nanosecond precision.
 func NewTime(v time.Time) Value { return Value{typ: TypeTime, i: v.UnixNano(), valid: true} }
@@ -124,7 +133,7 @@ func (v Value) Int() int64 {
 // Float returns the Float64 payload.
 func (v Value) Float() float64 {
 	v.mustBe(TypeFloat64)
-	return v.f
+	return v.float()
 }
 
 // Str returns the String payload.
@@ -133,11 +142,15 @@ func (v Value) Str() string {
 	return v.s
 }
 
-// BytesVal returns the Bytes payload without copying.
+// BytesVal returns the Bytes payload without copying. The slice must
+// not be written: it may be a string's bytes.
 func (v Value) BytesVal() []byte {
 	v.mustBe(TypeBytes)
-	return v.b
+	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))
 }
+
+// float is the Float64 payload, unchecked.
+func (v *Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Time returns the Time payload.
 func (v Value) Time() time.Time {
@@ -170,11 +183,11 @@ func (v Value) String() string {
 	case TypeInt64:
 		return strconv.FormatInt(v.i, 10)
 	case TypeFloat64:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case TypeString:
 		return v.s
 	case TypeBytes:
-		return fmt.Sprintf("%x", v.b)
+		return fmt.Sprintf("%x", v.s)
 	case TypeTime:
 		return time.Unix(0, v.i).UTC().Format(time.RFC3339Nano)
 	case TypeBool:
@@ -199,7 +212,7 @@ func (v Value) SQLLiteral() string {
 	case TypeTime:
 		return "TIMESTAMP " + quoteSQLString(time.Unix(0, v.i).UTC().Format(time.RFC3339Nano))
 	case TypeBytes:
-		return fmt.Sprintf("X'%x'", v.b)
+		return fmt.Sprintf("X'%x'", v.s)
 	default:
 		return v.String()
 	}
@@ -254,22 +267,21 @@ func ComparePtr(a, b *Value) (int, error) {
 	case TypeInt64, TypeTime, TypeBool:
 		return cmpOrdered(a.i, b.i), nil
 	case TypeFloat64:
-		if math.IsNaN(a.f) || math.IsNaN(b.f) {
+		af, bf := a.float(), b.float()
+		if math.IsNaN(af) || math.IsNaN(bf) {
 			// Order NaN before every number so sorts are total.
 			switch {
-			case math.IsNaN(a.f) && math.IsNaN(b.f):
+			case math.IsNaN(af) && math.IsNaN(bf):
 				return 0, nil
-			case math.IsNaN(a.f):
+			case math.IsNaN(af):
 				return -1, nil
 			default:
 				return 1, nil
 			}
 		}
-		return cmpOrdered(a.f, b.f), nil
-	case TypeString:
+		return cmpOrdered(af, bf), nil
+	case TypeString, TypeBytes:
 		return cmpOrdered(a.s, b.s), nil
-	case TypeBytes:
-		return cmpBytes(a.b, b.b), nil
 	default:
 		return 0, fmt.Errorf("catalog: cannot compare invalid values")
 	}
@@ -291,20 +303,4 @@ func cmpOrdered[T int64 | float64 | string](a, b T) int {
 	default:
 		return 0
 	}
-}
-
-func cmpBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmpOrdered(int64(len(a)), int64(len(b)))
 }

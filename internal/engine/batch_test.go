@@ -364,3 +364,96 @@ func TestKeyedBatchLocksOnce(t *testing.T) {
 		t.Fatalf("statement hooks fired %d times for one batch", fired)
 	}
 }
+
+// TestRowsOutliveTheirPages: rows taken by RowsByKeys and ScanRows hold
+// their string and bytes values after the rows are overwritten in place
+// while their page is still in the pool, and after their pages are
+// evicted and read back. The values share each row's own record copy,
+// never the page.
+func TestRowsOutliveTheirPages(t *testing.T) {
+	db := openTestDB(t, Options{PoolPages: 2})
+	if _, err := db.Exec(nil, `CREATE TABLE docs (id BIGINT NOT NULL, body VARCHAR, blob VARBINARY) PRIMARY KEY (id)`); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("docs")
+	const n = 200 // ≈ 40 KB of rows: several times the two-page pool
+	body := func(i int, gen byte) string { return fmt.Sprintf("body-%04d-%s", i, strings.Repeat(string(gen), 80)) }
+	blob := func(i int, gen byte) []byte {
+		return []byte(fmt.Sprintf("blob-%04d-%s", i, strings.Repeat(string(gen), 80)))
+	}
+	tuple := func(i int, gen byte) catalog.Tuple {
+		return catalog.Tuple{catalog.NewInt(int64(i)), catalog.NewString(body(i, gen)), catalog.NewBytes(blob(i, gen))}
+	}
+	tups := make([]catalog.Tuple, n)
+	for i := range tups {
+		tups[i] = tuple(i, 'a')
+	}
+	tx := db.Begin()
+	if err := tx.InsertBatch(tbl, tups); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = db.Begin()
+	var scanned []Row
+	if err := tx.ScanRows(tbl, true, func(r Row) (bool, error) {
+		scanned = append(scanned, r)
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(scanned) != n {
+		t.Fatalf("scan found %d rows, want %d", len(scanned), n)
+	}
+	// The scan ended on the last row's page, which is still in the pool.
+	last := scanned[n-1:]
+	lastKey := int(last[0].Tuple[0].Int())
+	if err := tx.UpdateBatch(tbl, last, []catalog.Tuple{tuple(lastKey, 'y')}); err != nil {
+		t.Fatal(err)
+	}
+	// Each row is read and at once overwritten in its resident page, and
+	// the walk over the table evicts every page on the way.
+	misses := tbl.Heap().Pool().Stats().Misses
+	keyed := make([]Row, n)
+	for i := range keyed {
+		found, err := tx.RowsByKeys(tbl, 0, []catalog.Value{catalog.NewInt(int64(i))}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(found[0]) != 1 {
+			t.Fatalf("key %d found %d rows", i, len(found[0]))
+		}
+		keyed[i] = found[0][0]
+		if err := tx.UpdateBatch(tbl, found[0], []catalog.Tuple{tuple(i, 'z')}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tbl.Heap().Pool().Stats().Misses == misses {
+		t.Fatal("the updates reread no page; the pool is too large for the test")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(r Row, gen byte) {
+		t.Helper()
+		i := int(r.Tuple[0].Int())
+		if got := r.Tuple[1].Str(); got != body(i, gen) {
+			t.Fatalf("row %d body now %q", i, got)
+		}
+		if got := r.Tuple[2].BytesVal(); !bytes.Equal(got, blob(i, gen)) {
+			t.Fatalf("row %d blob now %q", i, got)
+		}
+	}
+	for _, r := range scanned {
+		check(r, 'a')
+	}
+	for i, r := range keyed {
+		if i == lastKey {
+			check(r, 'y') // read after the scan's row was overwritten
+		} else {
+			check(r, 'a')
+		}
+	}
+}

@@ -208,21 +208,23 @@ func ResolveSet(s *sqlmini.Update, schema *catalog.Schema) (SetList, error) {
 	return SetList{schema: schema, items: items}, nil
 }
 
-// Apply returns before's after image: every assignment evaluated over
-// before and coerced to its column's type. It stamps no timestamp
-// column; the executor stamps one the statement does not assign.
-func (l SetList) Apply(before catalog.Tuple) (catalog.Tuple, error) {
-	after := before.Clone()
+// Apply writes before's after image into after, which must be as long
+// as before: every assignment evaluated over before and coerced to its
+// column's type, every other column before's value. It stamps no
+// timestamp column; the executor stamps one the statement does not
+// assign.
+func (l SetList) Apply(after, before catalog.Tuple) error {
+	copy(after, before)
 	for _, it := range l.items {
 		v, err := sqlmini.Eval(it.expr, l.schema, before)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if after[it.pos], err = catalog.Coerce(v, l.schema.Column(it.pos)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return after, nil
+	return nil
 }
 
 // assigns reports whether the list assigns the column at pos.
@@ -300,10 +302,12 @@ func (db *DB) execUpdate(tx *Tx, s *sqlmini.Update) (Result, error) {
 	// i leaves rows[:i] written, as the row loop did.
 	tsAssigned := set.assigns(t.TSCol)
 	afters := make([]catalog.Tuple, 0, len(targets))
+	n := t.Schema.NumColumns()
+	vals := make([]catalog.Value, n*len(targets)) // every after image's values
 	var setErr error
-	for _, tg := range targets {
-		after, err := set.Apply(tg.Tuple)
-		if err != nil {
+	for i, tg := range targets {
+		after := catalog.Tuple(vals[i*n : (i+1)*n : (i+1)*n])
+		if err := set.Apply(after, tg.Tuple); err != nil {
 			setErr = err
 			break
 		}
@@ -568,25 +572,13 @@ func (db *DB) ScanTable(tx *Tx, name string, fn func(catalog.Tuple) error) error
 }
 
 // targetsFromRIDs fetches and decodes the rows behind an index plan,
-// reading each run of RIDs on one page in one visit. The rows' record
-// bytes are carved out of shared chunks rather than copied one by one.
+// reading each run of RIDs on one page in one visit.
 func (db *DB) targetsFromRIDs(t *Table, rids []storage.RID) ([]Row, error) {
 	out := make([]Row, len(rids))
-	var chunk []byte
-	err := t.heap.GetBatch(rids, func(i int, rec []byte) error {
-		if len(rec) > cap(chunk)-len(chunk) {
-			// Room for the rest at this record's size, up to a chunk.
-			chunk = make([]byte, 0, max(len(rec), min(recChunk, len(rec)*(len(rids)-i))))
-		}
-		start := len(chunk)
-		chunk = append(chunk, rec...)
-		own := chunk[start:len(chunk):len(chunk)]
-		tup, err := catalog.DecodeTuple(t.Schema, own)
-		if err != nil {
-			return err
-		}
-		out[i] = Row{Tuple: tup, rid: rids[i], rec: own}
-		return nil
+	var a rowArena
+	err := t.heap.GetBatch(rids, func(i int, rec []byte) (err error) {
+		out[i], err = a.row(t.Schema, rids[i], rec, len(rids)-i)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -594,6 +586,41 @@ func (db *DB) targetsFromRIDs(t *Table, rids []storage.RID) ([]Row, error) {
 	return out, nil
 }
 
-// recChunk is the size of the shared buffers targetsFromRIDs copies
-// records into.
+// rowArena carves the rows a plan or scan selects out of shared chunks:
+// each row's record copy out of a byte chunk, and its tuple out of a
+// value chunk, decoded over that copy so its strings share the copy's
+// bytes. A run of rows so costs a few allocations, not one per row and
+// per string. The copies are never written, which is what makes the
+// sharing safe; the page buffers the records came from are, by later
+// writes to their pages.
+type rowArena struct {
+	recs []byte
+	vals []catalog.Value
+}
+
+// row copies rec, which aliases a page, and decodes the copy. left is
+// the number of rows, this one included, the caller expects still to
+// carve, which sizes a fresh chunk.
+func (a *rowArena) row(s *catalog.Schema, rid storage.RID, rec []byte, left int) (Row, error) {
+	if len(rec) > cap(a.recs)-len(a.recs) {
+		// Room for the rest at this record's size, up to a chunk.
+		a.recs = make([]byte, 0, max(len(rec), min(recChunk, len(rec)*left)))
+	}
+	start := len(a.recs)
+	a.recs = append(a.recs, rec...)
+	own := a.recs[start:len(a.recs):len(a.recs)]
+	n := s.NumColumns()
+	if n > cap(a.vals)-len(a.vals) {
+		a.vals = make([]catalog.Value, 0, n*left)
+	}
+	tup := catalog.Tuple(a.vals[len(a.vals) : len(a.vals)+n : len(a.vals)+n])
+	a.vals = a.vals[:len(a.vals)+n]
+	if err := catalog.DecodeTupleShared(s, own, tup); err != nil {
+		return Row{}, err
+	}
+	return Row{Tuple: tup, rid: rid, rec: own}, nil
+}
+
+// recChunk is the size of the byte chunks rowArena copies records
+// into.
 const recChunk = 4096

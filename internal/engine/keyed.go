@@ -167,13 +167,15 @@ func (tx *Tx) ScanRows(t *Table, forUpdate bool, fn func(Row) (bool, error)) err
 }
 
 func (tx *Tx) scanRows(t *Table, fn func(Row) (bool, error)) error {
+	var a rowArena
 	return t.heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
-		tup, err := catalog.DecodeTuple(t.Schema, rec)
+		// One row's worth at a time: a scan's callers keep few of the
+		// rows it passes them, and a kept row holds its chunks alive.
+		r, err := a.row(t.Schema, rid, rec, 1)
 		if err != nil {
 			return false, err
 		}
-		// rec aliases the page buffer: the row keeps a copy.
-		return fn(Row{Tuple: tup, rid: rid, rec: append([]byte(nil), rec...)})
+		return fn(r)
 	})
 }
 

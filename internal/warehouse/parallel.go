@@ -545,11 +545,10 @@ func (in *ParallelIntegrator) applyWithBeforeImages(tx *engine.Tx, v *View, op *
 		}
 		delta.After = make([]catalog.Tuple, len(op.Before))
 		for i, before := range op.Before {
-			after, err := set.Apply(before)
-			if err != nil {
+			delta.After[i] = make(catalog.Tuple, len(before))
+			if err := set.Apply(delta.After[i], before); err != nil {
 				return 0, err
 			}
-			delta.After[i] = after
 		}
 	default:
 		return 0, fmt.Errorf("warehouse: before-image application undefined for %T", stmt)
