@@ -134,7 +134,7 @@ func BenchmarkConcurrent(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.Get("ValueDelta batch", "max reader latency"), "value-maxlat-ms")
-		b.ReportMetric(res.Get("OpDelta per-txn", "max reader latency"), "op-maxlat-ms")
+		b.ReportMetric(res.Get("OpDelta parallel w=1", "max reader latency"), "op-maxlat-ms")
 	}
 }
 

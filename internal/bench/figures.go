@@ -138,7 +138,7 @@ func measureTxn(db *engine.DB, cfg *Config, kind txnKind, k int, base execFunc, 
 		}
 		// Drain MVCC versions between reps (untimed): the run+restore
 		// writes would otherwise push the population over the GC
-		// threshold and incremental GC would fire inside timed txns.
+		// trigger and a GC pass would run inside timed txns.
 		db.VersionGC()
 	}
 	return median(baseSamples), median(instrSamples), nil

@@ -232,14 +232,15 @@ func RunConcurrent(cfg Config) (*Result, error) {
 		ID:       "e9-online",
 		Title:    "OLAP query latency during integration (§4.1 on-line maintenance)",
 		Unit:     "ms",
-		ColHeads: []string{"integration window", "max reader latency", "reader queries served", "speedup vs serial", "applier lock wait ms", "applier lock waits", "reader lock wait ms", "reader lock acquires"},
+		ColHeads: []string{"integration window", "max reader latency", "reader queries served", "speedup vs serial", "applier lock wait ms", "applier lock waits", "reader lock wait ms", "reader lock waits", "reader lock acquires", "warehouse txns"},
 		RowHeads: []string{"ValueDelta batch"},
 		Notes: []string{
 			"value-delta integration is one exclusive batch: readers stall for the whole window",
 			"Op-Delta rows: one warehouse txn per source txn, conflict-aware DAG scheduling + WAL group commit; w=1 is serial replay, and speedup is the w=1 window / row window",
 			"parallel rows pre-declare key-range locks so key-disjoint appliers overlap execution; table-lock rows force the whole-table baseline",
 			"applier lock wait ms / waits: blocked time and blocked acquisitions of write-mode requests (readers excluded)",
-			"reader lock wait ms / acquires: blocked time and granted read-mode requests; snapshot rows run readers on MVCC commit-LSN snapshots and must show zero of both",
+			"reader lock wait ms / waits / acquires: blocked time, blocked requests and granted requests in a read mode; snapshot rows run readers on MVCC commit-LSN snapshots and must show zero of all three",
+			"warehouse txns: transactions the integrator committed, each a point where queued readers are granted",
 		},
 	}
 	for _, wk := range workerSweep {
@@ -296,7 +297,9 @@ func RunConcurrent(cfg Config) (*Result, error) {
 		lockWait   time.Duration
 		waits      uint64
 		readerWait time.Duration
+		readWaits  uint64
 		readAcqs   uint64
+		txns       int
 	}
 	runWith := func(name string, snapshotReaders bool, integrate func(w *warehouse.Warehouse) (warehouse.ApplyStats, error)) (*outcome, error) {
 		w, err := newReplicaWarehouse(&cfg, name)
@@ -374,11 +377,12 @@ func RunConcurrent(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := &outcome{window: stats.Duration, maxLat: maxLat, served: served}
+		out := &outcome{window: stats.Duration, maxLat: maxLat, served: served, txns: stats.Txns}
 		for _, ls := range w.DB.LockTableStats() {
 			out.lockWait += ls.WriteWaitTime
 			out.waits += ls.WriteWaits
 			out.readerWait += ls.WaitTime - ls.WriteWaitTime
+			out.readWaits += ls.Waits - ls.WriteWaits
 			out.readAcqs += ls.ReadAcquires
 		}
 		return out, nil
@@ -430,7 +434,7 @@ func RunConcurrent(cfg Config) (*Result, error) {
 	for i, out := range outs {
 		speedup := float64(serial.window) / float64(out.window)
 		res.Values[i] = []float64{ms(out.window), ms(out.maxLat), float64(out.served), speedup,
-			ms(out.lockWait), float64(out.waits), ms(out.readerWait), float64(out.readAcqs)}
+			ms(out.lockWait), float64(out.waits), ms(out.readerWait), float64(out.readWaits), float64(out.readAcqs), float64(out.txns)}
 	}
 	return res, nil
 }

@@ -46,29 +46,33 @@ func TestShapeTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
-	res, err := RunTable1(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	big := res.ColHeads[len(res.ColHeads)-1]
-	// Import is the most expensive technique (the paper's dominant
-	// observation) and Export the cheapest; asserted at the largest
-	// size where the gap is not noise-dominated.
-	if res.Get("Import", big) <= res.Get("DBMS Loader", big) {
-		t.Errorf("at %s: Import (%.3fs) should exceed Loader (%.3fs)",
-			big, res.Get("Import", big), res.Get("DBMS Loader", big))
-	}
-	for _, col := range res.ColHeads {
-		if res.Get("Export", col) >= res.Get("Import", col) {
-			t.Errorf("at %s: Export should be cheaper than Import", col)
+	// The paper: Import is the most expensive technique, Export the
+	// cheapest, and every cost grows with the delta. The times are
+	// logged; what is asserted is why, in counts: each technique moves
+	// every row of the delta, Export only reads, the direct loader
+	// bypasses the log, and Import logs every row through the engine —
+	// a log volume the others do not pay, linear in the delta.
+	cfg := smallCfg(t)
+	for _, rows := range cfg.DeltaRows {
+		p, err := table1At(&cfg, rows)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Costs grow with delta size.
-	small := res.ColHeads[0]
-	for _, row := range res.RowHeads {
-		if res.Get(row, big) <= res.Get(row, small) {
-			t.Errorf("%s does not grow with size: %.3fs -> %.3fs", row, res.Get(row, small), res.Get(row, big))
+		t.Logf("%d rows: Export %v, Import %v, Loader %v; WAL records %d / %d / %d",
+			rows, p.export, p.imp, p.load, p.exportWAL, p.importWAL, p.loadWAL)
+		n := int64(rows)
+		if p.exportRows != n || p.importRows != n || p.loadRows != n {
+			t.Errorf("%d rows: Export, Import and Loader moved %d, %d and %d rows", rows, p.exportRows, p.importRows, p.loadRows)
+		}
+		if p.exportWAL != 0 || p.loadWAL != 0 {
+			t.Errorf("%d rows: Export appended %d WAL records and the loader %d, want 0 and 0", rows, p.exportWAL, p.loadWAL)
+		}
+		// One record per row, plus a begin and a commit per batch
+		// transaction.
+		txns := (rows + table1ImportBatch - 1) / table1ImportBatch
+		if want := uint64(rows + 2*txns); p.importWAL != want {
+			t.Errorf("%d rows: Import appended %d WAL records, want %d: one per row and two per %d-row transaction",
+				rows, p.importWAL, want, table1ImportBatch)
 		}
 	}
 }
@@ -414,20 +418,24 @@ func TestShapeConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Render())
-	// The value-delta batch blocks readers for (roughly) its whole
-	// window; op-delta integration interleaves, so the worst reader
-	// latency is far smaller.
-	vMax := res.Get("ValueDelta batch", "max reader latency")
+	// The value-delta batch is one transaction holding the table
+	// exclusively, so each reader queues behind it once, for the rest of
+	// its window; op-delta integration commits one small transaction per
+	// source transaction, and a queued reader is granted at the next
+	// one. Latencies and windows are logged above; asserted are the
+	// counts behind them.
+	const readers, sourceTxns = 2, 100
+	if n := res.Get("ValueDelta batch", "warehouse txns"); n != 1 {
+		t.Errorf("value-delta batch committed %.0f transactions, want 1", n)
+	}
+	if w := res.Get("ValueDelta batch", "reader lock waits"); w < 1 || w > readers {
+		t.Errorf("readers queued %.0f times behind the value-delta batch, want 1..%d: at most once each, and not never", w, readers)
+	}
 	for _, w := range []int{1, 4} {
 		row := fmt.Sprintf("OpDelta parallel w=%d", w)
-		if oMax := res.Get(row, "max reader latency"); vMax < 3*oMax {
-			t.Errorf("value-delta max reader latency (%.1fms) should dwarf %s (%.1fms)", vMax, row, oMax)
+		if n := res.Get(row, "warehouse txns"); n != sourceTxns {
+			t.Errorf("%s committed %.0f transactions, want one per source transaction (%d)", row, n, sourceTxns)
 		}
-	}
-	// And the outage is comparable to the whole batch window.
-	vWin := res.Get("ValueDelta batch", "integration window")
-	if vMax < vWin/3 {
-		t.Errorf("readers should stall for most of the batch window: maxLat=%.1fms window=%.1fms", vMax, vWin)
 	}
 	// MVCC snapshot readers must never enter the lock manager: zero
 	// blocked time and zero read-mode grants, while the table-lock
@@ -437,8 +445,8 @@ func TestShapeConcurrent(t *testing.T) {
 		if acq := res.Get(row, "reader lock acquires"); acq != 0 {
 			t.Errorf("%s: reader lock acquires = %.0f, want 0", row, acq)
 		}
-		if wait := res.Get(row, "reader lock wait ms"); wait != 0 {
-			t.Errorf("%s: reader lock wait = %.1fms, want 0", row, wait)
+		if waits, ms := res.Get(row, "reader lock waits"), res.Get(row, "reader lock wait ms"); waits != 0 || ms != 0 {
+			t.Errorf("%s: readers waited %.0f times for %.1fms, want 0 and 0", row, waits, ms)
 		}
 	}
 	if acq := res.Get("OpDelta parallel table-lock w=4", "reader lock acquires"); acq == 0 {

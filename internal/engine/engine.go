@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,12 +68,6 @@ func (o *Options) fill() {
 		o.Now = time.Now
 	}
 }
-
-// deadlockProbe is the waits-for probe interval during blocked lock
-// waits: a blocked transaction re-runs the cycle classifier at this
-// cadence and aborts itself in milliseconds when it sits on a cycle,
-// instead of burning the full LockTimeout.
-const deadlockProbe = 50 * time.Millisecond
 
 // DB is one engine instance rooted at a directory.
 type DB struct {
@@ -169,8 +164,8 @@ func Open(dir string, opts Options) (*DB, error) {
 		obs:       reg,
 		obsLabels: labels,
 	}
-	db.locks.SetDeadlockProbe(deadlockProbe)
 	db.mvcc.snaps = txn.NewSnapshotRegistry(opts.Now)
+	db.mvcc.gcNext.Store(gcBaseThreshold)
 	reg.GaugeFunc("mvcc_oldest_snapshot_age_seconds", func() float64 {
 		return db.mvcc.snaps.OldestAge().Seconds()
 	}, labels...)
@@ -438,6 +433,10 @@ func (db *DB) DropTable(name string) error {
 		return err
 	}
 	delete(db.tables, key)
+	// Every chain is past any watermark once no transaction uses the
+	// table: the pass at the top one empties the store, taking its
+	// versions out of the engine-wide live count.
+	t.vstore.GC(math.MaxUint64)
 	if err := db.fs.Remove(filepath.Join(db.dir, key+".heap")); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
@@ -472,8 +471,8 @@ func (db *DB) Checkpoint() error {
 	// Quiescence means no snapshot is pinning history: drop every
 	// version chain (in-memory, so this cannot perturb the flush/record
 	// ordering above). The table list is passed in because db.mu is
-	// already held here — versionGCTables must not re-enter it.
-	db.versionGCTables(tables, true)
+	// already held here — versionGC must not re-enter it.
+	db.versionGC(tables)
 	// Closed segments before the active one are now recoverable-from
 	// nowhere needed; recycle them (archive copies remain if enabled).
 	return db.wal.Recycle(db.wal.ActiveSegment())

@@ -8,7 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/keyset"
@@ -41,21 +41,12 @@ type mvccState struct {
 	// outstanding tracks commit records appended through the gate whose
 	// version stamps are not yet resolved, in append (= LSN) order.
 	outstanding []commitMark
-	// gcCursor round-robins incremental GC passes over the version
-	// stripes so each automatic pass pays a bounded cost.
-	gcCursor int
+	// gcNext is the live version count at which a commit runs the next
+	// automatic GC pass. A pass sets it under mu; the last snapshot's
+	// release re-arms it; the commit path reads it without a lock.
+	gcNext atomic.Int64
 
 	snaps *txn.SnapshotRegistry
-
-	// Adaptive-trigger state, guarded by gcMu rather than mu: the
-	// trigger check runs on every commit and snapshot release and must
-	// not contend with the visibility bookkeeping above.
-	gcMu sync.Mutex
-	// EWMA of the engine-wide version creation rate (versions/second),
-	// sampled from the mvcc_versions_created_total counter.
-	rate        float64
-	rateAt      time.Time
-	rateCreated uint64
 }
 
 type commitMark struct {
@@ -63,28 +54,16 @@ type commitMark struct {
 	resolved bool
 }
 
-// gcBaseThreshold is the floor of the adaptive automatic-GC trigger:
-// below this many versions engine-wide, versions simply linger — that
-// slack is what makes recent-history AS OF reads useful between
-// checkpoints. The effective threshold grows with the observed version
-// creation rate times the history horizon GC must preserve anyway (the
-// oldest live snapshot's age), so a write-heavy engine with long-lived readers does not burn commit-path
-// GC passes that cannot reclaim anything.
+// gcBaseThreshold is the floor of the automatic-GC trigger: below this
+// many versions engine-wide, versions simply linger — that slack is what
+// makes recent-history AS OF reads useful between checkpoints. After a
+// pass the next one runs when the live versions reach
+// max(gcBaseThreshold, 2 × what the pass left), and the release of the
+// last snapshot re-arms the trigger at gcBaseThreshold. A pass walks at
+// most the live chains and the next waits until at least as many
+// versions were created, so GC walks at most about two chains per
+// version created, however much history a snapshot pins.
 const gcBaseThreshold = 4096
-
-// gcRateSampleEvery spaces creation-rate samples: instantaneous rates
-// over shorter windows are dominated by scheduler noise.
-const gcRateSampleEvery = 50 * time.Millisecond
-
-// gcRateBlend is the EWMA retention of the previous rate estimate.
-const gcRateBlend = 0.8
-
-// gcStripesPerPass bounds one incremental GC pass. Automatic triggers
-// sit on the commit path; a full sweep there would be a latency burst
-// proportional to the whole version population, where a bounded pass
-// costs about as much as the staging the triggering transaction already
-// paid for.
-const gcStripesPerPass = 8
 
 // currentReadLSN returns the horizon a snapshot beginning now pins.
 func (db *DB) currentReadLSN() uint64 {
@@ -182,14 +161,13 @@ func (db *DB) BeginSnapshotAt(lsn uint64) (*Tx, error) {
 	return &Tx{db: db, id: db.txns.Begin(), snapshot: true, snapID: id, readLSN: lsn}, nil
 }
 
-// VersionGC runs a full version-GC sweep: every chain is pruned below
-// the oldest active snapshot's read LSN. It returns the number of
-// versions reclaimed. Checkpoint calls it (quiescent, so the watermark
-// is the current horizon and everything goes); automatic triggers use
-// the bounded incremental pass instead. Purely in-memory: GC performs
-// no I/O and cannot perturb fault schedules.
+// VersionGC runs one version-GC pass: every chain is pruned below the
+// oldest active snapshot's read LSN. It returns the number of versions
+// reclaimed. Checkpoint and the automatic trigger run the same pass.
+// Purely in-memory: GC performs no I/O and cannot perturb fault
+// schedules.
 func (db *DB) VersionGC() int {
-	return db.versionGCTables(db.tablesSnapshot(), true)
+	return db.versionGC(db.tablesSnapshot())
 }
 
 // tablesSnapshot copies the table list out from under db.mu so GC can
@@ -204,84 +182,53 @@ func (db *DB) tablesSnapshot() []*Table {
 	return out
 }
 
-// versionGCTables prunes the given tables' version stores — all stripes
-// when full, one bounded cursor window otherwise. The whole pass holds
-// mvcc.mu: the watermark read, the pruning, and the low-water raise are
-// atomic against BeginSnapshotAt's validate-and-register, so an AS OF
-// read can never slip under an in-flight prune. The AS OF floor rises
-// only as far as history actually dropped (the max pruned anchor
-// commit), keeping untouched history time-travel readable.
-func (db *DB) versionGCTables(tables []*Table, full bool) int {
+// versionGC runs one pass over the given tables' version stores.
+func (db *DB) versionGC(tables []*Table) int {
+	db.mvcc.mu.Lock()
+	defer db.mvcc.mu.Unlock()
+	return db.versionGCLocked(tables)
+}
+
+// versionGCLocked is the one GC pass; the caller holds mvcc.mu, so the
+// watermark read, the pruning and the low-water raise are atomic
+// against BeginSnapshotAt's validate-and-register, and an AS OF read
+// can never slip under an in-flight prune. The AS OF floor rises only
+// as far as history actually dropped (the max pruned anchor commit),
+// keeping untouched history time-travel readable. The pass sets the
+// next trigger from what it left.
+func (db *DB) versionGCLocked(tables []*Table) int {
 	m := &db.mvcc
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	wm := m.snaps.Watermark(db.currentReadLSNLocked)
 	total := 0
 	for _, t := range tables {
-		if t.vstore == nil {
-			continue
-		}
-		var reclaimed int
-		var floor uint64
-		if full {
-			reclaimed, floor = t.vstore.GC(wm)
-		} else {
-			reclaimed, floor = t.vstore.GCStripes(wm, m.gcCursor, gcStripesPerPass)
-		}
+		reclaimed, floor := t.vstore.GC(wm)
 		total += reclaimed
 		if floor > m.lowWater {
 			m.lowWater = floor
 		}
 	}
-	if !full {
-		m.gcCursor += gcStripesPerPass
-	}
+	db.vm.Passes.Inc()
+	m.gcNext.Store(max(gcBaseThreshold, 2*db.vm.Live.Load()))
 	return total
 }
 
 // VersionCount returns the number of tuple versions held engine-wide.
-func (db *DB) VersionCount() int64 {
-	var n int64
-	db.mu.RLock()
-	for _, t := range db.tables {
-		if t.vstore != nil {
-			n += t.vstore.Count()
-		}
-	}
-	db.mu.RUnlock()
-	return n
-}
+func (db *DB) VersionCount() int64 { return db.vm.Live.Load() }
 
-// maybeVersionGC runs one bounded incremental GC pass when the version
-// population crossed the adaptive threshold.
+// maybeVersionGC runs a GC pass when the live versions reached the
+// trigger. The check repeats under mvcc.mu, so committers that crossed
+// the trigger together run one pass between them.
 func (db *DB) maybeVersionGC() {
-	if db.VersionCount() >= db.gcThreshold() {
-		db.versionGCTables(db.tablesSnapshot(), false)
-	}
-}
-
-// gcThreshold derives the automatic-GC trigger from live signals
-// instead of a fixed population cap: base + creation-rate × history
-// horizon. The horizon is how far back history must survive anyway —
-// the oldest live snapshot's age — so the threshold approximates "the
-// population an effective GC pass could actually get below". A fixed cap under-triggers on idle engines and
-// thrashes on write-heavy ones whose pinned history makes every pass a
-// no-op.
-func (db *DB) gcThreshold() int64 {
 	m := &db.mvcc
-	now := db.opts.Now()
-	created := db.vm.Created.Value()
-	m.gcMu.Lock()
-	if m.rateAt.IsZero() {
-		m.rateAt, m.rateCreated = now, created
-	} else if dt := now.Sub(m.rateAt); dt >= gcRateSampleEvery {
-		inst := float64(created-m.rateCreated) / dt.Seconds()
-		m.rate = gcRateBlend*m.rate + (1-gcRateBlend)*inst
-		m.rateAt, m.rateCreated = now, created
+	if db.vm.Live.Load() < m.gcNext.Load() {
+		return
 	}
-	rate := m.rate
-	m.gcMu.Unlock()
-	return gcBaseThreshold + int64(rate*m.snaps.OldestAge().Seconds())
+	tables := db.tablesSnapshot()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if db.vm.Live.Load() >= m.gcNext.Load() {
+		db.versionGCLocked(tables)
+	}
 }
 
 // versionKey encodes a primary-key value as the version store's chain
@@ -390,12 +337,13 @@ func (tx *Tx) dropStaged() {
 	tx.staged = nil
 }
 
-// releaseSnapshot returns the snapshot handle and, when the version
-// population warrants it, runs a bounded GC pass now that the departing
-// snapshot no longer pins the watermark.
+// releaseSnapshot returns the snapshot handle. When it was the last
+// one, the history it pinned is reclaimable: the trigger re-arms at its
+// base, and the next commit past it runs the pass.
 func (tx *Tx) releaseSnapshot() {
-	tx.db.mvcc.snaps.Release(tx.snapID)
-	tx.db.maybeVersionGC()
+	if tx.db.mvcc.snaps.Release(tx.snapID) == 0 {
+		tx.db.mvcc.gcNext.Store(gcBaseThreshold)
+	}
 }
 
 // snapshotReadable reports whether a SELECT can run on the lock-free

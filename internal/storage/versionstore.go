@@ -38,18 +38,23 @@ import (
 // heap.
 type VersionStore struct {
 	stripes [versionStripes]versionStripe
-	nvers   atomic.Int64 // total versions across all chains (GC trigger)
 
-	// Metrics are shared across every table's store of one engine (the
-	// counters are engine-wide in the exposition); nil disables them.
+	// Shared across every table's store of one engine: the counters are
+	// engine-wide in the exposition, and Live is the one version count
+	// the engine's GC trigger reads.
 	m *VersionMetrics
 }
 
-// VersionMetrics are the obs series a VersionStore feeds. One instance
-// is shared by all tables of an engine.
+// VersionMetrics are the counts a VersionStore feeds. One instance is
+// shared by all tables of an engine.
 type VersionMetrics struct {
+	// Live is the number of versions held across every store sharing
+	// these metrics: stages add to it, aborts and GC subtract.
+	Live      atomic.Int64
 	Created   *obs.Counter   // mvcc_versions_created_total
 	Reclaimed *obs.Counter   // mvcc_versions_reclaimed_total
+	Passes    *obs.Counter   // mvcc_gc_passes_total (counted by the engine)
+	Walked    *obs.Counter   // mvcc_gc_chains_walked_total
 	ChainLen  *obs.Histogram // mvcc_version_chain_length (observed on stage)
 }
 
@@ -58,6 +63,8 @@ func NewVersionMetrics(reg *obs.Registry, labels ...obs.Label) *VersionMetrics {
 	return &VersionMetrics{
 		Created:   reg.Counter("mvcc_versions_created_total", labels...),
 		Reclaimed: reg.Counter("mvcc_versions_reclaimed_total", labels...),
+		Passes:    reg.Counter("mvcc_gc_passes_total", labels...),
+		Walked:    reg.Counter("mvcc_gc_chains_walked_total", labels...),
 		ChainLen:  reg.Histogram("mvcc_version_chain_length", obs.CountBuckets, labels...),
 	}
 }
@@ -84,7 +91,7 @@ type tupleVersion struct {
 
 func (v *tupleVersion) pending() bool { return v.commit == 0 && v.txn != 0 }
 
-// NewVersionStore creates an empty store. m may be nil.
+// NewVersionStore creates an empty store feeding m.
 func NewVersionStore(m *VersionMetrics) *VersionStore {
 	vs := &VersionStore{m: m}
 	for i := range vs.stripes {
@@ -138,14 +145,10 @@ func (vs *VersionStore) Stage(key string, txn uint64, base, after []byte) (fresh
 	n := len(c.vers)
 	s.mu.Unlock()
 	if added > 0 {
-		vs.nvers.Add(int64(added))
-		if vs.m != nil {
-			vs.m.Created.Add(uint64(added))
-		}
+		vs.m.Live.Add(int64(added))
+		vs.m.Created.Add(uint64(added))
 	}
-	if vs.m != nil {
-		vs.m.ChainLen.Observe(float64(n))
-	}
+	vs.m.ChainLen.Observe(float64(n))
 	return fresh
 }
 
@@ -181,7 +184,7 @@ func (vs *VersionStore) DropTxn(keys []string, txn uint64) {
 			for i := 0; i < len(c.vers); i++ {
 				if c.vers[i].pending() && c.vers[i].txn == txn {
 					c.vers = append(c.vers[:i], c.vers[i+1:]...)
-					vs.nvers.Add(-1)
+					vs.m.Live.Add(-1)
 					break
 				}
 			}
@@ -239,48 +242,24 @@ func (vs *VersionStore) VisibleSweep(readLSN uint64, fn func(key string, tuple [
 	}
 }
 
-// Count returns the total number of versions held (all chains).
-func (vs *VersionStore) Count() int64 { return vs.nvers.Load() }
-
-// Chains returns the number of live chains (test/diagnostic use).
-func (vs *VersionStore) Chains() int {
-	n := 0
+// GC prunes history no snapshot at or above watermark can read, across
+// every chain: in each, versions older than the newest resolved version
+// with commit <= watermark (the anchor) are dropped, and a chain
+// reduced to just its anchor — no pending writes, no newer history — is
+// removed entirely, because the heap row then carries the same image.
+// Purely in-memory: GC performs no I/O and cannot perturb fault
+// schedules. It returns the number of versions reclaimed and floor, the
+// highest anchor commit LSN of any chain something was dropped from: a
+// reader below that LSN could no longer reconstruct its image, so the
+// engine raises its AS OF low-water mark to floor. Chains removed while
+// holding only a commit-0 base leave the floor alone — the heap row is
+// identical for every reader.
+func (vs *VersionStore) GC(watermark uint64) (reclaimed int, floor uint64) {
+	walked := 0
 	for i := range vs.stripes {
 		s := &vs.stripes[i]
 		s.mu.Lock()
-		n += len(s.chains)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// GC prunes history no snapshot at or above watermark can read, across
-// every stripe: in each chain, versions older than the newest resolved
-// version with commit <= watermark (the anchor) are dropped, and a
-// chain reduced to just its anchor — no pending writes, no newer
-// history — is removed entirely, because the heap row then carries the
-// same image. Purely in-memory: GC performs no I/O and cannot perturb
-// fault schedules. It returns the number of versions reclaimed and the
-// read floor the pruning establishes (see GCStripes).
-func (vs *VersionStore) GC(watermark uint64) (int, uint64) {
-	return vs.GCStripes(watermark, 0, versionStripes)
-}
-
-// GCStripes is the incremental form of GC: it prunes n stripes starting
-// at index start (mod the stripe count), so automatic triggers on the
-// commit path can pay a bounded, smooth cost instead of a full sweep.
-// floor is the highest anchor commit LSN of any chain something was
-// dropped from: a reader below that LSN could no longer reconstruct its
-// image, so the engine raises its AS OF low-water mark to floor. Chains
-// removed while holding only a commit-0 base leave the floor alone —
-// the heap row is identical for every reader.
-func (vs *VersionStore) GCStripes(watermark uint64, start, n int) (reclaimed int, floor uint64) {
-	if n > versionStripes {
-		n = versionStripes
-	}
-	for i := 0; i < n; i++ {
-		s := &vs.stripes[(start+i)%versionStripes]
-		s.mu.Lock()
+		walked += len(s.chains)
 		for key, c := range s.chains {
 			anchor := -1
 			for j := range c.vers {
@@ -310,11 +289,10 @@ func (vs *VersionStore) GCStripes(watermark uint64, start, n int) (reclaimed int
 		}
 		s.mu.Unlock()
 	}
+	vs.m.Walked.Add(uint64(walked))
 	if reclaimed > 0 {
-		vs.nvers.Add(int64(-reclaimed))
-		if vs.m != nil {
-			vs.m.Reclaimed.Add(uint64(reclaimed))
-		}
+		vs.m.Live.Add(int64(-reclaimed))
+		vs.m.Reclaimed.Add(uint64(reclaimed))
 	}
 	return reclaimed, floor
 }

@@ -9,13 +9,13 @@ import (
 	"opdelta/internal/obs"
 )
 
-// TestProbeBreaksDeadlockBeforeDeadline enables the in-wait probe with
-// a long lock deadline and checks a genuine cycle is broken in probe
-// time, classified as ErrDeadlock, and counted on the registry.
+// TestProbeBreaksDeadlockBeforeDeadline builds a genuine
+// two-transaction range deadlock under a long lock deadline and checks
+// the probe breaks it in probe time, classified as ErrDeadlock and
+// counted on the registry — never as a timeout.
 func TestProbeBreaksDeadlockBeforeDeadline(t *testing.T) {
 	reg := obs.NewRegistry()
 	lm := NewLockManagerObs(5*time.Second, reg)
-	lm.SetDeadlockProbe(20 * time.Millisecond)
 	if err := xRanges(lm, 1, kr(1, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -61,63 +61,80 @@ func TestProbeBreaksDeadlockBeforeDeadline(t *testing.T) {
 	if !errors.Is(deadlockErr, ErrLockTimeout) {
 		t.Fatalf("ErrDeadlock must wrap ErrLockTimeout: %v", deadlockErr)
 	}
-	if st := lm.Stats(); st.ProbeDeadlocks < 1 {
-		t.Fatalf("ProbeDeadlocks = %d, want >= 1 (stats: %+v)", st.ProbeDeadlocks, st)
+	st := lm.Stats()
+	if st.ProbeDeadlocks < 1 || st.Timeouts != 0 {
+		t.Fatalf("ProbeDeadlocks = %d, Timeouts = %d, want >= 1 and 0 (stats: %+v)", st.ProbeDeadlocks, st.Timeouts, st)
 	}
 	if m := reg.Snapshot().Get("txn_lock_probe_deadlocks_total"); m == nil || m.Value < 1 {
 		t.Fatalf("txn_lock_probe_deadlocks_total missing or zero: %+v", m)
 	}
 }
 
-// TestProbeBreaksTableDeadlock runs the probe against a cross-table
-// deadlock at table granularity.
+// TestProbeBreaksTableDeadlock runs the probe against cross-table
+// deadlocks at table granularity, the cross-table edge walk: each
+// transaction holds one table (shared or exclusive) and wants the
+// other's exclusively. The victim releases its locks, so the survivor
+// is granted without a timeout.
 func TestProbeBreaksTableDeadlock(t *testing.T) {
-	lm := NewLockManager(5 * time.Second)
-	lm.SetDeadlockProbe(20 * time.Millisecond)
-	if err := lm.Acquire(1, "a", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.Acquire(2, "b", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	start := time.Now()
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if errs[0] = lm.Acquire(1, "b", Exclusive); errs[0] != nil {
-			lm.ReleaseAll(1)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		if errs[1] = lm.Acquire(2, "a", Exclusive); errs[1] != nil {
-			lm.ReleaseAll(2)
-		}
-	}()
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cycle took %v to break; probe did not fire", elapsed)
-	}
-	if !errors.Is(errs[0], ErrDeadlock) && !errors.Is(errs[1], ErrDeadlock) {
-		t.Fatalf("no ErrDeadlock: %v, %v", errs[0], errs[1])
+	for _, tc := range []struct {
+		name string
+		held LockMode
+	}{
+		{"exclusive", Exclusive},
+		{"shared", Shared},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lm := NewLockManager(time.Second)
+			if err := lm.Acquire(1, "a", tc.held); err != nil {
+				t.Fatal(err)
+			}
+			if err := lm.Acquire(2, "b", tc.held); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			want := func(i int, tx ID, table string) {
+				defer wg.Done()
+				if errs[i] = lm.Acquire(tx, table, Exclusive); errs[i] != nil {
+					lm.ReleaseAll(tx)
+				}
+			}
+			wg.Add(2)
+			go want(0, 1, "b")
+			go want(1, 2, "a")
+			wg.Wait()
+			deadlocks := 0
+			for _, err := range errs {
+				if errors.Is(err, ErrDeadlock) {
+					deadlocks++
+				}
+			}
+			if deadlocks != 1 {
+				t.Fatalf("%d ErrDeadlock, want exactly one victim: %v, %v", deadlocks, errs[0], errs[1])
+			}
+			st := lm.Stats()
+			if st.ProbeDeadlocks != 1 {
+				t.Fatalf("ProbeDeadlocks = %d, want 1 (stats: %+v)", st.ProbeDeadlocks, st)
+			}
+			if st.Timeouts != 0 {
+				t.Fatalf("Timeouts = %d, want 0 (errs: %v, %v)", st.Timeouts, errs[0], errs[1])
+			}
+		})
 	}
 }
 
 // TestProbeIgnoresPlainContention holds a lock past several probe
-// intervals with no cycle: the waiter must ride out to its deadline
-// (or the release), never reporting a deadlock.
+// intervals with no cycle: the waiter must be granted on the release,
+// never reporting a deadlock.
 func TestProbeIgnoresPlainContention(t *testing.T) {
 	lm := NewLockManager(5 * time.Second)
-	lm.SetDeadlockProbe(10 * time.Millisecond)
 	if err := lm.Acquire(1, "t", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- lm.Acquire(2, "t", Exclusive) }()
 	// Several probe intervals pass while txn 1 just holds (not waits).
-	time.Sleep(80 * time.Millisecond)
+	time.Sleep(3 * deadlockProbe)
 	lm.ReleaseAll(1)
 	if err := <-done; err != nil {
 		t.Fatalf("plain contention misclassified: %v", err)
@@ -127,31 +144,35 @@ func TestProbeIgnoresPlainContention(t *testing.T) {
 	}
 }
 
-// TestProbeDisabledByDefault verifies a directly-constructed manager
-// keeps the deadline-only behavior unless the probe is opted into.
-func TestProbeDisabledByDefault(t *testing.T) {
-	lm := NewLockManager(120 * time.Millisecond)
-	if err := lm.Acquire(1, "a", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.Acquire(2, "b", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
-	go func() { defer wg.Done(); errs[0] = lm.Acquire(1, "b", Exclusive) }()
-	go func() { defer wg.Done(); errs[1] = lm.Acquire(2, "a", Exclusive) }()
-	wg.Wait()
-	for _, err := range errs {
-		if errors.Is(err, ErrDeadlock) {
-			t.Fatalf("probe fired while disabled: %v", err)
-		}
-	}
-	if !errors.Is(errs[0], ErrLockTimeout) && !errors.Is(errs[1], ErrLockTimeout) {
-		t.Fatalf("deadline did not break the cycle: %v, %v", errs[0], errs[1])
-	}
-	if st := lm.Stats(); st.ProbeDeadlocks != 0 {
-		t.Fatalf("ProbeDeadlocks = %d, want 0 with the probe off", st.ProbeDeadlocks)
+// TestContentionTimeoutIsNotACycle: plain contention ends in
+// ErrLockTimeout, never ErrDeadlock — a waiter behind an idle holder,
+// at table and at range granularity, is probed and found on no cycle.
+func TestContentionTimeoutIsNotACycle(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		hold    func(lm *LockManager) error
+		request func(lm *LockManager) error
+	}{
+		{"table",
+			func(lm *LockManager) error { return lm.Acquire(1, "t", Exclusive) },
+			func(lm *LockManager) error { return lm.Acquire(2, "t", Exclusive) }},
+		{"range",
+			func(lm *LockManager) error { return xRanges(lm, 1, kr(1, 10)) },
+			func(lm *LockManager) error { return xRanges(lm, 2, kr(5, 6)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The deadline spans several probe ticks.
+			lm := NewLockManager(3 * deadlockProbe)
+			if err := tc.hold(lm); err != nil {
+				t.Fatal(err)
+			}
+			err := tc.request(lm)
+			if !errors.Is(err, ErrLockTimeout) || errors.Is(err, ErrDeadlock) {
+				t.Fatalf("want a plain ErrLockTimeout behind an idle holder, got %v", err)
+			}
+			if st := lm.Stats(); st.Timeouts != 1 || st.ProbeDeadlocks != 0 {
+				t.Fatalf("Timeouts = %d, ProbeDeadlocks = %d, want 1 and 0", st.Timeouts, st.ProbeDeadlocks)
+			}
+		})
 	}
 }

@@ -150,7 +150,7 @@ func TestRangeDeadlockResolvesByTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each now wants the other's interval: a cycle no grant order can
-	// satisfy. The deadline must break it with ErrLockTimeout.
+	// satisfy. The probe breaks it with ErrDeadlock, an ErrLockTimeout.
 	errs := make(chan error, 2)
 	go func() { errs <- xRanges(lm, 1, kr(10, 12)) }()
 	go func() { errs <- xRanges(lm, 2, kr(2, 3)) }()

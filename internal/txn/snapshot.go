@@ -62,11 +62,13 @@ func (r *SnapshotRegistry) registerLocked(lsn uint64) (uint64, uint64) {
 	return r.nextID, lsn
 }
 
-// Release drops a snapshot handle. Unknown handles are ignored.
-func (r *SnapshotRegistry) Release(id uint64) {
+// Release drops a snapshot handle and returns the number of snapshots
+// still active. Unknown handles are ignored.
+func (r *SnapshotRegistry) Release(id uint64) (active int) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	delete(r.active, id)
-	r.mu.Unlock()
+	return len(r.active)
 }
 
 // Watermark returns the version-GC horizon: the minimum read LSN over
@@ -89,18 +91,6 @@ func (r *SnapshotRegistry) Watermark(cur func() uint64) uint64 {
 	return min
 }
 
-// OldestActive returns the smallest read LSN among live snapshots.
-func (r *SnapshotRegistry) OldestActive() (lsn uint64, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.active {
-		if !ok || e.lsn < lsn {
-			lsn, ok = e.lsn, true
-		}
-	}
-	return lsn, ok
-}
-
 // OldestAge returns the age of the longest-running live snapshot (zero
 // when none are active) — the mvcc_oldest_snapshot_age_seconds gauge.
 func (r *SnapshotRegistry) OldestAge() time.Duration {
@@ -116,11 +106,4 @@ func (r *SnapshotRegistry) OldestAge() time.Duration {
 		return 0
 	}
 	return r.now().Sub(oldest)
-}
-
-// Active returns the number of live snapshots.
-func (r *SnapshotRegistry) Active() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.active)
 }

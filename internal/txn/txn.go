@@ -153,7 +153,8 @@ func tableModeCoversRange(held, mode LockMode) bool {
 }
 
 // ErrLockTimeout reports a lock wait that exceeded the manager's
-// timeout, the usual symptom of a deadlock under 2PL.
+// timeout. The probe resolves waits-for cycles long before it, so a
+// timeout is plain contention.
 var ErrLockTimeout = errors.New("txn: lock wait timeout (possible deadlock)")
 
 // ErrDeadlock reports a waits-for cycle detected by the in-wait probe
@@ -215,13 +216,7 @@ type LockManager struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	timeout time.Duration
-	// probe, when positive, runs the waits-for cycle detector at this
-	// interval while a request is blocked, aborting the prober with
-	// ErrDeadlock as soon as it sits on a cycle — instead of burning the
-	// full timeout. Zero disables probing; the deadline then remains the
-	// only deadlock resolver (and noteTimeoutLocked still classifies it).
-	probe  time.Duration
-	tables map[string]*tableLock
+	tables  map[string]*tableLock
 
 	// Metrics live on an obs registry (a private one unless injected via
 	// NewLockManagerObs). The counters are atomic, so incrementing them
@@ -230,7 +225,6 @@ type LockManager struct {
 	reg                     *obs.Registry
 	labels                  []obs.Label
 	waits, grants, timeouts *obs.Counter
-	cycleTimeouts           *obs.Counter
 	probeDeadlocks          *obs.Counter
 }
 
@@ -397,22 +391,11 @@ func NewLockManagerObs(timeout time.Duration, reg *obs.Registry, labels ...obs.L
 		waits:    reg.Counter("txn_lock_waits_total", labels...),
 		grants:   reg.Counter("txn_lock_grants_total", labels...),
 		timeouts: reg.Counter("txn_lock_timeouts_total", labels...),
-		// Timeouts that resolved an actual waits-for cycle (see waitfor.go)
-		// rather than firing on plain contention.
-		cycleTimeouts: reg.Counter("txn_lock_timeout_cycles_total", labels...),
-		// Deadlocks resolved early by the in-wait probe (SetDeadlockProbe).
+		// Deadlocks resolved by the in-wait probe (deadlockProbe).
 		probeDeadlocks: reg.Counter("txn_lock_probe_deadlocks_total", labels...),
 	}
 	lm.cond = sync.NewCond(&lm.mu)
 	return lm
-}
-
-// SetDeadlockProbe enables the in-wait waits-for cycle probe at
-// interval d. Call before the manager is shared across goroutines;
-// probing is off by default so the deadline-backstop path stays
-// exercised where callers want it.
-func (lm *LockManager) SetDeadlockProbe(d time.Duration) {
-	lm.probe = d
 }
 
 func (lm *LockManager) tableLocked(table string) *tableLock {
@@ -498,7 +481,7 @@ func (lm *LockManager) acquireTableLocked(tl *tableLock, tx ID, mode LockMode, d
 			return fmt.Errorf("%w: txn %d wants %s on %q", ErrDeadlock, tx, mode, tl.name)
 		}
 		if timedOut {
-			lm.noteTimeoutLocked(tx)
+			lm.timeouts.Inc()
 			return fmt.Errorf("%w: txn %d wants %s on %q", ErrLockTimeout, tx, mode, tl.name)
 		}
 	}
@@ -642,7 +625,7 @@ func (lm *LockManager) acquireRangeLocked(tl *tableLock, tx ID, mode LockMode, r
 			return fmt.Errorf("%w: txn %d wants %s on %q range %s", ErrDeadlock, tx, mode, tl.name, r)
 		}
 		if timedOut {
-			lm.noteTimeoutLocked(tx)
+			lm.timeouts.Inc()
 			return fmt.Errorf("%w: txn %d wants %s on %q range %s", ErrLockTimeout, tx, mode, tl.name, r)
 		}
 	}
@@ -674,19 +657,16 @@ func (lm *LockManager) tryEscalateLocked(tl *tableLock, tx ID) {
 // tx. It wakes at the next grant broadcast, the probe tick, or the
 // final deadline, whichever comes first. On a probe tick it runs the
 // waits-for cycle detector: deadlocked=true means tx sits on a cycle
-// and must abort now (the probe's early victim), counted in
+// and must abort now (the probe's victim), counted in
 // txn_lock_probe_deadlocks_total. timedOut=true means the deadline
-// passed (the backstop; noteTimeoutLocked classifies it at the call
-// site). Both false means the caller should re-check grantability.
+// passed under plain contention.
 func (lm *LockManager) waitStepLocked(tx ID, deadline time.Time, nextProbe *time.Time) (timedOut, deadlocked bool) {
+	if nextProbe.IsZero() {
+		*nextProbe = time.Now().Add(deadlockProbe)
+	}
 	wake := deadline
-	if lm.probe > 0 {
-		if nextProbe.IsZero() {
-			*nextProbe = time.Now().Add(lm.probe)
-		}
-		if nextProbe.Before(wake) {
-			wake = *nextProbe
-		}
+	if nextProbe.Before(wake) {
+		wake = *nextProbe
 	}
 	if !lm.waitUntilLocked(wake) {
 		if wake.Before(deadline) {
@@ -697,7 +677,7 @@ func (lm *LockManager) waitStepLocked(tx ID, deadline time.Time, nextProbe *time
 				lm.probeDeadlocks.Inc()
 				return false, true
 			}
-			*nextProbe = time.Now().Add(lm.probe)
+			*nextProbe = time.Now().Add(deadlockProbe)
 			return false, false
 		}
 		return true, false
@@ -796,14 +776,11 @@ func (lm *LockManager) HoldingRange(tx ID, table string, r keyset.KeyRange) Lock
 	return best
 }
 
-// LockStats is a snapshot of manager-wide lock counters. CycleTimeouts
-// counts the subset of Timeouts where the timed-out transaction sat on
-// a waits-for cycle — a deadlock resolved by deadline — as opposed to
-// timing out under plain contention. ProbeDeadlocks counts deadlocks
-// the in-wait probe resolved early (they never reach Timeouts).
+// LockStats is a snapshot of manager-wide lock counters.
+// ProbeDeadlocks counts deadlocks the in-wait probe resolved (they never
+// reach Timeouts).
 type LockStats struct {
-	Waits, Grants, Timeouts, CycleTimeouts uint64
-	ProbeDeadlocks                         uint64
+	Waits, Grants, Timeouts, ProbeDeadlocks uint64
 }
 
 // Stats returns manager-wide lock counters.
@@ -812,7 +789,6 @@ func (lm *LockManager) Stats() LockStats {
 		Waits:          lm.waits.Value(),
 		Grants:         lm.grants.Value(),
 		Timeouts:       lm.timeouts.Value(),
-		CycleTimeouts:  lm.cycleTimeouts.Value(),
 		ProbeDeadlocks: lm.probeDeadlocks.Value(),
 	}
 }

@@ -1,14 +1,18 @@
 package txn
 
-// Wait-for-graph analysis, run when a lock wait times out. The manager
-// resolves deadlocks by deadline (ErrLockTimeout), which also fires on
-// plain contention — a long reader, a slow commit. Distinguishing the
-// two matters operationally: cycle timeouts mean the workload's lock
-// order needs attention, contention timeouts mean the timeout is too
-// tight or a transaction too long. The detector reconstructs the
-// waits-for edges from the live queue and holder state — it is an
-// accounting stub, not a preemptive detector: it never aborts anything,
-// it only classifies a timeout that already happened.
+import "time"
+
+// Wait-for-graph analysis for the in-wait deadlock probe. A blocked
+// request wakes every deadlockProbe and runs inCycleLocked on its own
+// transaction; a waiter that sits on a cycle aborts with ErrDeadlock.
+// The detector reconstructs the waits-for edges from the live queue and
+// holder state. The lock deadline stays as the bound on plain
+// contention — a long reader, a slow commit — and a cycle never reaches
+// it: the probe catches one a tick after it forms.
+
+// deadlockProbe is the waits-for probe interval during blocked lock
+// waits.
+const deadlockProbe = 50 * time.Millisecond
 
 // blockersLocked collects the transactions that prevent waiter w from
 // being granted on tl right now: conflicting holders (table modes, and
@@ -87,15 +91,4 @@ func (lm *LockManager) inCycleLocked(start ID) bool {
 		}
 	}
 	return false
-}
-
-// noteTimeoutLocked classifies a just-fired lock timeout: if the
-// timed-out transaction sat on a waits-for cycle, the timeout resolved
-// a deadlock and txn_lock_timeout_cycles_total counts it. Callers hold
-// lm.mu at the timeout site.
-func (lm *LockManager) noteTimeoutLocked(tx ID) {
-	lm.timeouts.Inc()
-	if lm.inCycleLocked(tx) {
-		lm.cycleTimeouts.Inc()
-	}
 }

@@ -9,46 +9,41 @@ import (
 	"opdelta/internal/obs"
 )
 
-// TestCycleTimeoutCountsRangeDeadlock builds a genuine two-transaction
-// range deadlock and checks the timeout that resolves it is classified
-// as a cycle, both in LockStats and on the obs registry.
+// The two tests below build the deadlocks the waits-for analysis must
+// recognise as cycles, with transactions that keep their locks after a
+// failed acquire. The probe counts the cycle before any deadline: one
+// waiter is the ErrDeadlock victim, and the survivor then waits on a
+// transaction that waits on nothing, so its timeout is plain contention
+// and never a second deadlock.
+
+// TestCycleTimeoutCountsRangeDeadlock deadlocks two transactions on
+// each other's key ranges.
 func TestCycleTimeoutCountsRangeDeadlock(t *testing.T) {
 	reg := obs.NewRegistry()
-	lm := NewLockManagerObs(150*time.Millisecond, reg)
+	lm := NewLockManagerObs(time.Second, reg)
 	if err := xRanges(lm, 1, kr(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := xRanges(lm, 2, kr(5, 6)); err != nil {
 		t.Fatal(err)
 	}
-	// Cross requests: 1 wants 2's range, 2 wants 1's. Neither can ever
-	// be granted; the deadline must break the cycle.
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
 	go func() { defer wg.Done(); errs[0] = xRanges(lm, 1, kr(5, 6)) }()
 	go func() { defer wg.Done(); errs[1] = xRanges(lm, 2, kr(1, 2)) }()
 	wg.Wait()
-	if !errors.Is(errs[0], ErrLockTimeout) && !errors.Is(errs[1], ErrLockTimeout) {
-		t.Fatalf("no timeout from a hard deadlock: %v, %v", errs[0], errs[1])
-	}
-	st := lm.Stats()
-	if st.CycleTimeouts < 1 {
-		t.Fatalf("CycleTimeouts = %d, want >= 1 (stats: %+v)", st.CycleTimeouts, st)
-	}
-	if st.CycleTimeouts > st.Timeouts {
-		t.Fatalf("CycleTimeouts %d exceeds Timeouts %d", st.CycleTimeouts, st.Timeouts)
-	}
-	if m := reg.Snapshot().Get("txn_lock_timeout_cycles_total"); m == nil || m.Value < 1 {
-		t.Fatalf("txn_lock_timeout_cycles_total missing or zero on the registry: %+v", m)
+	checkOneVictim(t, lm, errs)
+	if m := reg.Snapshot().Get("txn_lock_probe_deadlocks_total"); m == nil || m.Value != 1 {
+		t.Fatalf("txn_lock_probe_deadlocks_total missing or not 1 on the registry: %+v", m)
 	}
 }
 
 // TestCycleTimeoutCountsCrossTableDeadlock deadlocks two transactions
-// across two tables at table granularity, exercising the cross-table
-// edge walk.
+// across two tables at table granularity, shared then exclusive,
+// exercising the cross-table edge walk.
 func TestCycleTimeoutCountsCrossTableDeadlock(t *testing.T) {
-	lm := NewLockManager(150 * time.Millisecond)
+	lm := NewLockManager(time.Second)
 	if err := lm.Acquire(1, "a", Shared); err != nil {
 		t.Fatal(err)
 	}
@@ -61,42 +56,26 @@ func TestCycleTimeoutCountsCrossTableDeadlock(t *testing.T) {
 	go func() { defer wg.Done(); errs[0] = lm.Acquire(1, "b", Exclusive) }()
 	go func() { defer wg.Done(); errs[1] = lm.Acquire(2, "a", Exclusive) }()
 	wg.Wait()
-	if !errors.Is(errs[0], ErrLockTimeout) && !errors.Is(errs[1], ErrLockTimeout) {
-		t.Fatalf("no timeout from a cross-table deadlock: %v, %v", errs[0], errs[1])
-	}
-	if st := lm.Stats(); st.CycleTimeouts < 1 {
-		t.Fatalf("CycleTimeouts = %d, want >= 1 (stats: %+v)", st.CycleTimeouts, st)
-	}
+	checkOneVictim(t, lm, errs)
 }
 
-// TestContentionTimeoutIsNotACycle times out behind a holder that is
-// not itself waiting on anything: plain contention, which must bump
-// Timeouts but never CycleTimeouts.
-func TestContentionTimeoutIsNotACycle(t *testing.T) {
-	lm := NewLockManager(100 * time.Millisecond)
-	if err := lm.Acquire(1, "t", Exclusive); err != nil {
-		t.Fatal(err)
+// checkOneVictim asserts exactly one ErrDeadlock, counted once by the
+// probe, and a plain ErrLockTimeout for the survivor.
+func checkOneVictim(t *testing.T, lm *LockManager, errs []error) {
+	t.Helper()
+	deadlocks, timeouts := 0, 0
+	for _, err := range errs {
+		switch {
+		case errors.Is(err, ErrDeadlock):
+			deadlocks++
+		case errors.Is(err, ErrLockTimeout):
+			timeouts++
+		}
 	}
-	if err := lm.Acquire(2, "t", Exclusive); !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("want timeout behind an idle X holder, got %v", err)
+	if deadlocks != 1 || timeouts != 1 {
+		t.Fatalf("want one ErrDeadlock and one plain ErrLockTimeout, got %v, %v", errs[0], errs[1])
 	}
-	st := lm.Stats()
-	if st.Timeouts < 1 {
-		t.Fatalf("Timeouts = %d, want >= 1", st.Timeouts)
-	}
-	if st.CycleTimeouts != 0 {
-		t.Fatalf("CycleTimeouts = %d on plain contention, want 0", st.CycleTimeouts)
-	}
-
-	// Same story for a range wait blocked by an idle range holder.
-	lm2 := NewLockManager(100 * time.Millisecond)
-	if err := xRanges(lm2, 1, kr(1, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := xRanges(lm2, 2, kr(5, 6)); !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("want timeout behind an idle range holder, got %v", err)
-	}
-	if st := lm2.Stats(); st.CycleTimeouts != 0 {
-		t.Fatalf("CycleTimeouts = %d on range contention, want 0", st.CycleTimeouts)
+	if st := lm.Stats(); st.ProbeDeadlocks != 1 || st.Timeouts != 1 {
+		t.Fatalf("ProbeDeadlocks = %d, Timeouts = %d, want 1 and 1 (stats: %+v)", st.ProbeDeadlocks, st.Timeouts, st)
 	}
 }
