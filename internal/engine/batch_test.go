@@ -317,6 +317,67 @@ func TestBatchVisitsEachPageOnce(t *testing.T) {
 	}
 }
 
+// TestIndexPlanReadsEachPageOnce: a SELECT answered by the PK index or
+// a secondary index fetches each page its rows sit on once, where
+// reading row by row fetched it once per row, and a LIMIT stops the
+// fetches at the pages its rows need.
+func TestIndexPlanReadsEachPageOnce(t *testing.T) {
+	db := openTestDB(t, Options{})
+	if _, err := db.Exec(nil, `CREATE TABLE docs (id BIGINT NOT NULL, seq BIGINT, body VARCHAR) PRIMARY KEY (id)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateSecondaryIndex("docs", "seq"); err != nil {
+		t.Fatal(err)
+	}
+	const k = 40
+	var vals []string
+	for i := 0; i < k; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d, '%s')", i, i, strings.Repeat("b", 700)))
+	}
+	if _, err := db.Exec(nil, "INSERT INTO docs (id, seq, body) VALUES "+strings.Join(vals, ", ")); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("docs")
+	pages := int(tbl.Heap().NumPages())
+	if pages < 3 {
+		t.Fatalf("%d rows on %d pages; want several", k, pages)
+	}
+	fetches := func() uint64 {
+		st := tbl.Heap().Pool().Stats()
+		return st.Hits + st.Misses
+	}
+	for _, tc := range []struct {
+		where        string
+		limit, pages int
+	}{
+		{"id BETWEEN 0 AND 39", 0, pages},
+		{"seq BETWEEN 0 AND 39", 0, pages},
+		{"id BETWEEN 0 AND 39", 5, 1},
+	} {
+		q := "SELECT id, seq FROM docs WHERE " + tc.where
+		rows := k
+		if tc.limit > 0 {
+			q, rows = q+fmt.Sprintf(" LIMIT %d", tc.limit), tc.limit
+		}
+		before := fetches()
+		_, got, err := db.Query(nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != rows {
+			t.Fatalf("%s: %d rows, want %d", q, len(got), rows)
+		}
+		for i, r := range got {
+			if r[0].Int() != int64(i) || r[1].Int() != int64(i) {
+				t.Fatalf("%s: row %d is %v", q, i, r)
+			}
+		}
+		if n := fetches() - before; n != uint64(tc.pages) {
+			t.Fatalf("%s: %d page fetches for %d rows, want %d", q, n, rows, tc.pages)
+		}
+	}
+}
+
 // TestKeyedBatchLocksOnce: a keyed batch over consecutive integer keys
 // takes one range lock, and its statement hooks fire once.
 func TestKeyedBatchLocksOnce(t *testing.T) {

@@ -333,15 +333,8 @@ func (db *DB) openTable(m tableMeta) (*Table, error) {
 		return nil, err
 	}
 	// Enforce write-ahead ordering before any dirty page reaches its
-	// file. At SyncFull the barrier must be a real fsync: a flush only
-	// reaches the OS, so a power loss after the page write but before the
-	// next WAL sync could leave a page whose log records never became
-	// durable — exactly the ordering violation WAL exists to prevent.
-	if db.opts.WALSync == wal.SyncFull {
-		heap.Pool().SetBeforePageWrite(db.wal.Sync)
-	} else {
-		heap.Pool().SetBeforePageWrite(db.wal.Flush)
-	}
+	// file.
+	heap.Pool().SetBeforePageWrite(db.wal.PageBarrier)
 	poolLabels := append(append([]obs.Label(nil), db.obsLabels...),
 		obs.L("pool", strings.ToLower(m.Name)))
 	heap.Pool().RegisterObs(db.obs, poolLabels...)
@@ -457,15 +450,9 @@ func (db *DB) Checkpoint() error {
 	defer db.mu.RUnlock()
 	tables := make([]*Table, 0, len(db.tables))
 	for _, t := range db.tables {
-		if err := t.heap.Flush(); err != nil {
-			return err
-		}
 		tables = append(tables, t)
 	}
-	if _, err := db.wal.Append(&wal.Record{Type: wal.RecCheckpoint}); err != nil {
-		return err
-	}
-	if err := db.wal.Sync(); err != nil {
+	if err := db.writeCheckpoint(tables); err != nil {
 		return err
 	}
 	// Quiescence means no snapshot is pinning history: drop every
@@ -476,6 +463,21 @@ func (db *DB) Checkpoint() error {
 	// Closed segments before the active one are now recoverable-from
 	// nowhere needed; recycle them (archive copies remain if enabled).
 	return db.wal.Recycle(db.wal.ActiveSegment())
+}
+
+// writeCheckpoint flushes every page of tables, then appends a
+// checkpoint record and syncs the log, so recovery starts after the
+// record. No transaction may be active.
+func (db *DB) writeCheckpoint(tables []*Table) error {
+	for _, t := range tables {
+		if err := t.heap.Flush(); err != nil {
+			return err
+		}
+	}
+	if _, err := db.wal.Append(&wal.Record{Type: wal.RecCheckpoint}); err != nil {
+		return err
+	}
+	return db.wal.Sync()
 }
 
 // Close checkpoints and shuts the engine down.

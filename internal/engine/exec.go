@@ -254,10 +254,10 @@ type Row struct {
 // ("table scans unless an index is defined").
 func (db *DB) collectTargets(t *Table, where sqlmini.Expr) ([]Row, error) {
 	if r, ok := pkRangePlan(t, where); ok {
-		return db.targetsFromRIDs(t, t.rangeRIDs(&r))
+		return db.targetsFromRIDs(t, t.rangeRIDs(&r, 0))
 	}
 	if si, r, ok := secondaryRangePlan(t, where); ok {
-		rids, err := t.rangeSecondary(si, r)
+		rids, err := t.rangeSecondary(si, r, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -464,9 +464,11 @@ func (db *DB) IterateSelect(tx *Tx, sel *sqlmini.Select, fn func(catalog.Tuple) 
 			return nil, err
 		}
 	}
+	// Every row emit receives is private to this call, so it goes to fn
+	// uncopied.
 	emit := func(tup catalog.Tuple) error {
 		if proj == nil {
-			return fn(tup.Clone())
+			return fn(tup)
 		}
 		out := make(catalog.Tuple, len(proj))
 		for i, p := range proj {
@@ -495,19 +497,20 @@ func (db *DB) IterateSelect(tx *Tx, sel *sqlmini.Select, fn func(catalog.Tuple) 
 	// outside are never visited, and inserts into the interval are
 	// blocked (no phantoms). Key-disjoint writers keep running. Every
 	// other plan reads arbitrary heap rows and needs the whole-table S
-	// lock the engine always used.
+	// lock the engine always used. Index plans are exact, every RID a
+	// row to emit, so LIMIT stops the index walk.
 	var planRIDs []storage.RID
 	planned := false
 	if r, ok := pkRangePlan(t, sel.Where); ok {
 		if err := tx.lockRangeShared(t.Name, r); err != nil {
 			return nil, err
 		}
-		planRIDs, planned = t.rangeRIDs(&r), true
+		planRIDs, planned = t.rangeRIDs(&r, sel.Limit), true
 	} else if si, r, ok := secondaryRangePlan(t, sel.Where); ok {
 		if err := tx.lockShared(t.Name); err != nil {
 			return nil, err
 		}
-		rids, err := t.rangeSecondary(si, r)
+		rids, err := t.rangeSecondary(si, r, sel.Limit)
 		if err != nil {
 			return nil, err
 		}
@@ -516,20 +519,22 @@ func (db *DB) IterateSelect(tx *Tx, sel *sqlmini.Select, fn func(catalog.Tuple) 
 		return nil, err
 	}
 	if planned {
-		for _, rid := range planRIDs {
-			rec, err := t.heap.Get(rid)
+		// Rows are read a chunk at a time, one page visit per run of
+		// RIDs on a page, and emitted outside the latches.
+		for len(planRIDs) > 0 {
+			n := min(len(planRIDs), planChunk)
+			rows, err := db.targetsFromRIDs(t, planRIDs[:n])
 			if err != nil {
 				return nil, err
 			}
-			tup, err := catalog.DecodeTuple(t.Schema, rec)
-			if err != nil {
-				return nil, err
-			}
-			if err := emit(tup); err != nil {
-				if errors.Is(err, errStopIteration) {
-					return outSchema, nil
+			planRIDs = planRIDs[n:]
+			for _, r := range rows {
+				if err := emit(r.Tuple); err != nil {
+					if errors.Is(err, errStopIteration) {
+						return outSchema, nil
+					}
+					return nil, err
 				}
-				return nil, err
 			}
 		}
 		return outSchema, nil
@@ -559,6 +564,10 @@ func (db *DB) IterateSelect(tx *Tx, sel *sqlmini.Select, fn func(catalog.Tuple) 
 	}
 	return outSchema, nil
 }
+
+// planChunk bounds the rows an index plan in IterateSelect holds
+// decoded at once, so a long range streams.
+const planChunk = 256
 
 // errStopIteration terminates a LIMITed stream early; it never escapes
 // the engine.

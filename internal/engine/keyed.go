@@ -116,7 +116,7 @@ func (tx *Tx) RowsByKeys(t *Table, col int, keys []catalog.Value, forUpdate bool
 			return nil, err
 		}
 		for _, i := range probe {
-			found, err := t.rangeSecondary(si, keyset.Point(coerced[i]))
+			found, err := t.rangeSecondary(si, keyset.Point(coerced[i]), 0)
 			if err != nil {
 				return nil, err
 			}

@@ -91,7 +91,7 @@ func (db *DB) currentReadLSNLocked() uint64 {
 func (db *DB) mvccBeginCommit(rec *wal.Record) (wal.LSN, error) {
 	db.mvcc.mu.Lock()
 	defer db.mvcc.mu.Unlock()
-	lsn, err := db.wal.AppendBuffered(rec)
+	lsn, err := db.wal.Append(rec)
 	if err != nil {
 		return 0, err
 	}

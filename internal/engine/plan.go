@@ -53,12 +53,13 @@ func (t *Table) walkPK(r *keyset.KeyRange, fn func(catalog.Value, storage.RID) b
 	})
 }
 
-// rangeRIDs collects the RIDs of the PK entries inside r in key order.
-func (t *Table) rangeRIDs(r *keyset.KeyRange) []storage.RID {
+// rangeRIDs collects the RIDs of the PK entries inside r in key order,
+// the first limit of them when limit > 0.
+func (t *Table) rangeRIDs(r *keyset.KeyRange, limit int) []storage.RID {
 	var out []storage.RID
 	t.walkPK(r, func(_ catalog.Value, rid storage.RID) bool {
 		out = append(out, rid)
-		return true
+		return len(out) != limit
 	})
 	return out
 }

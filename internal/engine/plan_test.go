@@ -379,7 +379,7 @@ func TestRangePlansMatchReference(t *testing.T) {
 				if !newOK {
 					t.Fatalf("%s: the reference plans %s on the key, the new planner does not", pt.name, where)
 				}
-				if got, want := tbl.rangeRIDs(&newR), ref.rangeRIDs(tbl); !slices.Equal(got, want) {
+				if got, want := tbl.rangeRIDs(&newR, 0), ref.rangeRIDs(tbl); !slices.Equal(got, want) {
 					t.Fatalf("%s: key plan of %s visits %v, the reference %v", pt.name, where, got, want)
 				}
 			} else if newOK {
@@ -389,7 +389,7 @@ func TestRangePlansMatchReference(t *testing.T) {
 				if emptyRange(newR) {
 					emptyPlans++
 				}
-				check("key", tbl.rangeRIDs(&newR))
+				check("key", tbl.rangeRIDs(&newR, 0))
 				for _, stmt := range []sqlmini.Statement{
 					&sqlmini.Delete{Table: pt.name, Where: where},
 					&sqlmini.Update{Table: pt.name, Where: where,
@@ -417,11 +417,11 @@ func TestRangePlansMatchReference(t *testing.T) {
 					if !newOK {
 						t.Fatalf("%s: the reference plans %s on %s, the new planner does not", pt.name, where, col.Name)
 					}
-					got, err := tbl.rangeSecondary(si, newR)
+					got, err := tbl.rangeSecondary(si, newR, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := tbl.rangeSecondary(si, ref.keysetRange())
+					want, err := tbl.rangeSecondary(si, ref.keysetRange(), 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -432,7 +432,7 @@ func TestRangePlansMatchReference(t *testing.T) {
 					onlyNew++
 				}
 				if newOK {
-					rids, err := tbl.rangeSecondary(si, newR)
+					rids, err := tbl.rangeSecondary(si, newR, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

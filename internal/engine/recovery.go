@@ -78,15 +78,7 @@ func (db *DB) recover() (uint64, error) {
 		}
 	}
 	// Make the recovered state durable and draw a fresh line in the log.
-	for _, t := range db.tables {
-		if err := t.heap.Flush(); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := db.wal.Append(&wal.Record{Type: wal.RecCheckpoint}); err != nil {
-		return 0, err
-	}
-	if err := db.wal.Sync(); err != nil {
+	if err := db.writeCheckpoint(db.tablesSnapshot()); err != nil {
 		return 0, err
 	}
 	return maxTxn, nil

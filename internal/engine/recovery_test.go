@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"opdelta/internal/catalog"
+	"opdelta/internal/fault"
 	"opdelta/internal/wal"
 )
 
@@ -237,5 +238,74 @@ func TestRecoveryAfterCheckpointRecycling(t *testing.T) {
 	}
 	if n := mustCount(t, db2, "t", "id = 349"); n != 1 {
 		t.Fatal("post-checkpoint insert lost")
+	}
+}
+
+// TestAbortIsNotForced: under SyncFull an abort fsyncs nothing, its
+// record stays in the log buffer. Recovery treats every transaction
+// without a commit record as a loser, so after a power cut, here one
+// that loses the last abort record while that transaction's writes are
+// on disk, every aborted row is absent and every committed row present.
+func TestAbortIsNotForced(t *testing.T) {
+	fs := fault.NewSimFS(1)
+	db, err := Open("/db", Options{FS: fs, Now: newClock().Now, WALSync: wal.SyncFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	createParts(t, db)
+	tbl, _ := db.Table("parts")
+	want := map[int64]string{}
+	commit := func(id int64) {
+		t.Helper()
+		if _, err := db.Exec(nil, fmt.Sprintf(`INSERT INTO parts (part_id, status) VALUES (%d, 'kept')`, id)); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = "kept"
+	}
+	for id := int64(0); id < 10; id++ {
+		commit(id)
+	}
+	const aborts = 8
+	for i := 0; i < aborts; i++ {
+		commit(int64(200 + i))
+		tx := db.Begin()
+		for _, sql := range []string{
+			fmt.Sprintf(`INSERT INTO parts (part_id, status) VALUES (%d, 'aborted')`, 100+i),
+			fmt.Sprintf(`UPDATE parts SET status = 'aborted' WHERE part_id = %d`, i),
+			fmt.Sprintf(`DELETE FROM parts WHERE part_id = %d`, i+1),
+		} {
+			if _, err := db.Exec(tx, sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Put the uncommitted images on disk; the page barrier makes
+		// their log records durable first.
+		if err := tbl.Heap().Flush(); err != nil {
+			t.Fatal(err)
+		}
+		syncs := db.WAL().Stats().Syncs
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.WAL().Stats().Syncs; got != syncs {
+			t.Fatalf("abort %d added %d to wal_syncs_total, want 0", i, got-syncs)
+		}
+	}
+
+	// Power cut, no Close.
+	db2, err := Open("/db", Options{FS: fs.Reboot(), Now: newClock().Now, WALSync: wal.SyncFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	got := map[int64]string{}
+	if err := db2.ScanTable(nil, "parts", func(tup catalog.Tuple) error {
+		got[tup[0].Int()] = tup[1].Str()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered %v, want %v", got, want)
 	}
 }

@@ -166,8 +166,8 @@ func (t *Table) secIndexOn(col int) *secIndex {
 }
 
 // rangeSecondary collects RIDs of entries whose column value lies in
-// r, in value order.
-func (t *Table) rangeSecondary(si *secIndex, r keyset.KeyRange) ([]storage.RID, error) {
+// r, in value order, the first limit of them when limit > 0.
+func (t *Table) rangeSecondary(si *secIndex, r keyset.KeyRange, limit int) ([]storage.RID, error) {
 	loKey, hiKey, err := indexRangeBounds(r)
 	if err != nil {
 		return nil, err
@@ -177,7 +177,7 @@ func (t *Table) rangeSecondary(si *secIndex, r keyset.KeyRange) ([]storage.RID, 
 	defer t.idxMu.RUnlock()
 	si.tree.Range(loKey, hiKey, func(k catalog.Value, _ storage.RID) bool {
 		out = append(out, decodeEntryRID(k))
-		return true
+		return len(out) != limit
 	})
 	return out, nil
 }

@@ -215,7 +215,10 @@ func (tx *Tx) Commit() error {
 	return nil
 }
 
-// Abort rolls the transaction back and releases its locks.
+// Abort rolls the transaction back and releases its locks. Its abort
+// record is buffered, never forced: recovery treats every transaction
+// without a commit record as a loser and undoes it, so a crash that
+// loses the record loses nothing.
 func (tx *Tx) Abort() error {
 	if tx.done {
 		return fmt.Errorf("engine: transaction %d already finished", tx.id)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -16,16 +17,16 @@ func openTestWriter(t *testing.T, opts Options) (*Writer, string) {
 	return w, dir
 }
 
-// TestAppendBufferedDefersDurability checks that AppendBuffered skips
-// the inline commit sync and WaitDurable supplies it.
-func TestAppendBufferedDefersDurability(t *testing.T) {
+// TestAppendDefersDurability checks that Append makes nothing durable,
+// even a commit record under SyncFull, and WaitDurable supplies it.
+func TestAppendDefersDurability(t *testing.T) {
 	w, dir := openTestWriter(t, Options{Sync: SyncFull})
-	lsn, err := w.AppendBuffered(&Record{Type: RecCommit, Txn: 1})
+	lsn, err := w.Append(&Record{Type: RecCommit, Txn: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Stats().Syncs; got != 0 {
-		t.Fatalf("AppendBuffered issued %d fsyncs, want 0", got)
+		t.Fatalf("Append issued %d fsyncs, want 0", got)
 	}
 	if err := w.WaitDurable(lsn); err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestAppendBufferedDefersDurability(t *testing.T) {
 }
 
 // TestGroupCommitAmortizesSyncs drives many concurrent committers
-// through AppendBuffered+WaitDurable and checks the leader batched
+// through Append+WaitDurable and checks the leader batched
 // them: far fewer fsyncs than commits.
 func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	w, _ := openTestWriter(t, Options{Sync: SyncFull})
@@ -72,7 +73,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 				txn++
 				id := txn
 				txnMu.Unlock()
-				lsn, err := w.AppendBuffered(&Record{Type: RecCommit, Txn: id})
+				lsn, err := w.Append(&Record{Type: RecCommit, Txn: id})
 				if err == nil {
 					err = w.WaitDurable(lsn)
 				}
@@ -100,20 +101,47 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	}
 }
 
-// TestWaitDurablePolicies checks the policy ladder: SyncNone waits for
-// nothing, SyncFlush only flushes, and both report success.
+// TestWaitDurablePolicies checks the policy ladder on the commit path.
+// Append alone flushes and fsyncs nothing under any policy; WaitDurable
+// then does nothing under SyncNone, flushes under SyncFlush, and flushes
+// and fsyncs under SyncFull. TestSyncPolicies covers the page barrier
+// and Close.
 func TestWaitDurablePolicies(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncNone, SyncFlush} {
-		w, _ := openTestWriter(t, Options{Sync: policy})
-		lsn, err := w.AppendBuffered(&Record{Type: RecCommit, Txn: 1})
+	for _, tc := range []struct {
+		policy SyncPolicy
+		// Flushes and fsyncs WaitDurable issues.
+		waitFlushes, waitSyncs uint64
+	}{
+		{SyncNone, 0, 0},
+		{SyncFlush, 1, 0},
+		{SyncFull, 1, 1},
+	} {
+		w, dir := openTestWriter(t, Options{Sync: tc.policy})
+		lsn, err := w.Append(&Record{Type: RecCommit, Txn: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WaitDurable(lsn); err != nil {
-			t.Fatalf("policy %d: %v", policy, err)
+		if st := w.Stats(); st.Flushes != 0 || st.Syncs != 0 {
+			t.Fatalf("policy %d: Append alone flushed %d and fsynced %d times", tc.policy, st.Flushes, st.Syncs)
 		}
-		if st := w.Stats(); st.Syncs != 0 {
-			t.Fatalf("policy %d issued %d fsyncs from WaitDurable", policy, st.Syncs)
+		if err := w.WaitDurable(lsn); err != nil {
+			t.Fatalf("policy %d: %v", tc.policy, err)
+		}
+		st := w.Stats()
+		if st.Flushes != tc.waitFlushes || st.Syncs != tc.waitSyncs {
+			t.Fatalf("policy %d: WaitDurable flushed %d and fsynced %d times, want %d and %d",
+				tc.policy, st.Flushes, st.Syncs, tc.waitFlushes, tc.waitSyncs)
+		}
+		recs, err := ReadAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inFile := len(recs) == 1; inFile != (tc.policy != SyncNone) {
+			t.Fatalf("policy %d: %d records in the segment after WaitDurable", tc.policy, len(recs))
+		}
+
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -125,7 +153,7 @@ func TestWaitDurableAcrossRotation(t *testing.T) {
 	w, dir := openTestWriter(t, Options{Sync: SyncFull, SegmentSize: 128})
 	var last LSN
 	for i := 0; i < 20; i++ {
-		lsn, err := w.AppendBuffered(&Record{Type: RecInsert, Txn: 1, Table: "t",
+		lsn, err := w.Append(&Record{Type: RecInsert, Txn: 1, Table: "t",
 			After: []byte("payload-payload-payload")})
 		if err != nil {
 			t.Fatal(err)
@@ -147,10 +175,11 @@ func TestWaitDurableAcrossRotation(t *testing.T) {
 	}
 }
 
-// TestMixedInlineAndGroupCommit interleaves legacy Append (inline
-// policy) with the buffered path under concurrency; both must end
-// durable and LSN-dense.
-func TestMixedInlineAndGroupCommit(t *testing.T) {
+// TestConcurrentAppendsStayLSNDense runs concurrent appenders, half of
+// them waiting for durability: every waiter's record is durable when
+// WaitDurable returns, and after Close the log holds every record under
+// a dense run of LSNs.
+func TestConcurrentAppendsStayLSNDense(t *testing.T) {
 	w, dir := openTestWriter(t, Options{Sync: SyncFull})
 	const n = 40
 	var wg sync.WaitGroup
@@ -160,14 +189,11 @@ func TestMixedInlineAndGroupCommit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if i%2 == 0 {
-				_, err := w.Append(&Record{Type: RecCommit, Txn: uint64(i + 1)})
-				errs <- err
-				return
-			}
-			lsn, err := w.AppendBuffered(&Record{Type: RecCommit, Txn: uint64(i + 1)})
-			if err == nil {
-				err = w.WaitDurable(lsn)
+			lsn, err := w.Append(&Record{Type: RecCommit, Txn: uint64(i + 1)})
+			if err == nil && i%2 == 1 {
+				if err = w.WaitDurable(lsn); err == nil && w.CommitVisibleLSN() < lsn {
+					err = fmt.Errorf("WaitDurable(%d) returned with the durable mark at %d", lsn, w.CommitVisibleLSN())
+				}
 			}
 			errs <- err
 		}()
@@ -178,6 +204,9 @@ func TestMixedInlineAndGroupCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	recs, err := ReadAll(dir)
 	if err != nil {

@@ -290,32 +290,48 @@ func TestRecycleKeepsArchive(t *testing.T) {
 	w.Close()
 }
 
+// TestSyncPolicies checks the policy ladder away from the commit path.
+// The page barrier flushes under every policy and fsyncs only under
+// SyncFull. Close fsyncs under every policy, and that fsync is counted.
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncNone, SyncFlush, SyncFull} {
+	for _, tc := range []struct {
+		policy       SyncPolicy
+		barrierSyncs uint64
+	}{
+		{SyncNone, 0},
+		{SyncFlush, 0},
+		{SyncFull, 1},
+	} {
 		dir := filepath.Join(t.TempDir(), "wal")
-		w, err := Open(dir, Options{Sync: pol})
+		w, err := Open(dir, Options{Sync: tc.policy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Append(&Record{Type: RecCommit, Txn: 1}); err != nil {
-			t.Fatalf("policy %d: %v", pol, err)
+		if _, err := w.Append(&Record{Type: RecInsert, Txn: 1, Table: "t", After: []byte("x")}); err != nil {
+			t.Fatalf("policy %d: %v", tc.policy, err)
 		}
-		st := w.Stats()
-		switch pol {
-		case SyncNone:
-			if st.Flushes != 0 {
-				t.Errorf("SyncNone flushed %d times", st.Flushes)
-			}
-		case SyncFlush:
-			if st.Flushes == 0 || st.Syncs != 0 {
-				t.Errorf("SyncFlush: %+v", st)
-			}
-		case SyncFull:
-			if st.Syncs == 0 {
-				t.Errorf("SyncFull did not fsync: %+v", st)
-			}
+		before := w.Stats()
+		if err := w.PageBarrier(); err != nil {
+			t.Fatal(err)
 		}
-		w.Close()
+		after := w.Stats()
+		if after.Flushes != before.Flushes+1 || after.Syncs != before.Syncs+tc.barrierSyncs {
+			t.Fatalf("policy %d: page barrier flushed %d and fsynced %d times, want 1 and %d",
+				tc.policy, after.Flushes-before.Flushes, after.Syncs-before.Syncs, tc.barrierSyncs)
+		}
+		recs, err := ReadAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 {
+			t.Fatalf("policy %d: %d records in the segment after the page barrier, want 1", tc.policy, len(recs))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Stats().Syncs; got != after.Syncs+1 {
+			t.Fatalf("policy %d: Close added %d to wal_syncs_total, want 1", tc.policy, got-after.Syncs)
+		}
 	}
 }
 

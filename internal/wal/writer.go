@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -92,8 +93,9 @@ type Writer struct {
 
 	// Counters and histograms are obs registry series; incrementing an
 	// atomic counter under w.mu adds no synchronization the append path
-	// doesn't already pay. fsyncSeconds is observed with w.mu RELEASED
-	// (the leader path) or held only as long as the fsync itself.
+	// doesn't already pay. The flush step and the fsync step
+	// (flushLocked, syncLocked) are the only places that count flushes
+	// and fsyncs.
 	appended, flushes, syncsDone, groupSyncs, rotations *obs.Counter
 	fsyncSeconds                                        *obs.Histogram
 	cohortSize                                          *obs.Histogram
@@ -112,19 +114,6 @@ func (w *Writer) initMetrics() {
 	w.rotations = reg.Counter("wal_rotations_total", ls...)
 	w.fsyncSeconds = reg.Histogram("wal_fsync_seconds", obs.DurationBuckets, ls...)
 	w.cohortSize = reg.Histogram("wal_group_commit_cohort_records", obs.CountBuckets, ls...)
-}
-
-// timedSync fsyncs f and feeds the latency histogram. covered is the
-// number of records this sync round makes durable — the group-commit
-// cohort (1 means group commit bought nothing).
-func (w *Writer) timedSync(f fault.File, covered LSN) error {
-	start := time.Now()
-	err := f.Sync()
-	w.fsyncSeconds.ObserveDuration(time.Since(start))
-	if covered > 0 {
-		w.cohortSize.Observe(float64(covered))
-	}
-	return err
 }
 
 // Open creates or resumes the log in dir. When resuming, the next LSN
@@ -212,25 +201,16 @@ func (w *Writer) openSegmentLocked(idx uint64) error {
 // serialize records outside the writer mutex without allocating.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// Append frames r, assigns it the next LSN (overwriting r.LSN), and
-// buffers it. Commit/abort/checkpoint records additionally apply the
-// durability policy. It returns the assigned LSN.
-func (w *Writer) Append(r *Record) (LSN, error) {
-	return w.append(r, true)
-}
+var errClosed = errors.New("wal: writer closed")
 
-// AppendBuffered frames r and assigns its LSN but does not apply the
-// commit durability policy, even for commit/abort/checkpoint records.
-// Callers pair it with WaitDurable: append the commit record, release
-// transaction locks, then wait for durability — early lock release.
+// Append frames r, assigns it the next LSN (overwriting r.LSN), and
+// buffers it. It makes nothing durable, whatever the record's type:
+// WaitDurable applies the sync policy. A commit appends its record,
+// releases its locks, then waits for durability — early lock release.
 // Correctness rests on the single-log ordering invariant: a transaction
 // that observed this one's writes appends its own commit record later,
 // so its record becoming durable implies this one's already is.
-func (w *Writer) AppendBuffered(r *Record) (LSN, error) {
-	return w.append(r, false)
-}
-
-func (w *Writer) append(r *Record, inlineSync bool) (LSN, error) {
+func (w *Writer) Append(r *Record) (LSN, error) {
 	// Frame outside the mutex: copying the before/after images is the
 	// bulk of an append, and doing it under w.mu turns the log into the
 	// bottleneck for parallel appliers. Only the LSN (assigned once
@@ -238,24 +218,14 @@ func (w *Writer) append(r *Record, inlineSync bool) (LSN, error) {
 	bufp := framePool.Get().(*[]byte)
 	frame := Frame((*bufp)[:0], r)
 	*bufp = frame
-	lsn, err := w.appendFramed(r, frame, inlineSync)
-	framePool.Put(bufp)
-	return lsn, err
-}
-
-func (w *Writer) appendFramed(r *Record, frame []byte, inlineSync bool) (LSN, error) {
+	defer framePool.Put(bufp)
 	// Unlock via defer: the fault-injection filesystem aborts I/O by
 	// panicking, and a mutex left locked by an unwinding appender would
-	// wedge every other transaction in the process (the buffer stays in
-	// the pool's lost set, which is harmless).
+	// wedge every other transaction in the process.
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.writeFramedLocked(r, frame, inlineSync)
-}
-
-func (w *Writer) writeFramedLocked(r *Record, frame []byte, inlineSync bool) (LSN, error) {
 	if w.f == nil {
-		return 0, fmt.Errorf("wal: writer closed")
+		return 0, errClosed
 	}
 	r.LSN = w.nextLSN
 	w.nextLSN++
@@ -266,11 +236,6 @@ func (w *Writer) writeFramedLocked(r *Record, frame []byte, inlineSync bool) (LS
 	w.appended.Inc()
 	w.lastLSN = r.LSN
 	w.segSize += int64(len(frame))
-	if inlineSync && (r.Type == RecCommit || r.Type == RecAbort || r.Type == RecCheckpoint) {
-		if err := w.applySyncLocked(); err != nil {
-			return 0, err
-		}
-	}
 	if w.segSize >= w.opts.SegmentSize {
 		if err := w.rotateLocked(); err != nil {
 			return 0, err
@@ -279,55 +244,68 @@ func (w *Writer) writeFramedLocked(r *Record, frame []byte, inlineSync bool) (LS
 	return r.LSN, nil
 }
 
-func (w *Writer) noteFlushedLocked(lsn LSN) {
-	if lsn > w.flushedLSN {
-		w.flushedLSN = lsn
+// flushLocked is the flush step: it pushes the buffer to the OS and
+// moves the flushed mark to the newest appended record.
+func (w *Writer) flushLocked() error {
+	w.flushes.Inc()
+	if err := w.bw.Flush(); err != nil {
+		return err
 	}
+	w.flushedLSN = w.lastLSN
+	return nil
 }
 
-func (w *Writer) noteDurableLocked(lsn LSN) {
-	w.noteFlushedLocked(lsn)
-	if lsn > w.durableLSN {
-		w.durableLSN = lsn
+// syncLocked is the fsync step: it fsyncs the active segment up to the
+// flushed mark, feeds the latency and cohort histograms (the cohort is
+// the number of records this fsync makes durable; 1 means group commit
+// bought nothing), counts the fsync and moves the durable mark. With
+// release set it drops w.mu for the fsync itself, so appenders keep
+// filling the buffer for the next cohort and latecomers queue on
+// syncCond; rotation and Close keep w.mu, since they close the file
+// next.
+func (w *Writer) syncLocked(release bool) error {
+	goal, f := w.flushedLSN, w.f
+	covered := goal - w.durableLSN
+	start := time.Now()
+	var err error
+	if release {
+		w.syncing = true
+		w.mu.Unlock()
+		func() {
+			// The deferred re-lock also runs when Sync panics (the
+			// fault-injection crash path), so syncing can't stay stuck
+			// and strand the cohort.
+			defer func() {
+				w.mu.Lock()
+				w.syncing = false
+				w.syncCond.Broadcast()
+			}()
+			err = f.Sync()
+		}()
+	} else {
+		err = f.Sync()
 	}
-}
-
-func (w *Writer) applySyncLocked() error {
-	switch w.opts.Sync {
-	case SyncNone:
-		return nil
-	case SyncFlush:
-		w.flushes.Inc()
-		if err := w.bw.Flush(); err != nil {
-			return err
-		}
-		w.noteFlushedLocked(w.lastLSN)
-		return nil
-	case SyncFull:
-		goal := w.lastLSN
-		covered := goal - w.durableLSN
-		w.flushes.Inc()
-		if err := w.bw.Flush(); err != nil {
-			return err
-		}
-		w.noteFlushedLocked(goal)
-		w.syncsDone.Inc()
-		if err := w.timedSync(w.f, covered); err != nil {
-			return err
-		}
-		w.noteDurableLocked(goal)
-		return nil
-	default:
-		return fmt.Errorf("wal: unknown sync policy %d", w.opts.Sync)
+	w.fsyncSeconds.ObserveDuration(time.Since(start))
+	if err != nil {
+		return err
 	}
+	if covered > 0 {
+		w.cohortSize.Observe(float64(covered))
+	}
+	w.syncsDone.Inc()
+	if goal > w.durableLSN {
+		w.durableLSN = goal
+	}
+	return nil
 }
 
 // WaitDurable blocks until the record at lsn is as durable as the
 // writer's policy promises: nothing for SyncNone, flushed to the OS for
-// SyncFlush, fsynced for SyncFull. Concurrent callers form a cohort: the
-// first becomes the leader and issues one flush+fsync covering every
-// record appended so far, so N committers pay one fsync between them
-// (group commit) instead of one each.
+// SyncFlush, fsynced for SyncFull. It is the one call that applies the
+// policy. Concurrent callers form a cohort: the first becomes the
+// leader and issues one flush+fsync covering every record appended so
+// far, so N committers pay one fsync between them (group commit)
+// instead of one each.
 func (w *Writer) WaitDurable(lsn LSN) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -339,70 +317,38 @@ func (w *Writer) WaitDurable(lsn LSN) error {
 			return nil
 		}
 		if w.bw == nil {
-			return fmt.Errorf("wal: writer closed")
+			return errClosed
 		}
-		w.flushes.Inc()
-		if err := w.bw.Flush(); err != nil {
-			return err
-		}
-		w.noteFlushedLocked(w.lastLSN)
-		return nil
+		return w.flushLocked()
 	default:
 		return w.syncToLocked(lsn)
 	}
 }
 
-// syncToLocked returns once every record with LSN <= target is fsynced.
-// The caller holds w.mu. While a leader's fsync is in flight, w.mu is
-// released so appenders keep filling the buffer for the next cohort and
-// latecomers queue on syncCond.
+// syncToLocked returns once every record with LSN <= target is fsynced,
+// leading a sync round when none is in flight. The caller holds w.mu.
 func (w *Writer) syncToLocked(target LSN) error {
-	for {
-		if w.durableLSN >= target {
-			return nil
-		}
+	for w.durableLSN < target {
 		if w.bw == nil {
-			return fmt.Errorf("wal: writer closed")
+			return errClosed
 		}
 		if w.syncing {
 			w.syncCond.Wait()
 			continue
 		}
 		// Lead one sync round for everything appended so far.
-		goal := w.lastLSN
-		covered := goal - w.durableLSN
-		w.flushes.Inc()
-		if err := w.bw.Flush(); err != nil {
+		if err := w.flushLocked(); err != nil {
 			return err
 		}
-		w.noteFlushedLocked(goal)
-		f := w.f
-		w.syncing = true
 		w.groupSyncs.Inc()
-		err := func() error {
-			w.mu.Unlock()
-			// The deferred re-lock also runs when Sync panics (the
-			// fault-injection crash path), so syncing can't stay stuck
-			// and strand the cohort.
-			defer func() {
-				w.mu.Lock()
-				w.syncing = false
-				w.syncCond.Broadcast()
-			}()
-			return w.timedSync(f, covered)
-		}()
-		if err != nil {
-			// A concurrent rotation can sync and close the segment under
-			// the leader; its own fsync then fails, but durability already
-			// covers the goal, so keep going.
-			if w.durableLSN >= goal {
-				continue
-			}
+		// A rotation or Close can fsync and close the segment under the
+		// leader; its own fsync then fails, but the durable mark already
+		// covers the target.
+		if err := w.syncLocked(true); err != nil && w.durableLSN < target {
 			return err
 		}
-		w.syncsDone.Inc()
-		w.noteDurableLocked(goal)
 	}
+	return nil
 }
 
 // Flush pushes buffered records to the OS.
@@ -412,18 +358,12 @@ func (w *Writer) Flush() error {
 	if w.bw == nil {
 		return nil
 	}
-	w.flushes.Inc()
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	w.noteFlushedLocked(w.lastLSN)
-	return nil
+	return w.flushLocked()
 }
 
-// Sync flushes and fsyncs the active segment. When everything appended
-// is already durable — the common case right after a group commit — it
-// returns without touching the file, which keeps the buffer pool's
-// log-before-page barrier cheap.
+// Sync flushes and fsyncs the active segment, whatever the policy. When
+// everything appended is already durable — the common case right after
+// a group commit — it returns without touching the file.
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -433,16 +373,27 @@ func (w *Writer) Sync() error {
 	return w.syncToLocked(w.lastLSN)
 }
 
+// PageBarrier is the write-ahead barrier a buffer pool runs before a
+// dirty page reaches its file: every record appended so far must be at
+// least as durable as the page will be. At SyncFull that takes an
+// fsync — a flush only reaches the OS, so a power loss after the page
+// write could keep a page whose log records were lost, exactly the
+// ordering WAL exists to prevent. The other policies promise only to
+// survive a process crash, which a flush covers.
+func (w *Writer) PageBarrier() error {
+	if w.opts.Sync == SyncFull {
+		return w.Sync()
+	}
+	return w.Flush()
+}
+
 func (w *Writer) rotateLocked() error {
-	goal := w.lastLSN
-	covered := goal - w.durableLSN
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flushLocked(); err != nil {
 		return err
 	}
-	if err := w.timedSync(w.f, covered); err != nil {
+	if err := w.syncLocked(false); err != nil {
 		return err
 	}
-	w.noteDurableLocked(goal)
 	if err := w.f.Close(); err != nil {
 		return err
 	}
@@ -543,13 +494,12 @@ func (w *Writer) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flushLocked(); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.syncLocked(false); err != nil {
 		return err
 	}
-	w.noteDurableLocked(w.lastLSN)
 	err := w.f.Close()
 	w.f, w.bw = nil, nil
 	// Wake any cohort members so they observe the closed writer instead
