@@ -12,12 +12,14 @@ package simcrash
 //   - Per-transaction atomicity: each source transaction inserts a
 //     stripe of keys; after recovery a stripe is fully present or fully
 //     absent.
-//   - Conflict order: every third transaction also rewrites one shared
-//     "chain" key. Those transactions conflict pairwise, so the DAG
-//     runs them in source commit order and group commit makes each
-//     durable before its successor starts; the recovered chain value
-//     must name the *highest* surviving chain transaction, and the
-//     surviving chain transactions must form a prefix.
+//   - Source order: the integrator commits transactions in source
+//     order, each after the one before it is durable, so the surviving
+//     transactions — the chain row's first, then the stripes — form a
+//     prefix of the stream, though the stripes are key-disjoint and run
+//     side by side. Every third transaction also rewrites one shared
+//     "chain" key, which must name the highest chain transaction of
+//     that prefix, and the applied log's high-water row, written in each
+//     transaction, must name the prefix's last op.
 //   - View consistency: the materialized view is maintained in the same
 //     engine transaction as its base, so after recovery it must equal
 //     the projection of the recovered base — no matter where the crash
@@ -168,7 +170,11 @@ func runParallelWorkload(fsys fault.FS, txns, workers int) error {
 	}, schema, nil); err != nil {
 		return err
 	}
-	if _, err := (&warehouse.ParallelIntegrator{W: w, Workers: workers}).Apply(parallelOps(txns)); err != nil {
+	applied, err := warehouse.EnsureAppliedLog(w)
+	if err != nil {
+		return err
+	}
+	if _, err := (&warehouse.ParallelIntegrator{W: w, Workers: workers, Applied: applied}).Apply(parallelOps(txns)); err != nil {
 		return err
 	}
 	return db.Close()
@@ -230,32 +236,38 @@ func verifyParallel(fsys fault.FS, txns int, rep *ParallelReport, complete bool)
 		}
 	}
 
-	// 2. Chain prefix: the chain row names the highest surviving chain
-	// transaction, every earlier chain transaction survived, every later
-	// one did not.
-	rep.Chain = 0
+	// 2. Source order: transactions 1..last survived and none after.
+	// Transaction 1 wrote the chain row; the chain row names the highest
+	// chain transaction among them; the high-water row names the last op
+	// of transaction last.
 	chainVal, chainPresent := base[0]
-	if chainPresent {
-		if !strings.HasPrefix(chainVal, "c") {
-			return fmt.Errorf("chain row has foreign value %q", chainVal)
+	survived := func(i int) bool { return applied[i] || (i == 1 && chainPresent) }
+	last := 0
+	for last <= txns && survived(last+1) {
+		last++
+	}
+	for i := last + 2; i <= txns+1; i++ {
+		if survived(i) {
+			return fmt.Errorf("transaction %d survived without transaction %d: not a prefix of source order", i, last+1)
 		}
-		head, err := strconv.Atoi(chainVal[1:])
-		if err != nil || (head != 1 && (head%3 != 0 || head < 3 || head > txns+1)) {
-			return fmt.Errorf("chain row names impossible transaction %q", chainVal)
+	}
+	rep.Chain = 0
+	if chainPresent {
+		head, err := strconv.Atoi(strings.TrimPrefix(chainVal, "c"))
+		if err != nil || !strings.HasPrefix(chainVal, "c") {
+			return fmt.Errorf("chain row has foreign value %q", chainVal)
 		}
 		rep.Chain = head
 	}
-	for i := 3; i <= txns+1; i += 3 {
-		wantApplied := chainPresent && i <= rep.Chain
-		if applied[i] != wantApplied {
-			return fmt.Errorf("chain order broken: chain row says %q but txn %d applied=%v",
-				chainVal, i, applied[i])
-		}
+	if want := max(1, last/3*3); last > 0 && rep.Chain != want {
+		return fmt.Errorf("chain row says %q, want c%d: transactions 1..%d survived", chainVal, want, last)
 	}
-	if !chainPresent && rep.Applied > 0 {
-		// Stripe-only transactions are independent of the chain; losing
-		// the chain row while stripes survive is legal. Nothing to check.
-		_ = chainVal
+	high, err := parHighWater(db)
+	if err != nil {
+		return err
+	}
+	if want := parLastSeq(txns, last); high != want {
+		return fmt.Errorf("high-water seq %d, want %d: transactions 1..%d survived", high, want, last)
 	}
 
 	// 3. View == projection of the recovered base.
@@ -299,4 +311,31 @@ func verifyParallel(fsys fault.FS, txns int, rep *ParallelReport, complete bool)
 		}
 	}
 	return nil
+}
+
+// parLastSeq returns the seq of transaction last's final op in
+// parallelOps(txns), 0 for none.
+func parLastSeq(txns, last int) uint64 {
+	var seq uint64
+	for _, op := range parallelOps(txns) {
+		if op.Txn > uint64(last) {
+			break
+		}
+		seq = op.Seq
+	}
+	return seq
+}
+
+// parHighWater reads the recovered applied log's high-water seq: 0 when
+// a crash came before the log or its row was durable.
+func parHighWater(db *engine.DB) (uint64, error) {
+	if _, err := db.Table(warehouse.AppliedLogName); err != nil {
+		return 0, nil
+	}
+	var high uint64
+	err := db.ScanTable(nil, warehouse.AppliedLogName, func(row catalog.Tuple) error {
+		high = uint64(row[1].Int())
+		return nil
+	})
+	return high, err
 }

@@ -77,9 +77,11 @@ type versionStripe struct {
 }
 
 type versionChain struct {
-	vers []tupleVersion // newest first; vers[len-1] is always the base
-	// first holds a new chain's two entries (its first write and the
-	// base), so a first-touched key costs one allocation.
+	// vers is oldest first: vers[0] is always the base, and a write
+	// appends, so staging on a hot key costs no copy of its history.
+	vers []tupleVersion
+	// first holds a new chain's two entries (the base and its first
+	// write), so a first-touched key costs one allocation.
 	first [2]tupleVersion
 }
 
@@ -132,14 +134,14 @@ func (vs *VersionStore) Stage(key string, txn uint64, base, after []byte) (fresh
 	switch {
 	case c == nil:
 		c = &versionChain{}
-		c.first = [2]tupleVersion{{txn: txn, tuple: after}, {tuple: base}}
+		c.first = [2]tupleVersion{{tuple: base}, {txn: txn, tuple: after}}
 		c.vers = c.first[:]
 		s.chains[key] = c
 		added, fresh = 2, true
-	case c.vers[0].pending() && c.vers[0].txn == txn:
-		c.vers[0].tuple = after
+	case c.vers[len(c.vers)-1].pending() && c.vers[len(c.vers)-1].txn == txn:
+		c.vers[len(c.vers)-1].tuple = after
 	default:
-		c.vers = append([]tupleVersion{{txn: txn, tuple: after}}, c.vers...)
+		c.vers = append(c.vers, tupleVersion{txn: txn, tuple: after})
 		added, fresh = 1, true
 	}
 	n := len(c.vers)
@@ -162,7 +164,7 @@ func (vs *VersionStore) Resolve(keys []string, txn, commit uint64) {
 		if c := s.chains[key]; c != nil {
 			// Later transactions may already have staged above us (early
 			// lock release), so scan down for our pending entry.
-			for i := range c.vers {
+			for i := len(c.vers) - 1; i >= 0; i-- {
 				if c.vers[i].pending() && c.vers[i].txn == txn {
 					c.vers[i].commit = commit
 					c.vers[i].txn = 0
@@ -208,7 +210,7 @@ func (vs *VersionStore) Visible(key string, readLSN uint64) (tuple []byte, have 
 	if c == nil {
 		return nil, false
 	}
-	for i := range c.vers {
+	for i := len(c.vers) - 1; i >= 0; i-- {
 		v := &c.vers[i]
 		if !v.pending() && v.commit <= readLSN {
 			return v.tuple, true
@@ -228,7 +230,7 @@ func (vs *VersionStore) VisibleSweep(readLSN uint64, fn func(key string, tuple [
 		s := &vs.stripes[i]
 		s.mu.Lock()
 		for key, c := range s.chains {
-			for j := range c.vers {
+			for j := len(c.vers) - 1; j >= 0; j-- {
 				v := &c.vers[j]
 				if !v.pending() && v.commit <= readLSN {
 					if v.tuple != nil {
@@ -262,7 +264,7 @@ func (vs *VersionStore) GC(watermark uint64) (reclaimed int, floor uint64) {
 		walked += len(s.chains)
 		for key, c := range s.chains {
 			anchor := -1
-			for j := range c.vers {
+			for j := len(c.vers) - 1; j >= 0; j-- {
 				v := &c.vers[j]
 				if !v.pending() && v.commit <= watermark {
 					anchor = j
@@ -272,19 +274,23 @@ func (vs *VersionStore) GC(watermark uint64) (reclaimed int, floor uint64) {
 			if anchor < 0 {
 				continue
 			}
-			dropped := len(c.vers) - (anchor + 1)
+			// The anchor becomes the base: move it and what is newer
+			// down over the history, which lets go of its images.
+			dropped := anchor
 			if dropped > 0 {
-				c.vers = c.vers[:anchor+1]
+				n := copy(c.vers, c.vers[anchor:])
+				clear(c.vers[n:])
+				c.vers = c.vers[:n]
 				reclaimed += dropped
 			}
 			removed := false
-			if len(c.vers) == 1 && anchor == 0 {
+			if len(c.vers) == 1 {
 				delete(s.chains, key)
 				reclaimed++
 				removed = true
 			}
-			if (dropped > 0 || removed) && c.vers[anchor].commit > floor {
-				floor = c.vers[anchor].commit
+			if (dropped > 0 || removed) && c.vers[0].commit > floor {
+				floor = c.vers[0].commit
 			}
 		}
 		s.mu.Unlock()

@@ -52,15 +52,16 @@ var ErrNoAppliedLog = errors.New("netrepl: applier needs an integrator with an A
 
 // Applier drains one topic into one warehouse through the parallel
 // integrator. The integrator's AppliedLog is the topic's one durable
-// consumer position: each op's row commits with its effects, the
-// applier never acks the topic, and a restarted Run resumes at the
-// first op the log lacks (resume). Each op gets a lifecycle trace
-// beginning at its source capture timestamp — carried inside the op
-// encoding — so the warehouse-side tracer measures true end-to-end
-// freshness across the wire. A server with ServerConfig.Replica runs
-// one per topic; only a server without it leaves Run to the caller.
-// An idle applier waits on its topic's wake, which a durable append or
-// a buffered bootstrap frame fires, not on a timer.
+// consumer position: its high-water row commits with each source
+// transaction's effects, the applier never acks the topic, and a
+// restarted Run resumes at the op after the high-water seq (resume).
+// Each op gets a lifecycle trace beginning at its source capture
+// timestamp — carried inside the op encoding — so the warehouse-side
+// tracer measures true end-to-end freshness across the wire. A server
+// with ServerConfig.Replica runs one per topic; only a server without
+// it leaves Run to the caller. An idle applier waits on its topic's
+// wake, which a durable append or a buffered bootstrap frame fires, not
+// on a timer.
 type Applier struct {
 	Topic *Topic
 	// Integrator applies batches; its Applied log must be set.
@@ -185,15 +186,12 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	}
 }
 
-// resume drops the topic's leading messages whose seqs the AppliedLog
-// holds and returns the first one it lacks, or nil when the topic runs
-// out first. That op may sit below AppliedLog.MaxSeq: the integrator
-// commits key-disjoint groups out of order, so a crash can leave it
-// unapplied under applied ones, and resuming at the max would lose it.
-// Applied ops after it reach the integrator again, whose per-op dedup
-// skips them. The cost is one scan of the log and one of the topic.
+// resume drops the topic's leading messages at or below the
+// AppliedLog's high-water seq — ops whose effects committed before the
+// restart — and returns the first one above it, or nil when the topic
+// runs out first. It reads the log's one row.
 func (a *Applier) resume() ([]byte, error) {
-	applied, err := a.Integrator.Applied.Seqs()
+	high, err := a.Integrator.Applied.MaxSeq()
 	if err != nil {
 		return nil, err
 	}
@@ -209,10 +207,7 @@ func (a *Applier) resume() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		for len(applied) > 0 && applied[0] < seq {
-			applied = applied[1:]
-		}
-		if len(applied) == 0 || applied[0] != seq {
+		if seq > high {
 			return msg, nil
 		}
 	}

@@ -5,16 +5,16 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"opdelta/internal/catalog"
+	"opdelta/internal/engine"
 	"opdelta/internal/fault"
-	"opdelta/internal/keyset"
 	"opdelta/internal/obs"
-	"opdelta/internal/opdelta"
+	"opdelta/internal/wal"
 	"opdelta/internal/warehouse"
 )
 
@@ -92,22 +92,23 @@ func TestShutdownAppliesEveryAckedOp(t *testing.T) {
 // cfg.FS and applies its backlog with no shipper connected. The topic
 // is never acked, so the applier finds its place in the AppliedLog.
 //
-// In the gap case the warehouse already holds every op but one, k, that
-// no later op touches — a state the parallel integrator's out-of-order
-// group commits can leave behind at a crash. AppliedLog.MaxSeq already
-// reads the topic's last seq, so an applier that resumed there would
-// never apply k; the restarted one must apply it, and only it, once.
+// In the mid-batch case the warehouse already holds a prefix of the
+// source transactions — what a restart in the middle of a batch leaves,
+// since the integrator commits in source order — and its high-water
+// seq ends that prefix. The restarted applier must resume at the op
+// after it: the integrator applies exactly the suffix, once, and sees
+// none of the prefix again.
 func TestRestartedServerAppliesRecoveredBacklog(t *testing.T) {
-	for _, gap := range []bool{false, true} {
+	for _, midBatch := range []bool{false, true} {
 		name := "empty warehouse"
-		if gap {
-			name = "gap below MaxSeq"
+		if midBatch {
+			name = "restart mid-batch"
 		}
-		t.Run(name, func(t *testing.T) { testRestartedServerAppliesRecoveredBacklog(t, gap) })
+		t.Run(name, func(t *testing.T) { testRestartedServerAppliesRecoveredBacklog(t, midBatch) })
 	}
 }
 
-func testRestartedServerAppliesRecoveredBacklog(t *testing.T, gap bool) {
+func testRestartedServerAppliesRecoveredBacklog(t *testing.T, midBatch bool) {
 	src := newReplSource(t)
 	src.workload(t, 60, 0)
 	want := src.maxSeq(t)
@@ -141,26 +142,30 @@ func testRestartedServerAppliesRecoveredBacklog(t *testing.T, gap bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	missing := want // the op the restarted server must apply last
-	if gap {
-		k := lastUntouchedOp(t, src, ops)
-		missing = ops[k].Seq
-		rest := append(append([]*opdelta.Op(nil), ops[:k]...), ops[k+1:]...)
-		if _, err := replica.Integrator.Apply(rest); err != nil {
+	k := 0 // the ops the warehouse holds before the restart
+	if midBatch {
+		for k = len(ops) / 2; ops[k-1].Txn == ops[k].Txn; k++ {
+		}
+		if _, err := replica.Integrator.Apply(ops[:k]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	applied := replica.Integrator.Applied
-	if got, _ := applied.MaxSeq(); gap != (got == want) {
-		t.Fatalf("applied MaxSeq = %d before the restart (topic ends at %d)", got, want)
+	high, err := applied.MaxSeq()
+	if err != nil || (k > 0 && high != ops[k-1].Seq) || (k == 0 && high != 0) {
+		t.Fatalf("high-water seq %d (%v) before the restart, with %d of %d ops applied", high, err, k, len(ops))
 	}
+	counter := func(name string) *obs.Counter {
+		return wh.db.Obs().Counter(name, obs.L("integrator", "parallel"))
+	}
+	records0 := counter("warehouse_apply_records_total").Value()
 	srv2 := startServer(t, fault.NewNet(fault.NetProfile{Seed: 13}), ServerConfig{
 		Dir: "/topics", FS: fs,
 		Replica: func(string) (*Replica, error) { return replica, nil },
 	})
-	waitFor(t, 10*time.Second, fmt.Sprintf("op %d applied", missing), func() bool {
-		seen, err := applied.Seen(nil, missing)
-		return err == nil && seen
+	waitFor(t, 10*time.Second, fmt.Sprintf("op %d applied", want), func() bool {
+		high, err := applied.MaxSeq()
+		return err == nil && high == want
 	})
 	if err := srv2.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -168,25 +173,96 @@ func testRestartedServerAppliesRecoveredBacklog(t *testing.T, gap bool) {
 	if !sameRows(tableRows(t, src.db, "parts"), tableRows(t, wh.db, "parts")) {
 		t.Fatal("replica differs from the source after applying the recovered backlog")
 	}
-	// One AppliedLog row per op; the ops after the gap reach the
-	// integrator again and are skipped.
-	var opSeqs []uint64
-	var redelivered float64
-	for _, op := range ops {
-		opSeqs = append(opSeqs, op.Seq)
-		if gap && op.Seq > missing {
-			redelivered++
-		}
+	if got, dup := counter("warehouse_apply_records_total").Value()-records0, counter("warehouse_apply_skipped_duplicate_total").Value(); got != uint64(len(ops)-k) || dup != 0 {
+		t.Fatalf("the restarted applier applied %d ops and skipped %d as duplicates; want the %d above the high-water seq and none",
+			got, dup, len(ops)-k)
 	}
-	if seqs, err := applied.Seqs(); err != nil || !slices.Equal(seqs, opSeqs) {
-		t.Fatalf("AppliedLog holds %v (%v), want one row per op: %v", seqs, err, opSeqs)
-	}
-	dup := wh.db.Obs().Snapshot().Get("warehouse_apply_skipped_duplicate_total", obs.L("integrator", "parallel"))
-	if dup == nil || dup.Value != redelivered {
-		t.Fatalf("skipped duplicates = %+v, want %v", dup, redelivered)
+	if rows := tableRows(t, wh.db, warehouse.AppliedLogName); len(rows) != 1 {
+		t.Fatalf("%s holds %d rows, want 1", warehouse.AppliedLogName, len(rows))
 	}
 	if _, err := fs.ReadFile("/topics/src/queue.ack"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("the replication server wrote a queue ack file (%v)", err)
+	}
+}
+
+// TestAppliedLogStaysOneRowAcrossRestarts applies a workload through an
+// Applier in three runs, each over a reopened warehouse engine and a
+// restarted server on the same directories. Afterwards the applied log
+// is one row, and a fourth Run's start-up — every op on the topic
+// already applied — visits one page of it. Both counts are the same at
+// either workload size: the per-op layout earlier builds kept grew by a
+// row per op and scanned every page at start-up (the larger workload's
+// rows fill several pages).
+func TestAppliedLogStaysOneRowAcrossRestarts(t *testing.T) {
+	for _, n := range []int{30, 1500} {
+		src := newReplSource(t)
+		src.workload(t, n, 0)
+		encs, seqs := encodedOps(t, src)
+		topics, whDir := t.TempDir(), t.TempDir()
+
+		// run restarts the server and the warehouse engine, enqueues
+		// encs[lo:hi] (none when lo == hi) and drains them through an
+		// Applier. It returns the pool visits the Run made to the applied
+		// log and the rows the log holds after it.
+		run := func(lo, hi int) (visits uint64, rows int) {
+			db, err := engine.Open(whDir, engine.Options{WALSync: wal.SyncFlush, Now: fixedNow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			wh := warehouse.New(db)
+			if err := wh.RegisterReplica("parts", src.schema, "part_id", "last_modified"); err != nil {
+				t.Fatal(err)
+			}
+			applied, err := warehouse.EnsureAppliedLog(wh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(ServerConfig{Dir: topics})
+			defer srv.Shutdown()
+			topic, err := srv.Topic("src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo < hi {
+				prev := uint64(0)
+				if lo > 0 {
+					prev = seqs[lo-1]
+				}
+				if _, err := srv.enqueue(topic, deltaPayload(prev, encs[lo:hi]), obs.TraceContext{}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tbl, err := db.Table(warehouse.AppliedLogName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := func() uint64 { st := tbl.Heap().Pool().Stats(); return st.Hits + st.Misses }
+			before := pool()
+			stop := make(chan struct{})
+			close(stop) // drain what the topic holds, then return
+			ap := &Applier{Topic: topic, SchemaOf: src.schemaOf,
+				Integrator: &warehouse.ParallelIntegrator{W: wh, Workers: 4, Applied: applied}}
+			if err := ap.Run(stop); err != nil {
+				t.Fatal(err)
+			}
+			visits = pool() - before
+			if err := db.ScanTable(nil, warehouse.AppliedLogName, func(catalog.Tuple) error { rows++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if high, err := applied.MaxSeq(); err != nil || (hi > 0 && high != seqs[hi-1]) {
+				t.Fatalf("n=%d: high-water seq %d (%v) after applying through op %d", n, high, err, hi)
+			}
+			return visits, rows
+		}
+		third := len(encs) / 3
+		run(0, third)
+		run(third, 2*third)
+		run(2*third, len(encs))
+		if visits, rows := run(len(encs), len(encs)); visits != 1 || rows != 1 {
+			t.Fatalf("%d ops: the applied log holds %d rows, and a Run's start-up visited %d of its pages; want 1 and 1",
+				len(encs), rows, visits)
+		}
 	}
 }
 
@@ -205,32 +281,6 @@ func TestApplierNeedsAppliedLog(t *testing.T) {
 	if err := ap.Run(make(chan struct{})); !errors.Is(err, ErrNoAppliedLog) {
 		t.Fatalf("Run without an AppliedLog = %v, want ErrNoAppliedLog", err)
 	}
-}
-
-// lastUntouchedOp returns the index of the latest op below the last one
-// whose key no later op touches — leaving it out of an apply is a state
-// the parallel integrator can commit.
-func lastUntouchedOp(t *testing.T, src *replSource, ops []*opdelta.Op) int {
-	t.Helper()
-	fps := make([]keyset.Footprint, len(ops))
-	for i, op := range ops {
-		stmt, err := op.Statement()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps[i] = keyset.StatementFootprint(stmt, src.schema, "part_id")
-	}
-	for k := len(ops) - 2; k >= 0 && k >= len(ops)-applyBatchOps; k-- {
-		touched := fps[k].Whole
-		for _, fp := range fps[k+1:] {
-			touched = touched || fp.Overlaps(fps[k])
-		}
-		if !touched {
-			return k
-		}
-	}
-	t.Fatal("every op among the last batch shares a key with a later one")
-	return 0
 }
 
 // TestConcurrentHellosResolveReplicaOnce sends HELLOs for one source on

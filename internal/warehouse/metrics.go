@@ -15,12 +15,12 @@ type applyMetrics struct {
 	records    *obs.Counter
 	statements *obs.Counter
 	// txnSeconds observes each warehouse transaction begin→commit,
-	// lock pre-declaration included: the slice of the maintenance
-	// window one source transaction costs.
+	// lock pre-declaration and the wait for its commit turn included:
+	// the slice of the maintenance window one source transaction costs.
 	txnSeconds *obs.Histogram
 
 	// skippedDup counts ops recognized as already applied (at-least-once
-	// redelivery) and skipped by the AppliedLog dedup.
+	// redelivery): at or below the AppliedLog's high-water seq.
 	skippedDup *obs.Counter
 
 	// Degradation events: the scheduler giving up precision.

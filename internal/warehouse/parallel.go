@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,48 +21,51 @@ import (
 // outage. A caller that wants one warehouse transaction per op gives
 // each op its own Txn.
 //
-// Independent source transactions are dispatched onto a bounded worker
-// pool. Two transactions are independent when their key footprints (see
-// keyset.StatementFootprint) are disjoint on every table; conflicting
-// transactions are ordered by a dependency DAG so they retain source
-// commit order, and anything the analysis cannot bound falls back to
-// conflicting with everything — serial order, never wrong answers.
-// Workers take ready transactions lowest source position first, so with
-// one worker (Workers ≤ 1, the zero value) the same scheduler is serial
-// replay in source commit order.
+// The transactions commit in source order: each commits only at its
+// turn, once every earlier one has committed. So the warehouse — and
+// every snapshot a reader takes of it — always holds a prefix of the
+// source's transactions, and the AppliedLog is one high-water seq.
 //
-// Key-disjoint groups on the same table overlap end to end: each group
-// pre-declares its computed footprint as exclusive key-range locks
-// (plus whole-table locks for anything the analysis widened), so two
-// workers writing different key ranges of one replica execute
-// concurrently, not just pipeline their commits. The executor's own
-// per-statement locks are contained in the pre-declared set and are
-// granted without waiting, which keeps the schedule deadlock-free:
-// groups block only during pre-declaration, where tables are taken in
-// sorted name order and ranges in sorted bound order. On top of that,
-// the WAL still group-commits the cohort's fsyncs.
+// Execution overlaps. Workers take transactions strictly in source
+// order from a bounded pool. Each pre-declares its lock plan — exclusive
+// key-range locks where its footprint (see keyset.StatementFootprint)
+// bounds the keys it touches, whole-table locks for anything the
+// analysis widened — once every earlier transaction has taken its own,
+// then executes and waits for its turn. A transaction whose plan
+// overlaps an earlier one's therefore waits in the lock manager until
+// that one commits, and sees its effects; key-disjoint transactions on
+// the same table execute concurrently; anything the analysis cannot
+// bound locks whole tables — serial order, never wrong answers. Taking
+// the plans in source order is what keeps the turn deadlock-free: a
+// transaction parked at its turn holds no lock that an earlier one, or
+// a reader queued ahead of an earlier one, still waits for. With one
+// worker (Workers ≤ 1, the zero value) the same scheduler is serial
+// replay. The executor's own per-statement locks are contained in the
+// pre-declared set and are granted without waiting.
 type ParallelIntegrator struct {
 	W *Warehouse
 	// Workers bounds the apply pool. Values below 2 run one transaction
-	// at a time, in source commit order.
+	// at a time.
 	Workers int
 	// TableLocks forces whole-table lock plans (the pre-range-lock
-	// behavior): workers still pipeline commits, but same-table groups
-	// serialize their apply phases. It is not a failure switch: it is the
-	// reference key-range locking is measured and checked against — the
-	// E9 table-lock rows (internal/bench) and TestParallelApplyEquivalence
-	// run both modes — so it stays on the production type.
+	// behavior): same-table transactions then run one after another. It
+	// is not a failure switch: it is the reference key-range locking is
+	// measured and checked against — the E9 table-lock rows
+	// (internal/bench) and TestParallelApplyEquivalence run both modes —
+	// so it stays on the production type.
 	TableLocks bool
 	// Applied, when set, makes Apply idempotent under at-least-once
-	// redelivery: ops recorded in the AppliedLog are skipped, and each
-	// group's survivors are recorded inside the group's own warehouse
-	// transaction — effects and dedup row commit or roll back together.
-	// The dedup rows take point range locks pre-declared with the rest
-	// of the plan, so the deadlock-freedom argument is unchanged.
+	// redelivery: ops at or below its high-water seq are skipped, and
+	// each transaction writes its last seq to the log inside its own
+	// warehouse transaction at its commit turn — effects and high-water
+	// row commit or roll back together.
 	Applied *AppliedLog
 
-	mOnce sync.Once
-	m     *applyMetrics
+	// applyMu runs Apply calls one at a time: the high-water seq read at
+	// the start of a call must not change under it.
+	applyMu sync.Mutex
+	mOnce   sync.Once
+	m       *applyMetrics
 }
 
 func (in *ParallelIntegrator) metrics() *applyMetrics {
@@ -71,25 +73,22 @@ func (in *ParallelIntegrator) metrics() *applyMetrics {
 	return in.m
 }
 
-// txnGroup is one source transaction's ops plus its conflict metadata.
+// txnGroup is one source transaction's ops plus its lock plan.
 type txnGroup struct {
 	ops []*opdelta.Op
 	// stmts[i] is ops[i]'s statement, parsed once by analyze and executed
 	// by the apply; nil when it does not parse.
 	stmts []sqlmini.Statement
-	// foot maps lower(source table) -> key footprint on that table.
-	foot map[string]keyset.Footprint
-	// universal marks the serial fallback: the group conflicts with
-	// every other group (unparseable op or undeterminable key set).
+	// universal marks a group with an op that does not parse: it locks
+	// every table it may touch whole.
 	universal bool
 	// The lock plan, pre-declared before any op runs. lockOrder lists
-	// every warehouse table the group may touch in canonical sorted
-	// order; ranged maps the subset lockable as exclusive key ranges
-	// (bounded footprints on tables whose maintenance is keyed by the
-	// source PK) to their merged ranges, and the rest take whole-table
-	// exclusive locks.
+	// every warehouse table the group may touch, lower-cased, in sorted
+	// order; plan maps each to what the group locks there: exclusive
+	// key ranges (a bounded footprint on a table whose maintenance is
+	// keyed by the source PK), or the whole table.
 	lockOrder []string
-	ranged    map[string][]keyset.KeyRange
+	plan      map[string]keyset.Footprint
 }
 
 // conflictKey resolves the schema and primary-key column used for
@@ -110,18 +109,19 @@ func (w *Warehouse) conflictKey(table string) (*catalog.Schema, string) {
 	return nil, ""
 }
 
-// analyze parses one group's ops and computes its footprints and lock
-// plan.
+// analyze parses one group's ops and computes its lock plan.
 func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
-	g := &txnGroup{ops: ops, stmts: make([]sqlmini.Statement, len(ops)), foot: make(map[string]keyset.Footprint)}
-	lockSet := make(map[string]bool)
+	g := &txnGroup{ops: ops, stmts: make([]sqlmini.Statement, len(ops))}
+	// foot maps lower(source table) -> the group's key footprint there.
+	foot := make(map[string]keyset.Footprint)
 	// mustWhole marks tables whose maintenance is not keyed by the
 	// source PK (agg views, join views and partners, PK-dropping views):
 	// only a whole-table lock covers the statements run against them.
 	// rangeSrc maps the remaining tables to the footprint key that
 	// bounds them — the replica is bounded by its own footprint, and a
 	// PK-retaining SP view by its source's (view rows are addressed by
-	// the projected source PK, so the key values coincide).
+	// the projected source PK, so the key values coincide). Every table
+	// the group locks is a key of one of the two.
 	mustWhole := make(map[string]bool)
 	rangeSrc := make(map[string]string)
 	// addFoot unions fp into the table's footprint. It appends to the
@@ -129,16 +129,16 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 	// both operands: a 1000-op transaction would copy half a million
 	// ranges.
 	addFoot := func(table string, fp keyset.Footprint) {
-		key := strings.ToLower(table)
-		cur := g.foot[key]
+		cur := foot[table]
 		if cur.Whole || fp.Whole {
-			g.foot[key] = keyset.WholeTable()
+			foot[table] = keyset.WholeTable()
 			return
 		}
 		cur.Ranges = append(cur.Ranges, fp.Ranges...)
-		g.foot[key] = cur
+		foot[table] = cur
 	}
 	for i, op := range ops {
+		src := strings.ToLower(op.Table)
 		schema, pk := in.W.conflictKey(op.Table)
 		fp := keyset.WholeTable()
 		stmt, err := op.Statement()
@@ -149,11 +149,10 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 			fp = keyset.StatementFootprint(stmt, schema, pk)
 		}
 		if in.W.HasReplica(op.Table) {
-			lockSet[op.Table] = true
-			rangeSrc[op.Table] = strings.ToLower(op.Table)
+			rangeSrc[src] = src
 		}
 		for _, v := range in.W.ViewsOn(op.Table) {
-			lockSet[v.Def.Name] = true
+			name := strings.ToLower(v.Def.Name)
 			switch {
 			case v.Def.Join != nil:
 				// Join maintenance probes the partner replica: the group
@@ -161,62 +160,49 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 				// arbitrary view rows, so widen to whole-table on both
 				// sides and lock the partner too.
 				fp = keyset.WholeTable()
-				mustWhole[v.Def.Name] = true
+				mustWhole[name] = true
 				partner := v.Def.Join.Table
 				if strings.EqualFold(partner, op.Table) {
 					partner = v.Def.Source
 				}
-				addFoot(partner, keyset.WholeTable())
-				lockSet[partner] = true
-				mustWhole[partner] = true
+				mustWhole[strings.ToLower(partner)] = true
 			case v.sp.pkInView < 0:
 				// A view that drops the source PK has no key to lock
 				// ranges of: its plan deletes one stored occurrence per
 				// before image, found by scanning under the view's
 				// whole-table lock. Key-disjoint transactions commute on
-				// the view's content (a multiset), but they would queue
-				// on that lock anyway, so widen to whole-table and let
-				// the DAG run them in source order, one worker at a time,
-				// instead of parking workers on the lock.
+				// the view's content (a multiset), but they queue on that
+				// lock anyway, so widen the replica's plan to whole-table
+				// too.
 				fp = keyset.WholeTable()
-				mustWhole[v.Def.Name] = true
+				mustWhole[name] = true
 			default:
-				rangeSrc[v.Def.Name] = strings.ToLower(op.Table)
+				rangeSrc[name] = src
 			}
 		}
 		for _, av := range in.W.AggViewsOn(op.Table) {
 			// Agg view rows are keyed by group-by value, unrelated to the
-			// source key set; concurrent groups serialize on the view's
-			// table lock exactly as they did before range locking.
-			lockSet[av.Def.Name] = true
-			mustWhole[av.Def.Name] = true
+			// source key set: every group on the source locks the whole
+			// view, so they run one after another.
+			mustWhole[strings.ToLower(av.Def.Name)] = true
 		}
-		addFoot(op.Table, fp)
+		addFoot(src, fp)
 	}
-	g.ranged = make(map[string][]keyset.KeyRange)
-	for t := range lockSet {
+	g.plan = make(map[string]keyset.Footprint, len(rangeSrc)+len(mustWhole))
+	for t, src := range rangeSrc {
+		fp := foot[src]
+		if in.TableLocks || g.universal || fp.Whole || len(fp.Ranges) == 0 {
+			fp = keyset.WholeTable()
+		} else {
+			fp.Ranges = keyset.LockRanges(fp.Ranges)
+		}
+		g.plan[t] = fp
+	}
+	for t := range mustWhole {
+		g.plan[t] = keyset.WholeTable()
+	}
+	for t := range g.plan {
 		g.lockOrder = append(g.lockOrder, t)
-		if in.TableLocks || g.universal || mustWhole[t] {
-			continue
-		}
-		src, ok := rangeSrc[t]
-		if !ok {
-			continue
-		}
-		fp := g.foot[src]
-		if fp.Whole || len(fp.Ranges) == 0 {
-			continue
-		}
-		g.ranged[t] = keyset.LockRanges(fp.Ranges)
-	}
-	if in.Applied != nil {
-		// The group's dedup rows are part of its write set: lock their
-		// points alongside the data plan (whole-table when the group
-		// already degraded to that).
-		g.lockOrder = append(g.lockOrder, AppliedLogName)
-		if !in.TableLocks && !g.universal {
-			g.ranged[AppliedLogName] = in.Applied.ranges(ops)
-		}
 	}
 	sort.Strings(g.lockOrder)
 	m := in.metrics()
@@ -226,8 +212,8 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 		// Whole-table locks chosen where key ranges were the goal are
 		// precision the scheduler gave up; in TableLocks mode they are
 		// the configured baseline, not a degradation.
-		for _, t := range g.lockOrder {
-			if _, ok := g.ranged[t]; !ok {
+		for _, fp := range g.plan {
+			if fp.Whole {
 				m.degradedWholeTable.Inc()
 			}
 		}
@@ -235,13 +221,39 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 	return g
 }
 
-// Apply replays the ops, preserving source commit order between
-// conflicting transactions. Ops carrying a lifecycle trace are stamped
-// locked, applied once their statements have run, and durable once
-// their warehouse transaction commits. On the first error the remaining
-// groups are abandoned; already-committed groups stay committed.
+// Apply replays the ops, given in source order (ascending seq). Each
+// source transaction commits at its turn, after every earlier one, so a
+// reader never sees a transaction without the ones before it. With an
+// AppliedLog, the ops at or below its high-water seq are skipped as
+// redeliveries. Ops carrying a lifecycle trace are stamped locked,
+// applied once their statements have run, and durable once their
+// warehouse transaction commits.
+//
+// The first transaction that fails ends the call: every earlier one
+// commits, it and every later one roll back, and its error is returned,
+// so what was applied is still a prefix of the stream. Calls on one
+// integrator run one at a time.
 func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
+	in.applyMu.Lock()
+	defer in.applyMu.Unlock()
 	start := time.Now()
+	m := in.metrics()
+	var stats ApplyStats
+	if in.Applied != nil {
+		high, err := in.Applied.MaxSeq()
+		if err != nil {
+			return stats, err
+		}
+		// A redelivered op committed with the row that covers it. Still
+		// finish its trace, so freshness tracking sees it resolve.
+		for len(ops) > 0 && ops[0].Seq <= high {
+			m.skippedDup.Inc()
+			ops[0].Trace.Applied()
+			ops[0].Trace.Durable()
+			ops[0].Trace.Done()
+			ops = ops[1:]
+		}
+	}
 	var groups []*txnGroup
 	for i := 0; i < len(ops); {
 		j := i + 1
@@ -252,14 +264,10 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 		i = j
 	}
 	n := len(groups)
-	var stats ApplyStats
 	if n == 0 {
 		stats.Duration = time.Since(start)
 		return stats, nil
 	}
-
-	// Dependency DAG: group j waits for every earlier conflicting group.
-	indeg, rdeps := dependencyDAG(groups)
 
 	workers := in.Workers
 	if workers < 1 {
@@ -269,24 +277,33 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 		workers = n
 	}
 
-	// mu guards the schedule (ready, indeg, completed), the first error
-	// and panic, and stats; cond wakes workers when a group becomes
-	// ready or the schedule ends. ready holds, ascending, the groups
-	// whose predecessors have all committed.
+	// mu guards the schedule, the failure, the panic value and stats;
+	// cond wakes waiting groups when a group takes its locks, commits or
+	// fails. next is the group the next free worker takes; locking is
+	// the group whose locks are due — every group before it holds its
+	// plan; turn is the group whose commit is due — every group before
+	// it has committed; failed is the lowest group that failed (n while
+	// none has) and failErr its error. Groups after failed roll back
+	// instead of committing.
 	var mu sync.Mutex
 	cond := sync.NewCond(&mu)
-	var firstErr error
+	next, locking, turn, failed := 0, 0, 0, n
+	var failErr error
 	var panicVal any
-	completed := 0
-	var ready []int
-	for idx := 0; idx < n; idx++ {
-		if indeg[idx] == 0 {
-			ready = append(ready, idx)
+
+	// waitFor blocks until ready holds for group j, and reports false
+	// when an earlier group has failed instead.
+	waitFor := func(j int, ready func() bool) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for !ready() && j < failed {
+			cond.Wait()
 		}
+		return j < failed
 	}
 
-	m := in.metrics()
-	runGroup := func(g *txnGroup) (err error) {
+	runGroup := func(j int) (err error) {
+		g := groups[j]
 		var tx *engine.Tx
 		committing := false
 		defer func() {
@@ -307,45 +324,35 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 				err = fmt.Errorf("warehouse: parallel apply panic: %v", r)
 			}
 		}()
+		if !waitFor(j, func() bool { return locking == j }) {
+			return nil
+		}
 		txStart := time.Now()
 		tx = in.W.DB.Begin()
-		// Pre-declare the lock plan in canonical table order; every lock
-		// the executor takes while applying is contained in it.
+		// Pre-declare the lock plan in canonical table order, after every
+		// earlier group; every lock the executor takes while applying is
+		// contained in it.
 		for _, name := range g.lockOrder {
 			var lerr error
-			if rs, ok := g.ranged[name]; ok {
-				lerr = tx.LockRangesExclusive(name, rs)
-			} else {
+			if fp := g.plan[name]; fp.Whole {
 				lerr = tx.LockTablesExclusive(name)
+			} else {
+				lerr = tx.LockRangesExclusive(name, fp.Ranges)
 			}
 			if lerr != nil {
 				tx.Abort()
 				return lerr
 			}
 		}
+		mu.Lock()
+		locking++
+		cond.Broadcast()
+		mu.Unlock()
 		for _, op := range g.ops {
 			op.Trace.Locked()
 		}
-		// Under at-least-once delivery a replayed op arrives with its
-		// dedup row already committed; skip it (but still finish its
-		// trace, so freshness tracking sees the redelivery resolve). The
-		// survivors are recorded with the group.
-		var live []*opdelta.Op
-		recs, stmts := 0, 0
+		stmts := 0
 		for i, op := range g.ops {
-			if in.Applied != nil {
-				seen, serr := in.Applied.Seen(tx, op.Seq)
-				if serr != nil {
-					tx.Abort()
-					return serr
-				}
-				if seen {
-					m.skippedDup.Inc()
-					op.Trace.Applied()
-					continue
-				}
-				live = append(live, op)
-			}
 			c, aerr := in.applyOne(tx, op, g.stmts[i])
 			stmts += c
 			if aerr != nil {
@@ -353,12 +360,16 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 				return fmt.Errorf("warehouse: op %d (%s): %w", op.Seq, op.Stmt, aerr)
 			}
 			op.Trace.Applied()
-			recs++
+		}
+		// The turn is held from here until Commit returns.
+		if !waitFor(j, func() bool { return turn == j }) {
+			tx.Abort()
+			return nil
 		}
 		if in.Applied != nil {
-			if rerr := in.Applied.Record(tx, live); rerr != nil {
+			if aerr := in.Applied.advance(tx, g.ops[len(g.ops)-1].Seq); aerr != nil {
 				tx.Abort()
-				return rerr
+				return aerr
 			}
 		}
 		committing = true
@@ -370,13 +381,15 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 			op.Trace.Done()
 		}
 		m.txns.Inc()
-		m.records.Add(uint64(recs))
+		m.records.Add(uint64(len(g.ops)))
 		m.statements.Add(uint64(stmts))
 		m.txnSeconds.ObserveDuration(time.Since(txStart))
 		mu.Lock()
-		stats.Records += recs
+		stats.Records += len(g.ops)
 		stats.Statements += stmts
 		stats.Txns++
+		turn++
+		cond.Broadcast()
 		mu.Unlock()
 		return nil
 	}
@@ -386,38 +399,22 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mu.Lock()
-			defer mu.Unlock()
 			for {
-				for len(ready) == 0 && completed < n && firstErr == nil {
-					cond.Wait()
-				}
-				if len(ready) == 0 || firstErr != nil {
-					return
-				}
-				idx := ready[0]
-				ready = ready[1:]
-				mu.Unlock()
-				err := runGroup(groups[idx])
 				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					cond.Broadcast()
+				j := next
+				if j >= n || j > failed {
+					mu.Unlock()
 					return
 				}
-				completed++
-				if completed == n {
-					cond.Broadcast()
-				}
-				for _, d := range rdeps[idx] {
-					indeg[d]--
-					if indeg[d] == 0 {
-						i, _ := slices.BinarySearch(ready, d)
-						ready = slices.Insert(ready, i, d)
-						cond.Signal()
+				next++
+				mu.Unlock()
+				if err := runGroup(j); err != nil {
+					mu.Lock()
+					if j < failed {
+						failed, failErr = j, err
 					}
+					cond.Broadcast()
+					mu.Unlock()
 				}
 			}
 		}()
@@ -427,7 +424,7 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 		panic(panicVal)
 	}
 	stats.Duration = time.Since(start)
-	return stats, firstErr
+	return stats, failErr
 }
 
 // applyOne runs one op inside the group's transaction. stmt is the op's

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,6 +32,14 @@ func fixedNow() time.Time { return time.Date(2000, 3, 1, 0, 0, 0, 0, time.UTC) }
 // equivWarehouse builds a warehouse (replica + SP view + aggregate
 // view, plus optionally a PK-dropping view) over a fixed clock.
 func equivWarehouse(t *testing.T, sync wal.SyncPolicy, withNoPKView bool) *Warehouse {
+	t.Helper()
+	return equivWarehouseViews(t, sync, withNoPKView, true)
+}
+
+// equivWarehouseViews is equivWarehouse with the aggregate view
+// optional. Every group on parts locks the aggregate view's whole
+// table, so without it key-disjoint groups run side by side.
+func equivWarehouseViews(t *testing.T, sync wal.SyncPolicy, withNoPKView, withAgg bool) *Warehouse {
 	t.Helper()
 	db, err := engine.Open(t.TempDir(), engine.Options{Now: fixedNow, WALSync: sync})
 	if err != nil {
@@ -63,6 +72,9 @@ func equivWarehouse(t *testing.T, sync wal.SyncPolicy, withNoPKView bool) *Wareh
 		}, schema, nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if !withAgg {
+		return w
 	}
 	if _, err := w.RegisterAggView(AggViewDef{
 		Name: "agg_status", Source: "parts", GroupBy: "status",
@@ -213,9 +225,9 @@ func TestParallelApplyEquivalence(t *testing.T) {
 
 // TestUnparseableOpFailsItsGroup: analyze parses each op once and the
 // apply executes that parse. An op that does not parse makes its group
-// conflict with every other — its footprint cannot be bounded — and
-// applying it fails with the parser's error, after every earlier group
-// has committed and before any later one runs.
+// lock every table it may touch whole — its footprint cannot be bounded
+// — and applying it fails with the parser's error: every earlier group
+// commits, and no later one does.
 func TestUnparseableOpFailsItsGroup(t *testing.T) {
 	w := equivWarehouse(t, wal.SyncFlush, false)
 	ops := []*opdelta.Op{
@@ -244,10 +256,10 @@ func TestUnparseableOpFailsItsGroup(t *testing.T) {
 	}
 }
 
-// TestOneWorkerReplaysInSourceOrder: ready groups are taken lowest
-// source position first, so one worker is serial replay — not merely an
-// order the DAG allows. Group 2 is independent of groups 0 and 1 and
-// becomes ready first, yet still runs last.
+// TestOneWorkerReplaysInSourceOrder: workers take groups strictly in
+// source order, so one worker is serial replay — not merely an order the
+// locks allow. Group 2 is independent of groups 0 and 1, yet still runs
+// last.
 func TestOneWorkerReplaysInSourceOrder(t *testing.T) {
 	w := equivWarehouse(t, wal.SyncFlush, false)
 	if _, err := w.DB.Exec(nil, "INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 0), (2, 'a', 0)"); err != nil {
@@ -288,7 +300,7 @@ func TestLockPlanJoinsConsecutiveIntegerKeys(t *testing.T) {
 	}
 	in := &ParallelIntegrator{W: w}
 	g := in.analyze(ops)
-	if got := fmt.Sprint(g.ranged["parts"]); got != "[[100, 599] [700, 799]]" {
+	if got := fmt.Sprint(g.plan["parts"].Ranges); got != "[[100, 599] [700, 799]]" {
 		t.Fatalf("lock plan for parts = %s, want [[100, 599] [700, 799]]", got)
 	}
 	before := w.DB.LockTableStats()["parts"]
@@ -331,7 +343,7 @@ func seqKeys(lo, hi int64) []int64 {
 	return ks
 }
 
-// TestParallelApplyOrderedConflicts pins the DAG ordering guarantee
+// TestParallelApplyOrderedConflicts pins the ordering guarantee
 // directly: many transactions rewriting the same key must land in
 // source commit order even with maximal worker counts.
 func TestParallelApplyOrderedConflicts(t *testing.T) {
@@ -367,5 +379,127 @@ func TestParallelApplyOrderedConflicts(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0][0].Str() != fmt.Sprintf("v%d", chain) {
 		t.Fatalf("conflicting chain applied out of order: %v", rows)
+	}
+}
+
+// TestLockedReaderBesideTheCommitTurn: a locked reader that queues for
+// the whole replica while source transactions are in flight must not
+// deadlock with the commit turn. Transaction A (key 1) is held in its
+// statement, B rewrites key 1 and so waits for A, and C writes key 2;
+// the reader asks for a shared lock on all of parts. Were C to take its
+// locks before B, it would hold them parked at its turn behind B, B's
+// request would queue behind the reader's (the lock manager grants in
+// order), and the reader would wait for C: a cycle through the turn,
+// which the deadlock probe cannot see and only a lock timeout breaks.
+// Groups take their lock plans in source order, so C locks after B.
+func TestLockedReaderBesideTheCommitTurn(t *testing.T) {
+	db, err := engine.Open(t.TempDir(), engine.Options{Now: fixedNow, LockTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if _, err := db.Exec(nil, partsDDL); err != nil {
+		t.Fatal(err)
+	}
+	w := New(db)
+	if err := w.RegisterReplica("parts", partsSchema(t, db), "part_id", "last_modified"); err != nil {
+		t.Fatal(err)
+	}
+	held, release, ranC := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var holdA, markC sync.Once
+	if err := db.CreateStatementHook("parts", engine.StatementHook{Name: "hold",
+		Fn: func(_ *engine.Tx, d *engine.StatementDelta) error {
+			switch row := d.After[0]; {
+			case row[0].Int() == 1 && row[2].Int() == 1:
+				holdA.Do(func() { close(held); <-release })
+			case row[0].Int() == 2:
+				markC.Do(func() { close(ranC) })
+			}
+			return nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	ops := []*opdelta.Op{
+		{Seq: 1, Txn: 1, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 1)"},
+		{Seq: 2, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 2 WHERE part_id = 1"},
+		{Seq: 3, Txn: 3, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (2, 'c', 3)"},
+	}
+	applied := make(chan error, 1)
+	go func() {
+		_, err := (&ParallelIntegrator{W: w, Workers: 3}).Apply(ops)
+		applied <- err
+	}()
+	var unblock sync.Once
+	defer unblock.Do(func() { close(release) })
+	<-held
+	// Give C the chance to run ahead, were it allowed to.
+	select {
+	case <-ranC:
+	case <-time.After(200 * time.Millisecond):
+	}
+	readerWaits := func() uint64 { ls := db.LockTableStats()["parts"]; return ls.Waits - ls.WriteWaits }
+	read := make(chan error, 1)
+	go func() {
+		_, _, err := db.Query(nil, "SELECT * FROM parts")
+		read <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); readerWaits() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never queued for parts")
+		}
+	}
+	unblock.Do(func() { close(release) })
+	if err := <-applied; err != nil {
+		t.Fatalf("apply beside a queued reader: %v", err)
+	}
+	if err := <-read; err != nil {
+		t.Fatalf("reader beside the apply: %v", err)
+	}
+	if got := fmt.Sprint(tableImage(t, db, "parts")); !strings.Contains(got, "1|'a'|2") || !strings.Contains(got, "2|'c'|3") {
+		t.Fatalf("parts = %s", got)
+	}
+}
+
+// TestSharedViewLockOrdersDisjointGroups: two source transactions on
+// different keys share no range of parts. With the aggregate view both
+// also lock its whole table, so the second may not run its statement
+// until the first has committed; without the view they run side by
+// side. The first is held in its statement until the second has run, or
+// for 300 ms.
+func TestSharedViewLockOrdersDisjointGroups(t *testing.T) {
+	ops := []*opdelta.Op{
+		{Seq: 1, Txn: 1, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (1, 's1', 10)"},
+		{Seq: 2, Txn: 2, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (2, 's2', 20)"},
+	}
+	for _, withAgg := range []bool{false, true} {
+		w := equivWarehouseViews(t, wal.SyncFlush, false, withAgg)
+		in := &ParallelIntegrator{W: w, Workers: 2}
+		if a, b := in.analyze(ops[:1]).plan["parts"], in.analyze(ops[1:]).plan["parts"]; a.Whole || b.Whole || a.Overlaps(b) {
+			t.Fatalf("parts lock plans %v and %v, want disjoint key ranges", a, b)
+		}
+		ranSecond := make(chan struct{})
+		overlapped := false
+		if err := w.DB.CreateStatementHook("parts", engine.StatementHook{Name: "probe",
+			Fn: func(_ *engine.Tx, d *engine.StatementDelta) error {
+				switch d.After[0][0].Int() {
+				case 1:
+					select {
+					case <-ranSecond:
+						overlapped = true
+					case <-time.After(300 * time.Millisecond):
+					}
+				case 2:
+					close(ranSecond)
+				}
+				return nil
+			}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+		if overlapped == withAgg {
+			t.Fatalf("aggregate view %v: the two transactions ran side by side = %v", withAgg, overlapped)
+		}
 	}
 }

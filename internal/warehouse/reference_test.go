@@ -15,7 +15,7 @@ import (
 // with: each source transaction (a run of ops sharing Op.Txn) in source
 // order as one warehouse transaction, every statement parsed where it
 // is applied and its locks taken on demand — no footprints, lock plan,
-// DAG or workers. Only the per-op apply code is shared.
+// turns or workers. Only the per-op apply code is shared.
 func refSerialApply(w *Warehouse, ops []*opdelta.Op) (ApplyStats, error) {
 	in := &ParallelIntegrator{W: w}
 	var stats ApplyStats

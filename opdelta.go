@@ -198,9 +198,9 @@ type (
 	// ValueDeltaIntegrator applies differentials as one batch.
 	ValueDeltaIntegrator = warehouse.ValueDeltaIntegrator
 	// OpDeltaIntegrator replays ops, one small warehouse transaction
-	// per source transaction (ops sharing Op.Txn). The zero value
-	// replays serially in source order; Workers > 1 runs key-disjoint
-	// transactions concurrently.
+	// per source transaction (ops sharing Op.Txn), committed in source
+	// order. The zero value replays serially; Workers > 1 executes
+	// key-disjoint transactions concurrently.
 	OpDeltaIntegrator = warehouse.ParallelIntegrator
 	// ApplyStats summarizes one integration run.
 	ApplyStats = warehouse.ApplyStats
