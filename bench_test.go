@@ -252,6 +252,25 @@ func BenchmarkTableLogTailRead(b *testing.B) {
 	}
 }
 
+// BenchmarkRebuildIndex rebuilds the primary-key index of a 20 000-row
+// parts heap written by the loader (DirectLoad), the index build that
+// follows every direct-path load and every Open. CI gates its
+// allocs/op: a count, which the box's speed cannot move.
+func BenchmarkRebuildIndex(b *testing.B) {
+	db := newBenchSource(b, 20_000)
+	t, err := db.Table("parts")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := t.RebuildIndex(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRangeUpdate measures an indexed 100-row range update.
 func BenchmarkRangeUpdate(b *testing.B) {
 	db := newBenchSource(b, 20_000)

@@ -125,6 +125,17 @@ func TestLiveMetricsScrape(t *testing.T) {
 	if v, ok := sampleValue(body, `storage_pool_hit_ratio{db="wh-src-1",pool="parts"}`); !ok || v <= 0 {
 		t.Errorf("storage_pool_hit_ratio{db=wh-src-1,pool=parts} = %v (present=%v), want > 0", v, ok)
 	}
+	// What Open's index rebuild built and took is exported per table; a
+	// fresh warehouse rebuilt nothing, so only presence is checked here
+	// (TestLiveRestartExactlyOnce checks the values after a restart).
+	for _, name := range []string{
+		`engine_index_rebuild_keys_total{db="wh-src-1",table="parts"}`,
+		`engine_index_rebuild_seconds_total{db="wh-src-1",table="parts"}`,
+	} {
+		if _, ok := sampleValue(body, name); !ok {
+			t.Errorf("series %s missing from scrape", name)
+		}
+	}
 
 	// Every append wakes the applier, which reads the queue at once, so
 	// the depth gauge reads 0 at nearly every scrape. Its per-source
@@ -174,8 +185,19 @@ func TestLiveRestartExactlyOnce(t *testing.T) {
 		last = startProc(t, fmt.Sprintf("live run %d", run), bin,
 			"-live", "-src", srcDir, "-out", outDir,
 			"-metrics", "127.0.0.1:0", "-loadgen", "400", "-duration", "2m")
-		waitMetric(t, last.metricsURL(), "delta_traces_total",
+		body := waitMetric(t, last.metricsURL(), "delta_traces_total",
 			func(v float64) bool { return v >= 100 }, 20*time.Second)
+		if run == 2 {
+			// The restart rebuilt the indexes of the rows run 1 wrote.
+			for _, name := range []string{
+				`engine_index_rebuild_keys_total{db="src",table="parts"}`,
+				`engine_index_rebuild_seconds_total{db="src",table="parts"}`,
+			} {
+				if v, ok := sampleValue(body, name); !ok || v <= 0 {
+					t.Errorf("%s = %v (present=%v), want > 0 after a restart", name, v, ok)
+				}
+			}
+		}
 		last.drain(15 * time.Second)
 	}
 	acked := ackedSeq(t, last.expectLine("drained at acked seq", time.Second))

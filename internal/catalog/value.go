@@ -103,6 +103,12 @@ func NewBytes(v []byte) Value {
 	return Value{typ: TypeBytes, s: unsafe.String(unsafe.SliceData(v), len(v)), valid: true}
 }
 
+// NewStringShared returns a String value whose payload shares b, as
+// NewBytes does: b must not be written afterwards.
+func NewStringShared(b []byte) Value {
+	return Value{typ: TypeString, s: unsafe.String(unsafe.SliceData(b), len(b)), valid: true}
+}
+
 // NewTime returns a Time value with nanosecond precision.
 func NewTime(v time.Time) Value { return Value{typ: TypeTime, i: v.UnixNano(), valid: true} }
 

@@ -11,10 +11,12 @@ import (
 // supports point lookups and ordered range scans, which gives UPDATE /
 // DELETE / SELECT statements with primary-key range predicates an
 // index path instead of a full scan. Keys are catalog.Values ordered by
-// catalog.Compare; the engine rebuilds the tree from the heap at open.
+// catalog.Compare. A whole tree is only ever built bottom-up from a
+// sorted run (buildBtree, bulk.go), at open, after a load and by CREATE
+// INDEX; Insert and Delete maintain it online.
 //
 // Deletions remove entries without rebalancing; nodes may go underfull
-// (never incorrect). For the engine's workloads — bulk rebuilds plus
+// (never incorrect). For the engine's workloads — bulk builds plus
 // online churn — this keeps the code small at a modest space cost.
 type btree struct {
 	root   node

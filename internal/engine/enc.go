@@ -96,14 +96,22 @@ func appendEscapedBytes(dst, payload []byte) []byte {
 // indexEntryKey builds the composite (value, rid) key as a catalog
 // Bytes value, whose catalog.Compare order is lexicographic.
 func indexEntryKey(v catalog.Value, rid storage.RID) (catalog.Value, error) {
-	enc, err := encodeIndexValue(nil, v)
+	enc, err := appendIndexEntry(nil, v, rid)
 	if err != nil {
 		return catalog.Value{}, err
 	}
-	var tail [6]byte
-	binary.BigEndian.PutUint32(tail[0:4], uint32(rid.Page))
-	binary.BigEndian.PutUint16(tail[4:6], rid.Slot)
-	return catalog.NewBytes(append(enc, tail[:]...)), nil
+	return catalog.NewBytes(enc), nil
+}
+
+// appendIndexEntry appends the composite (value, rid) key's bytes to
+// dst.
+func appendIndexEntry(dst []byte, v catalog.Value, rid storage.RID) ([]byte, error) {
+	dst, err := encodeIndexValue(dst, v)
+	if err != nil {
+		return nil, err
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(rid.Page))
+	return binary.BigEndian.AppendUint16(dst, rid.Slot), nil
 }
 
 // indexRangeBounds returns composite-key bounds covering every entry

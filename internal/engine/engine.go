@@ -5,8 +5,9 @@
 // primary-key-range locks, with table locks as the fallback for
 // unanalyzable statements), row-level triggers and statement-level
 // hooks with transition tables, an engine-maintained last-modified
-// timestamp column, and a primary-key hash index. Every
-// delta-extraction method in the paper is built against this engine.
+// timestamp column, and in-memory B+-tree indexes on the primary key
+// and on secondary columns. Every delta-extraction method in the paper
+// is built against this engine.
 package engine
 
 import (
@@ -18,6 +19,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"opdelta/internal/catalog"
@@ -108,6 +110,13 @@ type Table struct {
 	pk    *btree      // unique ordered index on the PK column; nil when PKCol < 0
 	sec   []*secIndex // non-unique secondary indexes
 
+	// openBuild is what Open's index rebuild cost: the entries built
+	// and the time taken, exported as engine_index_rebuild_*.
+	openBuild struct {
+		keys  atomic.Uint64
+		nanos atomic.Int64
+	}
+
 	trigMu   sync.RWMutex
 	triggers []*Trigger
 	hooks    []*StatementHook
@@ -189,11 +198,15 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.mvcc.visible = uint64(w.NextLSN()) - 1
 	db.mvcc.lowWater = db.mvcc.visible
 	for _, t := range db.tables {
-		if err := t.rebuildIndex(); err != nil {
+		start := time.Now()
+		built, err := t.rebuildIndex()
+		if err != nil {
 			db.closeTables()
 			w.Close()
 			return nil, err
 		}
+		t.openBuild.keys.Store(uint64(built))
+		t.openBuild.nanos.Store(int64(time.Since(start)))
 	}
 	return db, nil
 }
@@ -338,6 +351,14 @@ func (db *DB) openTable(m tableMeta) (*Table, error) {
 	poolLabels := append(append([]obs.Label(nil), db.obsLabels...),
 		obs.L("pool", strings.ToLower(m.Name)))
 	heap.Pool().RegisterObs(db.obs, poolLabels...)
+	tableLabels := append(append([]obs.Label(nil), db.obsLabels...),
+		obs.L("table", strings.ToLower(m.Name)))
+	db.obs.CounterFunc("engine_index_rebuild_keys_total", func() float64 {
+		return float64(t.openBuild.keys.Load())
+	}, tableLabels...)
+	db.obs.CounterFunc("engine_index_rebuild_seconds_total", func() float64 {
+		return time.Duration(t.openBuild.nanos.Load()).Seconds()
+	}, tableLabels...)
 	t.heap = heap
 	t.vstore = storage.NewVersionStore(db.vm)
 	return t, nil
@@ -522,35 +543,35 @@ func (t *Table) Heap() *storage.HeapFile { return t.heap }
 // NumRows returns the live row count.
 func (t *Table) NumRows() int64 { return t.heap.NumRecords() }
 
-// rebuildIndex scans the heap and reconstructs the PK index and every
-// secondary index.
-func (t *Table) rebuildIndex() error {
+// rebuildIndex rebuilds the primary-key index and every secondary
+// index from one heap scan (bulk.go) and returns the entries built. The
+// caller keeps writers off the table: Open runs it before the engine
+// serves, and RebuildIndex's callers after a load that nothing else
+// writes beside.
+func (t *Table) rebuildIndex() (int, error) {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	if t.PKCol >= 0 {
-		t.pk = newBtree()
-	}
-	for _, si := range t.sec {
-		si.tree = newBtree()
-	}
 	if t.PKCol < 0 && len(t.sec) == 0 {
-		return nil
+		return 0, nil
 	}
-	return t.heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
-		tup, err := catalog.DecodeTuple(t.Schema, rec)
-		if err != nil {
-			return false, fmt.Errorf("engine: %s at %v: %w", t.Name, rid, err)
-		}
-		if t.PKCol >= 0 {
-			if err := t.pk.Insert(tup[t.PKCol], rid); err != nil {
-				return false, fmt.Errorf("engine: %s at %v: duplicate key %s", t.Name, rid, tup[t.PKCol])
-			}
-		}
-		if err := t.secInsertLocked(tup, rid); err != nil {
-			return false, err
-		}
-		return true, nil
-	})
+	cols := make([]int, len(t.sec))
+	for i, si := range t.sec {
+		cols[i] = si.col
+	}
+	pk, sec, err := t.buildIndexes(t.PKCol >= 0, cols)
+	if err != nil {
+		return 0, err
+	}
+	t.pk = pk
+	built := 0
+	if pk != nil {
+		built = pk.Len()
+	}
+	for i, si := range t.sec {
+		si.tree = sec[i]
+		built += si.tree.Len()
+	}
+	return built, nil
 }
 
 // LookupPK returns the RID holding the given primary-key value.

@@ -24,6 +24,13 @@ type secIndex struct {
 // column, persists it in the catalog, and back-fills it from the heap.
 // Range and equality predicates over that column then use the index
 // when they cover the whole WHERE clause.
+//
+// The backfill runs under the table's exclusive lock. Every writer
+// holds an intention lock on the table from its first write until it
+// commits or rolls back, and updates the heap and the indexes inside
+// that span; so once the lock is granted the heap holds no half-applied
+// write, and a writer that comes after waits until the index is
+// registered, and then maintains it.
 func (db *DB) CreateSecondaryIndex(table, column string) error {
 	t, err := db.Table(table)
 	if err != nil {
@@ -33,29 +40,21 @@ func (db *DB) CreateSecondaryIndex(table, column string) error {
 	if !ok {
 		return fmt.Errorf("engine: no column %q in %s", column, table)
 	}
-	t.idxMu.Lock()
-	for _, si := range t.sec {
-		if si.col == col {
-			t.idxMu.Unlock()
-			return fmt.Errorf("engine: index on %s.%s already exists", table, column)
-		}
-	}
-	si := &secIndex{col: col, tree: newBtree()}
-	t.sec = append(t.sec, si)
-	t.idxMu.Unlock()
-
-	if err := t.backfillIndex(si); err != nil {
-		// Roll the registration back.
-		t.idxMu.Lock()
-		for i, other := range t.sec {
-			if other == si {
-				t.sec = append(t.sec[:i], t.sec[i+1:]...)
-				break
-			}
-		}
-		t.idxMu.Unlock()
+	tx := db.Begin()
+	defer tx.Commit()
+	if err := tx.lockExclusive(t.Name); err != nil {
 		return err
 	}
+	if t.secIndexOn(col) != nil {
+		return fmt.Errorf("engine: index on %s.%s already exists", table, column)
+	}
+	_, trees, err := t.buildIndexes(false, []int{col})
+	if err != nil {
+		return err
+	}
+	t.idxMu.Lock()
+	t.sec = append(t.sec, &secIndex{col: col, tree: trees[0]})
+	t.idxMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.saveCatalogLocked()
@@ -98,24 +97,6 @@ func (t *Table) SecondaryIndexes() []string {
 		out = append(out, t.Schema.Column(si.col).Name)
 	}
 	return out
-}
-
-// backfillIndex scans the heap into a fresh index.
-func (t *Table) backfillIndex(si *secIndex) error {
-	return t.heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
-		tup, err := catalog.DecodeTuple(t.Schema, rec)
-		if err != nil {
-			return false, err
-		}
-		key, err := indexEntryKey(tup[si.col], rid)
-		if err != nil {
-			return false, err
-		}
-		t.idxMu.Lock()
-		err = si.tree.Insert(key, rid)
-		t.idxMu.Unlock()
-		return err == nil, err
-	})
 }
 
 // secInsertLocked/secDeleteLocked maintain every secondary index for

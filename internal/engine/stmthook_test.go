@@ -182,9 +182,15 @@ func TestKeyedRowAccess(t *testing.T) {
 	lookup(idCol, catalog.NewInt(99), "")
 	lookup(statusCol, catalog.NewString("a"), "1,3,") // scan
 	lookup(statusCol, catalog.NewNull(catalog.TypeString), "")
+	// CREATE INDEX takes the table's exclusive lock, so the transaction
+	// holding it ends first.
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.CreateSecondaryIndex("parts", "status"); err != nil {
 		t.Fatal(err)
 	}
+	tx = db.Begin()
 	lookup(statusCol, catalog.NewString("a"), "1,3,") // index
 
 	// Under the table X lock the lookups took, keyed calls are no-ops at

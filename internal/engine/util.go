@@ -23,8 +23,13 @@ func (db *DB) InsertTuple(tx *Tx, table string, tup catalog.Tuple) error {
 	return tx.InsertRow(t, tup)
 }
 
-// RebuildIndex rescans the heap and rebuilds the primary-key index.
-// Bulk utilities that write heap pages directly (the ASCII Loader) call
-// this afterward, mirroring how real loaders rebuild indexes after a
-// direct-path load.
-func (t *Table) RebuildIndex() error { return t.rebuildIndex() }
+// RebuildIndex rescans the heap and rebuilds the primary-key index and
+// every secondary index, each bottom-up from one sorted run. Bulk
+// utilities that write heap pages directly (the ASCII Loader) call this
+// afterward, mirroring how real loaders rebuild indexes after a
+// direct-path load. Like the direct load before it, it must run with no
+// writer on the table: it takes no table lock.
+func (t *Table) RebuildIndex() error {
+	_, err := t.rebuildIndex()
+	return err
+}

@@ -300,14 +300,14 @@ func (h *HeapFile) DirectLoad(recs [][]byte) ([]RID, error) {
 	cur.Init()
 	curSlots := []uint16{}
 	for _, rec := range recs {
-		slot, err := cur.Insert(rec)
+		slot, err := cur.appendRecord(rec)
 		if errors.Is(err, ErrPageFull) {
 			pages = append(pages, cur)
 			slots = append(slots, curSlots)
 			cur = &Page{}
 			cur.Init()
 			curSlots = nil
-			slot, err = cur.Insert(rec)
+			slot, err = cur.appendRecord(rec)
 		}
 		if err != nil {
 			return nil, err

@@ -208,6 +208,61 @@ func TestHeapDirectLoad(t *testing.T) {
 	}
 }
 
+// TestDirectLoadFillsPagesAsInsertDoes checks that the loader's page
+// fill, which appends slots without looking for a tombstone to reuse,
+// assigns the RIDs and writes the bytes that filling fresh pages with
+// Page.Insert does.
+func TestDirectLoadFillsPagesAsInsertDoes(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	recs := make([][]byte, 3000)
+	for i := range recs {
+		n := 1 + r.Intn(40)
+		if i%500 == 7 {
+			n = MaxRecord - r.Intn(3)
+		}
+		recs[i] = bytes.Repeat([]byte{byte(i)}, n)
+	}
+	var want []*Page
+	var wantRIDs []RID
+	for _, rec := range recs {
+		if len(want) > 0 {
+			if slot, err := want[len(want)-1].Insert(rec); err == nil {
+				wantRIDs = append(wantRIDs, RID{Page: PageID(len(want) - 1), Slot: slot})
+				continue
+			}
+		}
+		p := &Page{}
+		p.Init()
+		slot, err := p.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+		wantRIDs = append(wantRIDs, RID{Page: PageID(len(want) - 1), Slot: slot})
+	}
+
+	h := openTestHeap(t, 4)
+	rids, err := h.DirectLoad(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rids, wantRIDs) {
+		t.Fatal("DirectLoad assigned other RIDs than an Insert fill")
+	}
+	if h.NumPages() != PageID(len(want)) {
+		t.Fatalf("DirectLoad wrote %d pages, want %d", h.NumPages(), len(want))
+	}
+	var got Page
+	for id := range want {
+		if err := h.Disk().ReadPage(PageID(id), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got != *want[id] {
+			t.Fatalf("page %d differs from an Insert fill", id)
+		}
+	}
+}
+
 func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	h := openTestHeap(t, 2) // tiny pool forces eviction
 	const n = 400

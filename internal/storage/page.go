@@ -124,18 +124,32 @@ func (p *Page) InsertAvoid(rec []byte, avoid func(uint16) bool, reserve int) (ui
 	if err := CheckRecordSize(len(rec)); err != nil {
 		return 0, err
 	}
-	// Find a reusable tombstone first: reusing costs no directory growth.
-	slotNo := uint16(0)
-	reuse := false
+	// Reuse a tombstone first: reusing costs no directory growth.
 	n := p.slotCount()
 	for i := uint16(0); i < n; i++ {
 		if off, _ := p.slot(i); off == 0 && (avoid == nil || !avoid(i)) {
-			slotNo, reuse = i, true
-			break
+			return p.place(i, rec, reserve)
 		}
 	}
+	return p.place(n, rec, reserve)
+}
+
+// appendRecord is Insert for a page that has no tombstones, such as the
+// loader's fresh pages: the record takes a new slot at the end of the
+// directory without a search for one to reuse.
+func (p *Page) appendRecord(rec []byte) (uint16, error) {
+	if err := CheckRecordSize(len(rec)); err != nil {
+		return 0, err
+	}
+	return p.place(p.slotCount(), rec, 0)
+}
+
+// place stores rec at slot, a tombstone or the next new slot, unless it
+// does not fit or would leave fewer than reserve bytes reclaimable.
+func (p *Page) place(slot uint16, rec []byte, reserve int) (uint16, error) {
+	n := p.slotCount()
 	need := len(rec)
-	if !reuse {
+	if slot == n {
 		need += slotSize
 	}
 	if int(p.freeUpper())-int(p.freeLower()) < need || (reserve > 0 && p.reclaimable()-need < reserve) {
@@ -144,13 +158,12 @@ func (p *Page) InsertAvoid(rec []byte, avoid func(uint16) bool, reserve int) (ui
 	newUpper := p.freeUpper() - uint16(len(rec))
 	copy(p[newUpper:], rec)
 	p.setFreeUpper(newUpper)
-	if !reuse {
-		slotNo = n
+	if slot == n {
 		p.setSlotCount(n + 1)
 		p.setFreeLower(p.freeLower() + slotSize)
 	}
-	p.setSlot(slotNo, newUpper, uint16(len(rec)))
-	return slotNo, nil
+	p.setSlot(slot, newUpper, uint16(len(rec)))
+	return slot, nil
 }
 
 // ErrNoRecord reports access to a missing or deleted slot.
