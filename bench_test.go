@@ -8,12 +8,14 @@ package opdelta_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"opdelta"
 	"opdelta/internal/bench"
 	iopdelta "opdelta/internal/opdelta"
 	"opdelta/internal/wal"
+	"opdelta/internal/warehouse"
 	"opdelta/internal/workload"
 )
 
@@ -374,6 +376,94 @@ func benchRangeUpdateWithViews(b *testing.B, marker func(i int) string) {
 		}
 	}
 	b.ReportMetric(float64(views)/float64(b.N), "view-wal-appends/op")
+}
+
+// BenchmarkPointApply replays 256 single-row source transactions per
+// iteration — the point workload's mix, 30 % INSERT, 40 % UPDATE and
+// 30 % DELETE, as the source captures them — through the op integrator
+// at 4 workers, with the high-water log, onto a 12 000-row replica that
+// maintains the projection slim_parts. Consecutive point transactions
+// share warehouse transactions of up to 64 keys, so an iteration is 4
+// commits; commits/op reports them. CI gates its allocs/op, a count.
+func BenchmarkPointApply(b *testing.B) {
+	const rows, perIter = 12_000, 256
+	clock := workload.NewClock()
+	db, err := opdelta.Open(b.TempDir(), opdelta.Options{Now: clock.Now})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	wh := opdelta.NewWarehouse(db)
+	schema := workload.PartsSchema()
+	must := func(err error) {
+		b.Helper()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	must(wh.RegisterReplica("parts", schema, "part_id", "last_modified"))
+	_, err = wh.RegisterView(opdelta.ViewDef{
+		Name: "slim_parts", Source: "parts", Project: []string{"part_id", "status"},
+		SourcePK: "part_id", SourceTS: "last_modified",
+	}, schema, nil)
+	must(err)
+	for first := 0; first < rows; first += 50 {
+		_, err := db.Exec(nil, workload.InsertStmt(int64(first), 50))
+		must(err)
+	}
+	applied, err := warehouse.EnsureAppliedLog(wh)
+	must(err)
+	in := &opdelta.OpDeltaIntegrator{W: wh, Workers: 4, Applied: applied}
+
+	// Keys 0..rows-1 start live and rows..2*rows-1 absent; an INSERT
+	// takes an absent key, a DELETE a live one, an UPDATE any live one.
+	rng := rand.New(rand.NewSource(1))
+	live, dead := make([]int64, rows), make([]int64, rows)
+	for i := range live {
+		live[i], dead[i] = int64(i), int64(rows+i)
+	}
+	take := func(s *[]int64) int64 {
+		i := rng.Intn(len(*s))
+		k := (*s)[i]
+		(*s)[i] = (*s)[len(*s)-1]
+		*s = (*s)[:len(*s)-1]
+		return k
+	}
+	statuses := []string{"new", "active", "hold", "revised", "retired"}
+	batches := make([][]*opdelta.Op, b.N)
+	seq := uint64(0)
+	for i := range batches {
+		for j := 0; j < perIter; j++ {
+			seq++
+			op := &opdelta.Op{Seq: seq, Txn: seq, Table: "parts"}
+			switch r := rng.Intn(10); {
+			case r < 3:
+				k := take(&dead)
+				live = append(live, k)
+				op.Kind, op.Stmt = iopdelta.OpInsert, workload.SingleInsertStmt(k)
+			case r < 7:
+				k := live[rng.Intn(len(live))]
+				op.Kind, op.Stmt = iopdelta.OpUpdate, workload.UpdateStmt(k, 1, statuses[rng.Intn(len(statuses))])
+			default:
+				k := take(&live)
+				dead = append(dead, k)
+				op.Kind, op.Stmt = iopdelta.OpDelete, workload.DeleteStmt(k, 1)
+			}
+			batches[i] = append(batches[i], op)
+		}
+	}
+	commits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := in.Apply(batches[i])
+		if err != nil || stats.Txns != perIter {
+			b.Fatalf("Apply = %+v, %v", stats, err)
+		}
+		commits += stats.Commits
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(commits)/float64(b.N), "commits/op")
 }
 
 // BenchmarkScanQuery measures a full-scan predicate query over 20k rows.

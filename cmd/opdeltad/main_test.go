@@ -113,6 +113,7 @@ func TestLiveMetricsScrape(t *testing.T) {
 		`wal_group_commit_cohort_records_count{db="wh-src-1"}`,
 		`txn_lock_grants_total{db="wh-src-1"}`,
 		`warehouse_apply_txns_total{integrator="parallel"}`,
+		`warehouse_apply_commits_total{integrator="parallel"}`,
 	}
 	for _, name := range mustPositive {
 		v, ok := sampleValue(body, name)
@@ -121,6 +122,12 @@ func TestLiveMetricsScrape(t *testing.T) {
 		} else if v <= 0 {
 			t.Errorf("series %s = %v, want > 0", name, v)
 		}
+	}
+	// Source transactions applied, and the warehouse transactions that
+	// committed them: a run of single-row ones shares one commit.
+	txns, _ := sampleValue(body, `warehouse_apply_txns_total{integrator="parallel"}`)
+	if commits, _ := sampleValue(body, `warehouse_apply_commits_total{integrator="parallel"}`); commits > txns {
+		t.Errorf("%v warehouse commits for %v source transactions", commits, txns)
 	}
 	if v, ok := sampleValue(body, `storage_pool_hit_ratio{db="wh-src-1",pool="parts"}`); !ok || v <= 0 {
 		t.Errorf("storage_pool_hit_ratio{db=wh-src-1,pool=parts} = %v (present=%v), want > 0", v, ok)

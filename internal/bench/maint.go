@@ -236,7 +236,7 @@ func RunConcurrent(cfg Config) (*Result, error) {
 		RowHeads: []string{"ValueDelta batch"},
 		Notes: []string{
 			"value-delta integration is one exclusive batch: readers stall for the whole window",
-			"Op-Delta rows: one warehouse txn per source txn, key-disjoint txns executing side by side and committing in source order; w=1 is serial replay, and speedup is the w=1 window / row window",
+			"Op-Delta rows: one warehouse txn per source txn (these are multi-row statements, so no run of point-only txns shares one), key-disjoint txns executing side by side and committing in source order; w=1 is serial replay, and speedup is the w=1 window / row window",
 			"parallel rows pre-declare key-range locks so key-disjoint appliers overlap execution; table-lock rows force the whole-table baseline",
 			"applier lock wait ms / waits: blocked time and blocked acquisitions of write-mode requests (readers excluded)",
 			"reader lock wait ms / waits / acquires: blocked time, blocked requests and granted requests in a read mode; snapshot rows run readers on MVCC commit-LSN snapshots and must show zero of all three",
@@ -377,7 +377,7 @@ func RunConcurrent(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := &outcome{window: stats.Duration, maxLat: maxLat, served: served, txns: stats.Txns}
+		out := &outcome{window: stats.Duration, maxLat: maxLat, served: served, txns: stats.Commits}
 		for _, ls := range w.DB.LockTableStats() {
 			out.lockWait += ls.WriteWaitTime
 			out.waits += ls.WriteWaits

@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -24,18 +25,20 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "PRIMARY": true, "KEY": true,
-	"TIMESTAMP": true, "COLUMN": true, "NOT": true, "NULL": true,
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "WHERE": true,
-	"DELETE": true, "FROM": true, "SELECT": true,
-	"AND": true, "OR": true, "IS": true, "BETWEEN": true,
-	"TRUE": true, "FALSE": true,
-	"GROUP": true, "BY": true, "ORDER": true, "LIMIT": true,
-	"DESC": true, "ASC": true,
-	"AS": true, "OF": true,
-}
+// keywords maps each keyword to itself, so a word upper-cased into a
+// scratch buffer finds the keyword's own string without allocating one.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, k := range strings.Fields(`CREATE TABLE PRIMARY KEY TIMESTAMP COLUMN NOT NULL
+		INSERT INTO VALUES UPDATE SET WHERE DELETE FROM SELECT
+		AND OR IS BETWEEN TRUE FALSE GROUP BY ORDER LIMIT DESC ASC AS OF`) {
+		m[k] = k
+	}
+	return m
+}()
+
+// maxKeywordLen bounds the words looked up in keywords.
+const maxKeywordLen = 16
 
 type lexer struct {
 	src  string
@@ -43,8 +46,32 @@ type lexer struct {
 	toks []token
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// tokenPool recycles the lexers' token slices. A parse copies tokens by
+// value and keeps only their text — substrings of the source or fresh
+// strings — so the slice is free again once the parse returns.
+var tokenPool = sync.Pool{New: func() any { return new([]token) }}
+
+// maxPooledTokens bounds the slices the pool keeps: one many-row INSERT
+// must not pin its token slice for every later parse.
+const maxPooledTokens = 4096
+
+// getTokens returns an empty token slice from the pool, and putTokens
+// returns it once the parse that lexed into it is done.
+func getTokens() *[]token { return tokenPool.Get().(*[]token) }
+
+func putTokens(buf *[]token) {
+	if cap(*buf) > maxPooledTokens {
+		return
+	}
+	clear(*buf) // drop the references into the source
+	*buf = (*buf)[:0]
+	tokenPool.Put(buf)
+}
+
+// lex appends src's tokens to toks and returns the slice, on error too,
+// so a pooled slice is never lost.
+func lex(src string, toks []token) ([]token, error) {
+	l := lexer{src: src, toks: toks}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -57,14 +84,14 @@ func lex(src string) ([]token, error) {
 		case c == '\'':
 			s, err := l.lexString()
 			if err != nil {
-				return nil, err
+				return l.toks, err
 			}
 			l.emit(tokString, s, start)
 		case (c == 'x' || c == 'X') && l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'':
 			l.pos++
 			s, err := l.lexString()
 			if err != nil {
-				return nil, err
+				return l.toks, err
 			}
 			l.emit(tokHex, s, start)
 		case isIdentStart(c):
@@ -79,7 +106,7 @@ func lex(src string) ([]token, error) {
 		default:
 			sym, err := l.lexSymbol()
 			if err != nil {
-				return nil, err
+				return l.toks, err
 			}
 			l.emit(tokSymbol, sym, start)
 		}
@@ -127,12 +154,21 @@ func (l *lexer) lexWord(start int) {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
-	up := strings.ToUpper(word)
-	if keywords[up] {
-		l.emit(tokKeyword, up, start)
-	} else {
-		l.emit(tokIdent, word, start)
+	if len(word) <= maxKeywordLen {
+		var up [maxKeywordLen]byte
+		for i := 0; i < len(word); i++ {
+			c := word[i]
+			if c >= 'a' && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			up[i] = c
+		}
+		if kw, ok := keywords[string(up[:len(word)])]; ok {
+			l.emit(tokKeyword, kw, start)
+			return
+		}
 	}
+	l.emit(tokIdent, word, start)
 }
 
 func (l *lexer) lexNumber(start int, negPrefixed bool) {
@@ -160,23 +196,34 @@ done:
 	l.emit(tokNumber, l.src[start:l.pos], start)
 }
 
+// lexString reads a quoted literal into a string of its own, never a
+// substring of the source.
 func (l *lexer) lexString() (string, error) {
 	// l.pos is at the opening quote.
 	l.pos++
+	from := l.pos
 	var b strings.Builder
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
+		if l.src[l.pos] != '\'' {
 			l.pos++
+			continue
+		}
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			b.WriteString(l.src[from : l.pos+1])
+			l.pos += 2
+			from = l.pos
+			continue
+		}
+		s := l.src[from:l.pos]
+		l.pos++
+		if b.Len() > 0 {
+			b.WriteString(s)
 			return b.String(), nil
 		}
-		b.WriteByte(c)
-		l.pos++
+		// A copy, not a substring: the value can outlive the statement —
+		// an index keeps a key as long as its row lives — and must not
+		// keep the statement's text alive with it.
+		return strings.Clone(s), nil
 	}
 	return "", fmt.Errorf("sqlmini: unterminated string literal at %d", l.pos)
 }
@@ -198,7 +245,7 @@ func (l *lexer) lexSymbol() (string, error) {
 	switch c {
 	case '(', ')', ',', '=', '<', '>', '*', '+', '-':
 		l.pos++
-		return string(c), nil
+		return l.src[l.pos-1 : l.pos], nil
 	}
 	return "", fmt.Errorf("sqlmini: unexpected character %q at %d", c, l.pos)
 }

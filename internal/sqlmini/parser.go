@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -11,7 +12,10 @@ import (
 
 // Parse parses one statement.
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
+	buf := getTokens()
+	defer putTokens(buf)
+	toks, err := lex(src, *buf)
+	*buf = toks
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +33,10 @@ func Parse(src string) (Statement, error) {
 // ParseExpr parses a standalone scalar expression (used by view
 // definitions and tests).
 func ParseExpr(src string) (Expr, error) {
-	toks, err := lex(src)
+	buf := getTokens()
+	defer putTokens(buf)
+	toks, err := lex(src, *buf)
+	*buf = toks
 	if err != nil {
 		return nil, err
 	}
@@ -210,13 +217,17 @@ func (p *parser) parseInsert() (Statement, error) {
 		return nil, err
 	}
 	stmt := &Insert{Table: table}
+	// Lists collect in stack scratch and are copied out once at their
+	// size, not grown one append at a time.
 	if p.accept(tokSymbol, "(") {
+		var scratch [16]string
+		cols := scratch[:0]
 		for {
 			col, err := p.parseIdent()
 			if err != nil {
 				return nil, err
 			}
-			stmt.Columns = append(stmt.Columns, col)
+			cols = append(cols, col)
 			if p.accept(tokSymbol, ",") {
 				continue
 			}
@@ -225,6 +236,7 @@ func (p *parser) parseInsert() (Statement, error) {
 			}
 			break
 		}
+		stmt.Columns = slices.Clone(cols)
 	}
 	if _, err := p.expect(tokKeyword, "VALUES"); err != nil {
 		return nil, err
@@ -233,7 +245,8 @@ func (p *parser) parseInsert() (Statement, error) {
 		if _, err := p.expect(tokSymbol, "("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		var scratch [16]Expr
+		row := scratch[:0]
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -248,7 +261,7 @@ func (p *parser) parseInsert() (Statement, error) {
 			}
 			break
 		}
-		stmt.Rows = append(stmt.Rows, row)
+		stmt.Rows = append(stmt.Rows, slices.Clone(row))
 		if !p.accept(tokSymbol, ",") {
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -431,5 +432,83 @@ func TestQuickSQLLiteralParserRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseAllocs counts what one parse of the benchmark's single-row
+// statements allocates. The lexer's token slice comes from a pool and
+// goes back when the parse returns; symbols are substrings of the
+// source; keywords are looked up without upper-casing a copy; an
+// INSERT's column and value lists are allocated once at their size.
+// What is left is the AST itself: the statement, its lists, one node per
+// literal, column reference and comparison (the BETWEEN is two
+// comparisons under an AND), and one copy of each string literal's
+// text. Regrowing the token slice per parse read 37 and 19.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	for _, c := range []struct {
+		src  string
+		want float64
+	}{
+		{"INSERT INTO parts (part_id, status, qty, payload) VALUES (1234, 'retired', 234, 'mmmmmmmmmmmmmmmmmmmmmmmmmmmmmmmm')", 10},
+		{"UPDATE parts SET status = 'revised' WHERE part_id BETWEEN 1234 AND 1234", 10},
+	} {
+		mustParse(t, c.src)
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := Parse(c.src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.want {
+			t.Errorf("Parse(%q) allocates %.0f times, want at most %.0f", c.src, got, c.want)
+		}
+	}
+}
+
+// TestPooledTokensShareNothing: parses that reuse one another's token
+// slices, in turn and side by side, leave every earlier AST as it was,
+// and a failed lex returns its slice too.
+func TestPooledTokensShareNothing(t *testing.T) {
+	srcs := []string{
+		"INSERT INTO parts (part_id, status) VALUES (1, 'it''s'), (2, 'b')",
+		"UPDATE parts SET status = 'x', qty = qty + 1 WHERE part_id BETWEEN 3 AND 9",
+		"DELETE FROM parts WHERE part_id = 4 AND status IS NOT NULL",
+		"SELECT part_id, status FROM parts WHERE qty >= 500 ORDER BY part_id DESC LIMIT 3",
+	}
+	var want []string
+	var kept []Statement
+	for _, src := range srcs {
+		s := mustParse(t, src)
+		kept = append(kept, s)
+		want = append(want, s.String())
+	}
+	if _, err := Parse("SELECT 'unterminated FROM parts"); err == nil {
+		t.Fatal("an unterminated literal parses")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				src := srcs[(g+i)%len(srcs)]
+				s, err := Parse(src)
+				if err != nil || s.String() != want[(g+i)%len(srcs)] {
+					t.Errorf("Parse(%q) = %v, %v", src, s, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, s := range kept {
+		if s.String() != want[i] {
+			t.Errorf("statement %d reads %q after later parses, want %q", i, s.String(), want[i])
+		}
+	}
+	if lit := kept[0].(*Insert).Rows[0][1].(*Literal).Val.Str(); lit != "it's" {
+		t.Errorf("escaped literal = %q, want %q", lit, "it's")
 	}
 }

@@ -96,19 +96,29 @@ func TestRestartMidBatchResumesAfterHighWater(t *testing.T) {
 			Stmt: fmt.Sprintf("INSERT INTO parts (part_id, status, qty) VALUES (%d, 's', %d)", k, k)})
 	}
 	// Key 6's statement fails once key 7's has run, so the seventh group
-	// is parked at its turn, locks held, when the sixth fails.
+	// is parked at its turn, locks held, when the sixth fails. The twelve
+	// single-row inserts first apply as one run, where key 6 runs before
+	// key 7 in the same transaction and cannot wait for it: there — in
+	// the transaction key 5 ran in — it fails at once, and the retry, one
+	// source transaction per group, sets the scene above.
 	var armed atomic.Bool
 	armed.Store(true)
 	ranSeventh := make(chan struct{})
+	var fifthTx atomic.Pointer[engine.Tx]
 	if err := w.DB.CreateStatementHook("parts", engine.StatementHook{Name: "crash",
-		Fn: func(_ *engine.Tx, d *engine.StatementDelta) error {
+		Fn: func(tx *engine.Tx, d *engine.StatementDelta) error {
 			if !armed.Load() {
 				return nil
 			}
 			switch d.After[0][0].Int() {
+			case 5:
+				fifthTx.Store(tx)
 			case 7:
 				close(ranSeventh)
 			case 6:
+				if tx == fifthTx.Load() {
+					return errors.New("injected failure")
+				}
 				select {
 				case <-ranSeventh:
 				case <-time.After(10 * time.Second):

@@ -20,8 +20,13 @@ type ApplyStats struct {
 	// warehouse — the cost driver §4.1 contrasts: one statement per op
 	// versus one (or two) per affected row.
 	Statements int
-	// Txns is the number of warehouse transactions used.
+	// Txns is the number of source transactions applied: what the
+	// stream committed at the source, however the warehouse grouped it.
 	Txns int
+	// Commits is the number of warehouse transactions that committed
+	// them. ParallelIntegrator commits a run of point-only source
+	// transactions as one, so Commits ≤ Txns.
+	Commits int
 	// Duration is wall-clock integration time (the maintenance window).
 	Duration time.Duration
 }
@@ -52,7 +57,7 @@ func (in *ValueDeltaIntegrator) metrics() *applyMetrics {
 func (in *ValueDeltaIntegrator) Apply(deltas []extract.Delta) (ApplyStats, error) {
 	m := in.metrics()
 	start := time.Now()
-	stats := ApplyStats{Txns: 1}
+	stats := ApplyStats{Txns: 1, Commits: 1}
 	tx := in.W.DB.Begin()
 	if err := tx.LockTablesExclusive(in.batchTables(deltas)...); err != nil {
 		tx.Abort()
@@ -72,6 +77,7 @@ func (in *ValueDeltaIntegrator) Apply(deltas []extract.Delta) (ApplyStats, error
 	}
 	stats.Duration = time.Since(start)
 	m.txns.Inc()
+	m.commits.Inc()
 	m.records.Add(uint64(stats.Records))
 	m.statements.Add(uint64(stats.Statements))
 	m.txnSeconds.ObserveDuration(stats.Duration)

@@ -11,12 +11,18 @@ import (
 // instance — and thus each bench run's fresh warehouse — keeps its own
 // counters.
 type applyMetrics struct {
+	// txns counts source transactions applied (a value-delta batch is
+	// one); commits counts the warehouse transactions that committed
+	// them, fewer where a run of point-only source transactions shares
+	// one.
 	txns       *obs.Counter
+	commits    *obs.Counter
 	records    *obs.Counter
 	statements *obs.Counter
 	// txnSeconds observes each warehouse transaction begin→commit,
 	// lock pre-declaration and the wait for its commit turn included:
-	// the slice of the maintenance window one source transaction costs.
+	// the slice of the maintenance window one source transaction, or
+	// one run of them, costs.
 	txnSeconds *obs.Histogram
 
 	// skippedDup counts ops recognized as already applied (at-least-once
@@ -37,6 +43,7 @@ func newApplyMetrics(reg *obs.Registry, integrator string) *applyMetrics {
 	l := obs.L("integrator", integrator)
 	return &applyMetrics{
 		txns:               reg.Counter("warehouse_apply_txns_total", l),
+		commits:            reg.Counter("warehouse_apply_commits_total", l),
 		records:            reg.Counter("warehouse_apply_records_total", l),
 		statements:         reg.Counter("warehouse_apply_statements_total", l),
 		txnSeconds:         reg.Histogram("warehouse_apply_txn_seconds", obs.DurationBuckets, l),

@@ -15,11 +15,15 @@ import (
 )
 
 // ParallelIntegrator replays Op-Deltas. Each source transaction — a run
-// of consecutive ops sharing Op.Txn — applies as one small warehouse
-// transaction, preserving source transaction boundaries, so integration
-// interleaves with concurrent OLAP queries instead of requiring an
-// outage. A caller that wants one warehouse transaction per op gives
-// each op its own Txn.
+// of consecutive ops sharing Op.Txn — applies whole inside one small
+// warehouse transaction, preserving source transaction boundaries, so
+// integration interleaves with concurrent OLAP queries instead of
+// requiring an outage. Consecutive point-only source transactions of one
+// Apply call — every statement names single keys, no table is locked
+// whole — share one warehouse transaction, up to runKeys keys (see
+// runs): a reader then sees the state after the run, which is still a
+// source state. Every other source transaction is one warehouse
+// transaction of its own.
 //
 // The transactions commit in source order: each commits only at its
 // turn, once every earlier one has committed. So the warehouse — and
@@ -73,9 +77,26 @@ func (in *ParallelIntegrator) metrics() *applyMetrics {
 	return in.m
 }
 
-// txnGroup is one source transaction's ops plus its lock plan.
+// runKeys bounds a run of point-only source transactions at the
+// shipper's default DELTA size (netrepl's ShipperConfig.BatchOps): a
+// delivered DELTA of single-row ops commits as one run, and a backlog
+// the applier drains in one call (up to 256 ops) still commits in
+// DELTA-sized runs, so a reader never waits behind more. A run's plan
+// locks at most this many keys on any table, unless one source
+// transaction alone plans more.
+const runKeys = 64
+
+// txnGroup is what one warehouse transaction applies: one source
+// transaction's ops, or a run of point-only ones, plus its lock plan.
 type txnGroup struct {
-	ops []*opdelta.Op
+	// txns is the number of source transactions the group applies: 1, or
+	// the length of a run.
+	txns int
+	// keys is the most single keys the group's statements lock on one
+	// table when every statement locks only single keys and no table
+	// whole; 0 when any does not, and the group never joins a run.
+	keys int
+	ops  []*opdelta.Op
 	// stmts[i] is ops[i]'s statement, parsed once by analyze and executed
 	// by the apply; nil when it does not parse.
 	stmts []sqlmini.Statement
@@ -111,7 +132,7 @@ func (w *Warehouse) conflictKey(table string) (*catalog.Schema, string) {
 
 // analyze parses one group's ops and computes its lock plan.
 func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
-	g := &txnGroup{ops: ops, stmts: make([]sqlmini.Statement, len(ops))}
+	g := &txnGroup{txns: 1, ops: ops, stmts: make([]sqlmini.Statement, len(ops))}
 	// foot maps lower(source table) -> the group's key footprint there.
 	foot := make(map[string]keyset.Footprint)
 	// mustWhole marks tables whose maintenance is not keyed by the
@@ -188,23 +209,35 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 		}
 		addFoot(src, fp)
 	}
+	whole := in.TableLocks || g.universal
+	if !whole && len(mustWhole) == 0 {
+		// Point-only is read from the statements' own footprints, before
+		// consecutive keys are joined into ranges below.
+		g.keys = pointKeys(foot)
+	}
+	if !whole {
+		// Each source table's ranges are merged once; the replica and the
+		// views it bounds share the result, which the lock manager only
+		// reads.
+		for src, fp := range foot {
+			if !fp.Whole && len(fp.Ranges) > 1 {
+				fp.Ranges = keyset.LockRanges(fp.Ranges)
+				foot[src] = fp
+			}
+		}
+	}
 	g.plan = make(map[string]keyset.Footprint, len(rangeSrc)+len(mustWhole))
 	for t, src := range rangeSrc {
 		fp := foot[src]
-		if in.TableLocks || g.universal || fp.Whole || len(fp.Ranges) == 0 {
+		if whole || fp.Whole || len(fp.Ranges) == 0 {
 			fp = keyset.WholeTable()
-		} else {
-			fp.Ranges = keyset.LockRanges(fp.Ranges)
 		}
 		g.plan[t] = fp
 	}
 	for t := range mustWhole {
 		g.plan[t] = keyset.WholeTable()
 	}
-	for t := range g.plan {
-		g.lockOrder = append(g.lockOrder, t)
-	}
-	sort.Strings(g.lockOrder)
+	g.sortLockOrder()
 	m := in.metrics()
 	if g.universal {
 		m.degradedUniversal.Inc()
@@ -221,6 +254,91 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 	return g
 }
 
+// sortLockOrder lists the plan's tables in the canonical lock order.
+func (g *txnGroup) sortLockOrder() {
+	for t := range g.plan {
+		g.lockOrder = append(g.lockOrder, t)
+	}
+	sort.Strings(g.lockOrder)
+}
+
+// pointKeys returns the most ranges one table's footprint holds when
+// every footprint is a non-empty list of single-key ranges, and 0 when
+// any is whole, empty or holds a range that is not one key.
+func pointKeys(foot map[string]keyset.Footprint) int {
+	most := 0
+	for _, fp := range foot {
+		if fp.Whole || len(fp.Ranges) == 0 {
+			return 0
+		}
+		for _, r := range fp.Ranges {
+			if !r.HasLo || !r.HasHi || r.LoOpen || r.HiOpen || keyset.TotalCompare(r.Lo, r.Hi) != 0 {
+				return 0
+			}
+		}
+		most = max(most, len(fp.Ranges))
+	}
+	return most
+}
+
+// runs groups analyzed source transactions for the scheduler: each
+// stretch of consecutive point-only ones joins one run while its keys
+// fit in runKeys; every other source transaction is a group alone. A
+// run only covers ops already in the call — it never waits for more.
+func runs(units []*txnGroup) []*txnGroup {
+	groups := make([]*txnGroup, 0, len(units))
+	first, keys := 0, 0
+	closeRun := func(end int) {
+		if end > first {
+			groups = append(groups, joinRun(units[first:end]))
+		}
+		first, keys = end, 0
+	}
+	for i, g := range units {
+		switch {
+		case g.keys == 0:
+			closeRun(i)
+			groups = append(groups, g)
+			first = i + 1
+		case keys+g.keys > runKeys:
+			closeRun(i)
+		}
+		keys += g.keys
+	}
+	closeRun(len(units))
+	return groups
+}
+
+// joinRun makes consecutive point-only source transactions one group:
+// their ops and statements concatenated, and their plans' keys unioned
+// per table, keyset.LockRanges applied once per table.
+func joinRun(units []*txnGroup) *txnGroup {
+	if len(units) == 1 {
+		return units[0]
+	}
+	nops := 0
+	for _, g := range units {
+		nops += len(g.ops)
+	}
+	r := &txnGroup{txns: len(units), ops: make([]*opdelta.Op, 0, nops),
+		stmts: make([]sqlmini.Statement, 0, nops), plan: make(map[string]keyset.Footprint, len(units[0].plan))}
+	for _, g := range units {
+		r.ops = append(r.ops, g.ops...)
+		r.stmts = append(r.stmts, g.stmts...)
+		for t, fp := range g.plan {
+			cur := r.plan[t]
+			cur.Ranges = append(cur.Ranges, fp.Ranges...)
+			r.plan[t] = cur
+		}
+	}
+	for t, fp := range r.plan {
+		fp.Ranges = keyset.LockRanges(fp.Ranges)
+		r.plan[t] = fp
+	}
+	r.sortLockOrder()
+	return r
+}
+
 // Apply replays the ops, given in source order (ascending seq). Each
 // source transaction commits at its turn, after every earlier one, so a
 // reader never sees a transaction without the ones before it. With an
@@ -229,10 +347,16 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 // applied once their statements have run, and durable once their
 // warehouse transaction commits.
 //
-// The first transaction that fails ends the call: every earlier one
-// commits, it and every later one roll back, and its error is returned,
-// so what was applied is still a prefix of the stream. Calls on one
-// integrator run one at a time.
+// The first source transaction that fails ends the call: every earlier
+// one commits, it and every later one roll back, and its error is
+// returned, so what was applied is still a prefix of the stream. When
+// the failure is inside a run, the run rolls back whole and the ops from
+// its first one on are applied again one source transaction per
+// warehouse transaction, which commits the prefix before the failing
+// one and names it — or, when the failure does not repeat, applies them
+// all. A run whose Commit fails is not applied again: its effects and
+// high-water row may be visible already, and the error is returned as it
+// is. Calls on one integrator run one at a time.
 func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 	in.applyMu.Lock()
 	defer in.applyMu.Unlock()
@@ -254,21 +378,44 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 			ops = ops[1:]
 		}
 	}
-	var groups []*txnGroup
+	var units []*txnGroup
 	for i := 0; i < len(ops); {
 		j := i + 1
 		for j < len(ops) && ops[j].Txn == ops[i].Txn {
 			j++
 		}
-		groups = append(groups, in.analyze(ops[i:j]))
+		units = append(units, in.analyze(ops[i:j]))
 		i = j
 	}
+	groups := runs(units)
+	failed, atCommit, err := in.schedule(groups, &stats)
+	if err != nil && !atCommit && groups[failed].txns > 1 {
+		first := 0
+		for _, g := range groups[:failed] {
+			first += g.txns
+		}
+		_, _, err = in.schedule(units[first:], &stats)
+	}
+	stats.Duration = time.Since(start)
+	return stats, err
+}
+
+// schedule applies the groups, each as one warehouse transaction, and
+// adds what commits to stats. It returns the index of the first group
+// that failed and its error (len(groups) and nil when none did); every
+// group before it commits, and every later one rolls back. atCommit
+// reports that the failure came from the group's Commit: the group may
+// then have committed after all — its effects and its high-water row
+// visible, only their durability unknown — so it must not be applied
+// again. Any earlier failure rolled the group back. A panic in a group
+// is raised again on the caller's goroutine once every worker has
+// stopped.
+func (in *ParallelIntegrator) schedule(groups []*txnGroup, stats *ApplyStats) (failed int, atCommit bool, err error) {
+	m := in.metrics()
 	n := len(groups)
 	if n == 0 {
-		stats.Duration = time.Since(start)
-		return stats, nil
+		return 0, false, nil
 	}
-
 	workers := in.Workers
 	if workers < 1 {
 		workers = 1
@@ -283,12 +430,12 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 	// the group whose locks are due — every group before it holds its
 	// plan; turn is the group whose commit is due — every group before
 	// it has committed; failed is the lowest group that failed (n while
-	// none has) and failErr its error. Groups after failed roll back
-	// instead of committing.
+	// none has), err its error and atCommit where it failed. Groups
+	// after failed roll back instead of committing.
 	var mu sync.Mutex
 	cond := sync.NewCond(&mu)
-	next, locking, turn, failed := 0, 0, 0, n
-	var failErr error
+	next, locking, turn := 0, 0, 0
+	failed = n
 	var panicVal any
 
 	// waitFor blocks until ready holds for group j, and reports false
@@ -302,10 +449,9 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 		return j < failed
 	}
 
-	runGroup := func(j int) (err error) {
+	runGroup := func(j int) (committing bool, err error) {
 		g := groups[j]
 		var tx *engine.Tx
-		committing := false
 		defer func() {
 			if r := recover(); r == nil {
 				return
@@ -325,7 +471,7 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 			}
 		}()
 		if !waitFor(j, func() bool { return locking == j }) {
-			return nil
+			return false, nil
 		}
 		txStart := time.Now()
 		tx = in.W.DB.Begin()
@@ -341,7 +487,7 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 			}
 			if lerr != nil {
 				tx.Abort()
-				return lerr
+				return false, lerr
 			}
 		}
 		mu.Lock()
@@ -357,41 +503,43 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 			stmts += c
 			if aerr != nil {
 				tx.Abort()
-				return fmt.Errorf("warehouse: op %d (%s): %w", op.Seq, op.Stmt, aerr)
+				return false, fmt.Errorf("warehouse: op %d (%s): %w", op.Seq, op.Stmt, aerr)
 			}
 			op.Trace.Applied()
 		}
 		// The turn is held from here until Commit returns.
 		if !waitFor(j, func() bool { return turn == j }) {
 			tx.Abort()
-			return nil
+			return false, nil
 		}
 		if in.Applied != nil {
 			if aerr := in.Applied.advance(tx, g.ops[len(g.ops)-1].Seq); aerr != nil {
 				tx.Abort()
-				return aerr
+				return false, aerr
 			}
 		}
 		committing = true
 		if cerr := tx.Commit(); cerr != nil {
-			return cerr
+			return true, cerr
 		}
 		for _, op := range g.ops {
 			op.Trace.Durable()
 			op.Trace.Done()
 		}
-		m.txns.Inc()
+		m.txns.Add(uint64(g.txns))
+		m.commits.Inc()
 		m.records.Add(uint64(len(g.ops)))
 		m.statements.Add(uint64(stmts))
 		m.txnSeconds.ObserveDuration(time.Since(txStart))
 		mu.Lock()
 		stats.Records += len(g.ops)
 		stats.Statements += stmts
-		stats.Txns++
+		stats.Txns += g.txns
+		stats.Commits++
 		turn++
 		cond.Broadcast()
 		mu.Unlock()
-		return nil
+		return false, nil
 	}
 
 	var wg sync.WaitGroup
@@ -408,10 +556,10 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 				}
 				next++
 				mu.Unlock()
-				if err := runGroup(j); err != nil {
+				if commitErr, gerr := runGroup(j); gerr != nil {
 					mu.Lock()
 					if j < failed {
-						failed, failErr = j, err
+						failed, atCommit, err = j, commitErr, gerr
 					}
 					cond.Broadcast()
 					mu.Unlock()
@@ -423,8 +571,7 @@ func (in *ParallelIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	stats.Duration = time.Since(start)
-	return stats, failErr
+	return failed, atCommit, err
 }
 
 // applyOne runs one op inside the group's transaction. stmt is the op's

@@ -173,7 +173,10 @@ func tableImage(t *testing.T, db *engine.DB, name string) []string {
 // workloads, ParallelIntegrator at 4 workers must leave the warehouse —
 // base replica and every view — byte-identical to the serial reference
 // (refSerialApply). Each seed runs under both lock plans: key-range
-// locking (appliers overlap execution) and the whole-table baseline.
+// locking (appliers overlap execution) and the whole-table baseline;
+// and, on odd seeds, with key-range locking and no aggregate view,
+// where single-row source transactions join runs beside multi-statement
+// and range ones.
 func TestParallelApplyEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= int64(*equivseeds); seed++ {
 		seed := seed
@@ -181,24 +184,27 @@ func TestParallelApplyEquivalence(t *testing.T) {
 		// whole-table (serial-order) degradation path; the rest exercise
 		// genuine reordering.
 		withNoPK := seed%2 == 0
-		for _, tableLocks := range []bool{false, true} {
-			tableLocks := tableLocks
-			mode := "rangelocks"
-			if tableLocks {
-				mode = "tablelocks"
-			}
+		modes := []string{"rangelocks", "tablelocks"}
+		if !withNoPK {
+			modes = append(modes, "runs")
+		}
+		for _, mode := range modes {
+			tableLocks, withAgg := mode == "tablelocks", mode != "runs"
 			t.Run(fmt.Sprintf("seed%d/%s", seed, mode), func(t *testing.T) {
-				tables := []string{"parts", "v_low", "agg_status"}
+				tables := []string{"parts", "v_low"}
+				if withAgg {
+					tables = append(tables, "agg_status")
+				}
 				if withNoPK {
 					tables = append(tables, "v_status")
 				}
 				ops := randomOpWorkload(t, seed, 40)
-				ws := equivWarehouse(t, wal.SyncFlush, withNoPK)
+				ws := equivWarehouseViews(t, wal.SyncFlush, withNoPK, withAgg)
 				serStats, err := refSerialApply(ws, ops)
 				if err != nil {
 					t.Fatalf("serial apply: %v", err)
 				}
-				wp := equivWarehouse(t, wal.SyncFlush, withNoPK)
+				wp := equivWarehouseViews(t, wal.SyncFlush, withNoPK, withAgg)
 				parStats, err := (&ParallelIntegrator{W: wp, Workers: 4, TableLocks: tableLocks}).Apply(ops)
 				if err != nil {
 					t.Fatalf("parallel apply: %v", err)
@@ -206,6 +212,9 @@ func TestParallelApplyEquivalence(t *testing.T) {
 				if serStats.Records != parStats.Records || serStats.Txns != parStats.Txns ||
 					serStats.Statements != parStats.Statements {
 					t.Fatalf("stats diverged: serial %+v parallel %+v", serStats, parStats)
+				}
+				if !withAgg && parStats.Commits >= parStats.Txns {
+					t.Fatalf("no run formed: %d source transactions in %d commits", parStats.Txns, parStats.Commits)
 				}
 				for _, name := range tables {
 					a, b := tableImage(t, ws.DB, name), tableImage(t, wp.DB, name)
@@ -259,7 +268,8 @@ func TestUnparseableOpFailsItsGroup(t *testing.T) {
 // TestOneWorkerReplaysInSourceOrder: workers take groups strictly in
 // source order, so one worker is serial replay — not merely an order the
 // locks allow. Group 2 is independent of groups 0 and 1, yet still runs
-// last.
+// last. The second and third statements name a two-key range (the
+// keys 0 and 3 are absent), so no two of the three join one run.
 func TestOneWorkerReplaysInSourceOrder(t *testing.T) {
 	w := equivWarehouse(t, wal.SyncFlush, false)
 	if _, err := w.DB.Exec(nil, "INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 0), (2, 'a', 0)"); err != nil {
@@ -275,8 +285,8 @@ func TestOneWorkerReplaysInSourceOrder(t *testing.T) {
 	}
 	ops := []*opdelta.Op{
 		{Seq: 1, Txn: 1, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 1 WHERE part_id = 1"},
-		{Seq: 2, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 2 WHERE part_id = 1"},
-		{Seq: 3, Txn: 3, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 3 WHERE part_id = 2"},
+		{Seq: 2, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 2 WHERE part_id BETWEEN 0 AND 1"},
+		{Seq: 3, Txn: 3, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 3 WHERE part_id BETWEEN 2 AND 3"},
 	}
 	if _, err := (&ParallelIntegrator{W: w}).Apply(ops); err != nil {
 		t.Fatal(err)
@@ -345,7 +355,9 @@ func seqKeys(lo, hi int64) []int64 {
 
 // TestParallelApplyOrderedConflicts pins the ordering guarantee
 // directly: many transactions rewriting the same key must land in
-// source commit order even with maximal worker counts.
+// source commit order even with maximal worker counts. Each rewrite
+// names a two-key range (key 2 is absent), so every transaction is its
+// own warehouse transaction rather than a member of one run.
 func TestParallelApplyOrderedConflicts(t *testing.T) {
 	src, _, oc, log := sourceWithCapture(t, nil)
 	tx := src.Begin()
@@ -358,7 +370,7 @@ func TestParallelApplyOrderedConflicts(t *testing.T) {
 	const chain = 30
 	for i := 1; i <= chain; i++ {
 		tx := src.Begin()
-		if _, err := oc.Exec(tx, fmt.Sprintf("UPDATE parts SET status = 'v%d', qty = %d WHERE part_id = 1", i, i)); err != nil {
+		if _, err := oc.Exec(tx, fmt.Sprintf("UPDATE parts SET status = 'v%d', qty = %d WHERE part_id BETWEEN 1 AND 2", i, i)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -392,6 +404,8 @@ func TestParallelApplyOrderedConflicts(t *testing.T) {
 // order), and the reader would wait for C: a cycle through the turn,
 // which the deadlock probe cannot see and only a lock timeout breaks.
 // Groups take their lock plans in source order, so C locks after B.
+// B names a two-key range (key 0 is absent), so A, B and C stay three
+// warehouse transactions instead of one run.
 func TestLockedReaderBesideTheCommitTurn(t *testing.T) {
 	db, err := engine.Open(t.TempDir(), engine.Options{Now: fixedNow, LockTimeout: 2 * time.Second})
 	if err != nil {
@@ -421,7 +435,7 @@ func TestLockedReaderBesideTheCommitTurn(t *testing.T) {
 	}
 	ops := []*opdelta.Op{
 		{Seq: 1, Txn: 1, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 1)"},
-		{Seq: 2, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 2 WHERE part_id = 1"},
+		{Seq: 2, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 2 WHERE part_id BETWEEN 0 AND 1"},
 		{Seq: 3, Txn: 3, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (2, 'c', 3)"},
 	}
 	applied := make(chan error, 1)
@@ -465,14 +479,19 @@ func TestLockedReaderBesideTheCommitTurn(t *testing.T) {
 // also lock its whole table, so the second may not run its statement
 // until the first has committed; without the view they run side by
 // side. The first is held in its statement until the second has run, or
-// for 300 ms.
+// for 300 ms. Each updates a row inserted beforehand through a two-key
+// range (keys 0 and 3 are absent): a range statement, so the two never
+// join one run.
 func TestSharedViewLockOrdersDisjointGroups(t *testing.T) {
 	ops := []*opdelta.Op{
-		{Seq: 1, Txn: 1, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (1, 's1', 10)"},
-		{Seq: 2, Txn: 2, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (2, 's2', 20)"},
+		{Seq: 1, Txn: 1, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 11 WHERE part_id BETWEEN 0 AND 1"},
+		{Seq: 2, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 21 WHERE part_id BETWEEN 2 AND 3"},
 	}
 	for _, withAgg := range []bool{false, true} {
 		w := equivWarehouseViews(t, wal.SyncFlush, false, withAgg)
+		if _, err := w.DB.Exec(nil, "INSERT INTO parts (part_id, status, qty) VALUES (1, 's1', 10), (2, 's2', 20)"); err != nil {
+			t.Fatal(err)
+		}
 		in := &ParallelIntegrator{W: w, Workers: 2}
 		if a, b := in.analyze(ops[:1]).plan["parts"], in.analyze(ops[1:]).plan["parts"]; a.Whole || b.Whole || a.Overlaps(b) {
 			t.Fatalf("parts lock plans %v and %v, want disjoint key ranges", a, b)

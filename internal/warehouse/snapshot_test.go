@@ -257,6 +257,10 @@ func testSnapshotReadsDuringParallelApply(t *testing.T, seed int64, withAgg bool
 // snapshot is taken. The second runs meanwhile, but it commits only
 // after the first, so the snapshot sees neither — never the second
 // without the first — and its high-water row says so.
+//
+// The two transactions update rows inserted beforehand, each through a
+// two-key range (keys 0 and 3 are absent): range statements, so the two
+// never join one run. A snapshot reads the keys whose row an update has reached.
 func TestSnapshotNeverSeesALaterTransactionAlone(t *testing.T) {
 	src := openDB(t)
 	if _, err := src.Exec(nil, partsDDL); err != nil {
@@ -265,6 +269,9 @@ func TestSnapshotNeverSeesALaterTransactionAlone(t *testing.T) {
 	w := replicaWarehouse(t, partsSchema(t, src))
 	al, err := EnsureAppliedLog(w)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.DB.Exec(nil, "INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 0), (2, 'b', 0)"); err != nil {
 		t.Fatal(err)
 	}
 	held, ranSecond, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -282,8 +289,8 @@ func TestSnapshotNeverSeesALaterTransactionAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []*opdelta.Op{
-		{Seq: 1, Txn: 1, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 1)"},
-		{Seq: 2, Txn: 2, Kind: opdelta.OpInsert, Table: "parts", Stmt: "INSERT INTO parts (part_id, status, qty) VALUES (2, 'b', 2)"},
+		{Seq: 1, Txn: 1, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 1 WHERE part_id BETWEEN 0 AND 1"},
+		{Seq: 2, Txn: 2, Kind: opdelta.OpUpdate, Table: "parts", Stmt: "UPDATE parts SET qty = 2 WHERE part_id BETWEEN 2 AND 3"},
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -295,7 +302,7 @@ func TestSnapshotNeverSeesALaterTransactionAlone(t *testing.T) {
 	look := func() (keys string, high uint64, err error) {
 		stx := w.DB.BeginSnapshot()
 		defer stx.Commit()
-		_, rows, err := w.DB.Query(stx, "SELECT part_id FROM parts")
+		_, rows, err := w.DB.Query(stx, "SELECT part_id FROM parts WHERE qty > 0")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@
 //	wh := opdelta.NewWarehouse(whDB)
 //	wh.RegisterReplica("parts", schema, "part_id", "last_modified")
 //	ops, _ := log.Read(0)
-//	(&opdelta.OpDeltaIntegrator{W: wh}).Apply(ops) // one warehouse txn per source txn
+//	(&opdelta.OpDeltaIntegrator{W: wh}).Apply(ops) // commits in source-transaction order
 //
 // See the examples directory for complete programs and DESIGN.md for
 // the architecture.
@@ -198,9 +198,10 @@ type (
 	// ValueDeltaIntegrator applies differentials as one batch.
 	ValueDeltaIntegrator = warehouse.ValueDeltaIntegrator
 	// OpDeltaIntegrator replays ops, one small warehouse transaction
-	// per source transaction (ops sharing Op.Txn), committed in source
-	// order. The zero value replays serially; Workers > 1 executes
-	// key-disjoint transactions concurrently.
+	// per source transaction (ops sharing Op.Txn) or per run of
+	// consecutive single-row ones, committed in source order. The zero
+	// value replays serially; Workers > 1 executes key-disjoint
+	// transactions concurrently.
 	OpDeltaIntegrator = warehouse.ParallelIntegrator
 	// ApplyStats summarizes one integration run.
 	ApplyStats = warehouse.ApplyStats
