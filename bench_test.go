@@ -529,3 +529,44 @@ func BenchmarkSnapshotDiffWindow(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSnapshotRange measures the olap-mixed reader's query: a
+// 625-row PK range read on a snapshot over a 20 000-row table, with 64
+// of the range's keys updated and committed before the timer, so their
+// version chains are present and the read resolves them. Its allocs/op
+// is a count, gated in CI; pool-visits/op counts the buffer-pool
+// fetches of one query.
+func BenchmarkSnapshotRange(b *testing.B) {
+	const first, k = 5000, 625
+	db := newBenchSource(b, 20_000)
+	if _, err := db.Exec(nil, fmt.Sprintf("UPDATE parts SET qty = qty + 1 WHERE part_id BETWEEN %d AND %d", first, first+63)); err != nil {
+		b.Fatal(err)
+	}
+	if db.VersionCount() == 0 {
+		b.Fatal("the update left no version chains")
+	}
+	t, err := db.Table("parts")
+	if err != nil {
+		b.Fatal(err)
+	}
+	visits := func() uint64 {
+		st := t.Heap().Pool().Stats()
+		return st.Hits + st.Misses
+	}
+	q := workload.StripeScanStatement(first, k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := visits()
+	for i := 0; i < b.N; i++ {
+		tx := db.BeginSnapshot()
+		_, rows, err := db.Query(tx, q)
+		tx.Commit()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != k {
+			b.Fatalf("%d rows, want %d", len(rows), k)
+		}
+	}
+	b.ReportMetric(float64(visits()-before)/float64(b.N), "pool-visits/op")
+}

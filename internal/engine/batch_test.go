@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -320,7 +321,9 @@ func TestBatchVisitsEachPageOnce(t *testing.T) {
 // TestIndexPlanReadsEachPageOnce: a SELECT answered by the PK index or
 // a secondary index fetches each page its rows sit on once, where
 // reading row by row fetched it once per row, and a LIMIT stops the
-// fetches at the pages its rows need.
+// fetches at the pages its rows need. A snapshot read fetches the same
+// way, with version chains present or not: its chains live in memory,
+// and a LIMIT reads no more than the range's pages.
 func TestIndexPlanReadsEachPageOnce(t *testing.T) {
 	db := openTestDB(t, Options{})
 	if _, err := db.Exec(nil, `CREATE TABLE docs (id BIGINT NOT NULL, seq BIGINT, body VARCHAR) PRIMARY KEY (id)`); err != nil {
@@ -346,36 +349,109 @@ func TestIndexPlanReadsEachPageOnce(t *testing.T) {
 		st := tbl.Heap().Pool().Stats()
 		return st.Hits + st.Misses
 	}
-	for _, tc := range []struct {
+	type query struct {
 		where        string
-		limit, pages int
-	}{
-		{"id BETWEEN 0 AND 39", 0, pages},
-		{"seq BETWEEN 0 AND 39", 0, pages},
-		{"id BETWEEN 0 AND 39", 5, 1},
-	} {
-		q := "SELECT id, seq FROM docs WHERE " + tc.where
-		rows := k
-		if tc.limit > 0 {
-			q, rows = q+fmt.Sprintf(" LIMIT %d", tc.limit), tc.limit
-		}
-		before := fetches()
-		_, got, err := db.Query(nil, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != rows {
-			t.Fatalf("%s: %d rows, want %d", q, len(got), rows)
-		}
-		for i, r := range got {
-			if r[0].Int() != int64(i) || r[1].Int() != int64(i) {
-				t.Fatalf("%s: row %d is %v", q, i, r)
+		limit, pages int // pages: the fetches wanted, at most when atMost
+		atMost       bool
+	}
+	run := func(mode string, tx *Tx, qs []query) {
+		t.Helper()
+		for _, tc := range qs {
+			q := "SELECT id, seq FROM docs WHERE " + tc.where
+			rows := k
+			if tc.limit > 0 {
+				q, rows = q+fmt.Sprintf(" LIMIT %d", tc.limit), tc.limit
+			}
+			before := fetches()
+			_, got, err := db.Query(tx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != rows {
+				t.Fatalf("%s %s: %d rows, want %d", mode, q, len(got), rows)
+			}
+			for i, r := range got {
+				if r[0].Int() != int64(i) || r[1].Int() != int64(i) {
+					t.Fatalf("%s %s: row %d is %v", mode, q, i, r)
+				}
+			}
+			if n := fetches() - before; n > uint64(tc.pages) || (!tc.atMost && n != uint64(tc.pages)) {
+				t.Fatalf("%s %s: %d page fetches for %d rows, want %d", mode, q, n, rows, tc.pages)
 			}
 		}
-		if n := fetches() - before; n != uint64(tc.pages) {
-			t.Fatalf("%s: %d page fetches for %d rows, want %d", q, n, rows, tc.pages)
-		}
 	}
+	run("locked", nil, []query{
+		{where: "id BETWEEN 0 AND 39", pages: pages},
+		{where: "seq BETWEEN 0 AND 39", pages: pages},
+		{where: "id BETWEEN 0 AND 39", limit: 5, pages: 1},
+	})
+	snapshot := []query{
+		{where: "id BETWEEN 0 AND 39", pages: pages},
+		{where: "seq BETWEEN 0 AND 39", pages: pages},
+		{where: "id BETWEEN 0 AND 39", limit: 5, pages: pages, atMost: true},
+	}
+	db.VersionGC()
+	if v := db.VersionCount(); v != 0 {
+		t.Fatalf("%d versions after GC, want 0", v)
+	}
+	stx := db.BeginSnapshot()
+	run("snapshot without chains", stx, snapshot)
+	stx.Commit()
+	// Chains: committed rewrites of ten rows and an open writer's
+	// rewrite of one more, each in place.
+	if _, err := db.Exec(nil, fmt.Sprintf("UPDATE docs SET body = '%s' WHERE id BETWEEN 10 AND 19", strings.Repeat("c", 700))); err != nil {
+		t.Fatal(err)
+	}
+	w := db.Begin()
+	defer w.Abort()
+	if _, err := db.Exec(w, fmt.Sprintf("UPDATE docs SET body = '%s' WHERE id = 2", strings.Repeat("w", 700))); err != nil {
+		t.Fatal(err)
+	}
+	if db.VersionCount() == 0 {
+		t.Fatal("the updates left no version chains")
+	}
+	stx = db.BeginSnapshot()
+	defer stx.Commit()
+	run("snapshot with chains", stx, snapshot)
+}
+
+// TestFilteredScanKeepsOnlyItsRows: the rows a scan keeps hold no
+// memory of the rows it rejected. Were a scan to carve its rows from
+// shared chunks like an index plan, each of 20 rows kept of 5 120
+// would hold a chunk of 256 rejected ones alive past the query.
+func TestFilteredScanKeepsOnlyItsRows(t *testing.T) {
+	db := openTestDB(t, Options{})
+	if _, err := db.Exec(nil, `CREATE TABLE docs (id BIGINT NOT NULL, seq BIGINT, body VARCHAR) PRIMARY KEY (id)`); err != nil {
+		t.Fatal(err)
+	}
+	const n, every = 5120, 256
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, %d, 'b%d')", i, i%every, i)
+	}
+	if _, err := db.Exec(nil, "INSERT INTO docs (id, seq, body) VALUES "+strings.Join(vals, ", ")); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	_, rows, err := db.Query(nil, "SELECT * FROM docs WHERE seq = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := heap() - before
+	if len(rows) != n/every {
+		t.Fatalf("%d rows, want %d", len(rows), n/every)
+	}
+	// A chunk of values is every * 3 columns * 32 bytes, 24 KB.
+	if perRow := retained / int64(len(rows)); perRow > 8<<10 {
+		t.Fatalf("%d rows kept retain %d bytes, %d a row: rejected rows' copies are still held", len(rows), retained, perRow)
+	}
+	runtime.KeepAlive(rows)
 }
 
 // TestKeyedBatchLocksOnce: a keyed batch over consecutive integer keys

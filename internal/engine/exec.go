@@ -254,14 +254,14 @@ type Row struct {
 // ("table scans unless an index is defined").
 func (db *DB) collectTargets(t *Table, where sqlmini.Expr) ([]Row, error) {
 	if r, ok := pkRangePlan(t, where); ok {
-		return db.targetsFromRIDs(t, t.rangeRIDs(&r, 0))
+		return db.targetsFromRIDs(t, t.rangeRIDs(&r, 0), nil)
 	}
 	if si, r, ok := secondaryRangePlan(t, where); ok {
 		rids, err := t.rangeSecondary(si, r, 0)
 		if err != nil {
 			return nil, err
 		}
-		return db.targetsFromRIDs(t, rids)
+		return db.targetsFromRIDs(t, rids, nil)
 	}
 	var out []Row
 	err := t.heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
@@ -476,93 +476,140 @@ func (db *DB) IterateSelect(tx *Tx, sel *sqlmini.Select, fn func(catalog.Tuple) 
 		}
 		return fn(out)
 	}
-	if tx.snapshot && snapshotReadable(t) {
-		// Snapshot reads follow version chains at tx.readLSN and take no
-		// locks at all — no IS intention, no shared range. Tables without
-		// a primary key have no version chains and fall through to the
-		// shared-lock path below (they read current state, not the pinned
-		// horizon; snapshotReadable callers that need the pin use PKs).
-		if err := db.iterateSnapshot(tx, t, sel.Where, emit); err != nil {
-			return nil, err
-		}
-		return outSchema, nil
-	}
-	if tx.snapshot && sel.AsOf > 0 {
+	// Snapshot reads follow version chains at tx.readLSN and take no
+	// locks at all. Tables without a primary key have no version chains
+	// and read on the locked path (current state, not the pinned
+	// horizon; callers that need the pin use PKs).
+	snap := tx.snapshot && snapshotReadable(t)
+	if tx.snapshot && !snap && sel.AsOf > 0 {
 		return nil, fmt.Errorf("engine: AS OF requires a primary-key table, %s has none", t.Name)
 	}
-	// Lock to match the plan. A PK-range plan provably visits only keys
-	// inside its interval, so it takes IS on the table plus a shared
-	// lock on just that range: any uncommitted key inside the interval
-	// is covered by its writer's exclusive range and conflicts, keys
-	// outside are never visited, and inserts into the interval are
-	// blocked (no phantoms). Key-disjoint writers keep running. Every
-	// other plan reads arbitrary heap rows and needs the whole-table S
-	// lock the engine always used. Index plans are exact, every RID a
-	// row to emit, so LIMIT stops the index walk.
-	var planRIDs []storage.RID
-	planned := false
-	if r, ok := pkRangePlan(t, sel.Where); ok {
-		if err := tx.lockRangeShared(t.Name, r); err != nil {
-			return nil, err
-		}
-		planRIDs, planned = t.rangeRIDs(&r, sel.Limit), true
-	} else if si, r, ok := secondaryRangePlan(t, sel.Where); ok {
-		if err := tx.lockShared(t.Name); err != nil {
-			return nil, err
-		}
-		rids, err := t.rangeSecondary(si, r, sel.Limit)
-		if err != nil {
-			return nil, err
-		}
-		planRIDs, planned = rids, true
-	} else if err := tx.lockShared(t.Name); err != nil {
-		return nil, err
-	}
-	if planned {
-		// Rows are read a chunk at a time, one page visit per run of
-		// RIDs on a page, and emitted outside the latches.
-		for len(planRIDs) > 0 {
-			n := min(len(planRIDs), planChunk)
-			rows, err := db.targetsFromRIDs(t, planRIDs[:n])
-			if err != nil {
-				return nil, err
-			}
-			planRIDs = planRIDs[n:]
-			for _, r := range rows {
-				if err := emit(r.Tuple); err != nil {
-					if errors.Is(err, errStopIteration) {
-						return outSchema, nil
-					}
-					return nil, err
-				}
-			}
-		}
-		return outSchema, nil
-	}
-	err = t.heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
-		tup, err := catalog.DecodeTuple(t.Schema, rec)
-		if err != nil {
-			return false, err
-		}
-		ok, err := sqlmini.EvalPredicate(sel.Where, t.Schema, tup)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return true, nil
-		}
-		if err := emit(tup); err != nil {
-			if errors.Is(err, errStopIteration) {
-				return false, nil
-			}
-			return false, err
-		}
-		return true, nil
-	})
-	if err != nil {
+	if err := db.selectRows(tx, t, sel.Where, sel.Limit, snap, emit); err != nil && !errors.Is(err, errStopIteration) {
 		return nil, err
 	}
 	return outSchema, nil
+}
+
+// selectRows passes the rows of t that satisfy where to emit, up to
+// limit of them when limit > 0. The plan is chosen once, for both
+// modes: a PK range or a secondary-index range reads its RIDs from the
+// index and fetches them a chunk at a time, one page visit per run of
+// RIDs on a page, decoded over their record copies (rowArena); any
+// other predicate is one heap pass. A locked read takes the plan's
+// locks; a snapshot read (snap) takes none and lays the version chains
+// over the rows it reads (overlay).
+func (db *DB) selectRows(tx *Tx, t *Table, where sqlmini.Expr, limit int, snap bool, emit func(catalog.Tuple) error) error {
+	var ov *overlay
+	if snap {
+		ov = &overlay{t: t, readLSN: tx.readLSN, seen: make(map[string]struct{})}
+	}
+	chunk := planChunk
+	if limit > 0 {
+		chunk = min(chunk, limit)
+	}
+	// A locked read locks to match the plan. A PK-range plan provably
+	// visits only keys inside its interval, so it takes IS on the table
+	// plus a shared lock on just that range: any uncommitted key inside
+	// the interval is covered by its writer's exclusive range and
+	// conflicts, keys outside are never visited, and inserts into the
+	// interval are blocked (no phantoms). Key-disjoint writers keep
+	// running. Every other plan reads arbitrary heap rows and needs the
+	// whole-table S lock the engine always used. Locked index plans are
+	// exact, every RID a row to emit, so LIMIT stops the index walk; a
+	// snapshot's candidates may be invisible, so its walks read the whole
+	// range.
+	var rids []storage.RID
+	var filter sqlmini.Expr // evaluated on every row read; nil for an exact plan
+	scan := false
+	if r, ok := pkRangePlan(t, where); ok {
+		if ov != nil {
+			// A PK range sweeps the chains once its walk knows the
+			// candidate keys, so its chain-only rows merge in key order.
+			rids = ov.walkPK(&r)
+			if err := ov.sweep(where); err != nil {
+				return err
+			}
+		} else if err := tx.lockRangeShared(t.Name, r); err != nil {
+			return err
+		} else {
+			rids = t.rangeRIDs(&r, limit)
+		}
+	} else if si, r, ok := secondaryRangePlan(t, where); ok {
+		if ov != nil {
+			// A snapshot's row need not match the entry that led to it.
+			filter, limit = where, 0
+		} else if err := tx.lockShared(t.Name); err != nil {
+			return err
+		}
+		var err error
+		if rids, err = t.rangeSecondary(si, r, limit); err != nil {
+			return err
+		}
+	} else {
+		if ov == nil {
+			if err := tx.lockShared(t.Name); err != nil {
+				return err
+			}
+		}
+		filter, scan = where, true
+	}
+	keep := func(tup catalog.Tuple) error {
+		if tup == nil {
+			return nil // not visible at the snapshot
+		}
+		if ok, err := sqlmini.EvalPredicate(filter, t.Schema, tup); err != nil || !ok {
+			return err
+		}
+		if ov != nil {
+			return ov.put(tup, emit)
+		}
+		return emit(tup)
+	}
+	if scan {
+		// One row at a time (DESIGN §6): a scan keeps few of the rows it
+		// reads, and a kept row would hold a shared chunk alive.
+		err := t.heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
+			tup, err := catalog.DecodeTuple(t.Schema, rec)
+			if err == nil && ov != nil {
+				tup, err = ov.resolve(tup)
+			}
+			if err == nil {
+				err = keep(tup)
+			}
+			return err == nil, err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	// Index plans read a chunk at a time and emit outside the latches.
+	for len(rids) > 0 {
+		n := min(len(rids), chunk)
+		rows, err := db.targetsFromRIDs(t, rids[:n], ov)
+		if err != nil {
+			return err
+		}
+		rids = rids[n:]
+		for _, r := range rows {
+			if err := keep(r.Tuple); err != nil {
+				return err
+			}
+		}
+	}
+	if ov == nil {
+		return nil
+	}
+	if !ov.keyed {
+		if err := ov.sweep(where); err != nil {
+			return err
+		}
+	}
+	for _, tup := range ov.extra {
+		if err := emit(tup); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // planChunk bounds the rows an index plan in IterateSelect holds
@@ -581,12 +628,22 @@ func (db *DB) ScanTable(tx *Tx, name string, fn func(catalog.Tuple) error) error
 }
 
 // targetsFromRIDs fetches and decodes the rows behind an index plan,
-// reading each run of RIDs on one page in one visit.
-func (db *DB) targetsFromRIDs(t *Table, rids []storage.RID) ([]Row, error) {
+// reading each run of RIDs on one page in one visit. A dead slot is an
+// error, unless ov is set: a snapshot read then resolves each row
+// through ov under its page latch, and a row with no image visible
+// comes back with a nil Tuple.
+func (db *DB) targetsFromRIDs(t *Table, rids []storage.RID, ov *overlay) ([]Row, error) {
 	out := make([]Row, len(rids))
 	var a rowArena
 	err := t.heap.GetBatch(rids, func(i int, rec []byte) (err error) {
-		out[i], err = a.row(t.Schema, rids[i], rec, len(rids)-i)
+		if rec != nil {
+			out[i], err = a.row(t.Schema, rids[i], rec, len(rids)-i)
+		} else if ov == nil {
+			err = storage.ErrNoRecord
+		}
+		if err == nil && ov != nil {
+			out[i].Tuple, err = ov.resolve(out[i].Tuple)
+		}
 		return err
 	})
 	if err != nil {

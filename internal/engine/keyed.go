@@ -138,7 +138,7 @@ func (tx *Tx) RowsByKeys(t *Table, col int, keys []catalog.Value, forUpdate bool
 		})
 		return out, err
 	}
-	rows, err := tx.db.targetsFromRIDs(t, rids)
+	rows, err := tx.db.targetsFromRIDs(t, rids, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -346,209 +345,134 @@ func (tx *Tx) releaseSnapshot() {
 	}
 }
 
-// snapshotReadable reports whether a SELECT can run on the lock-free
-// snapshot path: version chains are keyed by primary key, so tables
-// without one fall back to the shared-lock scan.
+// snapshotReadable reports whether a SELECT can read lock-free at its
+// snapshot: version chains are keyed by primary key, so tables without
+// one read on the locked path.
 func snapshotReadable(t *Table) bool { return t.PKCol >= 0 && t.vstore != nil }
 
-// iterateSnapshot streams the rows of t visible at tx.readLSN, applying
-// where and emitting via emit. It takes no locks: consistency comes from
-// the version-chain race protocol (writers stage before mutating the
-// heap; this reader reads heap bytes under the page latch first and
-// consults the chain second, so a chain entry always overrides bytes it
-// raced with).
+// overlay is a snapshot read's view of the version chains at readLSN,
+// laid over the rows its plan reads: the plan, fetch and decode of a
+// locked read (selectRows), with no lock taken. Consistency comes from
+// the version-chain race protocol (storage.VersionStore): writers stage
+// before they touch a heap page or an index, and each candidate row
+// resolves heap first, chain second, with its page latch still held, so
+// a chain entry overrides the bytes it raced with.
 //
-// Exact PK-range plans resolve through the PK index like the locked
-// path; everything else — including secondary-index plans, whose trees
-// reflect uncommitted writes — runs as a full heap scan with the
-// predicate evaluated on the visible image. Rows surface in key order
-// for range plans and heap order (plus a key-ordered tail of
-// chain-only rows) for scans.
-func (db *DB) iterateSnapshot(tx *Tx, t *Table, where sqlmini.Expr, emit func(catalog.Tuple) error) error {
-	if r, ok := pkRangePlan(t, where); ok {
-		return db.snapshotRange(tx, t, &r, emit)
-	}
-	return db.snapshotScan(tx, t, where, emit)
+// The candidates need not be trustworthy. An index can hold
+// uncommitted entries and lack entries a writer removed, and a slot can
+// die or be reused under the read; each such key has a chain, staged
+// before its writer touched the index or the slot. So once the
+// candidate keys are known, one sweep of the chains adds the visible
+// chain-only rows that satisfy the WHERE, minus the keys the candidates
+// surfaced.
+type overlay struct {
+	t       *Table
+	readLSN uint64
+	// seen holds the keys surfaced: every key of a PK range's index
+	// walk, or each key of another plan's rows as it resolves.
+	seen map[string]struct{}
+	// keyed marks a PK range. keys and vkeys are then the index keys,
+	// and their chain keys, of the candidates still to resolve, in
+	// fetch order.
+	keyed bool
+	keys  []catalog.Value
+	vkeys []string
+	// extra holds the chain-only rows still to emit, in key order.
+	extra []catalog.Tuple
 }
 
-// snapshotScan is the full-table snapshot read: one heap pass with
-// chain-wins visibility, then a sweep of chains whose keys the heap pass
-// never surfaced (uncommitted deletes, relocations that hopped behind
-// the scan cursor).
-func (db *DB) snapshotScan(tx *Tx, t *Table, where sqlmini.Expr, emit func(catalog.Tuple) error) error {
-	readLSN := tx.readLSN
-	seen := make(map[string]struct{})
-	stopped := false
-	err := t.heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
-		tup, err := catalog.DecodeTuple(t.Schema, rec)
-		if err != nil {
-			return false, err
-		}
-		key := versionKey(tup[t.PKCol])
-		if _, dup := seen[key]; dup {
-			// A concurrent relocation can surface one key at two RIDs
-			// within a single scan; its visible image was already emitted.
-			return true, nil
-		}
-		seen[key] = struct{}{}
-		// Heap bytes were read first (we are under the page latch); the
-		// chain, consulted second, wins if present.
-		if vtup, have := t.vstore.Visible(key, readLSN); have {
-			if vtup == nil {
-				return true, nil // absent at readLSN
-			}
-			if tup, err = catalog.DecodeTuple(t.Schema, vtup); err != nil {
-				return false, err
-			}
-		}
-		ok, err := sqlmini.EvalPredicate(where, t.Schema, tup)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return true, nil
-		}
-		if err := emit(tup); err != nil {
-			if errors.Is(err, errStopIteration) {
-				stopped = true
-				return false, nil
-			}
-			return false, err
-		}
-		return true, nil
-	})
-	if err != nil || stopped {
-		return err
-	}
-	// Chains can hold visible rows the heap pass missed entirely: a key
-	// whose slot is tombstoned by an uncommitted delete, or one whose
-	// relocation jumped behind the cursor mid-scan.
-	extra, err := db.sweepUnseen(t, readLSN, seen)
-	if err != nil {
-		return err
-	}
-	for _, tup := range extra {
-		ok, err := sqlmini.EvalPredicate(where, t.Schema, tup)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := emit(tup); err != nil {
-			if errors.Is(err, errStopIteration) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// sweepUnseen decodes every chained key with a visible image that the
-// heap pass did not surface, returned in ascending PK order for
-// deterministic output.
-func (db *DB) sweepUnseen(t *Table, readLSN uint64, seen map[string]struct{}) ([]catalog.Tuple, error) {
-	var raw [][]byte
-	t.vstore.VisibleSweep(readLSN, func(key string, vtup []byte) {
-		if _, dup := seen[key]; dup {
-			return
-		}
-		raw = append(raw, vtup)
-	})
-	out := make([]catalog.Tuple, 0, len(raw))
-	for _, enc := range raw {
-		tup, err := catalog.DecodeTuple(t.Schema, enc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tup)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return mustCompare(&out[i][t.PKCol], &out[j][t.PKCol]) < 0
-	})
-	return out, nil
-}
-
-// snapshotRange is the snapshot read for an exact PK-range plan: no IS
-// lock, no shared range lock. Candidate keys come from two sources —
-// the PK index (point-in-time, may include uncommitted inserts and lack
-// uncommitted deletes) and the in-range chains (which carry exactly the
-// keys whose index entries are untrustworthy) — and each candidate
-// resolves through heap-then-chain visibility.
-func (db *DB) snapshotRange(tx *Tx, t *Table, r *keyset.KeyRange, emit func(catalog.Tuple) error) error {
-	readLSN := tx.readLSN
-	type cand struct {
-		key    catalog.Value
-		keyStr string
-		rid    storage.RID
-		hasRID bool
-	}
-	var cands []cand
-	have := make(map[string]int)
-	t.walkPK(r, func(k catalog.Value, rid storage.RID) bool {
-		ks := versionKey(k)
-		have[ks] = len(cands)
-		cands = append(cands, cand{key: k, keyStr: ks, rid: rid, hasRID: true})
+// walkPK returns the RIDs of the PK index entries in r, a PK range's
+// candidates, and keeps their keys to resolve them by.
+func (o *overlay) walkPK(r *keyset.KeyRange) []storage.RID {
+	var rids []storage.RID
+	o.t.walkPK(r, func(k catalog.Value, rid storage.RID) bool {
+		o.keys = append(o.keys, k)
+		rids = append(rids, rid)
 		return true
 	})
-	// In-range chained keys missing from the index: visible rows whose
-	// index entries an uncommitted (or post-snapshot) delete removed.
-	var chained []catalog.Tuple
-	t.vstore.VisibleSweep(readLSN, func(key string, vtup []byte) {
-		if _, ok := have[key]; ok {
-			return
-		}
-		tup, err := catalog.DecodeTuple(t.Schema, vtup)
-		if err != nil {
-			return // undecodable chain image; nothing to surface
-		}
-		have[key] = -1
-		chained = append(chained, tup)
-	})
-	for _, tup := range chained {
-		k := tup[t.PKCol]
-		if !r.Contains(keyset.Point(k)) {
-			continue
-		}
-		cands = append(cands, cand{key: k, keyStr: versionKey(k)})
+	o.keyed = true
+	o.vkeys = versionKeys(len(o.keys), func(i int) catalog.Value { return o.keys[i] })
+	o.seen = make(map[string]struct{}, len(o.vkeys))
+	for _, k := range o.vkeys {
+		o.seen[k] = struct{}{}
 	}
-	sort.Slice(cands, func(i, j int) bool { return mustCompare(&cands[i].key, &cands[j].key) < 0 })
-	for _, c := range cands {
-		// Heap first, chain second — same race contract as the scan path.
-		var heapTup catalog.Tuple
-		if c.hasRID {
-			if rec, err := t.heap.Get(c.rid); err == nil {
-				if tup, derr := catalog.DecodeTuple(t.Schema, rec); derr == nil && versionKey(tup[t.PKCol]) == c.keyStr {
-					heapTup = tup
-				}
-			}
-			// A Get error or key mismatch means the slot died or was
-			// reused after the index read; the chain decides then.
+	return rids
+}
+
+// resolve returns the image of a candidate row visible at readLSN, or
+// nil. tup is the row as its plan read it, its page latch still held,
+// or nil when its slot was dead. A PK range's candidate resolves under
+// its index key, whatever its slot holds now; another plan's under the
+// key of the row read, the first time that key is read.
+func (o *overlay) resolve(tup catalog.Tuple) (catalog.Tuple, error) {
+	pk := o.t.PKCol
+	var key string
+	if o.keyed {
+		key = o.vkeys[0]
+		if tup != nil && mustCompare(&tup[pk], &o.keys[0]) != 0 {
+			tup = nil // the slot was reused after the index walk
 		}
-		var out catalog.Tuple
-		if vtup, haveChain := t.vstore.Visible(c.keyStr, readLSN); haveChain {
-			if vtup == nil {
-				continue // absent at readLSN
-			}
-			tup, err := catalog.DecodeTuple(t.Schema, vtup)
-			if err != nil {
-				return err
-			}
-			out = tup
-		} else if heapTup != nil {
-			out = heapTup
-		} else {
-			// No chain and no committed heap bytes: the key's deletion is
-			// fully settled below the GC watermark, hence visible to us.
-			continue
+		o.keys, o.vkeys = o.keys[1:], o.vkeys[1:]
+	} else {
+		if tup == nil {
+			return nil, nil // a dead slot: its key is left to its chain, and the sweep
 		}
-		if err := emit(out); err != nil {
-			if errors.Is(err, errStopIteration) {
-				return nil
-			}
+		key = versionKey(tup[pk])
+		if _, dup := o.seen[key]; dup {
+			return nil, nil // a relocation showed the key twice; it is resolved
+		}
+		o.seen[key] = struct{}{}
+	}
+	img, have := o.t.vstore.Visible(key, o.readLSN)
+	switch {
+	case !have:
+		// No chain: the heap bytes, or their absence, are committed at or
+		// below readLSN.
+		return tup, nil
+	case img == nil:
+		return nil, nil // absent at readLSN
+	}
+	return catalog.DecodeTuple(o.t.Schema, img)
+}
+
+// put emits tup after the chain-only rows that sort before it. Only a
+// PK range holds any while its rows are read (it sweeps right after its
+// index walk), so its output stays in key order and a LIMIT returns the
+// rows the locked plan returns.
+func (o *overlay) put(tup catalog.Tuple, emit func(catalog.Tuple) error) error {
+	pk := o.t.PKCol
+	for len(o.extra) > 0 && mustCompare(&o.extra[0][pk], &tup[pk]) < 0 {
+		if err := emit(o.extra[0]); err != nil {
 			return err
 		}
+		o.extra = o.extra[1:]
 	}
+	return emit(tup)
+}
+
+// sweep collects, in key order, the image visible at readLSN of every
+// chained key no candidate surfaced, where it satisfies where.
+func (o *overlay) sweep(where sqlmini.Expr) error {
+	var imgs [][]byte
+	o.t.vstore.VisibleSweep(o.readLSN, func(key string, img []byte) {
+		if _, ok := o.seen[key]; !ok {
+			imgs = append(imgs, img)
+		}
+	})
+	for _, img := range imgs {
+		tup, err := catalog.DecodeTuple(o.t.Schema, img)
+		if err != nil {
+			return err
+		}
+		ok, err := sqlmini.EvalPredicate(where, o.t.Schema, tup)
+		if err != nil {
+			return err
+		}
+		if ok {
+			o.extra = append(o.extra, tup)
+		}
+	}
+	pk := o.t.PKCol
+	sort.Slice(o.extra, func(i, j int) bool { return mustCompare(&o.extra[i][pk], &o.extra[j][pk]) < 0 })
 	return nil
 }

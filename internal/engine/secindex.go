@@ -200,7 +200,7 @@ func (db *DB) IndexEdge(tx *Tx, table, column string, desc bool, n int) ([]catal
 		si.tree.Range(nil, nil, visit)
 	}
 	t.idxMu.RUnlock()
-	targets, err := db.targetsFromRIDs(t, rids)
+	targets, err := db.targetsFromRIDs(t, rids, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -16,45 +16,108 @@ var snapseeds = flag.Int("snapseeds", 3, "seeds for the snapshot read equivalenc
 
 // TestSnapshotEquivalence is the MVCC property test: while one writer
 // commits a seeded random transaction stream, concurrent snapshot
-// readers scan the table lock-free. The writer maintains a model image
-// of the table after every commit, stamped with that commit's LSN; a
-// snapshot pinned at readLSN must render byte-identically to the model
-// at the greatest stamped LSN <= readLSN — i.e. every snapshot sees
-// exactly some committed prefix, never a torn or in-flight state.
+// readers query the table lock-free. The writer keeps a model of the
+// table after every commit, stamped with that commit's LSN; a snapshot
+// pinned at readLSN must answer exactly as the model at the greatest
+// stamped LSN <= readLSN — i.e. every snapshot sees exactly some
+// committed prefix, never a torn or in-flight state. The readers rotate
+// through every plan a snapshot read has: a full scan, a PK point, a PK
+// range, a PK range with LIMIT (the model's first n keys in the range)
+// and a range over the secondary index on qty.
 func TestSnapshotEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= int64(*snapseeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			db := openTestDB(t, Options{})
 			createParts(t, db)
+			if err := db.CreateSecondaryIndex("parts", "qty"); err != nil {
+				t.Fatal(err)
+			}
 
+			const keys = 60
 			type row struct {
 				status string
 				qty    int64
 			}
-			model := make(map[int64]row)
-			render := func(m map[int64]row) string {
-				lines := make([]string, 0, len(m))
-				for k, r := range m {
-					lines = append(lines, fmt.Sprintf("%d|%s|%d", k, r.status, r.qty))
+			// A query and the model's answer to it: its rows in key
+			// order, the first limit of them when limit > 0. A PK plan
+			// must return them in that order; the others in any.
+			type query struct {
+				sql     string
+				keep    func(k int64, r row) bool
+				limit   int
+				ordered bool
+			}
+			pick := func(rng *rand.Rand, i int) query {
+				const cols = `SELECT part_id, status, qty FROM parts`
+				lo := int64(rng.Intn(keys))
+				hi := lo + int64(rng.Intn(20))
+				inRange := func(k int64, _ row) bool { return k >= lo && k <= hi }
+				switch i % 5 {
+				case 0:
+					return query{sql: cols, keep: func(int64, row) bool { return true }}
+				case 1:
+					return query{sql: fmt.Sprintf(`%s WHERE part_id = %d`, cols, lo), keep: func(k int64, _ row) bool { return k == lo }, ordered: true}
+				case 2:
+					return query{sql: fmt.Sprintf(`%s WHERE part_id BETWEEN %d AND %d`, cols, lo, hi), keep: inRange, ordered: true}
+				case 3:
+					n := 1 + rng.Intn(5)
+					return query{sql: fmt.Sprintf(`%s WHERE part_id BETWEEN %d AND %d LIMIT %d`, cols, lo, hi, n), keep: inRange, limit: n, ordered: true}
+				default:
+					qlo := int64(rng.Intn(1000))
+					qhi := qlo + int64(rng.Intn(60))
+					return query{sql: fmt.Sprintf(`%s WHERE qty BETWEEN %d AND %d`, cols, qlo, qhi), keep: func(_ int64, r row) bool { return r.qty >= qlo && r.qty <= qhi }}
 				}
-				sort.Strings(lines)
+			}
+			answer := func(m map[int64]row, q query) string {
+				ks := make([]int64, 0, len(m))
+				for k, r := range m {
+					if q.keep(k, r) {
+						ks = append(ks, k)
+					}
+				}
+				sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+				if q.limit > 0 && len(ks) > q.limit {
+					ks = ks[:q.limit]
+				}
+				lines := make([]string, len(ks))
+				for i, k := range ks {
+					lines[i] = fmt.Sprintf("%d|%s|%d", k, m[k].status, m[k].qty)
+				}
+				if !q.ordered {
+					sort.Strings(lines)
+				}
 				return strings.Join(lines, "\n")
+			}
+			// render runs q on tx and renders its rows as answer does.
+			render := func(tx *Tx, q query) (string, error) {
+				_, rows, err := db.Query(tx, q.sql)
+				if err != nil {
+					return "", err
+				}
+				lines := make([]string, len(rows))
+				for i, tup := range rows {
+					lines[i] = fmt.Sprintf("%d|%s|%d", tup[0].Int(), tup[1].Str(), tup[2].Int())
+				}
+				if !q.ordered {
+					sort.Strings(lines)
+				}
+				return strings.Join(lines, "\n"), nil
 			}
 
 			type stamp struct {
 				lsn   uint64
-				image string
+				model map[int64]row
 			}
 			var mu sync.Mutex
-			var stamps []stamp
 			// LSN 0 state: empty table, before any commit.
-			stamps = append(stamps, stamp{0, ""})
+			stamps := []stamp{{0, map[int64]row{}}}
 
 			// Readers race the writer's heap mutations with lock-free
-			// snapshot scans, recording what they saw at which horizon.
+			// snapshot reads, recording what they saw at which horizon.
 			type obs struct {
 				readLSN uint64
+				q       query
 				image   string
 			}
 			stop := make(chan struct{})
@@ -62,27 +125,32 @@ func TestSnapshotEquivalence(t *testing.T) {
 			var obsMu sync.Mutex
 			var seen []obs
 			var readerErr error
+			observe := func(rng *rand.Rand, i int) error {
+				q := pick(rng, i)
+				stx := db.BeginSnapshot()
+				image, err := render(stx, q)
+				lsn := stx.ReadLSN()
+				stx.Commit()
+				if err != nil {
+					return fmt.Errorf("%s: %w", q.sql, err)
+				}
+				obsMu.Lock()
+				seen = append(seen, obs{lsn, q, image})
+				obsMu.Unlock()
+				return nil
+			}
 			for r := 0; r < 2; r++ {
+				rng := rand.New(rand.NewSource(seed*100 + int64(r)))
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for {
+					for i := 0; ; i++ {
 						select {
 						case <-stop:
 							return
 						default:
 						}
-						stx := db.BeginSnapshot()
-						var lines []string
-						_, rows, err := db.Query(stx, `SELECT part_id, status, qty FROM parts`)
-						if err == nil {
-							for _, tup := range rows {
-								lines = append(lines, fmt.Sprintf("%d|%s|%d", tup[0].Int(), tup[1].Str(), tup[2].Int()))
-							}
-						}
-						lsn := stx.ReadLSN()
-						stx.Commit()
-						if err != nil {
+						if err := observe(rng, i); err != nil {
 							obsMu.Lock()
 							if readerErr == nil {
 								readerErr = err
@@ -90,40 +158,21 @@ func TestSnapshotEquivalence(t *testing.T) {
 							obsMu.Unlock()
 							return
 						}
-						sort.Strings(lines)
-						obsMu.Lock()
-						seen = append(seen, obs{lsn, strings.Join(lines, "\n")})
-						obsMu.Unlock()
 					}
 				}()
 			}
 
-			// One synchronous observation helper: the racing readers are
-			// opportunistic (a fast writer can finish before they run), so
-			// the writer loop also observes periodically to guarantee
-			// coverage at interesting horizons.
-			observe := func() {
-				stx := db.BeginSnapshot()
-				defer stx.Commit()
-				_, rows, err := db.Query(stx, `SELECT part_id, status, qty FROM parts`)
-				if err != nil {
-					t.Fatalf("inline snapshot scan: %v", err)
-				}
-				var lines []string
-				for _, tup := range rows {
-					lines = append(lines, fmt.Sprintf("%d|%s|%d", tup[0].Int(), tup[1].Str(), tup[2].Int()))
-				}
-				sort.Strings(lines)
-				obsMu.Lock()
-				seen = append(seen, obs{stx.ReadLSN(), strings.Join(lines, "\n")})
-				obsMu.Unlock()
-			}
-
+			// The racing readers are opportunistic (a fast writer can
+			// finish before they run), so the writer loop also observes
+			// periodically to guarantee coverage at interesting horizons.
+			inline := rand.New(rand.NewSource(-seed))
 			rng := rand.New(rand.NewSource(seed))
-			const keys = 60
+			model := map[int64]row{}
 			for i := 0; i < 80; i++ {
 				if i%9 == 4 {
-					observe()
+					if err := observe(inline, i/9); err != nil {
+						t.Fatalf("inline snapshot read: %v", err)
+					}
 				}
 				tx := db.Begin()
 				next := make(map[int64]row, len(model))
@@ -187,7 +236,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 				if lsn := tx.CommitLSN(); lsn > 0 {
 					model = next
 					mu.Lock()
-					stamps = append(stamps, stamp{lsn, render(model)})
+					stamps = append(stamps, stamp{lsn, model})
 					mu.Unlock()
 				}
 			}
@@ -204,37 +253,32 @@ func TestSnapshotEquivalence(t *testing.T) {
 				if idx < 0 {
 					t.Fatalf("readLSN %d below every stamp", o.readLSN)
 				}
-				if o.image != stamps[idx].image {
-					t.Fatalf("snapshot at LSN %d diverged from committed state at LSN %d:\n--- snapshot ---\n%s\n--- model ---\n%s",
-						o.readLSN, stamps[idx].lsn, o.image, stamps[idx].image)
+				if want := answer(stamps[idx].model, o.q); o.image != want {
+					t.Fatalf("snapshot at LSN %d diverged from committed state at LSN %d on %s:\n--- snapshot ---\n%s\n--- model ---\n%s",
+						o.readLSN, stamps[idx].lsn, o.q.sql, o.image, want)
 				}
 			}
 			if len(seen) == 0 {
 				t.Fatal("readers recorded no observations")
 			}
 
-			// Quiesced cross-check: the final snapshot must equal both the
-			// model and the locked scan.
+			// Quiesced cross-check: on every plan the final snapshot must
+			// equal both the model and the locked read.
 			stx := db.BeginSnapshot()
 			defer stx.Commit()
-			_, rows, err := db.Query(stx, `SELECT part_id, status, qty FROM parts`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var lines []string
-			for _, tup := range rows {
-				lines = append(lines, fmt.Sprintf("%d|%s|%d", tup[0].Int(), tup[1].Str(), tup[2].Int()))
-			}
-			sort.Strings(lines)
-			if got := strings.Join(lines, "\n"); got != render(model) {
-				t.Fatalf("final snapshot != model:\n%s\n---\n%s", got, render(model))
-			}
-			_, locked, err := db.Query(nil, `SELECT part_id, status, qty FROM parts`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(locked) != len(rows) {
-				t.Fatalf("locked scan %d rows, snapshot %d", len(locked), len(rows))
+			for i := 0; i < 10; i++ {
+				q := pick(inline, i)
+				snap, err := render(stx, q)
+				if err != nil {
+					t.Fatalf("%s: %v", q.sql, err)
+				}
+				locked, err := render(nil, q)
+				if err != nil {
+					t.Fatalf("%s: %v", q.sql, err)
+				}
+				if want := answer(model, q); snap != want || locked != want {
+					t.Fatalf("%s:\n--- final snapshot ---\n%s\n--- locked ---\n%s\n--- model ---\n%s", q.sql, snap, locked, want)
+				}
 			}
 		})
 	}

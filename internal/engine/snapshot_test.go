@@ -1,9 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"opdelta/internal/fault"
 )
 
 // commitRows runs sql in its own transaction and returns the commit LSN.
@@ -252,6 +258,9 @@ func TestSnapshotSeesPKChange(t *testing.T) {
 func TestSnapshotReadersTakeNoLocks(t *testing.T) {
 	db := openTestDB(t, Options{})
 	createParts(t, db)
+	if err := db.CreateSecondaryIndex("parts", "qty"); err != nil {
+		t.Fatal(err)
+	}
 	commitRows(t, db, `INSERT INTO parts (part_id, qty) VALUES (1, 10), (2, 20)`)
 	grants := func() uint64 {
 		g := db.LockStats().Grants
@@ -266,6 +275,7 @@ func TestSnapshotReadersTakeNoLocks(t *testing.T) {
 		`SELECT * FROM parts`,
 		`SELECT qty FROM parts WHERE part_id = 1`,
 		`SELECT part_id FROM parts WHERE part_id BETWEEN 1 AND 2`,
+		`SELECT part_id FROM parts WHERE qty BETWEEN 5 AND 15`,
 		`SELECT SUM(qty) FROM parts`,
 	} {
 		if _, _, err := db.Query(stx, q); err != nil {
@@ -275,5 +285,135 @@ func TestSnapshotReadersTakeNoLocks(t *testing.T) {
 	stx.Commit()
 	if after := grants(); after != before {
 		t.Fatalf("snapshot reads acquired %d locks, want 0", after-before)
+	}
+}
+
+// TestSnapshotSecondaryRange: a snapshot's secondary-index range reads
+// through the index, whose entries follow the writers, and still
+// answers at its horizon. Rows that a later commit or an open writer
+// moved out of the range, deleted or inserted come back as the
+// snapshot saw them, and rows moved into the range do not.
+func TestSnapshotSecondaryRange(t *testing.T) {
+	db := openTestDB(t, Options{})
+	createParts(t, db)
+	if err := db.CreateSecondaryIndex("parts", "qty"); err != nil {
+		t.Fatal(err)
+	}
+	commitRows(t, db, `INSERT INTO parts (part_id, status, qty) VALUES (1, 'a', 10), (2, 'a', 20), (3, 'a', 30), (4, 'a', 40)`)
+	stx := db.BeginSnapshot()
+	defer stx.Commit()
+	commitRows(t, db, `UPDATE parts SET qty = 500 WHERE part_id = 1`)
+	commitRows(t, db, `UPDATE parts SET qty = 25 WHERE part_id = 4`)
+	w := db.Begin()
+	defer w.Abort()
+	for _, sql := range []string{
+		`UPDATE parts SET qty = 600 WHERE part_id = 2`,
+		`DELETE FROM parts WHERE part_id = 3`,
+		`INSERT INTO parts (part_id, status, qty) VALUES (5, 'n', 20)`,
+	} {
+		if _, err := db.Exec(w, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ where, want string }{
+		{"qty BETWEEN 5 AND 35", "1:10 2:20 3:30"},
+		{"qty BETWEEN 15 AND 35", "2:20 3:30"},
+		{"qty BETWEEN 400 AND 700", ""},
+		{"qty >= 35", "4:40"},
+	} {
+		_, rows, err := db.Query(stx, "SELECT part_id, qty FROM parts WHERE "+tc.where)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		got := make([]string, len(rows))
+		for i, r := range rows {
+			got[i] = fmt.Sprintf("%d:%d", r[0].Int(), r[1].Int())
+		}
+		sort.Strings(got)
+		if s := strings.Join(got, " "); s != tc.want {
+			t.Fatalf("snapshot %s = %q, want %q", tc.where, s, tc.want)
+		}
+	}
+}
+
+// heapReadFailFS fails the next ReadAt of a heap file once armed.
+type heapReadFailFS struct {
+	fault.FS
+	armed atomic.Bool
+}
+
+type heapReadFailFile struct {
+	fault.File
+	fs *heapReadFailFS
+}
+
+func (s *heapReadFailFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, ".heap") {
+		return f, err
+	}
+	return &heapReadFailFile{File: f, fs: s}, nil
+}
+
+func (f *heapReadFailFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		return 0, &os.PathError{Op: "read", Path: f.Name(), Err: fault.ErrInjected}
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestSnapshotRangeReturnsReadErrors: a heap read that fails under a
+// snapshot PK range is the query's error, as it is under a snapshot
+// scan and a locked range, and not a row the range drops. The table is
+// larger than its two-page pool, so every query reads pages from the
+// file, and no version chain is left to stand in for a row.
+func TestSnapshotRangeReturnsReadErrors(t *testing.T) {
+	fsys := &heapReadFailFS{FS: fault.OS}
+	db := openTestDB(t, Options{PoolPages: 2, FS: fsys})
+	createParts(t, db)
+	const n = 400
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, '%s-%d', %d)", i, strings.Repeat("s", 100), i, i)
+	}
+	commitRows(t, db, "INSERT INTO parts (part_id, status, qty) VALUES "+strings.Join(vals, ", "))
+	db.VersionGC()
+	if v := db.VersionCount(); v != 0 {
+		t.Fatalf("%d versions after GC, want 0", v)
+	}
+	tbl, _ := db.Table("parts")
+	if pages := tbl.Heap().NumPages(); pages <= 2 {
+		t.Fatalf("%d rows on %d pages; want more than the pool holds", n, pages)
+	}
+	const rangeQ = `SELECT part_id, qty FROM parts WHERE part_id BETWEEN 0 AND 399`
+	for _, tc := range []struct {
+		name, q string
+		snap    bool
+	}{
+		{"snapshot range", rangeQ, true},
+		{"snapshot scan", `SELECT part_id, qty FROM parts`, true},
+		{"locked range", rangeQ, false},
+	} {
+		var tx *Tx
+		if tc.snap {
+			tx = db.BeginSnapshot()
+		}
+		fsys.armed.Store(true)
+		_, rows, err := db.Query(tx, tc.q)
+		if tx != nil {
+			tx.Commit()
+		}
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("%s: %d of %d rows, err %v; want the injected read error", tc.name, len(rows), n, err)
+		}
+		if fsys.armed.Load() {
+			t.Fatalf("%s: read no page from the file", tc.name)
+		}
+	}
+	// The failed reads leave nothing behind: the next range reads every row.
+	stx := db.BeginSnapshot()
+	defer stx.Commit()
+	if _, rows, err := db.Query(stx, rangeQ); err != nil || len(rows) != n {
+		t.Fatalf("snapshot range after the errors: %d rows, %v; want %d", len(rows), err, n)
 	}
 }

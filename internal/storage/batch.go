@@ -395,8 +395,8 @@ func (h *HeapFile) DeleteBatch(rows []BatchRow, owner uint64, logged func(lo, hi
 
 // GetBatch calls fn(i, rec) for every rids[i], in order, reading a run
 // of consecutive rids on one page under one latch and pin. rec aliases
-// the page and is valid only during the call; fn must not call back
-// into the heap.
+// the page and is valid only during the call, and is nil when the slot
+// holds no record; fn must not call back into the heap.
 func (h *HeapFile) GetBatch(rids []RID, fn func(i int, rec []byte) error) error {
 	v := visit{h: h}
 	defer v.release()
@@ -407,10 +407,7 @@ func (h *HeapFile) GetBatch(rids []RID, fn func(i int, rec []byte) error) error 
 				return err
 			}
 		}
-		rec, err := v.page.Get(rid.Slot)
-		if err != nil {
-			return err
-		}
+		rec, _ := v.page.Get(rid.Slot) // nil, with ErrNoRecord, for a dead slot
 		if err := fn(i, rec); err != nil {
 			return err
 		}
