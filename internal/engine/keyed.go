@@ -31,10 +31,11 @@ func (tx *Tx) keyedAccess() error {
 // lockKeys covers the rows of t whose primary key is one of n keys, in
 // one lock-manager call: the keys' points, consecutive integers joined
 // into ranges (keyset.LockRanges), when t has a primary key and no key
-// is NULL; the whole table otherwise. Under a covering table lock it
-// builds nothing.
+// is NULL; the whole table otherwise. When the transaction already
+// holds every key — a covering table lock, or its own ranges, as under
+// a pre-declared plan — it builds nothing.
 func (tx *Tx) lockKeys(t *Table, n int, key func(i int) catalog.Value, mode txn.LockMode) error {
-	if n == 0 || tx.db.locks.CoversRanges(tx.id, t.Name, mode) {
+	if n == 0 || tx.db.locks.CoversKeys(tx.id, t.Name, mode, n, key) {
 		return nil
 	}
 	if t.PKCol >= 0 && !anyNull(n, key) {

@@ -20,7 +20,7 @@ package keyset
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"opdelta/internal/catalog"
@@ -184,7 +184,7 @@ func CompareLo(a, b KeyRange) int {
 // SortRanges puts ranges in the canonical order used for deadlock-free
 // multi-range lock acquisition: by lower bound under compareLo.
 func SortRanges(rs []KeyRange) {
-	sort.SliceStable(rs, func(i, j int) bool { return CompareLo(rs[i], rs[j]) < 0 })
+	slices.SortStableFunc(rs, CompareLo)
 }
 
 // MergeRanges sorts a copy of rs and coalesces intervals whose union is

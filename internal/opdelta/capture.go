@@ -49,7 +49,9 @@ func (c *Capture) metrics() {
 	})
 }
 
-// Exec captures and then executes one statement. A nil tx runs the
+// Exec captures and then executes one statement. The op records sql
+// as given — the statement as submitted, the paper's Op-Delta — which
+// Parse has checked is exactly one statement. A nil tx runs the
 // statement (and its op record, for transactional logs) in a dedicated
 // transaction.
 func (c *Capture) Exec(tx *engine.Tx, sql string) (engine.Result, error) {
@@ -57,14 +59,21 @@ func (c *Capture) Exec(tx *engine.Tx, sql string) (engine.Result, error) {
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return c.ExecStmt(tx, stmt)
+	return c.exec(tx, stmt, sql)
 }
 
-// ExecStmt captures and executes a parsed statement.
+// ExecStmt captures and executes a parsed statement. Having no text, it
+// records the statement's print (stmt.String()).
 func (c *Capture) ExecStmt(tx *engine.Tx, stmt sqlmini.Statement) (engine.Result, error) {
+	return c.exec(tx, stmt, "")
+}
+
+// exec captures stmt with text as its op's statement ("" for the
+// statement's print) and executes it.
+func (c *Capture) exec(tx *engine.Tx, stmt sqlmini.Statement, text string) (engine.Result, error) {
 	if tx == nil {
 		tx = c.DB.Begin()
-		res, err := c.ExecStmt(tx, stmt)
+		res, err := c.exec(tx, stmt, text)
 		if err != nil {
 			tx.Abort()
 			return engine.Result{}, err
@@ -75,7 +84,7 @@ func (c *Capture) ExecStmt(tx *engine.Tx, stmt sqlmini.Statement) (engine.Result
 		return res, nil
 	}
 	c.metrics()
-	op, err := c.buildOp(tx, stmt)
+	op, err := c.buildOp(tx, stmt, text)
 	if err != nil {
 		return engine.Result{}, err
 	}
@@ -91,7 +100,7 @@ func (c *Capture) ExecStmt(tx *engine.Tx, stmt sqlmini.Statement) (engine.Result
 // buildOp constructs the Op-Delta for a DML statement, fetching before
 // images inside tx when the analyzer demands the hybrid. Non-DML
 // statements return a nil op.
-func (c *Capture) buildOp(tx *engine.Tx, stmt sqlmini.Statement) (*Op, error) {
+func (c *Capture) buildOp(tx *engine.Tx, stmt sqlmini.Statement, text string) (*Op, error) {
 	var (
 		kind  OpKind
 		table string
@@ -107,11 +116,14 @@ func (c *Capture) buildOp(tx *engine.Tx, stmt sqlmini.Statement) (*Op, error) {
 	default:
 		return nil, nil
 	}
+	if text == "" {
+		text = stmt.String()
+	}
 	op := &Op{
 		Txn:   uint64(tx.ID()),
 		Kind:  kind,
 		Table: table,
-		Stmt:  stmt.String(),
+		Stmt:  text,
 		Time:  c.DB.Now(),
 	}
 	if kind != OpInsert && c.Analyzer != nil && c.Analyzer.NeedsBeforeImages(stmt) {

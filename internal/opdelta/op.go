@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"opdelta/internal/catalog"
@@ -54,9 +55,9 @@ type Op struct {
 	Txn   uint64 // source transaction
 	Kind  OpKind
 	Table string
-	// Stmt is the canonical SQL text — the Op-Delta proper. For the
-	// paper's motivating example this is ~70 bytes regardless of how
-	// many thousands of rows it touches.
+	// Stmt is the SQL text as it was submitted — the Op-Delta proper.
+	// For the paper's motivating example this is ~70 bytes regardless
+	// of how many thousands of rows it touches.
 	Stmt string
 	// Hybrid records that the self-maintainability analysis demanded
 	// before images for this op (even if the statement happened to
@@ -89,15 +90,16 @@ func CloneOps(ops []*Op) []*Op {
 	return out
 }
 
-// EncodedSize returns the op's transport size in bytes: statement text,
-// header, and any hybrid before images. Volume comparisons (E10) use
-// this; note it does not grow with rows affected unless before images
-// were captured.
+// EncodedSize returns the length of the op's encoding (Encode): header,
+// table, statement text and any hybrid before images. It does not grow
+// with rows affected unless before images were captured. An image that
+// does not encode against schema counts nothing.
 func (o *Op) EncodedSize(schema *catalog.Schema) int {
-	n := 32 + len(o.Stmt) + len(o.Table)
+	n := uvarintLen(o.Seq) + uvarintLen(o.Txn) + 1 + 1 + 8 +
+		blobLen(len(o.Table)) + blobLen(len(o.Stmt)) + uvarintLen(uint64(len(o.Before)))
 	for _, img := range o.Before {
 		if sz, err := catalog.EncodedSize(schema, img); err == nil {
-			n += sz
+			n += blobLen(sz)
 		}
 	}
 	return n
@@ -110,11 +112,15 @@ func (o *Op) Statement() (sqlmini.Statement, error) {
 
 // Encode serializes the op. Its bytes are the op's one persistent form:
 // the op-log table, the file log, op files and the wire all carry them.
-// Before images are encoded against schema (which may be nil when
-// Before is empty).
+// The layout: seq and txn as minimal uvarints, the kind byte, the flags
+// byte (bit 0: hybrid), the capture time as 8 little-endian bytes of
+// unix nanoseconds, the table and the statement as blobs (a uvarint
+// length, then the bytes), the before-image count as a uvarint and one
+// blob of catalog.EncodeTuple bytes per image. Before images are
+// encoded against schema (which may be nil when Before is empty).
 func (o *Op) Encode(dst []byte, schema *catalog.Schema) ([]byte, error) {
-	dst = binary.LittleEndian.AppendUint64(dst, o.Seq)
-	dst = binary.LittleEndian.AppendUint64(dst, o.Txn)
+	dst = binary.AppendUvarint(dst, o.Seq)
+	dst = binary.AppendUvarint(dst, o.Txn)
 	dst = append(dst, byte(o.Kind))
 	var flags byte
 	if o.Hybrid {
@@ -135,9 +141,86 @@ func (o *Op) Encode(dst []byte, schema *catalog.Schema) ([]byte, error) {
 	return dst, nil
 }
 
-// opHeaderSize is the fixed part of an encoded op: seq, txn, kind,
-// flags and capture time.
-const opHeaderSize = 8 + 8 + 1 + 1 + 8
+// ErrFixedWidthOp reports op bytes in the layout builds before the
+// uvarint header wrote, seq and txn as 8-byte little-endian words. No
+// reader misreads them as an op of the current layout: the store that
+// holds them has to be replayed by the build that wrote it.
+var ErrFixedWidthOp = errors.New("opdelta: op bytes in the fixed-width seq/txn layout of an earlier build: replay them with the build that wrote them")
+
+// readHeader reads an op's header into o — seq, txn, kind, flags and
+// capture time — and returns its table name and the offset past it.
+// It accepts only what Encode emits: minimal varints, a known kind, no
+// flag but the hybrid bit, and a table name, which no captured op
+// lacks. Bytes it refuses that read as the fixed-width layout fail with
+// ErrFixedWidthOp.
+func readHeader(data []byte, o *Op) (table []byte, pos int, err error) {
+	table, pos, err = readHeaderFields(data, o)
+	if err != nil && fixedWidthLayout(data) {
+		return nil, 0, ErrFixedWidthOp
+	}
+	return table, pos, err
+}
+
+func readHeaderFields(data []byte, o *Op) (table []byte, pos int, err error) {
+	if o.Seq, pos, err = readUvarint(data, 0); err != nil {
+		return nil, 0, err
+	}
+	if o.Txn, pos, err = readUvarint(data, pos); err != nil {
+		return nil, 0, err
+	}
+	if len(data)-pos < 1+1+8 {
+		return nil, 0, errors.New("opdelta: op truncated")
+	}
+	kind, flags := data[pos], data[pos+1]
+	if kind < byte(OpInsert) || kind > byte(OpDelete) {
+		return nil, 0, fmt.Errorf("opdelta: bad op kind %d", kind)
+	}
+	if flags > 1 {
+		return nil, 0, fmt.Errorf("opdelta: bad op flags %#x", flags)
+	}
+	o.Kind, o.Hybrid = OpKind(kind), flags == 1
+	o.Time = time.Unix(0, int64(binary.LittleEndian.Uint64(data[pos+2:])))
+	if table, pos, err = readBlob(data, pos+10); err != nil {
+		return nil, 0, err
+	}
+	if len(table) == 0 {
+		return nil, 0, errors.New("opdelta: op names no table")
+	}
+	return table, pos, nil
+}
+
+// fixedWidthLayout reports whether data reads as an op of the
+// fixed-width layout: 8-byte seq and txn, a known kind, a flags byte,
+// the 8-byte time, a table name and a statement blob. Only bytes the
+// current layout refused are asked: an op of that layout with seq and
+// txn below 1<<32 always is, as the zero high bytes of its txn word
+// fall where the current layout reads the table name's length.
+func fixedWidthLayout(data []byte) bool {
+	const kindAt, tableAt = 8 + 8, 8 + 8 + 1 + 1 + 8
+	if len(data) < tableAt || data[kindAt] < byte(OpInsert) || data[kindAt] > byte(OpDelete) || data[kindAt+1] > 1 {
+		return false
+	}
+	table, pos, err := readBlob(data, tableAt)
+	if err != nil || len(table) == 0 {
+		return false
+	}
+	_, _, err = readBlob(data, pos)
+	return err == nil
+}
+
+// PeekSeq returns the seq of an encoded op without decoding the rest of
+// it. It checks the header as DecodeOpResolve does, so bytes that are
+// not an op of this layout fail here too, with ErrFixedWidthOp when
+// they are one of the fixed-width layout. The transport's dedup and
+// chain checks, topic recovery and the applier's resume read seqs
+// through it.
+func PeekSeq(enc []byte) (uint64, error) {
+	var o Op
+	if _, _, err := readHeader(enc, &o); err != nil {
+		return 0, err
+	}
+	return o.Seq, nil
+}
 
 // DecodeOp deserializes one op from data, returning bytes consumed.
 // Before images are decoded against schema, which may be nil for an op
@@ -153,26 +236,12 @@ func DecodeOp(data []byte, schema *catalog.Schema) (*Op, int, error) {
 // wire-protocol applier and the op-file readers all decode with it.
 //
 // It accepts only what Encode emits — a known kind, no flag but the
-// hybrid bit, minimal varints — so any op it returns re-encodes to the
-// bytes it consumed.
+// hybrid bit, minimal varints, a named table — so any op it returns
+// re-encodes to the bytes it consumed. Bytes of the fixed-width layout
+// fail with ErrFixedWidthOp.
 func DecodeOpResolve(data []byte, schemaOf func(table string) (*catalog.Schema, error)) (*Op, int, error) {
-	if len(data) < opHeaderSize {
-		return nil, 0, fmt.Errorf("opdelta: op truncated")
-	}
-	o := &Op{
-		Seq:    binary.LittleEndian.Uint64(data[0:8]),
-		Txn:    binary.LittleEndian.Uint64(data[8:16]),
-		Kind:   OpKind(data[16]),
-		Hybrid: data[17] == 1,
-		Time:   time.Unix(0, int64(binary.LittleEndian.Uint64(data[18:26]))),
-	}
-	if o.Kind < OpInsert || o.Kind > OpDelete {
-		return nil, 0, fmt.Errorf("opdelta: bad op kind %d", data[16])
-	}
-	if data[17] > 1 {
-		return nil, 0, fmt.Errorf("opdelta: bad op flags %#x", data[17])
-	}
-	tbl, pos, err := readBlob(data, opHeaderSize)
+	o := &Op{}
+	tbl, pos, err := readHeader(data, o)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -243,6 +312,10 @@ func SplitOpFrames(data []byte) (frames [][]byte, end int) {
 	}
 	return frames, end
 }
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func blobLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 func appendBlob(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))

@@ -28,8 +28,11 @@ func fuzzSchemaOf(string) (*catalog.Schema, error) { return fuzzSchema, nil }
 // FuzzDecodeOp feeds DecodeOpResolve arbitrary bytes, as the wire, op
 // files and the op-log table can. It must never panic, and an op it
 // accepts must re-encode to exactly the bytes it consumed. The seeds
-// are Encode's output for a plain, a hybrid and a multi-chunk op, plus
-// a table-name length and an image count of 1<<62.
+// are Encode's output for a plain, a hybrid and a multi-chunk op and
+// for ops whose seq and txn take several varint bytes, the first op
+// with a non-minimal seq and with a non-minimal txn, the first op in
+// the fixed-width layout, plus a table-name length and an image count
+// of 1<<62.
 func FuzzDecodeOp(f *testing.F) {
 	now := time.Date(2000, 3, 1, 0, 0, 0, 0, time.UTC)
 	img := func(s string) catalog.Tuple {
@@ -42,6 +45,8 @@ func FuzzDecodeOp(f *testing.F) {
 			Hybrid: true, Before: []catalog.Tuple{img("a"), img("")}},
 		{Seq: 5, Txn: 6, Kind: OpUpdate, Table: "parts", Stmt: "UPDATE parts SET s = 'x' WHERE f > 1", Time: now,
 			Hybrid: true, Before: []catalog.Tuple{img(strings.Repeat("y", opChunk))}},
+		{Seq: 1<<40 + 3, Txn: 300, Kind: OpUpdate, Table: "parts", Stmt: "UPDATE parts SET s = 'x' WHERE id = 1", Time: now},
+		{Seq: math.MaxUint64, Txn: 1 << 35, Kind: OpDelete, Table: "parts", Stmt: "DELETE FROM parts WHERE id = 1", Time: now},
 	}
 	var header []byte
 	for _, op := range seeds {
@@ -50,8 +55,15 @@ func FuzzDecodeOp(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(enc)
-		header = enc[:opHeaderSize]
+		header = enc[:headerLen(op)]
 	}
+	first, err := seeds[0].Encode(nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte{0x81, 0x00}, first[1:]...))           // seq 1 in two bytes
+	f.Add(append([]byte{first[0], 0x82, 0x00}, first[2:]...)) // txn 2 in two bytes
+	f.Add(fixedWidthEncode(f, seeds[0], nil))
 	f.Add(binary.AppendUvarint(bytes.Clone(header), 1<<62))
 	named := appendBlob(appendBlob(bytes.Clone(header), []byte("parts")), []byte("DELETE FROM parts"))
 	f.Add(binary.AppendUvarint(named, 1<<62))

@@ -203,7 +203,7 @@ func (a *Applier) resume() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq, err := opSeq(msg)
+		seq, err := opdelta.PeekSeq(msg)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package netrepl
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -110,7 +112,7 @@ func TestTopicLastSeqAgreesWithTornBatch(t *testing.T) {
 		}
 		var got []uint64
 		if err := topic.Q.ForEach(func(msg []byte) error {
-			seq, err := opSeq(msg)
+			seq, err := opdelta.PeekSeq(msg)
 			got = append(got, seq)
 			return err
 		}); err != nil {
@@ -468,5 +470,33 @@ func TestShipperFailsOnOpLargerThanAnyFrame(t *testing.T) {
 	}
 	if n := sh.Acked(); n != 0 {
 		t.Fatalf("acked %d, want 0", n)
+	}
+}
+
+// TestTopicRefusesFixedWidthOps: a topic whose messages are ops in the
+// fixed-width layout of earlier builds (seq and txn as 8-byte words)
+// fails to open with opdelta.ErrFixedWidthOp, at the recovery pass that
+// reads its seqs, instead of recovering a misread watermark.
+func TestTopicRefusesFixedWidthOps(t *testing.T) {
+	dir := t.TempDir()
+	q, err := transport.OpenQueue(filepath.Join(dir, "old-src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		enc := encodedInsert(t, seq) // seq and txn both one varint byte
+		old := binary.LittleEndian.AppendUint64(nil, seq)
+		old = binary.LittleEndian.AppendUint64(old, seq)
+		if err := q.Append(append(old, enc[2:]...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerConfig{Dir: dir})
+	defer srv.Shutdown()
+	if _, err := srv.Topic("old-src"); !errors.Is(err, opdelta.ErrFixedWidthOp) {
+		t.Fatalf("opening a fixed-width topic: %v, want %v", err, opdelta.ErrFixedWidthOp)
 	}
 }

@@ -618,8 +618,8 @@ func parseSeq(p []byte) (uint64, error) {
 // deltaPayload frames a batch of already-encoded ops: uvarint prevSeq
 // (the sender's cursor immediately before this batch — the seq the
 // batch chains onto), uvarint count, then one blob per op. Each op's
-// own encoding carries its seq (bytes 0:8), so the batch needs no
-// further seq fields.
+// own encoding carries its seq (opdelta.PeekSeq reads it), so the
+// batch needs no further seq fields.
 //
 // prevSeq is what makes delivery loss-proof under segment reordering:
 // the server accepts a batch only when prevSeq matches its durable
@@ -655,15 +655,6 @@ func parseDelta(p []byte) (prevSeq uint64, encOps [][]byte, err error) {
 		return 0, nil, err
 	}
 	return prevSeq, encOps, nil
-}
-
-// opSeq peeks the seq from an encoded op (bytes 0:8 of the op
-// encoding) without a full decode.
-func opSeq(enc []byte) (uint64, error) {
-	if len(enc) < 8 {
-		return 0, fmt.Errorf("%w: encoded op %d bytes", ErrBadFrame, len(enc))
-	}
-	return binary.LittleEndian.Uint64(enc[0:8]), nil
 }
 
 // Trace-context trailer. When a frame's FlagTrace bit is

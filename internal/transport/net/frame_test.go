@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"opdelta/internal/fault"
 	"opdelta/internal/obs"
+	"opdelta/internal/opdelta"
 )
 
 // TestFrameRoundTrip: every type and assorted payload sizes survive
@@ -72,14 +74,23 @@ func TestFrameCorruptionDetected(t *testing.T) {
 	}
 }
 
+// encodedInsert is Op.Encode's bytes for a one-row INSERT with the
+// given seq, as a DELTA carries it.
+func encodedInsert(t testing.TB, seq uint64) []byte {
+	t.Helper()
+	op := &opdelta.Op{Seq: seq, Txn: seq, Kind: opdelta.OpInsert, Table: "parts",
+		Stmt: fmt.Sprintf("INSERT INTO parts (part_id) VALUES (%d)", seq), Time: time.Unix(0, 0)}
+	enc, err := op.Encode(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
 // TestDeltaPayloadRoundTrip: batch encode/parse preserves op frames and
 // rejects truncation.
 func TestDeltaPayloadRoundTrip(t *testing.T) {
-	ops := [][]byte{
-		append(seqPayload(7), []byte("op-seven")...),
-		append(seqPayload(8), []byte("op-eight")...),
-		seqPayload(9),
-	}
+	ops := [][]byte{encodedInsert(t, 7), encodedInsert(t, 8), encodedInsert(t, 9)}
 	p := deltaPayload(6, ops)
 	prev, got, err := parseDelta(p)
 	if err != nil {
@@ -95,7 +106,7 @@ func TestDeltaPayloadRoundTrip(t *testing.T) {
 		if !bytes.Equal(got[i], ops[i]) {
 			t.Fatalf("op %d mismatch", i)
 		}
-		seq, err := opSeq(got[i])
+		seq, err := opdelta.PeekSeq(got[i])
 		if err != nil {
 			t.Fatal(err)
 		}

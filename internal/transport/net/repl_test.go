@@ -378,7 +378,7 @@ func TestShipperResumesAfterServerRestart(t *testing.T) {
 	// lifetimes: seqs strictly ascending with no gaps up to want.
 	var seqs []uint64
 	if err := topic2.Q.ForEach(func(msg []byte) error {
-		seq, err := opSeq(msg)
+		seq, err := opdelta.PeekSeq(msg)
 		if err != nil {
 			return err
 		}

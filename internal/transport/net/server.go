@@ -12,6 +12,7 @@ import (
 
 	"opdelta/internal/fault"
 	"opdelta/internal/obs"
+	"opdelta/internal/opdelta"
 	"opdelta/internal/transport"
 )
 
@@ -292,10 +293,10 @@ func (s *Server) topicLocked(source string) (*Topic, error) {
 	}
 	t := &Topic{Source: source, Q: q, wake: make(chan struct{}, 1)}
 	// Recover the dedup mark from the queue itself: every message is an
-	// encoded op with its seq in the first 8 bytes, and appends are in
-	// seq order, so the maximum over the file is the high-water mark.
+	// encoded op whose header carries its seq, and appends are in seq
+	// order, so the maximum over the file is the high-water mark.
 	if err := q.ForEach(func(msg []byte) error {
-		seq, err := opSeq(msg)
+		seq, err := opdelta.PeekSeq(msg)
 		if err != nil {
 			return err
 		}
@@ -589,7 +590,7 @@ func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recv
 	fresh := encOps[:0]
 	last := topic.lastSeq
 	for _, enc := range encOps {
-		seq, err := opSeq(enc)
+		seq, err := opdelta.PeekSeq(enc)
 		if err != nil {
 			return 0, err
 		}
@@ -605,7 +606,7 @@ func (s *Server) enqueue(topic *Topic, payload []byte, tc obs.TraceContext, recv
 		// this process): nothing to persist, no mark to push.
 		return topic.lastSeq, nil
 	}
-	first, _ := opSeq(fresh[0]) // parsed in the loop above
+	first, _ := opdelta.PeekSeq(fresh[0]) // parsed in the loop above
 	mark := &batchMark{first: first, last: last, recvNs: recvNs, tc: tc}
 	if dropped := topic.pushMark(mark); dropped > 0 {
 		s.handoffDropped.Add(uint64(dropped))

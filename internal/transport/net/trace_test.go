@@ -1,7 +1,6 @@
 package netrepl
 
 import (
-	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -259,7 +258,7 @@ func TestBatchMarksStampEnqueue(t *testing.T) {
 // TestBatchMarkBounds: a batch whose append fails leaves no mark, and
 // past 1024 pending marks the oldest is evicted and counted as dropped.
 func TestBatchMarkBounds(t *testing.T) {
-	op := func(seq uint64) []byte { return binary.LittleEndian.AppendUint64(nil, seq) }
+	op := func(seq uint64) []byte { return encodedInsert(t, seq) }
 	fs := fault.NewSimFS(1)
 	reg := obs.NewRegistry()
 	srv := NewServer(ServerConfig{Dir: "/topics", FS: fs, Obs: reg})

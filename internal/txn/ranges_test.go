@@ -346,3 +346,130 @@ func TestRangesUnderCoveringTableModeAreFree(t *testing.T) {
 		t.Fatalf("range acquires = %d, want 2", got)
 	}
 }
+
+// treeDepth is the number of nodes on the longest root-to-leaf path.
+func treeDepth(n *rangeNode) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + max(treeDepth(n.left), treeDepth(n.right))
+}
+
+// checkTree verifies the tree's invariants below n — in-order by lower
+// bound, subtree sizes, maximum upper bounds — and returns its in-order
+// nodes.
+func checkTree(t *testing.T, n *rangeNode) []*rangeNode {
+	t.Helper()
+	if n == nil {
+		return nil
+	}
+	left, right := checkTree(t, n.left), checkTree(t, n.right)
+	if n.size != len(left)+1+len(right) {
+		t.Fatalf("node %s: size %d, subtree holds %d", n.r, n.size, len(left)+1+len(right))
+	}
+	want := *n
+	want.recomputeMax()
+	if want.maxHiInf != n.maxHiInf || keyset.TotalCompare(want.maxHi, n.maxHi) != 0 {
+		t.Fatalf("node %s: stale max upper bound", n.r)
+	}
+	if len(left) > 0 && keyset.CompareLo(left[len(left)-1].r, n.r) > 0 ||
+		len(right) > 0 && keyset.CompareLo(right[0].r, n.r) < 0 {
+		t.Fatalf("node %s out of order", n.r)
+	}
+	return append(append(left, n), right...)
+}
+
+// TestRangeTreeStaysShallow: 1 000 ascending, descending or shuffled
+// inserts leave a tree at most 2⌈log₂ n⌉+2 nodes deep, with every
+// invariant intact and every overlap query answered as a scan would. A
+// plain BST rebuilt only when its size doubles reached depth 497 on the
+// ascending order.
+func TestRangeTreeStaysShallow(t *testing.T) {
+	const n = 1000
+	bound := 2*10 + 2 // ⌈log₂ 1000⌉ = 10
+	orders := map[string]func(i int) int64{
+		"ascending":  func(i int) int64 { return int64(i) },
+		"descending": func(i int) int64 { return int64(n - i) },
+		"shuffled":   func(i int) int64 { return int64(i*617) % n }, // 617 is prime to 1000
+	}
+	for name, key := range orders {
+		var tree rangeTree
+		for i := 0; i < n; i++ {
+			k := 2 * key(i)
+			tree.insert(ID(i), Exclusive, kr(k, k+1))
+		}
+		if d := treeDepth(tree.root); d > bound {
+			t.Errorf("%s: depth %d after %d inserts, bound %d", name, d, n, bound)
+		}
+		nodes := checkTree(t, tree.root)
+		if len(nodes) != n || tree.size != n {
+			t.Fatalf("%s: %d nodes in order, size %d", name, len(nodes), tree.size)
+		}
+		for _, q := range []keyset.KeyRange{kr(0, 0), kr(501, 510), kr(1998, 5000), kr(-5, -1)} {
+			var got, want int
+			tree.overlapping(q, func(*rangeNode) bool { got++; return true })
+			for _, nd := range nodes {
+				if nd.r.Intersects(q) {
+					want++
+				}
+			}
+			if got != want {
+				t.Errorf("%s: %d nodes overlap %s, want %d", name, got, q, want)
+			}
+		}
+	}
+}
+
+// TestOwnRangesAnswerCoveredRequests: a request inside ranges tx already
+// holds — as every statement of a warehouse group is inside its
+// pre-declared plan — returns before any bookkeeping, for AcquireRanges
+// and CoversKeys alike. A key outside them, a NULL key, or an X request
+// over an own S range is not covered.
+func TestOwnRangesAnswerCoveredRequests(t *testing.T) {
+	lm := NewLockManager(100 * time.Millisecond)
+	if err := xRanges(lm, 1, kr(1, 100), kr(200, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.AcquireRanges(1, "t", Shared, []keyset.KeyRange{kr(400, 410)}); err != nil {
+		t.Fatal(err)
+	}
+	stats, tables := lm.Stats(), lm.TableStats()
+	if err := xRanges(lm, 1, kr(250, 250), kr(5, 5), kr(7, 90)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.AcquireRanges(1, "t", Shared, []keyset.KeyRange{kr(3, 4), kr(405, 405)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.Stats(); got != stats {
+		t.Fatalf("covered requests moved lock stats: %+v -> %+v", stats, got)
+	}
+	if got := lm.TableStats()["t"]; got != tables["t"] {
+		t.Fatalf("covered requests moved table stats: %+v -> %+v", tables["t"], got)
+	}
+	keys := func(ks ...catalog.Value) func(int) catalog.Value { return func(i int) catalog.Value { return ks[i] } }
+	for _, c := range []struct {
+		mode LockMode
+		keys []catalog.Value
+		want bool
+	}{
+		{Exclusive, []catalog.Value{catalog.NewInt(1), catalog.NewInt(100), catalog.NewInt(250)}, true},
+		{Shared, []catalog.Value{catalog.NewInt(50), catalog.NewInt(410)}, true},
+		{Exclusive, []catalog.Value{catalog.NewInt(50), catalog.NewInt(101)}, false},
+		{Exclusive, []catalog.Value{catalog.NewInt(405)}, false}, // own S does not cover X
+		{Exclusive, []catalog.Value{catalog.NewNull(catalog.TypeInt64)}, false},
+	} {
+		if got := lm.CoversKeys(1, "t", c.mode, len(c.keys), keys(c.keys...)); got != c.want {
+			t.Errorf("CoversKeys(%s, %v) = %v, want %v", c.mode, c.keys, got, c.want)
+		}
+	}
+	if lm.CoversKeys(2, "t", Shared, 1, keys(catalog.NewInt(50))) {
+		t.Error("tx1's ranges cover tx2's keys")
+	}
+	// An X request over the own S range is granted, and counted.
+	if err := xRanges(lm, 1, kr(405, 405)); err != nil {
+		t.Fatal(err)
+	}
+	if got := lm.Stats().Grants; got != stats.Grants+1 {
+		t.Fatalf("grants %d -> %d, want one more for the X over own S", stats.Grants, got)
+	}
+}

@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"math"
+
 	"opdelta/internal/catalog"
 	"opdelta/internal/keyset"
 )
@@ -13,6 +15,8 @@ type rangeNode struct {
 	r    keyset.KeyRange
 
 	left, right *rangeNode
+	// size counts the nodes of this subtree, for the scapegoat check.
+	size int
 	// maxHi is the greatest upper bound anywhere in this subtree;
 	// maxHiInf marks a subtree holding an interval unbounded above, in
 	// which case nothing below it can be pruned.
@@ -25,18 +29,20 @@ type rangeNode struct {
 // node augmented with its subtree's maximum upper bound so overlap
 // queries can skip subtrees that end before the query starts.
 //
+// Grants are often ascending — AcquireRanges takes a request's ranges
+// in sorted order, and keys are often sequential — which would grow a
+// plain BST into a list. The tree is a scapegoat tree instead: an
+// insert that lands deeper than log_{3/2} of the size rebuilds, balanced,
+// the subtree of the lowest ancestor whose one child holds more than
+// 2/3 of it, so depth stays within 1.71·log2(n)+1 at amortized
+// O(log n) per insert.
+//
 // Locks are only ever removed in bulk (ReleaseAll dropping one
 // transaction), so deletion rebuilds the tree balanced from the
 // surviving nodes instead of splicing.
 type rangeTree struct {
 	root *rangeNode
 	size int
-	// rebuildAt triggers a balanced rebuild when size reaches it. Lock
-	// acquisition patterns are often ascending (bulk loads, sequential
-	// keys), which degenerates a plain BST into a list; rebuilding on
-	// every doubling costs O(n) amortized over the inserts that grew
-	// the tree and keeps lookups logarithmic between rebuilds.
-	rebuildAt int
 	// class is the comparison class of every bound seen since the tree
 	// was last empty (int and float share the numeric class — the
 	// catalog orders them across types). Mixed classes have no catalog
@@ -67,39 +73,63 @@ func (t *rangeTree) noteClass(v catalog.Value, bounded bool) {
 	}
 }
 
+// lnThreeHalves is ln(3/2): an insert deeper than ln(size)/lnThreeHalves
+// edges finds a scapegoat.
+const lnThreeHalves = 0.4054651081081644
+
 func (t *rangeTree) insert(tx ID, mode LockMode, r keyset.KeyRange) {
 	t.noteClass(r.Lo, r.HasLo)
 	t.noteClass(r.Hi, r.HasHi)
-	n := &rangeNode{tx: tx, mode: mode, r: r}
+	n := &rangeNode{tx: tx, mode: mode, r: r, size: 1}
 	n.recomputeMax()
-	t.root = insertNode(t.root, n)
 	t.size++
-	if t.size >= t.rebuildAt {
-		t.rebalance()
+	var stack [64]*rangeNode // the depth bound keeps paths below 64 nodes up to 2^36 ranges
+	path := stack[:0]
+	link := &t.root
+	for *link != nil {
+		cur := *link
+		cur.size++
+		path = append(path, cur)
+		if keyset.CompareLo(n.r, cur.r) < 0 {
+			link = &cur.left
+		} else {
+			link = &cur.right
+		}
+	}
+	*link = n
+	for i := len(path) - 1; i >= 0; i-- {
+		path[i].recomputeMax()
+	}
+	if float64(len(path)) > math.Log(float64(t.size))/lnThreeHalves {
+		t.rebuildScapegoat(path, n)
 	}
 }
 
-func (t *rangeTree) rebalance() {
-	nodes := make([]*rangeNode, 0, t.size)
-	collectInOrder(t.root, &nodes)
-	t.root = buildBalanced(nodes)
-	t.rebuildAt = 2 * t.size
-	if t.rebuildAt < 32 {
-		t.rebuildAt = 32
+// rebuildScapegoat rebuilds, balanced, the subtree of the lowest node on
+// path (the ancestors of n, root first) whose child towards n holds more
+// than 2/3 of it. One exists when n lies deeper than log_{3/2} of the
+// tree's size. The subtree keeps its nodes, so the sizes and bounds of
+// the ancestors above it stand.
+func (t *rangeTree) rebuildScapegoat(path []*rangeNode, n *rangeNode) {
+	child := n
+	for i := len(path) - 1; i >= 0; i-- {
+		p := path[i]
+		if 3*child.size > 2*p.size {
+			nodes := make([]*rangeNode, 0, p.size)
+			collectInOrder(p, &nodes)
+			sub := buildBalanced(nodes)
+			switch {
+			case i == 0:
+				t.root = sub
+			case path[i-1].left == p:
+				path[i-1].left = sub
+			default:
+				path[i-1].right = sub
+			}
+			return
+		}
+		child = p
 	}
-}
-
-func insertNode(cur, n *rangeNode) *rangeNode {
-	if cur == nil {
-		return n
-	}
-	if keyset.CompareLo(n.r, cur.r) < 0 {
-		cur.left = insertNode(cur.left, n)
-	} else {
-		cur.right = insertNode(cur.right, n)
-	}
-	cur.recomputeMax()
-	return cur
 }
 
 func (n *rangeNode) recomputeMax() {
@@ -173,10 +203,6 @@ func (t *rangeTree) removeTx(tx ID) {
 	}
 	t.size = len(keep)
 	t.root = buildBalanced(keep)
-	t.rebuildAt = 2 * t.size
-	if t.rebuildAt < 32 {
-		t.rebuildAt = 32
-	}
 	if t.size == 0 {
 		t.class, t.mixed = catalog.TypeInvalid, false
 	}
@@ -199,6 +225,7 @@ func buildBalanced(nodes []*rangeNode) *rangeNode {
 	n := nodes[mid]
 	n.left = buildBalanced(nodes[:mid])
 	n.right = buildBalanced(nodes[mid+1:])
+	n.size = len(nodes)
 	n.recomputeMax()
 	return n
 }

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"opdelta/internal/catalog"
 	"opdelta/internal/keyset"
 	"opdelta/internal/obs"
 )
@@ -522,11 +523,13 @@ func (lm *LockManager) AcquireRanges(tx ID, table string, mode LockMode, ranges 
 	if len(ranges) == 0 {
 		return nil
 	}
-	// A covering table mode makes every range a no-op: notice it before
-	// paying for the copy, the sort and the clock read. View maintenance
-	// under a pre-declared whole-table X lock asks this per row.
+	// A covering table mode, or own ranges that already contain every
+	// requested one, make the request a no-op: notice it before paying
+	// for the copy, the sort and the clock read. View maintenance under
+	// a pre-declared whole-table X lock asks this per row, and every
+	// statement of a warehouse group under its pre-declared ranges.
 	lm.mu.Lock()
-	if tl := lm.tables[table]; tl != nil && tableModeCoversRange(tl.holders[tx], mode) {
+	if tl := lm.tables[table]; tl != nil && tl.holdsRangesLocked(tx, mode, ranges) {
 		lm.mu.Unlock()
 		return nil
 	}
@@ -549,6 +552,21 @@ func (lm *LockManager) AcquireRanges(tx ID, table string, mode LockMode, ranges 
 		}
 	}
 	return nil
+}
+
+// holdsRangesLocked reports whether tx holds mode or X over every range
+// in ranges: through a covering table mode, or each inside one of its
+// own granted ranges.
+func (tl *tableLock) holdsRangesLocked(tx ID, mode LockMode, ranges []keyset.KeyRange) bool {
+	if tableModeCoversRange(tl.holders[tx], mode) {
+		return true
+	}
+	for _, r := range ranges {
+		if !tl.ownRangeCoversLocked(tx, mode, r) {
+			return false
+		}
+	}
+	return true
 }
 
 func (lm *LockManager) acquireRangeLocked(tl *tableLock, tx ID, mode LockMode, r keyset.KeyRange, deadline time.Time) error {
@@ -741,11 +759,44 @@ func (lm *LockManager) Holding(tx ID, table string) LockMode {
 	return 0
 }
 
-// CoversRanges reports whether the table mode tx holds on table already
-// implies range locks of mode on any keys, so that asking for them is a
-// no-op; a caller about to build many ranges checks this first.
-func (lm *LockManager) CoversRanges(tx ID, table string, mode LockMode) bool {
-	return tableModeCoversRange(lm.Holding(tx, table), mode)
+// CoversKeys reports whether tx already holds mode (or X) on the n
+// primary keys key(0..n-1) of table — through a covering table mode or
+// each key inside one of its own granted ranges — so that asking for
+// them is a no-op. A caller about to build ranges for the keys checks
+// this first: under a pre-declared lock plan every statement's keys are
+// held. A NULL key is never covered. key runs under the manager's
+// mutex, so it must only read its caller's keys.
+func (lm *LockManager) CoversKeys(tx ID, table string, mode LockMode, n int, key func(i int) catalog.Value) bool {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	tl := lm.tables[table]
+	if tl == nil {
+		return false
+	}
+	if tableModeCoversRange(tl.holders[tx], mode) {
+		return true
+	}
+	for i := 0; i < n; i++ {
+		k := key(i)
+		if k.IsNull() || !tl.ownRangeCoversLocked(tx, mode, keyset.Point(k)) {
+			return false
+		}
+	}
+	return true
+}
+
+// ownRangeCoversLocked reports whether one of tx's own granted ranges in
+// mode or X contains r.
+func (tl *tableLock) ownRangeCoversLocked(tx ID, mode LockMode, r keyset.KeyRange) bool {
+	if tl.nranges[tx] == 0 {
+		return false
+	}
+	covered := false
+	tl.ranges.overlapping(r, func(n *rangeNode) bool {
+		covered = n.tx == tx && (n.mode == mode || n.mode == Exclusive) && n.r.Contains(r)
+		return !covered
+	})
+	return covered
 }
 
 // HoldingRange reports the strongest protection tx has over every key
