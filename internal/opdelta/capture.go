@@ -55,25 +55,9 @@ func (c *Capture) metrics() {
 // statement (and its op record, for transactional logs) in a dedicated
 // transaction.
 func (c *Capture) Exec(tx *engine.Tx, sql string) (engine.Result, error) {
-	stmt, err := sqlmini.Parse(sql)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	return c.exec(tx, stmt, sql)
-}
-
-// ExecStmt captures and executes a parsed statement. Having no text, it
-// records the statement's print (stmt.String()).
-func (c *Capture) ExecStmt(tx *engine.Tx, stmt sqlmini.Statement) (engine.Result, error) {
-	return c.exec(tx, stmt, "")
-}
-
-// exec captures stmt with text as its op's statement ("" for the
-// statement's print) and executes it.
-func (c *Capture) exec(tx *engine.Tx, stmt sqlmini.Statement, text string) (engine.Result, error) {
 	if tx == nil {
 		tx = c.DB.Begin()
-		res, err := c.exec(tx, stmt, text)
+		res, err := c.Exec(tx, sql)
 		if err != nil {
 			tx.Abort()
 			return engine.Result{}, err
@@ -83,8 +67,12 @@ func (c *Capture) exec(tx *engine.Tx, stmt sqlmini.Statement, text string) (engi
 		}
 		return res, nil
 	}
+	stmt, err := sqlmini.Parse(sql)
+	if err != nil {
+		return engine.Result{}, err
+	}
 	c.metrics()
-	op, err := c.buildOp(tx, stmt, text)
+	op, err := c.buildOp(tx, stmt, sql)
 	if err != nil {
 		return engine.Result{}, err
 	}
@@ -115,9 +103,6 @@ func (c *Capture) buildOp(tx *engine.Tx, stmt sqlmini.Statement, text string) (*
 		kind, table, where = OpDelete, s.Table, s.Where
 	default:
 		return nil, nil
-	}
-	if text == "" {
-		text = stmt.String()
 	}
 	op := &Op{
 		Txn:   uint64(tx.ID()),

@@ -40,8 +40,10 @@ import (
 // exchanges plus the client's current offset estimate. The WATERMARK /
 // SNAPSHOT_CHUNK / CHUNK_ACK frames bracket chunked state transfer
 // with low/high watermarks (DBLog-style), and DELTA / SNAPSHOT_CHUNK
-// frames may carry a FlagTrace span-context trailer.
-const Version = 3
+// frames may carry a FlagTrace span-context trailer. Version 4 is the
+// first whose DELTA ops carry Seq and Txn as uvarints (opdelta's
+// layout); a version-3 peer would misread them, so it is REJECTed.
+const Version = 4
 
 // Frame types.
 const (

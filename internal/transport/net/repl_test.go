@@ -438,11 +438,15 @@ func TestServerBusyAndReject(t *testing.T) {
 
 	// Drop the first; its slot frees, and a HELLO naming any version but
 	// Version is REJECTed with a reason that names it: a future version,
-	// and version 2's shape (uvarint base, then source, no timestamp).
+	// version 3's shape (today's HELLO, but its DELTA ops carry a
+	// fixed-width seq and txn) and version 2's (uvarint base, then
+	// source, no timestamp).
 	if err := WriteFrame(c1, FrameShutdown, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, hello := range [][]byte{append([]byte{99}, "late"...), append([]byte{2, 0}, "old"...)} {
+	v3 := helloPayload("fixed", 0, 0)
+	v3[0] = 3
+	for _, hello := range [][]byte{append([]byte{99}, "late"...), v3, append([]byte{2, 0}, "old"...)} {
 		want := fmt.Sprintf("version %d", hello[0])
 		waitFor(t, 5*time.Second, "a free slot", func() bool {
 			c, err := nw.Dial()
